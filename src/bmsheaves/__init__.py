@@ -6,7 +6,7 @@ top-down projective-cover construction of the canonical sheaf on the
 moment graph of a Bruhat interval, and compares the sheaf's graded
 character against that basis.  Everything is exact: integer matrices for
 the group, Laurent polynomials over the integers for characters, and
-rational sparse linear algebra for the degreewise section spaces.
+fraction-free integer elimination for the degreewise section spaces.
 """
 
 from .coxeter import (

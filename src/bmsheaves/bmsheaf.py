@@ -311,34 +311,19 @@ def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
     for d in range(0, cap + 1, 2):
         ss = bm.sections(omega, d)
         outside = [z for z in omega if z != ys and z != y]
-        rows = []
-        rcount = 0
-        for z in outside:
-            lo, hi = ss.offsets[z]
-            for r in range(lo, hi):
-                row = {
-                    j: vec[r]
-                    for j, vec in enumerate(ss.vectors)
-                    if vec[r]
-                }
-                rows.append(row)
-                rcount += 1
-        coeff_kernel = kernel_basis(rows, len(ss.vectors))
+        rows = [
+            {j: vec[r] for j, vec in enumerate(ss.vectors) if vec[r]}
+            for z in outside
+            for r in range(*ss.offsets[z])
+        ]
         vecs = []
-        for cv in coeff_kernel:
-            total = None
-            for j, c in enumerate(cv):
-                if not c:
-                    continue
-                svec = ss.vectors[j]
-                if total is None:
-                    total = [c * a for a in svec]
-                else:
+        for cv in kernel_basis(rows, len(ss.vectors)):
+            total = [0] * len(ss.vectors[0])
+            for c, svec in zip(cv, ss.vectors):
+                if c:
                     for r, a in enumerate(svec):
                         if a:
                             total[r] += c * a
-            if total is None:
-                total = [0] * (ss.offsets[omega[-1]][1] if omega else 0)
             pair = list(ss.block(total, ys)) + list(ss.block(total, y))
             for z in outside:
                 if any(ss.block(total, z)):

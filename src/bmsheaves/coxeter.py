@@ -29,7 +29,6 @@ from math import gcd
 
 from .errors import InputError, RealizationError
 from .linalg import kernel_basis, rank_dense
-from .rationals import QQ
 
 __all__ = [
     "INFINITE",
@@ -369,7 +368,7 @@ def is_reflection(w: Element) -> bool:
     """
     n = w.system.rank
     mat = [
-        [QQ(w.matrix[i][j] - (1 if i == j else 0)) for j in range(n)]
+        [w.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
         for i in range(n)
     ]
     if rank_dense(mat) != 1:
@@ -392,7 +391,7 @@ def reflection_root(w: Element) -> Root:
         for j in range(n):
             v = w.matrix[i][j] + (1 if i == j else 0)
             if v:
-                row[j] = QQ(v)
+                row[j] = v
         if row:
             rows.append(row)
     ker = kernel_basis(rows, n)
@@ -400,13 +399,7 @@ def reflection_root(w: Element) -> Root:
         raise RealizationError(
             f"(-1)-eigenspace of reflection {w} has dimension {len(ker)}"
         )
-    vec = ker[0]
-    denom = 1
-    for c in vec:
-        if c:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in vec]
-    cls = _classify_root(ints)
+    cls = _classify_root(ker[0])
     if cls is None:
         raise RealizationError(f"reflection {w} has a mixed-sign root")
     coords, pos = cls

@@ -27,13 +27,13 @@ coefficient) exactly.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
 from .linalg import Echelon, kernel_basis, sparse
 from .polynomials import monomials_of_degree
-from .rationals import QQ
 
 __all__ = [
     "PolyRing",
@@ -184,9 +184,11 @@ class QuotientModule:
         if self.pivot is None:
             raise InputError("cannot quotient by the zero linear form")
         # x_pivot = sum of _subst[j] x_j over the other variables, mod alpha
-        lead = QQ(-1) / QQ(self.alpha[self.pivot])
+        p = self.alpha[self.pivot]
         self._subst = {
-            j: a * lead for j, a in enumerate(self.alpha) if a and j != self.pivot
+            j: -a // p if a % p == 0 else Fraction(-a, p)
+            for j, a in enumerate(self.alpha)
+            if a and j != self.pivot
         }
         self._basis = {}
         self._index = {}

@@ -1,21 +1,26 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra by fraction-free integer elimination.
 
-Everything here goes through one data structure: a reduced row-echelon
-basis whose rows are stored as {column: coefficient} dicts.  The section
-systems this package solves are block sparse (each constraint couples the
-stalk variables of just two vertices), so sparse rows beat dense Gaussian
-elimination by a wide margin while staying exact.
+Everything here goes through one data structure: a row-echelon basis
+whose rows are {column: int} dicts.  The section systems this package
+solves are block sparse (each constraint couples the stalk variables of
+just two vertices), so sparse rows beat dense elimination by a wide
+margin while staying exact.
 
-Conventions: a stored row is normalized so row[pivot] == 1, and rows are
-mutually reduced (no row contains another row's pivot column).  Kernel
-bases are returned as dense lists, one vector per free column, in
-increasing free-column order, which keeps all downstream output
-deterministic.
+An input row is scaled once, on entry, to a primitive integer row.  A
+stored row is primitive, its pivot is its smallest column and its lead
+(the entry there) is positive.  Rows are reduced as in Bareiss'
+fraction-free elimination: scale by the pivot's lead, subtract, divide
+by the content.  The form is lazy: `insert` reduces only the incoming
+row, and `kernel` back-substitutes once.  Kernel bases are primitive
+integer vectors, one per free column, in increasing free-column order,
+which keeps all downstream output deterministic.
 """
 
 from __future__ import annotations
 
-from .rationals import QQ
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 __all__ = ["Echelon", "kernel_basis", "sparse", "solve_in_span", "rank_dense"]
 
@@ -25,87 +30,114 @@ def sparse(vec):
     return {i: v for i, v in enumerate(vec) if v}
 
 
+def _primitive(row):
+    """Divide an integer row by its content (in place when it is > 1)."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(row, prow, p, rows, heap):
+    """Clear row[p] with the pivot row prow: row <- b row - a prow for
+    a, b proportional to row[p], prow[p].  Pivot columns of `rows` that
+    enter row are pushed on `heap`."""
+    a = row[p]
+    b = prow[p]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        for c in row:
+            row[c] *= b
+    for c, v in prow.items():
+        old = row.get(c)
+        if old is None:
+            row[c] = -a * v
+            if c in rows:
+                heappush(heap, c)
+        else:
+            nv = old - a * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+    if b != 1:
+        _primitive(row)
+
+
 class Echelon:
-    """Incrementally maintained reduced row-echelon basis."""
+    """Incrementally maintained, lazily reduced integer row-echelon basis."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows = {}  # pivot column -> sparse row
+        self.rows = {}  # pivot column -> primitive integer sparse row
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return vec reduced modulo the row space (vec is not mutated)."""
-        out = dict(vec)
-        rows = self.rows
-        # Stored rows are mutually reduced, so eliminating one pivot never
-        # reintroduces another; a single pass over the initial keys suffices.
-        for p in [c for c in out if c in rows]:
-            coef = out.pop(p)
-            if not coef:
-                continue
-            for c, v in rows[p].items():
-                if c == p:
-                    continue
-                nv = out.get(c, 0) - coef * v
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
-        return out
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def insert(self, vec):
         """Add vec to the row space; return its pivot column, or None if
         vec was already in the span."""
-        r = self.reduce(vec)
+        den = lcm(*(v.denominator for v in vec.values()))
+        r = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+        rows = self.rows
+        heap = [c for c in r if c in rows]
+        heapify(heap)
+        # pivot rows hold no earlier columns, so eliminating pivots in
+        # increasing order never reintroduces one already cleared
+        while heap:
+            p = heappop(heap)
+            if p in r:
+                _eliminate(r, rows[p], p, rows, heap)
         if not r:
             return None
+        _primitive(r)
         p = min(r)
-        lead = r[p]
-        if lead != 1:
-            inv = QQ(1) / lead
-            r = {c: v * inv for c, v in r.items()}
-        # Back-substitute so existing rows lose column p.
-        for other in self.rows.values():
-            coef = other.pop(p, None)
-            if coef:
-                for c, v in r.items():
-                    if c == p:
-                        continue
-                    nv = other.get(c, 0) - coef * v
-                    if nv:
-                        other[c] = nv
-                    else:
-                        other.pop(c, None)
-        self.rows[p] = r
+        if r[p] < 0:
+            for c in r:
+                r[c] = -r[c]
+        rows[p] = r
         return p
 
     def kernel(self, ncols):
         """Kernel of the linear system whose equations are the rows,
-        over variables 0..ncols-1.  One basis vector per free column."""
+        over variables 0..ncols-1.  One primitive integer basis vector
+        per free column f, with a positive entry at f and zeros at the
+        other free columns."""
         rows = self.rows
+        # Back-substitute, last pivot first: row q is already free of
+        # every other pivot column when it is used to clear row p.
+        for p in sorted(rows, reverse=True):
+            r = rows[p]
+            for q in [c for c in r if c != p and c in rows]:
+                _eliminate(r, rows[q], q, rows, [])
+        entries = {}  # free column -> [(pivot, coefficient)]
+        for p, r in rows.items():
+            for c, v in r.items():
+                if c != p:
+                    entries.setdefault(c, []).append((p, v))
         basis = []
         for f in range(ncols):
             if f in rows:
                 continue
             vec = [0] * ncols
-            vec[f] = 1
-            for p, row in rows.items():
-                c = row.get(f)
-                if c:
-                    vec[p] = -c
+            col = entries.get(f, ())
+            scale = lcm(*(rows[p][p] for p, _ in col))
+            vec[f] = scale
+            for p, v in col:
+                vec[p] = -v * (scale // rows[p][p])
+            if scale != 1 and (g := gcd(*vec)) > 1:
+                vec = [v // g for v in vec]
             basis.append(vec)
         return basis
 
 
 def kernel_basis(rows, ncols):
-    """Kernel basis (dense vectors) of the system given by sparse rows."""
+    """Kernel basis (dense integer vectors) of the given sparse rows."""
     ech = Echelon()
     for r in rows:
         if r:
@@ -116,26 +148,26 @@ def kernel_basis(rows, ncols):
 def solve_in_span(columns, target):
     """Express target as a rational combination of the given dense columns.
 
-    Returns a coefficient list, or None if target is not in the span.  Any
-    solution is returned when the columns are dependent.
+    Returns a coefficient list (ints when they are all integral), or None
+    if target is not in the span.  When the columns are dependent, the
+    solution is the one that vanishes on the free columns.
     """
     n = len(columns)
-    nrows = len(target)
-    rows = []
-    for i in range(nrows):
+    ech = Echelon()
+    for i in range(len(target)):
         row = {j: col[i] for j, col in enumerate(columns) if col[i]}
         if target[i]:
             row[n] = -target[i]
         if row:
-            rows.append(row)
-    for vec in kernel_basis(rows, n + 1):
-        z = vec[n]
-        if z:
-            if z == 1:
-                return vec[:n]
-            inv = QQ(1) / z
-            return [v * inv for v in vec[:n]]
-    return None
+            ech.insert(row)
+    if n in ech.rows:
+        return None
+    # column n is free and the last one, so its vector comes last
+    vec = ech.kernel(n + 1)[-1]
+    z = vec[n]
+    if any(v % z for v in vec[:n]):
+        return [Fraction(v, z) for v in vec[:n]]
+    return [v // z for v in vec[:n]]
 
 
 def rank_dense(mat):

@@ -23,7 +23,9 @@ degreewise complement computation over the action of xi = (alpha_t, 0).
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coxeter import (
     Element,
@@ -40,7 +42,6 @@ from .errors import InconsistencyError, InputError, RealizationError
 from .gradedlin import FreeModule, PolyRing, hilbert_dim
 from .linalg import Echelon, kernel_basis, sparse
 from .polynomials import Poly, linear_form
-from .rationals import QQ
 
 __all__ = [
     "Edge",
@@ -316,7 +317,7 @@ def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
                 f"vertex set is not s-invariant: {w}*s is outside the graph"
             )
         partner[w] = ws
-    half = QQ(1, 2)
+    half = Fraction(1, 2)
     plus, quot = [], []
     for w in graph.vertices:
         zw = z[w]
@@ -433,18 +434,11 @@ def decompose_ze_module(zem: ZEModule, cap):
             mx_rows.append(rowx)
         mx = kernel_basis(mx_rows, dim)  # xi m = alpha m
         my = kernel_basis(my_rows, dim)  # xi m = 0
-
-        def _copy_span():
-            e = Echelon()
-            for row in span.rows.values():
-                e.insert(dict(row))
-            return e
-
-        ech = _copy_span()
+        ech = deepcopy(span)
         a_count = sum(1 for v in mx if ech.insert(sparse(v)) is not None)
-        ech = _copy_span()
+        ech = deepcopy(span)
         b_count = sum(1 for v in my if ech.insert(sparse(v)) is not None)
-        ech = _copy_span()
+        ech = deepcopy(span)
         for v in mx:
             ech.insert(sparse(v))
         for v in my:

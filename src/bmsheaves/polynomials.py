@@ -11,8 +11,9 @@ variable (the lowest-index variable with nonzero coefficient).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InputError
-from .rationals import QQ
 
 __all__ = ["Poly", "linear_form", "monomials_of_degree"]
 
@@ -66,7 +67,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, type(QQ(0)))):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly(self.nvars)
             p = Poly.__new__(Poly)
@@ -110,7 +111,7 @@ class Poly:
         pivot = next((i for i, a in enumerate(alpha) if a), None)
         if pivot is None:
             raise InputError("division by the zero linear form")
-        lead = QQ(1) / QQ(alpha[pivot])
+        lead = Fraction(1, alpha[pivot])
         quot = {}
         rem = dict(self.c)
         while True:

@@ -1,0 +1,169 @@
+"""Differential tests of the fraction-free elimination kernel.
+
+Every check compares `bmsheaves.linalg` against a small dense reduced
+row-echelon reference over `fractions.Fraction`, written out below, on
+seeded random systems: sparse and low-rank integer matrices, rational
+entries with denominators 2 and 3, and zero or empty rows.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from bmsheaves.linalg import Echelon, kernel_basis, rank_dense, solve_in_span, sparse
+
+ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
+RATIONAL = ENTRIES + (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3))
+
+
+def rref(rows, ncols):
+    """Pivot columns and reduced rows (row[pivot] == 1) of dense rows."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        lead = mat[r][c]
+        mat[r] = [v / lead for v in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c]:
+                f = mat[k][c]
+                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
+        pivots.append(c)
+    return pivots, mat[: len(pivots)]
+
+
+def ref_kernel(rows, ncols):
+    """Kernel basis: one vector per free column f, 1 at f, 0 at other free columns."""
+    pivots, red = rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for p, row in zip(pivots, red):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def random_matrix(rng, entries):
+    nrows, ncols = rng.randint(0, 8), rng.randint(1, 9)
+    if rng.random() < 0.4 and nrows:
+        # low rank: a product of two thin random matrices
+        k = rng.randint(1, 3)
+        left = [[rng.choice(entries) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.choice(entries) for _ in range(ncols)] for _ in range(k)]
+        rows = [
+            [sum(a * right[j][c] for j, a in enumerate(lrow)) for c in range(ncols)]
+            for lrow in left
+        ]
+    else:
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    return rows, ncols
+
+
+def matvec(rows, vec):
+    return [sum(a * v for a, v in zip(row, vec)) for row in rows]
+
+
+@pytest.mark.parametrize("entries", [ENTRIES, RATIONAL], ids=["int", "rational"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_pivots_and_kernel_match_the_reference(seed, entries):
+    rng = random.Random(seed)
+    for _ in range(80):
+        rows, ncols = random_matrix(rng, entries)
+        pivots, _ = rref(rows, ncols)
+        ech = Echelon()
+        for row in rows:
+            ech.insert(sparse(row))
+        assert ech.dim == len(pivots) == rank_dense(rows)
+        assert sorted(ech.rows) == pivots
+        ker = ech.kernel(ncols)
+        ref = ref_kernel(rows, ncols)
+        assert len(ker) == ncols - len(pivots)
+        assert ker == kernel_basis([sparse(r) for r in rows], ncols)
+        free = [f for f in range(ncols) if f not in pivots]
+        for f, vec, rvec in zip(free, ker, ref):
+            assert all(type(v) is int for v in vec)
+            assert gcd(*vec) == 1
+            assert not any(matvec(rows, vec))
+            # a positive multiple of the reference vector of column f
+            assert vec[f] > 0
+            assert [Fraction(v, vec[f]) for v in vec] == rvec
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_insert_reports_exactly_the_new_directions(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(60):
+        rows, ncols = random_matrix(rng, RATIONAL)
+        ech = Echelon()
+        for i, row in enumerate(rows):
+            grew = len(rref(rows[: i + 1], ncols)[0]) > len(rref(rows[:i], ncols)[0])
+            p = ech.insert(sparse(row))
+            assert (p is not None) == grew
+            if grew:
+                stored = ech.rows[p]
+                assert min(stored) == p and stored[p] > 0
+                assert all(type(v) is int for v in stored.values())
+                assert gcd(*stored.values()) == 1
+
+
+def test_zero_and_empty_rows():
+    ech = Echelon()
+    assert ech.insert({}) is None
+    assert ech.insert({0: 0, 3: Fraction(0)}) is None
+    assert ech.dim == 0
+    assert ech.kernel(2) == [[1, 0], [0, 1]]
+    assert ech.kernel(0) == []
+    assert kernel_basis([{}, {1: 0}], 2) == [[1, 0], [0, 1]]
+    assert rank_dense([[0, 0], [0, 0]]) == 0
+    assert rank_dense([]) == 0
+
+
+def test_denominators_are_cleared_on_entry():
+    ech = Echelon()
+    assert ech.insert({0: Fraction(1, 2), 1: Fraction(-1, 3)}) == 0
+    assert ech.rows[0] == {0: 3, 1: -2}
+    assert ech.insert({0: Fraction(-3, 2), 1: 1}) is None
+    assert ech.kernel(2) == [[2, 3]]
+    assert kernel_basis([{0: 2, 1: 4}], 2) == [[-2, 1]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_in_span_is_exact_or_none(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(80):
+        rows, ncols = random_matrix(rng, RATIONAL)
+        nrows = len(rows)
+        columns = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+        if rng.random() < 0.5:
+            coeffs = [rng.choice(RATIONAL) for _ in range(ncols)]
+            target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(nrows)]
+        else:
+            target = [rng.choice(RATIONAL) for _ in range(nrows)]
+        inside = len(rref(columns, nrows)[0]) == len(rref(columns + [target], nrows)[0])
+        sol = solve_in_span(columns, target)
+        if not inside:
+            assert sol is None
+            continue
+        assert sol is not None and len(sol) == ncols
+        combo = [sum(c * col[i] for c, col in zip(sol, columns)) for i in range(nrows)]
+        assert combo == target
+
+
+def test_solve_in_span_small_cases():
+    assert solve_in_span([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert solve_in_span([[1, 1], [2, 2]], [3, 3]) == [3, 0]
+    assert solve_in_span([[1, 1]], [1, 2]) is None
+    assert solve_in_span([], [0, 0]) == []
+    assert solve_in_span([], [1]) is None

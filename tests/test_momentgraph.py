@@ -2,6 +2,7 @@
 decomposition of modules over a single edge's algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,6 @@ from bmsheaves.momentgraph import (
     ze_projection_generators,
 )
 from bmsheaves.polynomials import Poly, linear_form
-from bmsheaves.rationals import QQ
 from bmsheaves.verify import scramble_ze_module
 
 
@@ -140,7 +140,7 @@ def test_invariant_split_on_the_smallest_graph(a1):
     alpha = linear_form((1,))
     z = ZTuple(graph, [alpha, Poly.zero(1)])
     plus, quot = split_invariant(graph, 0, z)
-    half = QQ(1, 2)
+    half = Fraction(1, 2)
     assert plus == ZTuple(graph, [alpha * half, alpha * half])
     assert quot == ZTuple(graph, [Poly.constant(1, half), Poly.constant(1, half)])
     assert plus + c_invariant(graph, 0) * quot == z
