@@ -15,6 +15,16 @@ computations are driven by root signs, so that a violation of the
 expected total negativity or positivity of a column is detected rather
 than silently accepted (RealizationError).
 
+Arithmetic goes one generator at a time.  The matrix of s differs from
+the identity in row s only, so G_s A changes row s of A and A G_s adds a
+multiple of column s to each column: O(n^2) integer operations, never a
+full matrix product.  Normal forms, word extraction (stripping left
+descents) and inversion roots are built from these two steps; a full
+product is left only for `multiply` by an element of length > 1.
+Right multiplication by a generator is memoized per system in a
+{(word, s): Element} dict, and so are Bruhat intervals, so both caches
+live exactly as long as the CoxeterSystem that owns them.
+
 Words cross the API boundary 0-based as tuples of generator indices and
 are serialized 1-based, as digit strings for rank <= 9 and comma
 separated otherwise ("", "121", "2,10,3").
@@ -82,6 +92,30 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _gen_left(system, s, a):
+    """G_s a: row s becomes a[s] - sum_k a_sk a[k]; other rows are kept."""
+    terms = system._cartan_terms[s]
+    row = tuple(
+        x - sum(c * a[k][j] for k, c in terms) for j, x in enumerate(a[s])
+    )
+    return a[:s] + (row,) + a[s + 1 :]
+
+
+def _gen_right(system, s, a):
+    """a G_s: column j loses a_sj times column s."""
+    terms = system._cartan_terms[s]
+    out = []
+    for r in a:
+        x = r[s]
+        if x:
+            r = list(r)
+            for j, c in terms:
+                r[j] -= c * x
+            r = tuple(r)
+        out.append(r)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Root:
     """Integer coordinate vector in the simple-root basis of V*.
@@ -122,14 +156,21 @@ class CoxeterSystem:
     labels: tuple
 
     @functools.cached_property
-    def _gen_matrices(self):
-        mats = []
-        for i in range(self.rank):
-            rows = [list(r) for r in _identity(self.rank)]
-            for j in range(self.rank):
-                rows[i][j] = (1 if i == j else 0) - self.cartan[i][j]
-            mats.append(_tupmat(rows))
-        return tuple(mats)
+    def _cartan_terms(self):
+        """Nonzero entries (j, a_sj) of each Cartan row s."""
+        return tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan
+        )
+
+    @functools.cached_property
+    def _mul_memo(self):
+        """{(word, s): Element} of right products by a generator."""
+        return {}
+
+    @functools.cached_property
+    def _interval_memo(self):
+        """{word: tuple of Elements} of Bruhat intervals below an element."""
+        return {}
 
     @functools.cached_property
     def _identity_matrix(self):
@@ -144,7 +185,7 @@ class CoxeterSystem:
     def generators(self):
         out = []
         for i in range(self.rank):
-            m = self._gen_matrices[i]
+            m = _gen_right(self, i, self._identity_matrix)
             out.append(Element(self, (i,), m, m))
         return tuple(out)
 
@@ -297,7 +338,6 @@ def _from_matrices(system, mat, inv) -> Element:
     reduced word is a left descent, so taking the minimum at each step
     yields the ShortLex-least reduced word).
     """
-    gens = system._gen_matrices
     ident = system._identity_matrix
     word = []
     a, ainv = mat, inv
@@ -313,8 +353,8 @@ def _from_matrices(system, mat, inv) -> Element:
                 "is not reflection faithful"
             )
         word.append(s)
-        a = _matmul(gens[s], a)
-        ainv = _matmul(ainv, gens[s])
+        a = _gen_left(system, s, a)
+        ainv = _gen_right(system, s, ainv)
     raise RealizationError("reduced-word extraction did not terminate")
 
 
@@ -329,26 +369,38 @@ def normal_form(system: CoxeterSystem, word) -> Element:
     for s in word:
         if not (0 <= s < system.rank):
             raise InputError(f"generator index {s} out of range")
-    gens = system._gen_matrices
-    mat = system._identity_matrix
+    mat = inv = system._identity_matrix
     for s in word:
-        mat = _matmul(mat, gens[s])
-    inv = system._identity_matrix
-    for s in reversed(word):
-        inv = _matmul(inv, gens[s])
+        mat = _gen_right(system, s, mat)
+        inv = _gen_left(system, s, inv)
     return _from_matrices(system, mat, inv)
 
 
 def multiply(a: Element, b: Element) -> Element:
     if a.system != b.system:
         raise InputError("elements of different systems")
+    if b.length == 0:
+        return a
+    if b.length == 1:
+        return _mul_gen(a, b.word[0])
     return _from_matrices(
         a.system, _matmul(a.matrix, b.matrix), _matmul(b.inv_matrix, a.inv_matrix)
     )
 
 
 def _mul_gen(w: Element, s: int) -> Element:
-    return multiply(w, w.system.generators[s])
+    """w s, memoized in the system's {(word, s): Element} dict."""
+    system = w.system
+    key = (w.word, s)
+    ws = system._mul_memo.get(key)
+    if ws is None:
+        ws = _from_matrices(
+            system,
+            _gen_right(system, s, w.matrix),
+            _gen_left(system, s, w.inv_matrix),
+        )
+        system._mul_memo[key] = ws
+    return ws
 
 
 def right_descents(w: Element):
@@ -428,20 +480,26 @@ def bruhat_leq(y: Element, x: Element) -> bool:
     return bruhat_leq(ys if ys.length < y.length else y, xs)
 
 
-@functools.lru_cache(maxsize=None)
 def bruhat_interval(x: Element):
     """All y <= x, sorted by (length, ShortLex word).
 
     Uses the subword property: the interval below x is exactly the set of
-    elements represented by subwords of one reduced expression of x.
+    elements represented by subwords of one reduced expression of x.  The
+    subword products are built by folding the word, I <- I u I s for each
+    letter s in turn starting from I = {e}, so each element costs one
+    generator step instead of one normal form per subword.  Intervals are
+    memoized per system.
     """
-    word = x.word
-    seen = {}
-    for mask in range(1 << len(word)):
-        sub = tuple(word[i] for i in range(len(word)) if mask >> i & 1)
-        w = normal_form(x.system, sub)
-        seen[w.word] = w
-    return tuple(sorted(seen.values(), key=sort_key))
+    memo = x.system._interval_memo
+    out = memo.get(x.word)
+    if out is None:
+        seen = {(): x.system.identity}
+        for s in x.word:
+            for w in list(seen.values()):
+                ws = _mul_gen(w, s)
+                seen.setdefault(ws.word, ws)
+        out = memo[x.word] = tuple(sorted(seen.values(), key=sort_key))
+    return out
 
 
 def inversions(w: Element):
@@ -452,7 +510,6 @@ def inversions(w: Element):
     must be mapped to a negative vector by w's matrix; violations raise.
     """
     n = w.system.rank
-    gens = w.system._gen_matrices
     u = w.system._identity_matrix
     out = []
     for s in reversed(w.word):
@@ -466,7 +523,7 @@ def inversions(w: Element):
         if not all(c <= 0 for c in image):
             raise RealizationError(f"inversion root {alpha} of {w} not inverted")
         out.append(Root(cls[0], True))
-        u = _matmul(u, gens[s])
+        u = _gen_right(w.system, s, u)
     return out
 
 

@@ -208,13 +208,14 @@ class HeckeAlgebra:
         if x.length == 0:
             out = self.T(x)
         else:
-            # T_{x^-1}^-1 = T_s^-1 * T_{(xs)^-1}^-1 ... built by folding
-            # h -> h * T_s^-1 = v^2 (h T_s) + (v^2 - 1) h over word(x).
+            # With s the last letter of word(x), T_{x^-1}^-1 is
+            # T_{(xs)^-1}^-1 T_s^-1, and h -> h T_s^-1 = v^2 (h T_s) +
+            # (v^2 - 1) h.  ShortLex words are prefix-closed, so xs has the
+            # word x.word[:-1] and this is one step from that prefix.
+            s = x.word[-1]
+            prev = self._inverse_T(multiply(x, self.system.generators[s]))
             v2 = LaurentPoly({2: 1})
-            v2m1 = v2 - 1
-            out = self.T(self.system.identity)
-            for s in x.word:
-                out = self._mult_gen_t(out, s).scale(v2) + out.scale(v2m1)
+            out = self._mult_gen_t(prev, s).scale(v2) + prev.scale(v2 - 1)
         self._inv_T[x] = out
         return out
 

@@ -6,10 +6,14 @@ length that shares no code with the matrix representation.
 """
 
 import functools
+import itertools
+import random
 
 import pytest
 
 from bmsheaves.coxeter import (
+    _from_matrices,
+    _matmul,
     bruhat_interval,
     bruhat_leq,
     element_ball,
@@ -118,6 +122,100 @@ def test_identity_spellings_and_word_roundtrip(a2):
         parse_word("1x", 2)
     with pytest.raises(InputError, match="parse_word"):
         a2.element("121")
+
+
+# -- generator steps against plain matrix products -----------------------------
+
+# (Coxeter matrix, Cartan matrix or None for the default realization)
+_STEP_SYSTEMS = {
+    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], None),
+    "B2": ([[1, 4], [4, 1]], [[2, -1], [-2, 2]]),
+    "G2": ([[1, 6], [6, 1]], [[2, -1], [-3, 2]]),
+    "affA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], None),
+    "inf14": ([[1, 0], [0, 1]], [[2, -1], [-4, 2]]),
+    "inf33": ([[1, 0], [0, 1]], [[2, -3], [-3, 2]]),
+    "mixed3": ([[1, 4, 0], [4, 1, 6], [0, 6, 1]], None),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_STEP_SYSTEMS))
+def step_system(request):
+    return make_system(*_STEP_SYSTEMS[request.param])
+
+
+def _ref_product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _ref_normal_form(system, word):
+    """(word, matrix, inverse) from full products of generator matrices,
+    stripping the smallest left descent until the identity remains."""
+    n = system.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [
+        tuple(
+            tuple(int(i == j) - (system.cartan[i][j] if i == s else 0)
+                  for j in range(n))
+            for i in range(n)
+        )
+        for s in range(n)
+    ]
+    mat = functools.reduce(_ref_product, (gens[s] for s in word), ident)
+    inv = functools.reduce(_ref_product, (gens[s] for s in reversed(word)), ident)
+    out, a, ainv = [], mat, inv
+    while a != ident:
+        s = min(t for t in range(n) if all(row[t] <= 0 for row in ainv))
+        out.append(s)
+        a = _ref_product(gens[s], a)
+        ainv = _ref_product(ainv, gens[s])
+    return tuple(out), mat, inv
+
+
+def test_normal_forms_match_full_matrix_products(step_system):
+    rng = random.Random(f"normal-form:{step_system.cartan}")
+    for _ in range(60):
+        word = [rng.randrange(step_system.rank) for _ in range(rng.randrange(13))]
+        w = normal_form(step_system, word)
+        assert (w.word, w.matrix, w.inv_matrix) == _ref_normal_form(
+            step_system, word
+        )
+
+
+def test_intervals_match_subword_enumeration(step_system):
+    for x in element_ball(step_system, 6):
+        subwords = {
+            normal_form(step_system, sub)
+            for k in range(x.length + 1)
+            for sub in itertools.combinations(x.word, k)
+        }
+        assert bruhat_interval(x) == tuple(sorted(subwords, key=sort_key))
+
+
+def test_generator_products_match_the_general_path(step_system):
+    for w in element_ball(step_system, 5):
+        for g in step_system.generators:
+            general = _from_matrices(
+                step_system,
+                _matmul(w.matrix, g.matrix),
+                _matmul(g.inv_matrix, w.inv_matrix),
+            )
+            ws = multiply(w, g)
+            assert (ws.word, ws.matrix, ws.inv_matrix) == (
+                general.word, general.matrix, general.inv_matrix
+            )
+            assert multiply(w, g) is ws
+
+
+def test_memos_belong_to_their_system():
+    first = make_system([[1, 3], [3, 1]])
+    second = make_system([[1, 3], [3, 1]])
+    bruhat_interval(normal_form(first, (0, 1, 0)))
+    assert first._interval_memo and first._mul_memo
+    assert not second._interval_memo and not second._mul_memo
 
 
 # -- descents and reflections --------------------------------------------------
