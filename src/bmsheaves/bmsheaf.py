@@ -4,17 +4,26 @@ A sheaf here assigns a graded free S-module to every vertex (the stalk),
 the quotient B^E = B^upper / alpha B^upper to every edge, and restriction
 maps rho from both endpoint stalks into B^E; the upper restriction is
 always the canonical quotient.  Sections over a vertex subset are tuples
-of stalk elements agreeing in B^E along every internal edge, computed
-degree by degree as the kernel of a block-sparse linear system.
+of stalk elements agreeing in B^E along every internal edge; degree by
+degree they are the kernel of a block-sparse linear system, one row of
+which `Sheaf.edge_rows` writes per edge-module coordinate.
 
 The canonical sheaf on an interval graph is built top down: the top
-stalk is one copy of S; at each lower vertex y the sections over {> y}
-are projected into the direct sum of the edge modules at y, and the
-stalk at y is the projective cover of that image, i.e. the free module
-on its minimal generators, with the cover components as the downward
-restrictions.  The costalk at a vertex (sections supported only there)
-is the kernel of the stacked upward restrictions; in the canonical case
-its graded rank is finite over the cap and deconvolves exactly.
+stalk is one copy of S; at each lower vertex y the stalk is the
+projective cover of the image of the sections over {> y} in the direct
+sum of the edge modules at y, i.e. the free module on the minimal
+generators of that image, with the cover components as the downward
+restrictions.  Only the image is solved for: one elimination per degree
+whose columns are the other stalks of {> y}, then the upper ends of the
+edges at y, then the image coordinates, tied to the upper ends by
+y_e = rho_upper(x); the kernel of the rows that live on the last block
+(`Echelon.tail`) is a basis of the image.  The costalk at a vertex
+(sections supported only there) is the kernel of the stacked upward
+restrictions; in the canonical case its graded rank is finite over the
+cap and deconvolves exactly.  Pair costalks and the flabbiness check
+solve their own small systems in the same way, and the flabbiness check
+rebuilds its rows from the stored stalks and maps, independent of the
+builder.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -42,7 +51,7 @@ from .gradedlin import (
 )
 from .hecke import BASIS_TT, HeckeElt
 from .laurent import LaurentPoly
-from .linalg import Echelon, kernel_basis, solve_in_span, sparse
+from .linalg import Echelon, kernel_basis, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
 
 __all__ = [
@@ -75,10 +84,6 @@ class SectionSpace:
         self.offsets = offsets  # vertex -> (start, end)
         self.vectors = vectors
 
-    def block(self, vec, w):
-        lo, hi = self.offsets[w]
-        return vec[lo:hi]
-
 
 class Sheaf:
     """Stalks, edge modules and restriction maps over a moment graph."""
@@ -98,6 +103,27 @@ class Sheaf:
 
     # -- sections -----------------------------------------------------------
 
+    def edge_rows(self, e, d, offsets):
+        """The gluing condition on edge e in degree d.
+
+        One row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis
+        row of B^e, over the columns where `offsets` starts each end's
+        stalk.  An end that `offsets` leaves out is taken to be zero.
+        """
+        rows = [{} for _ in range(self.edge_mod[e].dim(d))]
+        for end, rho, sign in (
+            (e.lower, self.rho_lower, 1),
+            (e.upper, self.rho_upper, -1),
+        ):
+            o = offsets.get(end)
+            if o is None:
+                continue
+            for j, col in enumerate(rho[e].columns(d)):
+                for r, a in enumerate(col):
+                    if a:
+                        rows[r][o + j] = sign * a
+        return rows
+
     def sections(self, vset, d) -> SectionSpace:
         verts = tuple(sorted(vset, key=self.graph.index))
         key = (verts, d)
@@ -106,64 +132,44 @@ class Sheaf:
             return cached
         inside = set(verts)
         offsets = {}
+        starts = {}
         total = 0
         for w in verts:
             dim = self.stalks[w].dim(d)
             offsets[w] = (total, total + dim)
+            starts[w] = total
             total += dim
         rows = []
         for e in self.graph.edges:
-            if e.lower not in inside or e.upper not in inside:
-                continue
-            lcols = self.rho_lower[e].columns(d)
-            ucols = self.rho_upper[e].columns(d)
-            lo = offsets[e.lower][0]
-            uo = offsets[e.upper][0]
-            for r in range(self.edge_mod[e].dim(d)):
-                row = {}
-                for j, col in enumerate(lcols):
-                    a = col[r]
-                    if a:
-                        row[lo + j] = a
-                for j, col in enumerate(ucols):
-                    a = col[r]
-                    if a:
-                        row[uo + j] = -a
-                if row:
-                    rows.append(row)
+            if e.lower in inside and e.upper in inside:
+                rows.extend(self.edge_rows(e, d, starts))
         space = SectionSpace(verts, d, offsets, kernel_basis(rows, total))
         self._section_cache[key] = space
         return space
 
     # -- costalks -----------------------------------------------------------
 
-    def costalk_dims(self, w, degrees):
-        """Dimensions of the sections supported only at w (upward kernel)."""
+    def _kernel_dims(self, w, edges, degrees):
+        """Kernel dims of the stalk at w under its restrictions to `edges`."""
         stalk = self.stalks[w]
         out = {}
         for d in degrees:
-            rows = []
-            for e in self.graph.up[w]:
-                rows.extend(self.rho_lower[e].rows_sparse(d))
-            out[d] = (
-                len(kernel_basis(rows, stalk.dim(d))) if rows else stalk.dim(d)
-            )
+            ech = Echelon()
+            for e in edges:
+                for row in self.edge_rows(e, d, {w: 0}):
+                    ech.insert(row)
+            out[d] = stalk.dim(d) - ech.dim
         return out
+
+    def costalk_dims(self, w, degrees):
+        """Dimensions of the sections supported only at w (upward kernel)."""
+        return self._kernel_dims(w, self.graph.up[w], degrees)
 
     def local_kernel_dims(self, w, degrees):
         """Kernel dims of stalk_w -> sum of B^E over ALL edges at w."""
-        stalk = self.stalks[w]
-        out = {}
-        for d in degrees:
-            rows = []
-            for e in self.graph.up[w]:
-                rows.extend(self.rho_lower[e].rows_sparse(d))
-            for e in self.graph.down[w]:
-                rows.extend(self.rho_upper[e].rows_sparse(d))
-            out[d] = (
-                len(kernel_basis(rows, stalk.dim(d))) if rows else stalk.dim(d)
-            )
-        return out
+        return self._kernel_dims(
+            w, self.graph.up[w] + self.graph.down[w], degrees
+        )
 
     def quotient_map(self, w, alpha) -> tuple:
         """(QuotientModule, canonical quotient ModuleMap) of the stalk at w."""
@@ -229,19 +235,37 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
             above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
             delta = graph.up[w]
             target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
+            ends = {e.upper for e in delta}
+            # columns: the rest of {> w}, then the upper ends of delta,
+            # then the image coordinates in the sum of the B^e, e in delta
+            cols = [z for z in above if z not in ends]
+            cols += [z for z in above if z in ends]
+            inside = set(above)
+            inner = [
+                e for e in graph.edges if e.lower in inside and e.upper in inside
+            ]
             space = {}
             log = {}
             for d in degrees:
-                ss = sheaf.sections(above, d)
-                log[d] = len(ss.vectors)
-                projected = []
-                for vec in ss.vectors:
-                    image = []
-                    for e in delta:
-                        zblock = ss.block(vec, e.upper)
-                        image.extend(sheaf.rho_upper[e].apply(zblock, d))
-                    projected.append(image)
-                space[d] = projected
+                offsets = {}
+                n = 0
+                for z in cols:
+                    offsets[z] = n
+                    n += sheaf.stalks[z].dim(d)
+                ech = Echelon()
+                for e in inner:
+                    for row in sheaf.edge_rows(e, d, offsets):
+                        ech.insert(row)
+                log[d] = n - ech.dim
+                # tie y_e = rho_upper(x_upper) for every e in delta
+                m = n
+                for e in delta:
+                    rows = sheaf.edge_rows(e, d, {e.upper: offsets[e.upper]})
+                    for r, row in enumerate(rows):
+                        row[m + r] = 1
+                        ech.insert(row)
+                    m += len(rows)
+                space[d] = ech.tail(n).kernel(m - n)
             sheaf.section_log[w] = log
             gens = minimal_generators(space, target, capw)
             stalk = FreeModule(ring, tuple(d for d, _ in gens))
@@ -304,33 +328,21 @@ def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
         raise InputError(f"{y} has no right descent {s + 1}")
     if y not in graph or ys not in graph:
         raise InputError("both endpoints of the pair must be in the graph")
-    omega = [z for z in graph.vertices if z == ys or bruhat_leq(ys, z)]
+    omega = {z for z in graph.vertices if z == ys or bruhat_leq(ys, z)}
+    # every edge inside {>= ys} with an end in the pair; the other ends
+    # lie outside the pair, where these sections vanish
+    edges = [
+        e
+        for e in graph.edges
+        if e.lower in omega and e.upper in omega and {e.lower, e.upper} & {ys, y}
+    ]
     cap = bm.caps[ys]
     dims = {}
     bases = {}
     for d in range(0, cap + 1, 2):
-        ss = bm.sections(omega, d)
-        outside = [z for z in omega if z != ys and z != y]
-        rows = [
-            {j: vec[r] for j, vec in enumerate(ss.vectors) if vec[r]}
-            for z in outside
-            for r in range(*ss.offsets[z])
-        ]
-        vecs = []
-        for cv in kernel_basis(rows, len(ss.vectors)):
-            total = [0] * len(ss.vectors[0])
-            for c, svec in zip(cv, ss.vectors):
-                if c:
-                    for r, a in enumerate(svec):
-                        if a:
-                            total[r] += c * a
-            pair = list(ss.block(total, ys)) + list(ss.block(total, y))
-            for z in outside:
-                if any(ss.block(total, z)):
-                    raise InconsistencyError(
-                        "pair costalk section does not vanish outside the pair"
-                    )
-            vecs.append(pair)
+        offsets = {ys: 0, y: bm.stalks[ys].dim(d)}
+        rows = [row for e in edges for row in bm.edge_rows(e, d, offsets)]
+        vecs = kernel_basis(rows, offsets[y] + bm.stalks[y].dim(d))
         dims[d] = len(vecs)
         bases[d] = vecs
     rank = rank_from_dims(dims, bm.ring.nvars, cap)
@@ -526,22 +538,28 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     """
     graph = bm.graph
     above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
-    closed = [w] + above
+    inside = set(above)
+    inner = [e for e in graph.edges if e.lower in inside and e.upper in inside]
     cap = bm.caps[w]
     costalk = bm.costalk_dim_table[w]
     for d in range(0, cap + 1, 2):
-        ss_ge = bm.sections(closed, d)
-        ss_gt = bm.sections(above, d)
-        if len(ss_ge.vectors) != len(ss_gt.vectors) + costalk.get(d, 0):
-            return False
+        # w's columns first, so the tail after them is the restriction
+        start = bm.stalks[w].dim(d)
+        offsets = {w: 0}
+        n = start
+        for z in above:
+            offsets[z] = n
+            n += bm.stalks[z].dim(d)
         ech = Echelon()
-        restricted_rank = 0
-        for vec in ss_ge.vectors:
-            restr = []
-            for z in above:
-                restr.extend(ss_ge.block(vec, z))
-            if ech.insert(sparse(restr)) is not None:
-                restricted_rank += 1
-        if restricted_rank != len(ss_gt.vectors):
+        for e in inner:
+            for row in bm.edge_rows(e, d, offsets):
+                ech.insert(row)
+        dim_gt = n - start - ech.dim
+        for e in graph.up[w]:
+            for row in bm.edge_rows(e, d, offsets):
+                ech.insert(row)
+        if n - ech.dim != dim_gt + costalk.get(d, 0):
+            return False
+        if n - start - ech.tail(start).dim != dim_gt:
             return False
     return True

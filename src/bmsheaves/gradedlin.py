@@ -50,7 +50,6 @@ __all__ = [
     "monomial_basis",
     "quotient_basis",
     "graded_rank_of_kernel",
-    "check_commutes_with_vars",
 ]
 
 
@@ -283,8 +282,7 @@ class ModuleMap:
     The degree-d matrix (as columns over the source basis) is derived
     lazily from degree d-2, so the map is usable at any degree, not just
     those materialized when it was built.  S-linearity holds by
-    construction; `check_commutes_with_vars` re-verifies it by sampling
-    for maps whose matrices were supplied directly.
+    construction.
     """
 
     def __init__(self, source, target, images):
@@ -472,34 +470,3 @@ def graded_rank_of_kernel(mmap: ModuleMap, cap):
     dims = {d: len(kernel_deg(mmap, d)) for d in range(0, cap + 1, 2)}
     return rank_from_dims(dims, mmap.source.ring.nvars, cap)
 
-
-def check_commutes_with_vars(module, mats, degrees):
-    """Sample-check that a raw degreewise map commutes with every x_k.
-
-    `mats` maps degree d to the list of image columns over module.basis(d)
-    for a degree +2 map.  Returns True or raises InputError naming the
-    first failing (degree, variable).
-    """
-    nvars = module.ring.nvars
-    for d in degrees:
-        if d not in mats or (d + 2) not in mats:
-            continue
-        cols_d, cols_d2 = mats[d], mats[d + 2]
-        for pos in range(module.dim(d)):
-            vec = [0] * module.dim(d)
-            vec[pos] = 1
-            img = cols_d[pos]
-            for k in range(nvars):
-                left = module.mul_var(img, k, d + 2)
-                shifted = module.mul_var(vec, k, d)
-                right = [0] * module.dim(d + 4)
-                for j, v in enumerate(shifted):
-                    if v:
-                        for r, a in enumerate(cols_d2[j]):
-                            if a:
-                                right[r] += a * v
-                if any(l != r for l, r in zip(left, right)):
-                    raise InputError(
-                        f"degreewise map does not commute with x_{k} at degree {d}"
-                    )
-    return True

@@ -152,10 +152,6 @@ class Poly:
             raise InputError(f"{self} is not divisible by the linear form {alpha}")
         return q
 
-    def reduce_mod_linear(self, alpha):
-        """Canonical representative modulo alpha (pivot variable eliminated)."""
-        return self.divmod_linear(alpha)[1]
-
     def __str__(self):
         if not self.c:
             return "0"

@@ -19,10 +19,12 @@ from bmsheaves.bmsheaf import (
     theta_character,
     translate_out,
 )
-from bmsheaves.coxeter import parse_word
+from bmsheaves.coxeter import bruhat_leq, multiply, parse_word
 from bmsheaves.errors import CapError, InputError
+from bmsheaves.gradedlin import ModuleMap
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
+from bmsheaves.linalg import kernel_basis, rank_dense
 from bmsheaves.momentgraph import LocalSummand, build_graph, decompose_ze_module
 
 
@@ -119,6 +121,137 @@ def test_sections_restrict_onto_smaller_upsets(a2_w0_sheaf):
     bm = a2_w0_sheaf
     for w in bm.graph.vertices:
         assert check_flabby_additive(bm, w)
+
+
+def test_flabbiness_check_refuses_a_wrong_costalk_dimension(a2, a2_w0_sheaf):
+    bm = a2_w0_sheaf
+    w = elt(a2, "1")
+    table = bm.costalk_dim_table[w]
+    table[2] += 1
+    try:
+        assert not check_flabby_additive(bm, w)
+    finally:
+        table[2] -= 1
+    assert check_flabby_additive(bm, w)
+
+
+def test_flabbiness_check_refuses_a_zeroed_lower_restriction(a2):
+    graph = build_graph(a2, elt(a2, "121"))
+    for w in graph.vertices:
+        if w == graph.top:
+            continue
+        bm = bm_construct(graph)
+        e = graph.up[w][0]
+        zero = [[0] * bm.edge_mod[e].dim(g) for g in bm.stalks[w].gens]
+        bm.rho_lower[e] = ModuleMap(bm.stalks[w], bm.edge_mod[e], zero)
+        assert not check_flabby_additive(bm, w), w
+
+
+# -- the builder against global sections -----------------------------------------
+#
+# The builder, the pair costalks and the flabbiness check each solve only
+# the part of a section system they read.  These tests rebuild the same
+# answers from full section spaces (`Sheaf.sections`) and compare.
+
+
+def _same_span(a, b):
+    return rank_dense(a) == rank_dense(b) == rank_dense(a + b)
+
+
+def _project_to_edges(bm, w, ss, d):
+    """rho_upper of every section of {> w} into the sum of the B^e at w."""
+    out = []
+    for vec in ss.vectors:
+        image = []
+        for e in bm.graph.up[w]:
+            lo, hi = ss.offsets[e.upper]
+            image.extend(bm.rho_upper[e].apply(vec[lo:hi], d))
+        out.append(image)
+    return out
+
+
+def _stalk_image(bm, w, d):
+    """The image of the stalk at w in the sum of the B^e at w: the span of
+    the builder's edge-image basis, of which the stalk is the cover."""
+    cols = [bm.rho_lower[e].columns(d) for e in bm.graph.up[w]]
+    return [sum((c[j] for c in cols), []) for j in range(bm.stalks[w].dim(d))]
+
+
+def _global_pair_costalk(bm, y, ys, d):
+    """Sections over {>= ys} vanishing outside {ys, y}, as vectors on the pair."""
+    graph = bm.graph
+    omega = [z for z in graph.vertices if z == ys or bruhat_leq(ys, z)]
+    ss = bm.sections(omega, d)
+    outside = [z for z in omega if z not in (ys, y)]
+    rows = [
+        {j: vec[r] for j, vec in enumerate(ss.vectors) if vec[r]}
+        for z in outside
+        for r in range(*ss.offsets[z])
+    ]
+    out = []
+    for coeffs in kernel_basis(rows, len(ss.vectors)):
+        total = [0] * len(ss.vectors[0])
+        for c, vec in zip(coeffs, ss.vectors):
+            if c:
+                for r, a in enumerate(vec):
+                    total[r] += c * a
+        for z in outside:
+            assert not any(total[slice(*ss.offsets[z])])
+        out.append(total[slice(*ss.offsets[ys])] + total[slice(*ss.offsets[y])])
+    return out
+
+
+_DIFFERENTIAL = {
+    "A2:121": ("a2", "121", None),
+    "B2:1212": ("b2", "1212", None),
+    "G2:121212": ("g2", "121212", None),
+    "A3:12321": ("a3", "12321", None),
+    "A3:121321:quotient:s1": ("a3", "121321", 0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_DIFFERENTIAL))
+def differential_sheaf(request):
+    name, word, s = _DIFFERENTIAL[request.param]
+    system = request.getfixturevalue(name)
+    x = elt(system, word)
+    if s is None:
+        return bm_construct(build_graph(system, x))
+    return bm_construct(build_graph(system, x, kind="quotient", s=s))
+
+
+def test_builder_matches_the_global_sections_above_each_vertex(differential_sheaf):
+    bm = differential_sheaf
+    graph = bm.graph
+    for w in graph.vertices:
+        if w == bm.top:
+            continue
+        above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
+        for d in range(0, bm.caps[w] + 1, 2):
+            ss = bm.sections(above, d)
+            assert bm.section_log[w][d] == len(ss.vectors), (w, d)
+            assert _same_span(_stalk_image(bm, w, d), _project_to_edges(bm, w, ss, d))
+    bm.clear_caches()
+
+
+def test_pair_costalks_match_the_global_construction(differential_sheaf):
+    bm = differential_sheaf
+    graph = bm.graph
+    pairs = 0
+    for y in graph.vertices:
+        for s, gen in enumerate(graph.system.generators):
+            ys = multiply(y, gen)
+            if ys.length > y.length or ys not in graph:
+                continue
+            pairs += 1
+            pc = costalk_interval(bm, y, s)
+            assert sorted(pc.dims) == list(range(0, bm.caps[ys] + 1, 2))
+            for d, basis in pc.bases.items():
+                ref = _global_pair_costalk(bm, y, ys, d)
+                assert pc.dims[d] == len(basis) == len(ref), (y, s, d)
+                assert _same_span(basis, ref), (y, s, d)
+    assert pairs
+    bm.clear_caches()
 
 
 # -- pair costalks and wall crossing -------------------------------------------
