@@ -20,13 +20,7 @@ import json
 import sys
 
 from .bmsheaf import bm_construct, character, check_conjecture_72
-from .coxeter import (
-    bruhat_interval,
-    load_system,
-    normal_form,
-    parse_word,
-    sort_key,
-)
+from .coxeter import bruhat_interval, load_system, normal_form, parse_word
 from .errors import (
     CapError,
     InconsistencyError,
@@ -108,7 +102,7 @@ def cmd_kl(args) -> int:
     c = alg.kl_basis(x)
     print(f"self-dual basis element at x={x} ({label}, length {x.length})")
     rows = []
-    for y in sorted(bruhat_interval(x), key=sort_key):
+    for y in bruhat_interval(x):
         rows.append(
             (
                 str(y),

@@ -22,8 +22,11 @@ full matrix product.  Normal forms, word extraction (stripping left
 descents) and inversion roots are built from these two steps; a full
 product is left only for `multiply` by an element of length > 1.
 Right multiplication by a generator is memoized per system in a
-{(word, s): Element} dict, and so are Bruhat intervals, so both caches
-live exactly as long as the CoxeterSystem that owns them.
+{(word, s): Element} dict, and so are Bruhat intervals.  Each system
+also keeps a {word: Element} table and hands out one instance per
+canonical word, whose hash is computed once, so dict and set lookups hit
+on identity.  All three tables live exactly as long as the CoxeterSystem
+that owns them.
 
 Words cross the API boundary 0-based as tuples of generator indices and
 are serialized 1-based, as digit strings for rank <= 9 and comma
@@ -168,6 +171,11 @@ class CoxeterSystem:
         return {}
 
     @functools.cached_property
+    def _elements(self):
+        """{word: Element}: the one instance of each canonical word."""
+        return {}
+
+    @functools.cached_property
     def _interval_memo(self):
         """{word: tuple of Elements} of Bruhat intervals below an element."""
         return {}
@@ -179,14 +187,14 @@ class CoxeterSystem:
     @functools.cached_property
     def identity(self):
         m = self._identity_matrix
-        return Element(self, (), m, m)
+        return _intern(self, (), m, m)
 
     @functools.cached_property
     def generators(self):
         out = []
         for i in range(self.rank):
             m = _gen_right(self, i, self._identity_matrix)
-            out.append(Element(self, (i,), m, m))
+            out.append(_intern(self, (i,), m, m))
         return tuple(out)
 
     def element(self, word):
@@ -280,24 +288,36 @@ def load_system(path) -> CoxeterSystem:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """Group element: canonical reduced word plus its action on V*."""
+    """Group element: canonical reduced word plus its action on V*.
+
+    Build elements with `CoxeterSystem.element` or the arithmetic below,
+    never directly: each system hands out one instance per canonical word,
+    so equal elements of one system are the same object.  The hash,
+    hash((word, system.cartan)), is computed once here.
+    """
 
     system: CoxeterSystem
     word: tuple
     matrix: tuple
     inv_matrix: tuple = field(repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.word, self.system.cartan)))
 
     @property
     def length(self):
         return len(self.word)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Element):
             return NotImplemented
         return self.word == other.word and self.system == other.system
 
     def __hash__(self):
-        return hash((self.word, self.system.cartan))
+        return self._hash
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -331,6 +351,15 @@ def _column_nonpositive(mat, j):
 _MAX_EXTRACT = 10_000
 
 
+def _intern(system, word, mat, inv) -> Element:
+    """The system's Element with this canonical word, built on first use."""
+    table = system._elements
+    w = table.get(word)
+    if w is None:
+        w = table[word] = Element(system, word, mat, inv)
+    return w
+
+
 def _from_matrices(system, mat, inv) -> Element:
     """Recover the canonical word of the element with the given matrices.
 
@@ -343,7 +372,7 @@ def _from_matrices(system, mat, inv) -> Element:
     a, ainv = mat, inv
     for _ in range(_MAX_EXTRACT):
         if a == ident:
-            return Element(system, tuple(word), mat, inv)
+            return _intern(system, tuple(word), mat, inv)
         for s in range(system.rank):
             if _column_nonpositive(ainv, s):
                 break

@@ -17,9 +17,12 @@ routes compute it:
 
   kl_basis    the product recursion: multiply C_xs by C_s = Tt_s + v and
               subtract the constant terms of the lower coefficients;
-  kl_oracle   solve d(C) = C directly on the interval below x, degreewise
-              downward in the Bruhat order, using only the bar matrix of
-              the Tt basis.
+  kl_oracle   solve d(C) = C directly on the interval below x, using only
+              the bar matrix of the Tt basis.  The walk goes down the
+              interval by length; each h_y is settled from the defect
+              accumulated so far, then d(h_y) times the column d(Tt_y) is
+              pushed into the defects of the elements below y.  The cost
+              is the total support of the d(Tt_y), not |[e, x]|^2.
 
 The two routes share nothing but the element containers, so agreement is
 a genuine cross-check.  The classical polynomial normalization is
@@ -27,6 +30,8 @@ recovered by P_{y,x}(v^-2) = v^(l(y)-l(x)) h_{y,x}(v).
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .coxeter import (
     Element,
@@ -281,36 +286,53 @@ class HeckeAlgebra:
     def kl_oracle(self, x: Element) -> HeckeElt:
         """Solve d(C) = C on [e, x] without the product recursion.
 
-        Writing C = sum h_y Tt_y and d(Tt_z) = sum_y r_{y,z} Tt_y, the fixed
-        point condition at y reads h_y - d(h_y) = sum_{z > y} d(h_z) r_{y,z}.
-        Processing y downward by length, the right side g_y is known; it
-        must be skew under bar with zero constant term, and h_y is then its
+        Writing C = sum h_y Tt_y and d(Tt_y) = sum_z r_{z,y} Tt_z, the fixed
+        point condition at z reads h_z - d(h_z) = g_z, where the defect g_z
+        is sum_{y > z} d(h_y) r_{z,y}.  The walk goes down the interval,
+        which is sorted by length.  Each y is settled from its defect,
+        which by then holds the pushes of every y' above it: g_y must be
+        skew under bar with zero constant term, and h_y is its
         positive-exponent part (uniquely, given h_y in v Z[v] for y < x).
+        Then d(h_y) r_{z,y} is pushed into the defect of each z below y
+        in the support of d(Tt_y), so the cost is the sum of those
+        supports rather than |[e, x]|^2.  A term of d(Tt_y) at an element
+        already settled, or outside [e, x], cannot be pushed and raises.
         """
-        interval = bruhat_interval(x)
-        bars = {z: self.bar_tt(z) for z in interval}
-        h = {x: LaurentPoly.one()}
-        for y in sorted(interval, key=sort_key, reverse=True):
+        h = {}
+        # defects {z: {exponent: coefficient}} pushed from settled elements
+        defect = {}
+        for y in reversed(bruhat_interval(x)):
+            g = LaurentPoly(defect.pop(y, None))
             if y == x:
-                continue
-            g = LaurentPoly.zero()
-            for z in interval:
-                if z == y:
-                    continue
-                hz = h.get(z)
-                if hz is None or not hz:
-                    continue
-                r = bars[z].coeff(y)
-                if r:
-                    g = g + hz.bar() * r
-            if g + g.bar() != LaurentPoly.zero() or g.constant_term:
+                hy = LaurentPoly.one()
+            elif g + g.bar() != LaurentPoly.zero() or g.constant_term:
                 raise InconsistencyError(
                     f"duality defect at {y} is not skew: {g}; no self-dual "
                     "solution exists"
                 )
-            h[y] = g.positive_part()
-        out = HeckeElt(BASIS_TT, h)
-        return out
+            else:
+                hy = g.positive_part()
+            h[y] = hy
+            if not hy:
+                continue
+            dh = hy.bar().c.items()
+            for z, r in self.bar_tt(y).coeffs.items():
+                if z is y:
+                    continue
+                acc = defect.get(z)
+                if acc is None:
+                    if z in h:
+                        raise InconsistencyError(
+                            f"d(Tt_{y}) has a term at {z}, which is settled"
+                        )
+                    acc = defect[z] = defaultdict(int)
+                for e2, c2 in r.c.items():
+                    for e1, c1 in dh:
+                        acc[e1 + e2] += c1 * c2
+        if defect:
+            z = next(iter(defect))
+            raise InconsistencyError(f"a d(Tt_y) term at {z} lies outside [e, {x}]")
+        return HeckeElt(BASIS_TT, h)
 
     # -- classical polynomial normalization -------------------------------
 

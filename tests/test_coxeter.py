@@ -14,6 +14,7 @@ import pytest
 from bmsheaves.coxeter import (
     _from_matrices,
     _matmul,
+    _mul_gen,
     bruhat_interval,
     bruhat_leq,
     element_ball,
@@ -213,9 +214,58 @@ def test_generator_products_match_the_general_path(step_system):
 def test_memos_belong_to_their_system():
     first = make_system([[1, 3], [3, 1]])
     second = make_system([[1, 3], [3, 1]])
-    bruhat_interval(normal_form(first, (0, 1, 0)))
+    interval = bruhat_interval(normal_form(first, (0, 1, 0)))
     assert first._interval_memo and first._mul_memo
+    assert set(interval) <= set(first._elements.values())
+    assert all(w.system is first for w in first._elements.values())
     assert not second._interval_memo and not second._mul_memo
+    assert not second._elements
+
+
+# -- one instance per word -----------------------------------------------------
+
+
+def test_equal_elements_of_one_system_are_one_object(step_system):
+    """Every route to an element returns the system's one instance, whose
+    hash is that of (word, Cartan matrix)."""
+    identity = step_system.identity
+    for x in element_ball(step_system, 4):
+        assert hash(x) == hash((x.word, step_system.cartan))
+        assert normal_form(step_system, x.word) is x
+        for s, g in enumerate(step_system.generators):
+            assert normal_form(step_system, x.word + (s, s)) is x
+            assert multiply(x, g) is _mul_gen(x, s)
+            assert multiply(multiply(x, g), g) is x
+        assert multiply(x, x.inverse()) is identity
+        assert x.inverse().inverse() is x
+        for y in bruhat_interval(x):
+            assert normal_form(step_system, y.word) is y
+            assert multiply(y, x) is normal_form(step_system, y.word + x.word)
+
+
+def test_braid_equivalent_words_give_one_object(a3, b2, g2):
+    for system, left, right in [
+        (a3, "121", "212"),
+        (a3, "13", "31"),
+        (a3, "2132", "2312"),
+        (b2, "1212", "2121"),
+        (g2, "121212", "212121"),
+    ]:
+        assert elt(system, left) is elt(system, right)
+
+
+def test_elements_compare_by_word_and_cartan_matrix():
+    first = make_system([[1, 3], [3, 1]])
+    second = make_system([[1, 3], [3, 1]])
+    x, y = normal_form(first, (0, 1)), normal_form(second, (0, 1))
+    assert x is not y
+    assert x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+    assert bruhat_leq(y, normal_form(first, (0, 1, 0)))
+    one = make_system([[1, 0], [0, 1]], [[2, -1], [-4, 2]])
+    other = make_system([[1, 0], [0, 1]], [[2, -4], [-1, 2]])
+    assert normal_form(one, (0, 1)) != normal_form(other, (0, 1))
+    assert one.identity != other.identity
 
 
 # -- descents and reflections --------------------------------------------------

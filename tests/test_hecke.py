@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from bmsheaves.coxeter import bruhat_interval, element_ball, parse_word, sort_key
-from bmsheaves.hecke import BASIS_T, BASIS_TT, HeckeElt
+from bmsheaves.coxeter import bruhat_interval, element_ball, make_system, parse_word
+from bmsheaves.hecke import BASIS_T, BASIS_TT, HeckeAlgebra, HeckeElt
 from bmsheaves.laurent import LaurentPoly
 
 
@@ -136,9 +136,44 @@ def test_self_duality_and_unitriangularity(g2, g2_alg):
                 assert c.coeff(y).is_v_times_polynomial()
 
 
-def test_the_two_routes_agree_in_type_b2(b2, b2_alg):
-    for x in element_ball(b2, 4):
-        assert b2_alg.kl_basis(x) == b2_alg.kl_oracle(x)
+# (Coxeter matrix, Cartan matrix or None, largest length, group order of the
+# finite systems, whose ball is then the whole group)
+_ROUTE_SYSTEMS = {
+    "B2": ([[1, 4], [4, 1]], [[2, -1], [-2, 2]], 4, 8),
+    "G2": ([[1, 6], [6, 1]], [[2, -1], [-3, 2]], 6, 12),
+    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], None, 6, 24),
+    "U2": ([[1, 0], [0, 1]], None, 8, None),
+    "inf14": ([[1, 0], [0, 1]], [[2, -1], [-4, 2]], 7, None),
+    "affA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], None, 6, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_SYSTEMS))
+def test_the_two_routes_agree(name):
+    coxeter, cartan, bound, order = _ROUTE_SYSTEMS[name]
+    system = make_system(coxeter, cartan)
+    alg = HeckeAlgebra(system)
+    ball = element_ball(system, bound)
+    if order is not None:
+        assert len(ball) == order
+    for x in ball:
+        assert alg.kl_oracle(x).coeffs == alg.kl_basis(x).coeffs
+
+
+@pytest.mark.parametrize(
+    "y, z, message",
+    [("12", "21", "outside"), ("1", "12", "settled"), ("1", "2", "settled")],
+)
+def test_the_duality_solve_refuses_terms_it_cannot_push(a2, y, z, message):
+    """A term of d(Tt_y) at z outside [e, 12], or at a z settled before y,
+    has nowhere to go; the solve must say so rather than drop it."""
+    from bmsheaves.errors import InconsistencyError
+
+    alg = HeckeAlgebra(a2)
+    bad = alg.bar_tt(elt(a2, y)) + alg.Tt(elt(a2, z), v(1))
+    alg._bar_tt[elt(a2, y)] = bad
+    with pytest.raises(InconsistencyError, match=message):
+        alg.kl_oracle(elt(a2, "12"))
 
 
 def test_expansion_in_the_self_dual_basis_inverts_it(b2, b2_alg):
@@ -157,7 +192,6 @@ def test_the_two_routes_are_independent(a2, monkeypatch):
     machinery beyond ring arithmetic."""
     from bmsheaves import laurent
     from bmsheaves.errors import InconsistencyError
-    from bmsheaves.hecke import HeckeAlgebra
 
     real_bar = laurent.LaurentPoly.bar
 
