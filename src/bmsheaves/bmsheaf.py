@@ -13,17 +13,20 @@ stalk is one copy of S; at each lower vertex y the stalk is the
 projective cover of the image of the sections over {> y} in the direct
 sum of the edge modules at y, i.e. the free module on the minimal
 generators of that image, with the cover components as the downward
-restrictions.  Only the image is solved for: one elimination per degree
-whose columns are the other stalks of {> y}, then the upper ends of the
-edges at y, then the image coordinates, tied to the upper ends by
-y_e = rho_upper(x); the kernel of the rows that live on the last block
-(`Echelon.tail`) is a basis of the image.  The costalk at a vertex
+restrictions.  The sections are never solved for globally.  The builder
+carries generators of the sections over the vertices already processed:
+by construction the sheaf is flabby on upper sets, so each new vertex
+extends every section, with its costalk as the kernel.  At y the images
+of the generators span the edge image, one elimination per degree on the
+edges at y lifts the generators to y and yields the costalk, and the
+costalk's minimal generators join the list.  The costalk at a vertex
 (sections supported only there) is the kernel of the stacked upward
 restrictions; in the canonical case its graded rank is finite over the
 cap and deconvolves exactly.  Pair costalks and the flabbiness check
-solve their own small systems in the same way, and the flabbiness check
-rebuilds its rows from the stored stalks and maps, independent of the
-builder.
+solve their own small systems, one row per edge-module coordinate, and
+the flabbiness check rebuilds its rows from the stored stalks and maps,
+independent of the builder, and measures the section dimensions the
+builder logs.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -46,6 +49,7 @@ from .gradedlin import (
     ModuleMap,
     PolyRing,
     QuotientModule,
+    hilbert_dim,
     minimal_generators,
     rank_from_dims,
 )
@@ -206,10 +210,22 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     """Build the canonical indecomposable sheaf on the given graph.
 
     Vertices are processed by decreasing length (ShortLex within a
-    length); the per-vertex degree cap is 2 (l(top) - l(y)) + margin
-    unless overridden.  Every minimal-generator extraction and every
-    graded-rank deconvolution refuses to answer when generators appear in
-    the top two even degrees of its range (CapError).
+    length), so the processed set P is an upper set.  The builder keeps
+    generators of the sections over P, each a degree and its nonzero
+    stalk components in that degree.  At a vertex w, rho_upper of their
+    components at the upper ends of the edges at w spans the image of the
+    sections over {> w}; its minimal generators give the stalk and the
+    downward restrictions.  Extending P to P + w is then onto with the
+    costalk at w as its kernel, so the lifts of the generators to w
+    (`_lift_to`) and the minimal generators of the costalk generate the
+    sections over P + w.  `section_log[w][d]` is the dimension of the
+    sections over {> w} that this predicts from the costalk ranks above
+    w; `check_flabby_additive` measures it independently.
+
+    The per-vertex degree cap is 2 (l(top) - l(y)) + margin unless
+    overridden.  Every minimal-generator extraction and every graded-rank
+    deconvolution refuses to answer when generators appear in the top two
+    even degrees of its range (CapError).
     """
     system = graph.system
     ring = PolyRing(system.rank)
@@ -222,69 +238,107 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     for e in graph.edges:
         if e.lower.length == e.upper.length:
             raise RealizationError("edge joins vertices of equal length")
+    # generators of the sections over the processed vertices, as
+    # (degree, {z: vec}); the CapError rules keep each degree at least 4
+    # below the cap of every later vertex
+    sections = []
     for w in order:
         if cap_override is not None:
             capw = _even(int(cap_override))
         else:
             capw = 2 * (big_l - w.length) + margin
         sheaf.caps[w] = capw
-        degrees = range(0, capw + 1, 2)
+        delta = graph.up[w]
+        # images[j][i]: rho_upper of generator j's component at the upper
+        # end of delta[i]
+        images = [
+            [
+                sheaf.rho_upper[e].apply(comps[e.upper], d)
+                if e.upper in comps
+                else [0] * sheaf.edge_mod[e].dim(d)
+                for e in delta
+            ]
+            for d, comps in sections
+        ]
         if w == top:
             sheaf.stalks[w] = FreeModule(ring, (0,))
         else:
-            above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
-            delta = graph.up[w]
             target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
-            ends = {e.upper for e in delta}
-            # columns: the rest of {> w}, then the upper ends of delta,
-            # then the image coordinates in the sum of the B^e, e in delta
-            cols = [z for z in above if z not in ends]
-            cols += [z for z in above if z in ends]
-            inside = set(above)
-            inner = [
-                e for e in graph.edges if e.lower in inside and e.upper in inside
-            ]
-            space = {}
-            log = {}
-            for d in degrees:
-                offsets = {}
-                n = 0
-                for z in cols:
-                    offsets[z] = n
-                    n += sheaf.stalks[z].dim(d)
-                ech = Echelon()
-                for e in inner:
-                    for row in sheaf.edge_rows(e, d, offsets):
-                        ech.insert(row)
-                log[d] = n - ech.dim
-                # tie y_e = rho_upper(x_upper) for every e in delta
-                m = n
-                for e in delta:
-                    rows = sheaf.edge_rows(e, d, {e.upper: offsets[e.upper]})
-                    for r, row in enumerate(rows):
-                        row[m + r] = 1
-                        ech.insert(row)
-                    m += len(rows)
-                space[d] = ech.tail(n).kernel(m - n)
-            sheaf.section_log[w] = log
-            gens = minimal_generators(space, target, capw)
+            candidates = {}
+            for (d, _), parts in zip(sections, images):
+                candidates.setdefault(d, []).append(sum(parts, []))
+            gens = minimal_generators(candidates, target, capw)
             stalk = FreeModule(ring, tuple(d for d, _ in gens))
             sheaf.stalks[w] = stalk
             for idx, e in enumerate(delta):
-                images_e = [
-                    list(target.component(vec, idx, d)) for d, vec in gens
-                ]
+                images_e = [target.component(vec, idx, d) for d, vec in gens]
                 sheaf.rho_lower[e] = ModuleMap(stalk, sheaf.edge_mod[e], images_e)
+            above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
+            sheaf.section_log[w] = {
+                d: sum(
+                    c * hilbert_dim(ring.nvars, d - g)
+                    for z in above
+                    for g, c in sheaf.costalk_ranks[z].c.items()
+                )
+                for d in range(0, capw + 1, 2)
+            }
         # this vertex is the upper endpoint of its down-edges; their edge
         # modules and canonical quotients exist from now on
         for e in graph.down[w]:
             q, qmap = sheaf.quotient_map(w, e.label.coords)
             sheaf.edge_mod[e] = q
             sheaf.rho_upper[e] = qmap
-        dims = sheaf.costalk_dims(w, degrees)
+        costalk = _lift_to(sheaf, w, sections, images, capw)
+        dims = {d: len(vecs) for d, vecs in costalk.items()}
         sheaf.costalk_dim_table[w] = dims
-        sheaf.costalk_ranks[w] = rank_from_dims(dims, ring.nvars, capw)
+        rank = rank_from_dims(dims, ring.nvars, capw)
+        sheaf.costalk_ranks[w] = rank
+        new = minimal_generators(costalk, sheaf.stalks[w], capw)
+        if FreeModule(ring, [d for d, _ in new]).rank_poly != rank:
+            raise InconsistencyError(f"the costalk at {w} is not graded free")
+        sections.extend((d, {w: vec}) for d, vec in new)
     return sheaf
+
+
+def _lift_to(sheaf, w, gens, images, cap):
+    """Extend the generators `gens` to w; return the costalk at w.
+
+    Per degree, the columns are the stalk at w, then one per generator of
+    that degree; the rows are rho_lower(t) = c rho_upper(g) on the edges
+    above w.  The kernel vector with c > 0 at g's column lifts c g, which
+    stays integral; the ones at free stalk columns span the costalk.
+    """
+    delta = sheaf.graph.up[w]
+    stalk = sheaf.stalks[w]
+    costalk = {}
+    for d in range(0, cap + 1, 2):
+        n = stalk.dim(d)
+        here = [j for j, (gd, _) in enumerate(gens) if gd == d]
+        ech = Echelon()
+        for idx, e in enumerate(delta):
+            rows = sheaf.edge_rows(e, d, {w: 0})
+            for col, j in enumerate(here, n):
+                for r, a in enumerate(images[j][idx]):
+                    if a:
+                        rows[r][col] = -a
+            for row in rows:
+                ech.insert(row)
+        if any(p >= n for p in ech.rows):
+            raise InconsistencyError(
+                f"a section over the vertices above {w} does not extend to {w}"
+            )
+        kernel = ech.kernel(n + len(here))
+        free = n - ech.dim
+        costalk[d] = [vec[:n] for vec in kernel[:free]]
+        for col, (j, vec) in enumerate(zip(here, kernel[free:]), n):
+            comps = gens[j][1]
+            scale = vec[col]
+            if scale != 1:
+                for z, comp in comps.items():
+                    comps[z] = [scale * a for a in comp]
+            if any(vec[:n]):
+                comps[w] = vec[:n]
+    return costalk
 
 
 # -- characters -------------------------------------------------------------
@@ -533,15 +587,18 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     """Degreewise surjectivity of restriction and section additivity at w.
 
     For every degree under the cap: sections over {>= w} restrict onto
-    sections over {> w}, and the dimensions satisfy
-    dim Gamma({>= w}) = dim Gamma({> w}) + dim costalk(w).
+    sections over {> w}, the dimensions satisfy
+    dim Gamma({>= w}) = dim Gamma({> w}) + dim costalk(w), and
+    dim Gamma({> w}) is the builder's `section_log` entry.
     """
     graph = bm.graph
-    above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
+    # longest first, which eliminates markedly faster than shortest first
+    above = [z for z in reversed(graph.vertices) if z != w and bruhat_leq(w, z)]
     inside = set(above)
     inner = [e for e in graph.edges if e.lower in inside and e.upper in inside]
     cap = bm.caps[w]
     costalk = bm.costalk_dim_table[w]
+    logged = bm.section_log.get(w, {})
     for d in range(0, cap + 1, 2):
         # w's columns first, so the tail after them is the restriction
         start = bm.stalks[w].dim(d)
@@ -555,6 +612,8 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
             for row in bm.edge_rows(e, d, offsets):
                 ech.insert(row)
         dim_gt = n - start - ech.dim
+        if dim_gt != logged.get(d, 0):
+            return False
         for e in graph.up[w]:
             for row in bm.edge_rows(e, d, offsets):
                 ech.insert(row)

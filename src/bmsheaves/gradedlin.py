@@ -46,7 +46,6 @@ __all__ = [
     "minimal_generators",
     "rank_from_dims",
     "hilbert_dim",
-    "span_submodule",
     "monomial_basis",
     "quotient_basis",
     "graded_rank_of_kernel",
@@ -363,33 +362,41 @@ def _even_cap(cap):
     return cap if cap % 2 == 0 else cap - 1
 
 
-def minimal_generators(space, ambient, cap):
-    """Minimal generator degrees and lifts of a graded submodule.
+def minimal_generators(candidates, ambient, cap):
+    """Minimal generators of the submodule spanned by candidate vectors.
 
-    `space` maps each even degree <= cap to a basis (dense vectors in the
-    ambient module's coordinates) of the submodule's degree piece; the
-    caller guarantees closure under multiplication by the variables.  By
-    the graded Nakayama lemma the minimal generators in degree d are any
-    complement of sum_k x_k * (space at d-2) inside space at d.
+    `candidates` maps even degrees to lists of dense vectors in the ambient
+    module's coordinates; the submodule is their S-span, and the vectors
+    need not be closed under multiplication by the variables.  One loop
+    walks the degrees up to the last one with a candidate, keeping a
+    basis of the span: first the products x_k * (basis at d-2) that are
+    new, then the candidates of degree d that are still new.  By the
+    graded Nakayama lemma those candidates are minimal generators, and
+    they are returned as (degree, vector) pairs in that order.  When the
+    candidates of each degree are already a basis of a submodule's degree
+    piece, the picks depend only on that submodule.
 
     Raises CapError when generators appear in the top two even degrees,
     since further generators above the cap could then not be ruled out.
     """
     cap = _even_cap(cap)
     nvars = ambient.ring.nvars
+    last = max((d for d, vs in candidates.items() if vs and d <= cap), default=-2)
     gens = []
-    for d in range(0, cap + 1, 2):
-        below = space.get(d - 2, [])
-        here = space.get(d, [])
-        if not here:
-            continue
+    basis = []
+    for d in range(0, last + 1, 2):
         ech = Echelon()
-        for v in below:
+        span = []
+        for v in basis:
             for k in range(nvars):
-                ech.insert(sparse(ambient.mul_var(v, k, d - 2)))
-        for v in here:
+                prod = ambient.mul_var(v, k, d - 2)
+                if ech.insert(sparse(prod)) is not None:
+                    span.append(prod)
+        for v in candidates.get(d, ()):
             if ech.insert(sparse(v)) is not None:
+                span.append(v)
                 gens.append((d, v))
+        basis = span
     unstable = [d for d, _ in gens if d >= cap - 2]
     if unstable:
         raise CapError(
@@ -427,27 +434,6 @@ def rank_from_dims(dims, nvars, cap, require_stable=True):
             "raise the cap to trust this computation"
         )
     return LaurentPoly(gens)
-
-
-def span_submodule(ambient, gens, cap):
-    """Degreewise bases of the submodule generated by (degree, vector) pairs."""
-    cap = _even_cap(cap)
-    nvars = ambient.ring.nvars
-    spans = {}
-    for d in range(0, cap + 1, 2):
-        ech = Echelon()
-        vecs = []
-        for v in spans.get(d - 2, []):
-            for k in range(nvars):
-                w = ambient.mul_var(v, k, d - 2)
-                if ech.insert(sparse(w)) is not None:
-                    vecs.append(w)
-        for gd, gv in gens:
-            if gd == d and ech.insert(sparse(gv)) is not None:
-                vecs.append(list(gv))
-        if vecs:
-            spans[d] = vecs
-    return spans
 
 
 def monomial_basis(ring: PolyRing, d):

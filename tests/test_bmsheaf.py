@@ -7,6 +7,7 @@ stalk, where the character coefficients stop being pure powers.
 
 import pytest
 
+from bmsheaves import bmsheaf
 from bmsheaves.bmsheaf import (
     bm_construct,
     character,
@@ -20,8 +21,8 @@ from bmsheaves.bmsheaf import (
     translate_out,
 )
 from bmsheaves.coxeter import bruhat_leq, multiply, parse_word
-from bmsheaves.errors import CapError, InputError
-from bmsheaves.gradedlin import ModuleMap
+from bmsheaves.errors import CapError, InconsistencyError, InputError
+from bmsheaves.gradedlin import DirectSum, ModuleMap
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
 from bmsheaves.linalg import kernel_basis, rank_dense
@@ -132,6 +133,18 @@ def test_flabbiness_check_refuses_a_wrong_costalk_dimension(a2, a2_w0_sheaf):
         assert not check_flabby_additive(bm, w)
     finally:
         table[2] -= 1
+    assert check_flabby_additive(bm, w)
+
+
+def test_flabbiness_check_refuses_a_wrong_section_dimension(a2, a2_w0_sheaf):
+    bm = a2_w0_sheaf
+    w = elt(a2, "1")
+    log = bm.section_log[w]
+    log[2] += 1
+    try:
+        assert not check_flabby_additive(bm, w)
+    finally:
+        log[2] -= 1
     assert check_flabby_additive(bm, w)
 
 
@@ -334,6 +347,41 @@ def test_too_small_cap_override_is_refused(a2):
     graph = build_graph(a2, elt(a2, "121"))
     with pytest.raises(CapError):
         bm_construct(graph, cap_override=2)
+
+
+@pytest.mark.parametrize("cap", [2, 4, 8])
+def test_inconclusive_cap_overrides_are_refused(a3_singular_sheaf, cap):
+    with pytest.raises(CapError):
+        bm_construct(a3_singular_sheaf.graph, cap_override=cap)
+
+
+@pytest.mark.parametrize("cap", [12, 14])
+def test_larger_cap_overrides_keep_the_default_sheaf(a3_singular_sheaf, cap):
+    default = a3_singular_sheaf
+    bm = bm_construct(default.graph, cap_override=cap)
+    assert all(c == cap for c in bm.caps.values())
+    for y in default.graph.vertices:
+        assert bm.stalks[y].gens == default.stalks[y].gens, y
+        assert bm.costalk_ranks[y] == default.costalk_ranks[y], y
+
+
+# -- refusals ---------------------------------------------------------------------
+
+
+def test_builder_refuses_a_stalk_missing_a_generator(a3, monkeypatch):
+    """A stalk short of one minimal generator cannot lift every section
+    from above; the builder must say so rather than build a smaller sheaf."""
+    real = bmsheaf.minimal_generators
+
+    def drop_last_edge_generator(candidates, ambient, cap):
+        gens = real(candidates, ambient, cap)
+        if isinstance(ambient, DirectSum):  # the edge image, not a costalk
+            return gens[:-1]
+        return gens
+
+    monkeypatch.setattr(bmsheaf, "minimal_generators", drop_last_edge_generator)
+    with pytest.raises(InconsistencyError):
+        bm_construct(build_graph(a3, elt(a3, "2132")))
 
 
 def test_default_caps_scale_with_the_corank(a2_w0_sheaf):

@@ -33,7 +33,11 @@ from bmsheaves.coxeter import sort_key
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "corpus.json")
 
-_AFFINE_A2 = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
+# systems without a preset, by Coxeter matrix
+_MATRICES = {
+    "affA2": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+    "A4": [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+}
 
 # name -> (system, 1-based word, quotient generator (1-based) or None)
 CASES = {
@@ -43,11 +47,15 @@ CASES = {
     "G2:121212": ("G2", "121212", None),
     "affA2:12312": ("affA2", "12312", None),
     "A3:121321:quotient:s1": ("A3", "121321", 1),
+    "U3:12312": ("U3", "12312", None),
+    "A4:121321": ("A4", "121321", None),
 }
 
 
 def _system(name):
-    return make_system(_AFFINE_A2) if name == "affA2" else preset_system(name)
+    if name in _MATRICES:
+        return make_system(_MATRICES[name])
+    return preset_system(name)
 
 
 def _degrees(poly):

@@ -21,7 +21,6 @@ from bmsheaves.gradedlin import (
     monomial_basis,
     quotient_basis,
     rank_from_dims,
-    span_submodule,
 )
 from bmsheaves.laurent import LaurentPoly
 
@@ -129,24 +128,22 @@ def test_minimal_generators_of_an_edge_image():
     alpha_first = [0] * ambient.dim(2)
     alpha_first[ambient.index(2)[(0, (1, 0))]] = 1
     alpha_first[ambient.index(2)[(0, (0, 1))]] = 1  # (x0 + x1, 0)
-    space = span_submodule(ambient, [(0, diag), (2, alpha_first)], 10)
-    gens = minimal_generators(space, ambient, 10)
-    assert [d for d, _ in gens] == [0, 2]
-    assert gens[0][1] == diag
-    # spanning the span again changes nothing
-    again = span_submodule(ambient, gens, 10)
-    assert {d: len(vs) for d, vs in again.items()} == {
-        d: len(vs) for d, vs in space.items()
-    }
+    # a basis of the submodule's degree-2 piece: x0 * diag and x1 * diag
+    # are spanned already, so only alpha_first is new there
+    piece = [ambient.mul_var(diag, k, 0) for k in (0, 1)] + [alpha_first]
+    gens = minimal_generators({0: [diag], 2: piece}, ambient, 10)
+    assert gens == [(0, diag), (2, alpha_first)]
+    # the generators alone, not closed under the variables, pick the same
+    again = minimal_generators({d: [v] for d, v in gens}, ambient, 10)
+    assert again == gens
 
 
 def test_minimal_generators_refuse_a_tight_cap():
     ring = PolyRing(2)
     ambient = FreeModule(ring, (0,))
-    space = span_submodule(ambient, [(0, [1])], 10)
     with pytest.raises(CapError):
-        minimal_generators(space, ambient, 2)
-    assert minimal_generators(space, ambient, 10) == [(0, [1])]
+        minimal_generators({0: [[1]]}, ambient, 2)
+    assert minimal_generators({0: [[1]]}, ambient, 10) == [(0, [1])]
 
 
 def test_rank_deconvolution_recovers_generator_degrees():
