@@ -198,9 +198,6 @@ class BMSheaf(Sheaf):
         self.costalk_dim_table = {}
         self.section_log = {}
 
-    def stalk_degrees(self, w):
-        return self.stalks[w].gens
-
 
 def _even(c):
     return c if c % 2 == 0 else c - 1

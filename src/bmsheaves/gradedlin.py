@@ -32,7 +32,7 @@ from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
-from .linalg import Echelon, kernel_basis, sparse
+from .linalg import Echelon, sparse
 from .polynomials import monomials_of_degree
 
 __all__ = [
@@ -41,14 +41,9 @@ __all__ = [
     "QuotientModule",
     "DirectSum",
     "ModuleMap",
-    "kernel_deg",
-    "image_deg",
     "minimal_generators",
     "rank_from_dims",
     "hilbert_dim",
-    "monomial_basis",
-    "quotient_basis",
-    "graded_rank_of_kernel",
 ]
 
 
@@ -103,6 +98,7 @@ class FreeModule:
             raise InputError("generator degrees must be even")
         self._basis = {}
         self._index = {}
+        self._dims = {}
         self._varmaps = {}
 
     @property
@@ -129,7 +125,11 @@ class FreeModule:
         return self._index[d]
 
     def dim(self, d):
-        return sum(hilbert_dim(self.ring.nvars, d - g) for g in self.gens)
+        n = self._dims.get(d)
+        if n is None:
+            nv = self.ring.nvars
+            n = self._dims[d] = sum(hilbert_dim(nv, d - g) for g in self.gens)
+        return n
 
     def _var_map(self, k, d):
         """Basis position map for multiplication by x_k: degree d -> d+2."""
@@ -190,6 +190,7 @@ class QuotientModule:
         }
         self._basis = {}
         self._index = {}
+        self._dims = {}
         self._varcols = {}
 
     def basis(self, d):
@@ -209,10 +210,15 @@ class QuotientModule:
         return self._index[d]
 
     def dim(self, d):
-        nv = self.ring.nvars - 1
-        if nv == 0:
-            return sum(1 for g in self.gens if g == d)
-        return sum(hilbert_dim(nv, d - g) for g in self.gens)
+        n = self._dims.get(d)
+        if n is None:
+            nv = self.ring.nvars - 1
+            if nv == 0:
+                n = sum(1 for g in self.gens if g == d)
+            else:
+                n = sum(hilbert_dim(nv, d - g) for g in self.gens)
+            self._dims[d] = n
+        return n
 
     def _var_cols(self, k, d):
         """Sparse columns of multiplication by x_k on the degree-d basis."""
@@ -253,14 +259,19 @@ class DirectSum:
         self.parts = tuple(parts)
         if any(p.ring != ring for p in self.parts):
             raise InputError("direct sum over mixed rings")
+        self._offsets = {}
 
     def dim(self, d):
-        return sum(p.dim(d) for p in self.parts)
+        return self.offsets(d)[-1]
 
     def offsets(self, d):
-        out = [0]
-        for p in self.parts:
-            out.append(out[-1] + p.dim(d))
+        """Start of each part's block in degree d, then the total."""
+        out = self._offsets.get(d)
+        if out is None:
+            out = [0]
+            for p in self.parts:
+                out.append(out[-1] + p.dim(d))
+            out = self._offsets[d] = tuple(out)
         return out
 
     def component(self, vec, idx, d):
@@ -331,31 +342,6 @@ class ModuleMap:
                     if a:
                         out[r] += a * v
         return out
-
-    def rows_sparse(self, d):
-        """Constraint rows {source index: coeff}, one per target basis row."""
-        cols = self.columns(d)
-        rows = [dict() for _ in range(self.target.dim(d))]
-        for j, col in enumerate(cols):
-            for r, a in enumerate(col):
-                if a:
-                    rows[r][j] = a
-        return rows
-
-
-def kernel_deg(mmap: ModuleMap, d):
-    """Dense basis of the degree-d kernel."""
-    return kernel_basis(mmap.rows_sparse(d), mmap.source.dim(d))
-
-
-def image_deg(mmap: ModuleMap, d):
-    """Dense basis of the degree-d image (echelonized column span)."""
-    ech = Echelon()
-    out = []
-    for col in mmap.columns(d):
-        if ech.insert(sparse(col)) is not None:
-            out.append(col)
-    return out
 
 
 def _even_cap(cap):
@@ -434,25 +420,3 @@ def rank_from_dims(dims, nvars, cap, require_stable=True):
             "raise the cap to trust this computation"
         )
     return LaurentPoly(gens)
-
-
-def monomial_basis(ring: PolyRing, d):
-    """Ordered monomial basis of the degree-d piece of S."""
-    return ring.monomials(d)
-
-
-def quotient_basis(ring: PolyRing, alpha, d):
-    """Basis of (S / alpha S)_d: monomials free of the pivot variable."""
-    alpha = tuple(alpha)
-    pivot = next((i for i, a in enumerate(alpha) if a), None)
-    if pivot is None:
-        raise InputError("cannot quotient by the zero linear form")
-    return ring.quotient_monomials(pivot, d)
-
-
-def graded_rank_of_kernel(mmap: ModuleMap, cap):
-    """Graded rank of the kernel of a map, deconvolved up to the cap."""
-    cap = _even_cap(cap)
-    dims = {d: len(kernel_deg(mmap, d)) for d in range(0, cap + 1, 2)}
-    return rank_from_dims(dims, mmap.source.ring.nvars, cap)
-

@@ -9,7 +9,9 @@ Tt_x = v^(l(x)) T_x.  Right multiplication by a generator:
     Tt_x Tt_s = Tt_xs + (v^-1 - v) Tt_x            otherwise
 
 The duality d is the ring involution with d(v) = v^-1 and
-d(T_x) = (T_{x^-1})^-1, where T_s^-1 = v^2 T_s + (v^2 - 1).
+d(T_x) = (T_{x^-1})^-1, where T_s^-1 = v^2 T_s + (v^2 - 1).  Its values
+on the Tt basis are memoized once per element, each one step from the
+value at the word's prefix (see `HeckeAlgebra.bar_tt`).
 
 The self-dual basis element C_x = sum_y h_y Tt_y is the unique d-fixed
 element with h_x = 1 and h_y in v Z[v] for y < x.  Two independent
@@ -23,6 +25,9 @@ routes compute it:
               accumulated so far, then d(h_y) times the column d(Tt_y) is
               pushed into the defects of the elements below y.  The cost
               is the total support of the d(Tt_y), not |[e, x]|^2.
+
+Inner loops add into integer accumulators {element: {exponent: coeff}}
+and build one HeckeElt at the end; a power of v is an exponent shift.
 
 The two routes share nothing but the element containers, so agreement is
 a genuine cross-check.  The classical polynomial normalization is
@@ -49,8 +54,26 @@ __all__ = ["BASIS_T", "BASIS_TT", "HeckeElt", "HeckeAlgebra"]
 BASIS_T = "T"
 BASIS_TT = "Tt"
 
-_V = LaurentPoly({1: 1})
-_VINV = LaurentPoly({-1: 1})
+# exponent dicts of the factors in the one-letter steps
+_ONE = {0: 1}
+_V_MINUS_VINV = {1: 1, -1: -1}
+_VINV_MINUS_V = {-1: 1, 1: -1}
+
+
+def _add_into(acc, x, p, q, shift=0):
+    """acc[x] += v^shift p q, for exponent dicts p and q."""
+    tgt = acc.get(x)
+    if tgt is None:
+        tgt = acc[x] = defaultdict(int)
+    for e2, c2 in q.items():
+        e2 += shift
+        for e1, c1 in p.items():
+            tgt[e1 + e2] += c1 * c2
+
+
+def _elt(basis, acc):
+    """The HeckeElt of an accumulator {x: {exponent: coefficient}}."""
+    return HeckeElt(basis, {x: LaurentPoly(t) for x, t in acc.items()})
 
 
 class HeckeElt:
@@ -147,8 +170,7 @@ class HeckeAlgebra:
     def __init__(self, system):
         self.system = system
         self._kl = {}
-        self._bar_tt = {}
-        self._inv_T = {}
+        self._bar_tt = {system.identity: self.one()}
         # products C_xs * C_s recorded by kl_basis, keyed by x
         self.kl_products = {}
 
@@ -165,104 +187,116 @@ class HeckeAlgebra:
 
     # -- multiplication --------------------------------------------------
 
-    def _mult_gen_tt(self, a: HeckeElt, s: int):
-        out = {}
+    def _mult_gen_tt(self, terms, s: int):
+        """terms * Tt_s, for an accumulator terms in the Tt basis."""
         gen = self.system.generators[s]
-        vdiff = _VINV - _V
-        for x, c in a.coeffs.items():
+        out = {}
+        for x, r in terms.items():
             xs = multiply(x, gen)
-            out[xs] = out.get(xs, LaurentPoly.zero()) + c
+            _add_into(out, xs, r, _ONE)
             if xs.length < x.length:
-                out[x] = out.get(x, LaurentPoly.zero()) + c * vdiff
-        return HeckeElt(BASIS_TT, {x: c for x, c in out.items() if c})
+                _add_into(out, x, r, _VINV_MINUS_V)
+        return out
 
-    def _mult_gen_t(self, a: HeckeElt, s: int):
-        out = {}
-        gen = self.system.generators[s]
-        v2inv = LaurentPoly({-2: 1})
-        v2inv_m1 = v2inv - 1
-        for x, c in a.coeffs.items():
-            xs = multiply(x, gen)
-            if xs.length > x.length:
-                out[xs] = out.get(xs, LaurentPoly.zero()) + c
-            else:
-                out[xs] = out.get(xs, LaurentPoly.zero()) + c * v2inv
-                out[x] = out.get(x, LaurentPoly.zero()) + c * v2inv_m1
-        return HeckeElt(BASIS_T, {x: c for x, c in out.items() if c})
+    def _mult_acc(self, a: HeckeElt, b: HeckeElt):
+        """a b in the Tt basis, as one accumulator."""
+        acc = {}
+        start = {x: c.c for x, c in a.convert(BASIS_TT).coeffs.items()}
+        for y, c in b.convert(BASIS_TT).coeffs.items():
+            term = start
+            for s in y.word:
+                term = self._mult_gen_tt(term, s)
+            for x, r in term.items():
+                _add_into(acc, x, r, c.c)
+        return acc
 
     def mult(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         """Product, computed in the Tt basis along reduced words of b."""
-        basis = a.basis
-        a = a.convert(BASIS_TT)
-        b = b.convert(BASIS_TT)
-        total = HeckeElt(BASIS_TT)
-        for y, c in b.coeffs.items():
-            term = a
-            for s in y.word:
-                term = self._mult_gen_tt(term, s)
-            total = total + term.scale(c)
-        return total.convert(basis)
+        return _elt(BASIS_TT, self._mult_acc(a, b)).convert(a.basis)
 
     # -- duality -----------------------------------------------------------
 
-    def _inverse_T(self, x: Element) -> HeckeElt:
-        """(T_{x^-1})^-1 in the T basis, memoized along prefixes of x."""
-        cached = self._inv_T.get(x)
-        if cached is not None:
-            return cached
-        if x.length == 0:
-            out = self.T(x)
-        else:
-            # With s the last letter of word(x), T_{x^-1}^-1 is
-            # T_{(xs)^-1}^-1 T_s^-1, and h -> h T_s^-1 = v^2 (h T_s) +
-            # (v^2 - 1) h.  ShortLex words are prefix-closed, so xs has the
-            # word x.word[:-1] and this is one step from that prefix.
-            s = x.word[-1]
-            prev = self._inverse_T(multiply(x, self.system.generators[s]))
-            v2 = LaurentPoly({2: 1})
-            out = self._mult_gen_t(prev, s).scale(v2) + prev.scale(v2 - 1)
-        self._inv_T[x] = out
-        return out
-
     def bar(self, a: HeckeElt) -> HeckeElt:
-        """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1."""
-        basis = a.basis
-        a = a.convert(BASIS_T)
-        total = HeckeElt(BASIS_T)
+        """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1.
+
+        Each term c X_x adds d(c) d(X_x) into one accumulator.  In the Tt
+        basis d(Tt_x) is `bar_tt(x)`; in the T basis (T_{x^-1})^-1 =
+        d(T_x) = v^l(x) d(Tt_x), whose term r Tt_z is v^(l(x)+l(z)) r T_z.
+        """
+        in_t = a.basis == BASIS_T
+        acc = {}
         for x, c in a.coeffs.items():
-            total = total + self._inverse_T(x).scale(c.bar())
-        return total.convert(basis)
+            cbar = c.bar().c
+            for z, r in self.bar_tt(x).coeffs.items():
+                shift = x.length + z.length if in_t else 0
+                _add_into(acc, z, r.c, cbar, shift)
+        return _elt(a.basis, acc)
 
     def bar_tt(self, x: Element) -> HeckeElt:
-        """d(Tt_x) in the Tt basis, memoized (unitriangular with 1 at x)."""
-        cached = self._bar_tt.get(x)
-        if cached is None:
-            cached = self.bar(self.Tt(x))
-            if cached.coeff(x) != LaurentPoly.one():
+        """d(Tt_x) in the Tt basis, memoized (unitriangular with 1 at x).
+
+        With s the last letter of x's ShortLex word, x = zs with z shorter
+        and z's word the prefix, so (T_{x^-1})^-1 = (T_{z^-1})^-1 T_s^-1
+        and d(Tt_x) = v^-1 d(Tt_z) T_s^-1.  From T_s^-1 = v^2 T_s +
+        (v^2 - 1) and the multiplication rule,
+
+            T_y T_s^-1 = T_ys                          if l(ys) < l(y)
+            T_y T_s^-1 = v^2 T_ys + (v^2 - 1) T_y      otherwise,
+
+        so in Tt coordinates a term r Tt_y of d(Tt_z) goes to r Tt_ys,
+        plus (v - v^-1) r Tt_y when l(ys) > l(y).  The memo is filled
+        along the prefixes of x, one such step each; it calls no product.
+        """
+        memo = self._bar_tt
+        cached = memo.get(x)
+        if cached is not None:
+            return cached
+        gens = self.system.generators
+        chain = []
+        while x not in memo:
+            chain.append(x)
+            x = multiply(x, gens[x.word[-1]])
+        prev = memo[x]
+        for x in reversed(chain):
+            gen = gens[x.word[-1]]
+            acc = {}
+            for y, r in prev.coeffs.items():
+                ys = multiply(y, gen)
+                _add_into(acc, ys, r.c, _ONE)
+                if ys.length > y.length:
+                    _add_into(acc, y, r.c, _V_MINUS_VINV)
+            prev = _elt(BASIS_TT, acc)
+            if prev.coeff(x) != LaurentPoly.one():
                 raise InconsistencyError(f"d(Tt_{x}) is not unitriangular")
-            self._bar_tt[x] = cached
-        return cached
+            memo[x] = prev
+        return prev
 
     # -- self-dual basis, route 1: product recursion -----------------------
 
     def kl_basis(self, x: Element) -> HeckeElt:
+        """C_x by the product recursion C_xs C_s = C_x + sum_y c_y C_y.
+
+        The product C_xs C_s comes from `mult`'s accumulator, and each
+        c_y C_y (c_y the constant term at y < x) is subtracted from that
+        same accumulator.  No duality is used.
+        """
         cached = self._kl.get(x)
         if cached is not None:
             return cached
         if x.length == 0:
             out = self.Tt(x)
         elif x.length == 1:
-            out = self.Tt(x) + self.Tt(self.system.identity, _V)
+            out = self.Tt(x) + self.Tt(self.system.identity, LaurentPoly.v())
         else:
             s = min(right_descents(x))
-            xs = multiply(x, self.system.generators[s])
-            prod = self.mult(self.kl_basis(xs), self.kl_basis(self.system.generators[s]))
+            gen = self.system.generators[s]
+            acc = self._mult_acc(self.kl_basis(multiply(x, gen)), self.kl_basis(gen))
+            prod = _elt(BASIS_TT, acc)
             if prod.coeff(x) != LaurentPoly.one():
                 raise InconsistencyError(
                     f"product coefficient at {x} is {prod.coeff(x)}, expected 1"
                 )
             self.kl_products[x] = (s, prod)
-            out = prod
             for y, c in prod.coeffs.items():
                 if y == x:
                     continue
@@ -274,7 +308,9 @@ class HeckeAlgebra:
                     raise InconsistencyError(f"product support {y} not below {x}")
                 c0 = c.constant_term
                 if c0:
-                    out = out - self.kl_basis(y).scale(c0)
+                    for z, r in self.kl_basis(y).coeffs.items():
+                        _add_into(acc, z, r.c, {0: -c0})
+            out = _elt(BASIS_TT, acc)
         for y, c in out.coeffs.items():
             if y != x and not c.is_v_times_polynomial():
                 raise InconsistencyError(f"coefficient at {y} not in vZ[v]: {c}")
@@ -326,8 +362,8 @@ class HeckeAlgebra:
                             f"d(Tt_{y}) has a term at {z}, which is settled"
                         )
                     acc = defect[z] = defaultdict(int)
-                for e2, c2 in r.c.items():
-                    for e1, c1 in dh:
+                for e1, c1 in dh:
+                    for e2, c2 in r.c.items():
                         acc[e1 + e2] += c1 * c2
         if defect:
             z = next(iter(defect))

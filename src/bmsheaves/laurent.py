@@ -144,10 +144,6 @@ class LaurentPoly:
     def to_json(self):
         return {str(e): c for e, c in sorted(self.c.items())}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({int(e): int(c) for e, c in data.items()})
-
     def format(self, var="v"):
         if not self.c:
             return "0"

@@ -160,6 +160,50 @@ def test_the_two_routes_agree(name):
         assert alg.kl_oracle(x).coeffs == alg.kl_basis(x).coeffs
 
 
+# (Coxeter matrix, largest length) of the systems the duality is checked on
+_DUALITY_SYSTEMS = {
+    "B2": ([[1, 4], [4, 1]], 6),
+    "G2": ([[1, 6], [6, 1]], 6),
+    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 6),
+    "U2": ([[1, 0], [0, 1]], 6),
+    "affA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
+def test_the_duality_matches_products_of_inverse_generators(name):
+    """d(Tt_x) = v^-l(x) T_{s1}^-1 ... T_{sk}^-1 for x = s1...sk, with
+    T_s^-1 = v^2 T_s + (v^2 - 1) multiplied out by `mult` in the T basis;
+    and d is multiplicative on random pairs."""
+    coxeter, bound = _DUALITY_SYSTEMS[name]
+    system = make_system(coxeter)
+    alg = HeckeAlgebra(system)
+    ball = element_ball(system, bound)
+    one = alg.T(system.identity)
+    inverse = [
+        alg.T(s, v(2)) + alg.T(system.identity, v(2) - v(0))
+        for s in system.generators
+    ]
+    for x in ball:
+        ref = one
+        for s in x.word:
+            ref = alg.mult(ref, inverse[s])
+        assert alg.bar_tt(x) == ref.scale(v(-x.length)), x
+    rng = random.Random(name)
+
+    def draw():
+        out = HeckeElt(BASIS_T)
+        for _ in range(3):
+            coeff = v(rng.randrange(-3, 4), rng.choice((-2, -1, 1, 3)))
+            basis = rng.choice((BASIS_T, BASIS_TT))
+            out = out + HeckeElt(basis, {rng.choice(ball): coeff})
+        return out
+
+    for _ in range(10):
+        a, b = draw(), draw()
+        assert alg.bar(alg.mult(a, b)) == alg.mult(alg.bar(a), alg.bar(b))
+
+
 @pytest.mark.parametrize(
     "y, z, message",
     [("12", "21", "outside"), ("1", "12", "settled"), ("1", "2", "settled")],
@@ -170,6 +214,10 @@ def test_the_duality_solve_refuses_terms_it_cannot_push(a2, y, z, message):
     from bmsheaves.errors import InconsistencyError
 
     alg = HeckeAlgebra(a2)
+    # fill the memo first: each d(Tt_x) is built from its prefix's, so a
+    # bad entry written before then would also reach d(Tt_12)
+    for x in bruhat_interval(elt(a2, "12")):
+        alg.bar_tt(x)
     bad = alg.bar_tt(elt(a2, y)) + alg.Tt(elt(a2, z), v(1))
     alg._bar_tt[elt(a2, y)] = bad
     with pytest.raises(InconsistencyError, match=message):
