@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coxeter import Element, bruhat_leq, multiply, sort_key
-from .errors import InconsistencyError, InputError, RealizationError
+from .errors import CapError, InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     DirectSum,
     FreeModule,
@@ -122,10 +122,9 @@ class Sheaf:
             o = offsets.get(end)
             if o is None:
                 continue
-            for j, col in enumerate(rho[e].columns(d)):
-                for r, a in enumerate(col):
-                    if a:
-                        rows[r][o + j] = sign * a
+            for j, col in enumerate(rho[e].columns(d), o):
+                for r, a in col.items():
+                    rows[r][j] = sign * a
         return rows
 
     def sections(self, vset, d) -> SectionSpace:
@@ -179,12 +178,8 @@ class Sheaf:
         """(QuotientModule, canonical quotient ModuleMap) of the stalk at w."""
         stalk = self.stalks[w]
         q = QuotientModule(self.ring, stalk.gens, alpha)
-        unit = (0,) * self.ring.nvars
-        images = []
-        for i, g in enumerate(stalk.gens):
-            vec = [0] * q.dim(g)
-            vec[q.index(g)[(i, unit)]] = 1
-            images.append(vec)
+        # generator i's unit is the first position of its block in degree g
+        images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(stalk.gens)]
         return q, ModuleMap(stalk, q, images)
 
 
@@ -220,7 +215,8 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     w; `check_flabby_additive` measures it independently.
 
     The per-vertex degree cap is 2 (l(top) - l(y)) + margin unless
-    overridden.  Every minimal-generator extraction and every graded-rank
+    overridden, and a cap below 0 is refused (CapError).  Every
+    minimal-generator extraction and every graded-rank
     deconvolution refuses to answer when generators appear in the top two
     even degrees of its range (CapError).
     """
@@ -236,14 +232,16 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
         if e.lower.length == e.upper.length:
             raise RealizationError("edge joins vertices of equal length")
     # generators of the sections over the processed vertices, as
-    # (degree, {z: vec}); the CapError rules keep each degree at least 4
-    # below the cap of every later vertex
+    # (degree, {z: sparse vec}); the CapError rules keep each degree at
+    # least 4 below the cap of every later vertex
     sections = []
     for w in order:
         if cap_override is not None:
             capw = _even(int(cap_override))
         else:
             capw = 2 * (big_l - w.length) + margin
+        if capw < 0:
+            raise CapError(f"degree cap {capw} at {w} leaves no degree to compute")
         sheaf.caps[w] = capw
         delta = graph.up[w]
         # images[j][i]: rho_upper of generator j's component at the upper
@@ -252,7 +250,7 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
             [
                 sheaf.rho_upper[e].apply(comps[e.upper], d)
                 if e.upper in comps
-                else [0] * sheaf.edge_mod[e].dim(d)
+                else {}
                 for e in delta
             ]
             for d, comps in sections
@@ -263,7 +261,10 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
             target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
             candidates = {}
             for (d, _), parts in zip(sections, images):
-                candidates.setdefault(d, []).append(sum(parts, []))
+                off = target.offsets(d)
+                candidates.setdefault(d, []).append(
+                    {o + t: a for o, part in zip(off, parts) for t, a in part.items()}
+                )
             gens = minimal_generators(candidates, target, capw)
             stalk = FreeModule(ring, tuple(d for d, _ in gens))
             sheaf.stalks[w] = stalk
@@ -315,9 +316,8 @@ def _lift_to(sheaf, w, gens, images, cap):
         for idx, e in enumerate(delta):
             rows = sheaf.edge_rows(e, d, {w: 0})
             for col, j in enumerate(here, n):
-                for r, a in enumerate(images[j][idx]):
-                    if a:
-                        rows[r][col] = -a
+                for r, a in images[j][idx].items():
+                    rows[r][col] = -a
             for row in rows:
                 ech.insert(row)
         if any(p >= n for p in ech.rows):
@@ -326,15 +326,19 @@ def _lift_to(sheaf, w, gens, images, cap):
             )
         kernel = ech.kernel(n + len(here))
         free = n - ech.dim
-        costalk[d] = [vec[:n] for vec in kernel[:free]]
-        for col, (j, vec) in enumerate(zip(here, kernel[free:]), n):
+        # kernel vectors are dense; their stalk parts go on as sparse ones
+        parts = [{i: a for i, a in enumerate(vec[:n]) if a} for vec in kernel]
+        costalk[d] = parts[:free]
+        for col, (j, vec, lift) in enumerate(
+            zip(here, kernel[free:], parts[free:]), n
+        ):
             comps = gens[j][1]
             scale = vec[col]
             if scale != 1:
                 for z, comp in comps.items():
-                    comps[z] = [scale * a for a in comp]
-            if any(vec[:n]):
-                comps[w] = vec[:n]
+                    comps[z] = {i: scale * a for i, a in comp.items()}
+            if lift:
+                comps[w] = lift
     return costalk
 
 
@@ -416,20 +420,23 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
         raise InputError(f"no edge joins {ys} and {y}")
     alpha = edge.label.coords
     ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
-    gens = minimal_generators(pc.bases, ambient, pc.cap)
+    # the kernel's dense basis vectors, as sparse vectors of the ambient
+    bases = {
+        d: [{i: a for i, a in enumerate(vec) if a} for vec in vecs]
+        for d, vecs in pc.bases.items()
+    }
+    gens = minimal_generators(bases, ambient, pc.cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
     emb = ModuleMap(free, ambient, [v for _, v in gens])
     lower_stalk = bm.stalks[ys]
     xi_cols = {}
     for d in range(0, pc.cap - 1, 2):
-        cols = emb.columns(d)
         nxt = emb.columns(d + 2)
         images = []
-        for col in cols:
-            lower_dim = lower_stalk.dim(d)
-            low = lower_stalk.mul_linear(col[:lower_dim], alpha, d)
-            amb_img = list(low) + [0] * bm.stalks[y].dim(d + 2)
-            expr = solve_in_span(nxt, amb_img)
+        for col in emb.columns(d):
+            # the lower stalk's block comes first in the ambient sum
+            low = ambient.component(col, 0, d)
+            expr = solve_in_span(nxt, lower_stalk.mul_linear(low, alpha, d))
             if expr is None:
                 raise InconsistencyError(
                     "pair costalk is not stable under the edge algebra"

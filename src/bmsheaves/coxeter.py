@@ -493,7 +493,7 @@ def reflection_root(w: Element) -> Root:
 def bruhat_leq(y: Element, x: Element) -> bool:
     """Bruhat order via the lifting property.
 
-    With s a right descent of x: y <= x iff min(y, ys) <= xs.
+    With s the smallest right descent of x: y <= x iff min(y, ys) <= xs.
     """
     if y.system != x.system:
         raise InputError("elements of different systems")
@@ -503,7 +503,7 @@ def bruhat_leq(y: Element, x: Element) -> bool:
         return True
     if x.length == 0:
         return y.length == 0
-    s = min(right_descents(x))
+    s = next(s for s in range(x.system.rank) if _column_nonpositive(x.matrix, s))
     xs = _mul_gen(x, s)
     ys = _mul_gen(y, s)
     return bruhat_leq(ys if ys.length < y.length else y, xs)

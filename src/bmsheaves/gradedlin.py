@@ -11,11 +11,18 @@ Three module shapes cover everything downstream:
                   alpha, realized by eliminating alpha's pivot variable;
   DirectSum       a finite concatenation of the above.
 
-Elements of a degree piece are dense coordinate vectors over the module's
-canonical basis (generator index, monomial), monomials in degree-then-lex
-order.  Maps out of a FreeModule are stored by generator images and their
-per-degree matrices are materialized lazily, one degree from the previous
-one, so a map built under some cap extends to any degree on demand.
+Elements of a degree piece are sparse {position: coefficient} dicts with
+no zero entries; they go into `linalg.Echelon` as they are.  A module is
+a row of blocks, one per generator, each a shifted copy of S or of
+S/alpha with its monomials in degree-then-lex order, so the canonical
+basis is (generator index, monomial).  Multiplication by a variable walks
+the blocks by offset over sparse columns that the PolyRing keeps once per
+(alpha, variable, degree) for every module over it.  Maps out of a
+FreeModule are stored by generator images and their per-degree columns
+are materialized lazily, one degree from the previous one, so a map
+built under some cap extends to any degree on demand; a map, like the
+edge action of momentgraph.ZEModule, applies its columns through
+`combine_columns`.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -27,12 +34,13 @@ coefficient) exactly.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
-from .linalg import Echelon, sparse
+from .linalg import Echelon
 from .polynomials import monomials_of_degree
 
 __all__ = [
@@ -41,6 +49,7 @@ __all__ = [
     "QuotientModule",
     "DirectSum",
     "ModuleMap",
+    "combine_columns",
     "minimal_generators",
     "rank_from_dims",
     "hilbert_dim",
@@ -55,12 +64,19 @@ def hilbert_dim(nvars, d):
 
 
 class PolyRing:
-    """Monomial bookkeeping for S = Q[x_0..x_{n-1}], deg x_i = 2."""
+    """Monomial bookkeeping for S = Q[x_0..x_{n-1}], deg x_i = 2.
+
+    A ring instance also keeps the sparse columns of multiplication by
+    each variable on S and on each S/alpha, shared by every module built
+    over it and living as long as it does.
+    """
 
     def __init__(self, nvars):
         if nvars < 1:
             raise InputError("need at least one variable")
         self.nvars = nvars
+        self._varcols = {}
+        self._stepmemo = {}
 
     @functools.lru_cache(maxsize=None)
     def monomials(self, d):
@@ -78,6 +94,54 @@ class PolyRing:
             m for m in self.monomials(d) if m[pivot] == 0
         )
 
+    def _block_monomials(self, alpha, d):
+        """Basis of the degree-d piece of S (alpha None) or of S/alpha."""
+        if alpha is None:
+            return self.monomials(d)
+        return self.quotient_monomials(_pivot(alpha), d)
+
+    def _var_cols(self, alpha, k, d):
+        """Sparse columns of multiplication by x_k from degree d to d+2 of
+        S (alpha None) or of S/alpha, over `_block_monomials`.  On S/alpha
+        the pivot variable is rewritten through alpha = 0."""
+        key = (alpha, k, d)
+        cols = self._varcols.get(key)
+        if cols is None:
+            tindex = {m: j for j, m in enumerate(self._block_monomials(alpha, d + 2))}
+            subst = {k: 1}
+            if alpha is not None and k == _pivot(alpha):
+                p = alpha[k]
+                subst = {
+                    j: -a // p if a % p == 0 else Fraction(-a, p)
+                    for j, a in enumerate(alpha)
+                    if a and j != k
+                }
+            cols = []
+            for m in self._block_monomials(alpha, d):
+                col = {}
+                for j, a in subst.items():
+                    mm = list(m)
+                    mm[j] += 1
+                    col[tindex[tuple(mm)]] = a
+                cols.append(col)
+            self._varcols[key] = cols
+        return cols
+
+    def _steps(self, d):
+        """(k, j) per monomial of degree d: it is x_k times monomial j of
+        degree d-2, with x_k its first variable."""
+        out = self._stepmemo.get(d)
+        if out is None:
+            pindex = {m: j for j, m in enumerate(self.monomials(d - 2))}
+            out = []
+            for m in self.monomials(d):
+                k = next(i for i, e in enumerate(m) if e)
+                mm = list(m)
+                mm[k] -= 1
+                out.append((k, pindex[tuple(mm)]))
+            self._stepmemo[d] = out
+        return out
+
     def dim(self, d):
         return hilbert_dim(self.nvars, d)
 
@@ -88,18 +152,112 @@ class PolyRing:
         return hash(("PolyRing", self.nvars))
 
 
-class FreeModule:
-    """Direct sum of S{-d_i}, presented by the generator degree tuple."""
+def _pivot(alpha):
+    return next(i for i, a in enumerate(alpha) if a)
 
-    def __init__(self, ring, gens):
+
+def combine_columns(vec, cols):
+    """The sum of v * cols[pos] over the entries (pos, v) of a sparse vector."""
+    out = {}
+    for pos, v in vec.items():
+        for t, a in cols[pos].items():
+            s = out.get(t, 0) + a * v
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return out
+
+
+class _Module:
+    """A concatenation of blocks (alpha, g), each one copy of S{-g}
+    (alpha None) or of (S/alpha){-g}.  Subclasses set `ring` and
+    `_blocks`; multiplication by a variable walks the blocks by offset
+    over the ring's shared columns."""
+
+    def __init__(self, ring, blocks):
         self.ring = ring
+        self._blocks = tuple(blocks)
+        self._starts = {}
+        self._plans = {}
+
+    def block_starts(self, d):
+        """Start of each block in degree d, then the total."""
+        out = self._starts.get(d)
+        if out is None:
+            out = [0]
+            for alpha, g in self._blocks:
+                out.append(out[-1] + len(self.ring._block_monomials(alpha, d - g)))
+            out = self._starts[d] = tuple(out)
+        return out
+
+    def dim(self, d):
+        return self.block_starts(d)[-1]
+
+    def mul_var(self, vec, k, d):
+        """Multiplication by x_k: degree d -> d+2."""
+        plan = self._plans.get((k, d))
+        if plan is None:
+            plan = self._plans[(k, d)] = (
+                self.block_starts(d),
+                self.block_starts(d + 2),
+                [self.ring._var_cols(alpha, k, d - g) for alpha, g in self._blocks],
+            )
+        src, dst, cols = plan
+        out = {}
+        for pos, v in vec.items():
+            b = bisect_right(src, pos) - 1
+            shift = dst[b]
+            for t, a in cols[b][pos - src[b]].items():
+                t += shift
+                s = out.get(t, 0) + a * v
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+        return out
+
+    def mul_linear(self, vec, coeffs, d):
+        """Multiplication by the linear form sum_k coeffs[k] x_k: d -> d+2."""
+        return combine_columns(
+            {k: c for k, c in enumerate(coeffs) if c},
+            {k: self.mul_var(vec, k, d) for k, c in enumerate(coeffs) if c},
+        )
+
+
+class _Shifted(_Module):
+    """Shifted copies of S, or of S/alpha, one per generator degree."""
+
+    def __init__(self, ring, gens, alpha):
         self.gens = tuple(int(g) for g in gens)
         if any(g % 2 for g in self.gens):
             raise InputError("generator degrees must be even")
+        super().__init__(ring, [(alpha, g) for g in self.gens])
         self._basis = {}
         self._index = {}
-        self._dims = {}
-        self._varmaps = {}
+
+    def basis(self, d):
+        """(generator index, monomial) per position of degree d."""
+        b = self._basis.get(d)
+        if b is None:
+            b = self._basis[d] = tuple(
+                (i, m)
+                for i, (alpha, g) in enumerate(self._blocks)
+                for m in self.ring._block_monomials(alpha, d - g)
+            )
+            self._index[d] = {bm: j for j, bm in enumerate(b)}
+        return b
+
+    def index(self, d):
+        self.basis(d)
+        return self._index[d]
+
+
+class FreeModule(_Shifted):
+    """Direct sum of S{-d_i}, presented by the generator degree tuple."""
+
+    def __init__(self, ring, gens):
+        super().__init__(ring, gens, None)
 
     @property
     def rank_poly(self):
@@ -108,64 +266,8 @@ class FreeModule:
             out[g] = out.get(g, 0) + 1
         return LaurentPoly(out)
 
-    def basis(self, d):
-        b = self._basis.get(d)
-        if b is None:
-            b = []
-            for i, g in enumerate(self.gens):
-                for m in self.ring.monomials(d - g):
-                    b.append((i, m))
-            b = tuple(b)
-            self._basis[d] = b
-            self._index[d] = {bm: j for j, bm in enumerate(b)}
-        return b
 
-    def index(self, d):
-        self.basis(d)
-        return self._index[d]
-
-    def dim(self, d):
-        n = self._dims.get(d)
-        if n is None:
-            nv = self.ring.nvars
-            n = self._dims[d] = sum(hilbert_dim(nv, d - g) for g in self.gens)
-        return n
-
-    def _var_map(self, k, d):
-        """Basis position map for multiplication by x_k: degree d -> d+2."""
-        key = (k, d)
-        vm = self._varmaps.get(key)
-        if vm is None:
-            tindex = self.index(d + 2)
-            vm = []
-            for i, m in self.basis(d):
-                mm = list(m)
-                mm[k] += 1
-                vm.append(tindex[(i, tuple(mm))])
-            self._varmaps[key] = vm
-        return vm
-
-    def mul_var(self, vec, k, d):
-        out = [0] * self.dim(d + 2)
-        for pos, tpos in zip(range(len(vec)), self._var_map(k, d)):
-            v = vec[pos]
-            if v:
-                out[tpos] = v
-        return out
-
-    def mul_linear(self, vec, coeffs, d):
-        out = [0] * self.dim(d + 2)
-        for k, a in enumerate(coeffs):
-            if not a:
-                continue
-            vm = self._var_map(k, d)
-            for pos, v in enumerate(vec):
-                if v:
-                    out[vm[pos]] += a * v
-        return out
-
-
-class QuotientModule:
+class QuotientModule(_Shifted):
     """Direct sum of (S/alpha){-d_i} for a nonzero linear form alpha.
 
     Realized by eliminating the pivot variable (lowest index with nonzero
@@ -173,126 +275,44 @@ class QuotientModule:
     """
 
     def __init__(self, ring, gens, alpha):
-        self.ring = ring
-        self.gens = tuple(int(g) for g in gens)
         self.alpha = tuple(alpha)
         if len(self.alpha) != ring.nvars:
             raise InputError("linear form has wrong arity")
-        self.pivot = next((i for i, a in enumerate(self.alpha) if a), None)
-        if self.pivot is None:
+        if not any(self.alpha):
             raise InputError("cannot quotient by the zero linear form")
-        # x_pivot = sum of _subst[j] x_j over the other variables, mod alpha
-        p = self.alpha[self.pivot]
-        self._subst = {
-            j: -a // p if a % p == 0 else Fraction(-a, p)
-            for j, a in enumerate(self.alpha)
-            if a and j != self.pivot
-        }
-        self._basis = {}
-        self._index = {}
-        self._dims = {}
-        self._varcols = {}
-
-    def basis(self, d):
-        b = self._basis.get(d)
-        if b is None:
-            b = []
-            for i, g in enumerate(self.gens):
-                for m in self.ring.quotient_monomials(self.pivot, d - g):
-                    b.append((i, m))
-            b = tuple(b)
-            self._basis[d] = b
-            self._index[d] = {bm: j for j, bm in enumerate(b)}
-        return b
-
-    def index(self, d):
-        self.basis(d)
-        return self._index[d]
-
-    def dim(self, d):
-        n = self._dims.get(d)
-        if n is None:
-            nv = self.ring.nvars - 1
-            if nv == 0:
-                n = sum(1 for g in self.gens if g == d)
-            else:
-                n = sum(hilbert_dim(nv, d - g) for g in self.gens)
-            self._dims[d] = n
-        return n
-
-    def _var_cols(self, k, d):
-        """Sparse columns of multiplication by x_k on the degree-d basis."""
-        key = (k, d)
-        cols = self._varcols.get(key)
-        if cols is None:
-            tindex = self.index(d + 2)
-            cols = []
-            for i, m in self.basis(d):
-                if k != self.pivot:
-                    mm = list(m)
-                    mm[k] += 1
-                    cols.append({tindex[(i, tuple(mm))]: 1})
-                else:
-                    col = {}
-                    for j, a in self._subst.items():
-                        mm = list(m)
-                        mm[j] += 1
-                        col[tindex[(i, tuple(mm))]] = a
-                    cols.append(col)
-            self._varcols[key] = cols
-        return cols
-
-    def mul_var(self, vec, k, d):
-        out = [0] * self.dim(d + 2)
-        for pos, v in enumerate(vec):
-            if v:
-                for tpos, a in self._var_cols(k, d)[pos].items():
-                    out[tpos] += a * v
-        return out
+        super().__init__(ring, gens, self.alpha)
 
 
-class DirectSum:
+class DirectSum(_Module):
     """Concatenation of component modules; basis blocks in order."""
 
     def __init__(self, ring, parts):
-        self.ring = ring
         self.parts = tuple(parts)
         if any(p.ring != ring for p in self.parts):
             raise InputError("direct sum over mixed rings")
-        self._offsets = {}
-
-    def dim(self, d):
-        return self.offsets(d)[-1]
+        super().__init__(ring, [b for p in self.parts for b in p._blocks])
+        # index of each part's first block, then the block count
+        self._first = [0]
+        for p in self.parts:
+            self._first.append(self._first[-1] + len(p._blocks))
 
     def offsets(self, d):
-        """Start of each part's block in degree d, then the total."""
-        out = self._offsets.get(d)
-        if out is None:
-            out = [0]
-            for p in self.parts:
-                out.append(out[-1] + p.dim(d))
-            out = self._offsets[d] = tuple(out)
-        return out
+        """Start of each part in degree d, then the total."""
+        starts = self.block_starts(d)
+        return tuple(starts[b] for b in self._first)
 
     def component(self, vec, idx, d):
-        off = self.offsets(d)
-        return vec[off[idx]:off[idx + 1]]
-
-    def mul_var(self, vec, k, d):
-        out = []
-        off = self.offsets(d)
-        for i, p in enumerate(self.parts):
-            out.extend(p.mul_var(vec[off[i]:off[i + 1]], k, d))
-        return out
+        lo, hi = self.offsets(d)[idx : idx + 2]
+        return {pos - lo: v for pos, v in vec.items() if lo <= pos < hi}
 
 
 class ModuleMap:
     """S-linear map out of a FreeModule, stored by generator images.
 
-    The degree-d matrix (as columns over the source basis) is derived
-    lazily from degree d-2, so the map is usable at any degree, not just
-    those materialized when it was built.  S-linearity holds by
-    construction.
+    Images and columns are sparse vectors of the target.  The degree-d
+    columns (one per source basis position) are derived lazily from
+    degree d-2, so the map is usable at any degree, not just those
+    materialized when it was built.  S-linearity holds by construction.
     """
 
     def __init__(self, source, target, images):
@@ -300,48 +320,35 @@ class ModuleMap:
             raise InputError("one image per generator required")
         self.source = source
         self.target = target
-        self.images = [list(v) for v in images]
+        self.images = [{t: a for t, a in img.items() if a} for img in images]
         for g, img in zip(source.gens, self.images):
-            if len(img) != target.dim(g):
-                raise InputError("generator image has wrong dimension")
+            if any(not 0 <= t < target.dim(g) for t in img):
+                raise InputError("generator image does not fit the target")
         self._cols = {}
 
     def columns(self, d):
         cols = self._cols.get(d)
         if cols is not None:
             return cols
-        basis = self.source.basis(d)
-        if not basis:
-            self._cols[d] = []
-            return []
+        # the column of x_k m g_i is x_k times that of m g_i in degree d-2
+        steps = self.source.ring._steps
+        mul = self.target.mul_var
         prev = None
-        pindex = None
         cols = []
-        for i, m in basis:
-            if d == self.source.gens[i]:
+        for i, g in enumerate(self.source.gens):
+            if d == g:
                 cols.append(self.images[i])
-                continue
-            if prev is None:
-                prev = self.columns(d - 2)
-                pindex = self.source.index(d - 2)
-            k = next(j for j, e in enumerate(m) if e)
-            mm = list(m)
-            mm[k] -= 1
-            parent = pindex[(i, tuple(mm))]
-            cols.append(self.target.mul_var(prev[parent], k, d - 2))
+            elif d > g:
+                if prev is None:
+                    prev = self.columns(d - 2)
+                    start = self.source.block_starts(d - 2)
+                for k, j in steps(d - g):
+                    cols.append(mul(prev[start[i] + j], k, d - 2))
         self._cols[d] = cols
         return cols
 
     def apply(self, vec, d):
-        cols = self.columns(d)
-        out = [0] * self.target.dim(d)
-        for j, v in enumerate(vec):
-            if v:
-                col = cols[j]
-                for r, a in enumerate(col):
-                    if a:
-                        out[r] += a * v
-        return out
+        return combine_columns(vec, self.columns(d))
 
 
 def _even_cap(cap):
@@ -351,14 +358,15 @@ def _even_cap(cap):
 def minimal_generators(candidates, ambient, cap):
     """Minimal generators of the submodule spanned by candidate vectors.
 
-    `candidates` maps even degrees to lists of dense vectors in the ambient
-    module's coordinates; the submodule is their S-span, and the vectors
-    need not be closed under multiplication by the variables.  One loop
+    `candidates` maps even degrees to lists of sparse vectors in the
+    ambient module's coordinates; the submodule is their S-span, and the
+    vectors need not be closed under multiplication by the variables.  One loop
     walks the degrees up to the last one with a candidate, keeping a
     basis of the span: first the products x_k * (basis at d-2) that are
     new, then the candidates of degree d that are still new.  By the
     graded Nakayama lemma those candidates are minimal generators, and
-    they are returned as (degree, vector) pairs in that order.  When the
+    they are returned, the same dict objects, as (degree, vector) pairs
+    in that order.  When the
     candidates of each degree are already a basis of a submodule's degree
     piece, the picks depend only on that submodule.
 
@@ -376,10 +384,10 @@ def minimal_generators(candidates, ambient, cap):
         for v in basis:
             for k in range(nvars):
                 prod = ambient.mul_var(v, k, d - 2)
-                if ech.insert(sparse(prod)) is not None:
+                if ech.insert(prod) is not None:
                     span.append(prod)
         for v in candidates.get(d, ()):
-            if ech.insert(sparse(v)) is not None:
+            if ech.insert(v) is not None:
                 span.append(v)
                 gens.append((d, v))
         basis = span

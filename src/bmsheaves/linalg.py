@@ -24,12 +24,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-__all__ = ["Echelon", "kernel_basis", "sparse", "solve_in_span", "rank_dense"]
-
-
-def sparse(vec):
-    """Dense list -> {index: value} dict, dropping zeros."""
-    return {i: v for i, v in enumerate(vec) if v}
+__all__ = ["Echelon", "kernel_basis", "solve_in_span", "rank_dense"]
 
 
 def _primitive(row):
@@ -162,33 +157,39 @@ def kernel_basis(rows, ncols):
 
 
 def solve_in_span(columns, target):
-    """Express target as a rational combination of the given dense columns.
+    """Express target as a rational combination of the given columns.
 
-    Returns a coefficient list (ints when they are all integral), or None
-    if target is not in the span.  When the columns are dependent, the
-    solution is the one that vanishes on the free columns.
+    Columns and target are sparse {row: value} dicts.  Returns the
+    coefficients as a {column: value} dict without zeros (ints when they
+    are integral), or None if target is not in the span.  When the
+    columns are dependent, the solution is the one that vanishes on the
+    free columns.
     """
     n = len(columns)
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            rows.setdefault(i, {})[j] = a
+    for i, a in target.items():
+        rows.setdefault(i, {})[n] = -a
     ech = Echelon()
-    for i in range(len(target)):
-        row = {j: col[i] for j, col in enumerate(columns) if col[i]}
-        if target[i]:
-            row[n] = -target[i]
-        if row:
-            ech.insert(row)
+    for row in rows.values():
+        ech.insert(row)
     if n in ech.rows:
         return None
     # column n is free and the last one, so its vector comes last
     vec = ech.kernel(n + 1)[-1]
     z = vec[n]
-    if any(v % z for v in vec[:n]):
-        return [Fraction(v, z) for v in vec[:n]]
-    return [v // z for v in vec[:n]]
+    return {
+        j: v // z if v % z == 0 else Fraction(v, z)
+        for j, v in enumerate(vec[:n])
+        if v
+    }
 
 
 def rank_dense(mat):
     """Rank of a dense matrix (list of rows) over the rationals."""
     ech = Echelon()
     for row in mat:
-        ech.insert(sparse(row))
+        ech.insert(dict(enumerate(row)))
     return ech.dim

@@ -32,15 +32,14 @@ from .coxeter import (
     Root,
     bruhat_interval,
     bruhat_leq,
-    is_reflection,
     multiply,
     reflection_root,
     sort_key,
     word_str,
 )
 from .errors import InconsistencyError, InputError, RealizationError
-from .gradedlin import FreeModule, PolyRing, hilbert_dim
-from .linalg import Echelon, kernel_basis, sparse
+from .gradedlin import FreeModule, PolyRing, combine_columns, hilbert_dim
+from .linalg import Echelon, kernel_basis
 from .polynomials import Poly, linear_form
 
 __all__ = [
@@ -119,21 +118,34 @@ def _check_labels(edges):
         seen[e.label.coords] = e.reflection
 
 
-def _edge_between(y, z):
-    """The Edge joining y and z if z y^-1 reflects, else None (l(y) < l(z))."""
-    t = multiply(z, y.inverse())
-    if (t.length % 2) == 0 or not is_reflection(t):
-        return None
-    return Edge(y, z, t, reflection_root(t))
+def _differ_by_rank_one(a, b):
+    """True when the matrix a - b has rank one.
+
+    For vertices y, z with matrices Y, Z, t = z y^-1 satisfies
+    t - 1 = (Z - Y) Y^-1, so this is `is_reflection(t)` without forming t.
+    """
+    lead = None
+    for ra, rb in zip(a, b):
+        row = [x - y for x, y in zip(ra, rb)]
+        if lead is None:
+            p = next((j for j, v in enumerate(row) if v), None)
+            if p is not None:
+                lead = row
+        elif any(v * lead[p] != row[p] * u for v, u in zip(row, lead)):
+            return False
+    return lead is not None
 
 
 def build_graph(system, x: Element, kind="regular", s=None) -> MomentGraph:
     """Moment graph of [e, x], or of its quotient by <s> when kind='quotient'.
 
-    For the quotient, vertices are the minimal length coset representatives
-    of cosets below the coset of x, ordered by Bruhat order on those
-    representatives; w and u are joined when u w^-1 or (u s) w^-1 is a
-    reflection, and both succeeding at once is a double edge (an error).
+    A pair of vertices y, z is an edge when z y^-1 is a reflection, which
+    is tested on the two matrices alone (rank(Z - Y) = 1) before z y^-1
+    is formed.  For the quotient, vertices are the minimal length coset
+    representatives of cosets below the coset of x, ordered by Bruhat
+    order on those representatives; w and u are joined when u w^-1 or
+    (u s) w^-1 is a reflection, and both succeeding at once is a double
+    edge (an error).
     """
     if kind == "regular":
         vertices = bruhat_interval(x)
@@ -142,13 +154,15 @@ def build_graph(system, x: Element, kind="regular", s=None) -> MomentGraph:
             for z in vertices[i + 1:]:
                 if (z.length - y.length) % 2 == 0 or z.length <= y.length:
                     continue
-                e = _edge_between(y, z)
-                if e is not None:
-                    if not bruhat_leq(y, z):
-                        raise RealizationError(
-                            f"edge endpoints {y}, {z} are not comparable"
-                        )
-                    edges.append(e)
+                if not _differ_by_rank_one(z.matrix, y.matrix):
+                    continue
+                t = multiply(z, y.inverse())
+                e = Edge(y, z, t, reflection_root(t))
+                if not bruhat_leq(y, z):
+                    raise RealizationError(
+                        f"edge endpoints {y}, {z} are not comparable"
+                    )
+                edges.append(e)
         graph = MomentGraph(system, kind, x, vertices, edges)
     elif kind == "quotient":
         if s is None or not (0 <= s < system.rank):
@@ -167,9 +181,10 @@ def build_graph(system, x: Element, kind="regular", s=None) -> MomentGraph:
             for z in vertices[i + 1:]:
                 cands = []
                 for zz in (z, multiply(z, gen)):
-                    t = multiply(zz, y.inverse())
-                    if t.length % 2 and is_reflection(t):
-                        cands.append(t)
+                    if _differ_by_rank_one(zz.matrix, y.matrix):
+                        t = multiply(zz, y.inverse())
+                        if t.length % 2:
+                            cands.append(t)
                 if not cands:
                     continue
                 if len(cands) > 1:
@@ -345,23 +360,17 @@ class ZEModule:
     """A graded free module with a degreewise action of xi = (alpha_t, 0).
 
     Z(E) is generated over S by xi, which satisfies xi^2 = alpha_t xi; a
-    module is presented by a FreeModule and the columns of xi per degree.
+    module is presented by a FreeModule and the columns of xi per degree,
+    one sparse vector of degree d+2 per basis position of degree d.
     """
 
     def __init__(self, module: FreeModule, alpha, xi_cols):
         self.module = module
         self.alpha = tuple(alpha)
-        self.xi_cols = dict(xi_cols)  # degree -> list of dense image columns
+        self.xi_cols = dict(xi_cols)  # degree -> list of sparse image columns
 
     def xi_apply(self, vec, d):
-        cols = self.xi_cols[d]
-        out = [0] * self.module.dim(d + 2)
-        for j, v in enumerate(vec):
-            if v:
-                for r, a in enumerate(cols[j]):
-                    if a:
-                        out[r] += a * v
-        return out
+        return combine_columns(vec, self.xi_cols[d])
 
     def check_square(self, degrees):
         """xi(xi(v)) = alpha * xi(v) on basis vectors of the given degrees."""
@@ -370,12 +379,9 @@ class ZEModule:
             if d not in self.xi_cols or (d + 2) not in self.xi_cols:
                 continue
             for pos in range(mod.dim(d)):
-                vec = [0] * mod.dim(d)
-                vec[pos] = 1
-                first = self.xi_apply(vec, d)
+                first = self.xi_apply({pos: 1}, d)
                 twice = self.xi_apply(first, d + 2)
-                ref = mod.mul_linear(first, self.alpha, d + 2)
-                if any(a != b for a, b in zip(twice, ref)):
+                if twice != mod.mul_linear(first, self.alpha, d + 2):
                     raise InconsistencyError(
                         f"xi^2 differs from alpha*xi at degree {d}"
                     )
@@ -400,49 +406,34 @@ def decompose_ze_module(zem: ZEModule, cap):
         dim = mod.dim(d)
         if not dim:
             continue
-        units = []
-        for j in range(dim):
-            u = [0] * dim
-            u[j] = 1
-            units.append(u)
         # span of Z(E) * (everything in degree d-2) inside degree d; the
         # degree-(d-2) piece was absorbed entirely at the previous step
         span = Echelon()
-        pdim = mod.dim(d - 2)
-        for j in range(pdim):
-            u = [0] * pdim
-            u[j] = 1
+        for j in range(mod.dim(d - 2)):
             for k in range(nvars):
-                span.insert(sparse(mod.mul_var(u, k, d - 2)))
-            span.insert(sparse(zem.xi_apply(u, d - 2)))
+                span.insert(mod.mul_var({j: 1}, k, d - 2))
+            span.insert(zem.xi_apply({j: 1}, d - 2))
         xi_cols = zem.xi_cols.get(d)
         if xi_cols is None:
             raise InputError(f"xi columns missing at degree {d}")
-        alpha_cols = [mod.mul_linear(u, zem.alpha, d) for u in units]
+        # one row per basis position of degree d+2; an entry may be zero
         tdim = mod.dim(d + 2)
-        my_rows, mx_rows = [], []
-        for r in range(tdim):
-            rowy, rowx = {}, {}
-            for j in range(dim):
-                a = xi_cols[j][r]
-                if a:
-                    rowy[j] = a
-                b = a - alpha_cols[j][r]
-                if b:
-                    rowx[j] = b
-            my_rows.append(rowy)
-            mx_rows.append(rowx)
+        my_rows = [{} for _ in range(tdim)]
+        mx_rows = [{} for _ in range(tdim)]
+        for j in range(dim):
+            for r, a in xi_cols[j].items():
+                my_rows[r][j] = mx_rows[r][j] = a
+            for r, a in mod.mul_linear({j: 1}, zem.alpha, d).items():
+                mx_rows[r][j] = mx_rows[r].get(j, 0) - a
         mx = kernel_basis(mx_rows, dim)  # xi m = alpha m
         my = kernel_basis(my_rows, dim)  # xi m = 0
         ech = deepcopy(span)
-        a_count = sum(1 for v in mx if ech.insert(sparse(v)) is not None)
+        a_count = sum(1 for v in mx if ech.insert(dict(enumerate(v))) is not None)
         ech = deepcopy(span)
-        b_count = sum(1 for v in my if ech.insert(sparse(v)) is not None)
+        b_count = sum(1 for v in my if ech.insert(dict(enumerate(v))) is not None)
         ech = deepcopy(span)
-        for v in mx:
-            ech.insert(sparse(v))
-        for v in my:
-            ech.insert(sparse(v))
+        for v in mx + my:
+            ech.insert(dict(enumerate(v)))
         c_count = dim - ech.dim
         summands.extend([LocalSummand("M_lower", d)] * a_count)
         summands.extend([LocalSummand("M_upper", d)] * b_count)
@@ -486,9 +477,8 @@ def summand_ze_module(ring: PolyRing, alpha, summands, cap) -> ZEModule:
     cap = cap if cap % 2 == 0 else cap - 1
     for d in range(0, cap + 1, 2):
         cols = []
-        for i, m in mod.basis(d):
-            unit = [0] * mod.dim(d)
-            unit[mod.index(d)[(i, m)]] = 1
+        for pos, (i, m) in enumerate(mod.basis(d)):
+            unit = {pos: 1}
             kind, first = next(
                 (k, f)
                 for (k, f) in blocks
@@ -497,13 +487,10 @@ def summand_ze_module(ring: PolyRing, alpha, summands, cap) -> ZEModule:
             if kind == "M_lower":
                 cols.append(mod.mul_linear(unit, alpha, d))
             elif kind == "M_upper":
-                cols.append([0] * mod.dim(d + 2))
+                cols.append({})
             elif i == first:
                 # P, first generator: xi sends m*p1 to m*p2
-                tindex = mod.index(d + 2)
-                out = [0] * mod.dim(d + 2)
-                out[tindex[(i + 1, m)]] = 1
-                cols.append(out)
+                cols.append({mod.index(d + 2)[(i + 1, m)]: 1})
             else:
                 # P, second generator: xi acts as alpha
                 cols.append(mod.mul_linear(unit, alpha, d))

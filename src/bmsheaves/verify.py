@@ -47,7 +47,7 @@ from .coxeter import (
     word_str,
 )
 from .errors import InconsistencyError
-from .gradedlin import FreeModule, ModuleMap, PolyRing
+from .gradedlin import FreeModule, ModuleMap, PolyRing, combine_columns
 from .hecke import BASIS_T, HeckeAlgebra
 from .laurent import LaurentPoly
 from .linalg import solve_in_span
@@ -440,9 +440,12 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
     space = sh.sections(graph.vertices, 2)
     lo = space.offsets[edge.lower]
     uo = space.offsets[edge.upper]
-    cols = [vec[lo[0]:lo[1]] + vec[uo[0]:uo[1]] for vec in space.vectors]
+    cols = [
+        {i: a for i, a in enumerate(vec[lo[0]:lo[1]] + vec[uo[0]:uo[1]]) if a}
+        for vec in space.vectors
+    ]
     stalk = sh.stalks[edge.lower]
-    target = [0] * (2 * stalk.dim(2))
+    target = {}
     idx = stalk.index(2)
     for k, a in enumerate(edge.label.coords):
         if a:
@@ -454,11 +457,10 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
     total = [0] * len(space.vectors[0]) if space.vectors else None
     if total is None:
         return None
-    for j, c in enumerate(expr):
-        if c:
-            for r, a in enumerate(space.vectors[j]):
-                if a:
-                    total[r] += c * a
+    for j, c in expr.items():
+        for r, a in enumerate(space.vectors[j]):
+            if a:
+                total[r] += c * a
     return section_to_ztuple(graph, space, total)
 
 
@@ -530,15 +532,14 @@ def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
     unit = (0,) * ring.nvars
     phi = []
     for i, gi in enumerate(mod.gens):
-        vec = [0] * mod.dim(gi)
-        vec[mod.index(gi)[(i, unit)]] = 1
+        vec = {mod.index(gi)[(i, unit)]: 1}
         for j, gj in enumerate(mod.gens):
             if j == i or gj > gi or (gj == gi and j > i):
                 continue
             monos = ring.monomials(gi - gj)
             if monos and rng.random() < 0.7:
                 m = monos[rng.randrange(len(monos))]
-                vec[mod.index(gi)[(j, m)]] += rng.choice([-2, -1, 1, 2])
+                vec[mod.index(gi)[(j, m)]] = rng.choice([-2, -1, 1, 2])
         phi.append(vec)
     cap = cap if cap % 2 == 0 else cap - 1
     u_cols, u_inv = {}, {}
@@ -549,26 +550,16 @@ def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
         u_cols[d] = cols
         inv = []
         for r in range(mod.dim(d)):
-            e = [0] * mod.dim(d)
-            e[r] = 1
-            sol = solve_in_span(cols, e)
+            sol = solve_in_span(cols, {r: 1})
             if sol is None:
                 raise InconsistencyError("scramble produced a singular map")
             inv.append(sol)
         u_inv[d] = inv
     new_cols = {}
     for d in range(0, cap - 1, 2):
-        cols = []
-        for j in range(mod.dim(d)):
-            image = zem.xi_apply(u_cols[d][j], d)
-            out = [0] * mod.dim(d + 2)
-            for r, a in enumerate(image):
-                if a:
-                    for q, b in enumerate(u_inv[d + 2][r]):
-                        if b:
-                            out[q] += a * b
-            cols.append(out)
-        new_cols[d] = cols
+        new_cols[d] = [
+            combine_columns(zem.xi_apply(col, d), u_inv[d + 2]) for col in u_cols[d]
+        ]
     return ZEModule(mod, zem.alpha, new_cols)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bmsheaves.coxeter import make_system
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.presets import preset_system
 
@@ -69,3 +70,22 @@ def u2_alg(u2):
 @pytest.fixture(scope="session")
 def u3_alg(u3):
     return HeckeAlgebra(u3)
+
+
+# Systems for the checks of generator steps and graph edges against plain
+# matrix products: (Coxeter matrix, Cartan matrix or None for the default
+# realization)
+STEP_SYSTEMS = {
+    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], None),
+    "B2": ([[1, 4], [4, 1]], [[2, -1], [-2, 2]]),
+    "G2": ([[1, 6], [6, 1]], [[2, -1], [-3, 2]]),
+    "affA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], None),
+    "inf14": ([[1, 0], [0, 1]], [[2, -1], [-4, 2]]),
+    "inf33": ([[1, 0], [0, 1]], [[2, -3], [-3, 2]]),
+    "mixed3": ([[1, 4, 0], [4, 1, 6], [0, 6, 1]], None),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STEP_SYSTEMS))
+def step_system(request):
+    return make_system(*STEP_SYSTEMS[request.param])

@@ -155,7 +155,7 @@ def test_flabbiness_check_refuses_a_zeroed_lower_restriction(a2):
             continue
         bm = bm_construct(graph)
         e = graph.up[w][0]
-        zero = [[0] * bm.edge_mod[e].dim(g) for g in bm.stalks[w].gens]
+        zero = [{} for _ in bm.stalks[w].gens]
         bm.rho_lower[e] = ModuleMap(bm.stalks[w], bm.edge_mod[e], zero)
         assert not check_flabby_additive(bm, w), w
 
@@ -171,6 +171,10 @@ def _same_span(a, b):
     return rank_dense(a) == rank_dense(b) == rank_dense(a + b)
 
 
+def _dense(vec, n):
+    return [vec.get(i, 0) for i in range(n)]
+
+
 def _project_to_edges(bm, w, ss, d):
     """rho_upper of every section of {> w} into the sum of the B^e at w."""
     out = []
@@ -178,7 +182,10 @@ def _project_to_edges(bm, w, ss, d):
         image = []
         for e in bm.graph.up[w]:
             lo, hi = ss.offsets[e.upper]
-            image.extend(bm.rho_upper[e].apply(vec[lo:hi], d))
+            comp = {i: a for i, a in enumerate(vec[lo:hi]) if a}
+            image.extend(
+                _dense(bm.rho_upper[e].apply(comp, d), bm.edge_mod[e].dim(d))
+            )
         out.append(image)
     return out
 
@@ -186,8 +193,13 @@ def _project_to_edges(bm, w, ss, d):
 def _stalk_image(bm, w, d):
     """The image of the stalk at w in the sum of the B^e at w: the span of
     the builder's edge-image basis, of which the stalk is the cover."""
-    cols = [bm.rho_lower[e].columns(d) for e in bm.graph.up[w]]
-    return [sum((c[j] for c in cols), []) for j in range(bm.stalks[w].dim(d))]
+    cols = [
+        (bm.rho_lower[e].columns(d), bm.edge_mod[e].dim(d)) for e in bm.graph.up[w]
+    ]
+    return [
+        sum((_dense(c[j], n) for c, n in cols), [])
+        for j in range(bm.stalks[w].dim(d))
+    ]
 
 
 def _global_pair_costalk(bm, y, ys, d):
@@ -349,7 +361,7 @@ def test_too_small_cap_override_is_refused(a2):
         bm_construct(graph, cap_override=2)
 
 
-@pytest.mark.parametrize("cap", [2, 4, 8])
+@pytest.mark.parametrize("cap", [-2, 2, 4, 8])
 def test_inconclusive_cap_overrides_are_refused(a3_singular_sheaf, cap):
     with pytest.raises(CapError):
         bm_construct(a3_singular_sheaf.graph, cap_override=cap)

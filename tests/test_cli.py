@@ -139,6 +139,8 @@ def test_bm_csv_rows(capsys, tmp_path):
 def test_bm_cap_override_too_small_is_a_usage_error(capsys):
     code, _, err = run(capsys, "bm", "--preset", "A2", "--x", "121", "--cap", "2")
     assert code == 2 and "--cap 2 is too small" in err
+    code, _, err = run(capsys, "bm", "--preset", "A2", "--x", "121", "--cap", "-4")
+    assert code == 2 and "--cap -4 is too small" in err
     code, _, _ = run(capsys, "bm", "--preset", "A2", "--x", "121", "--cap", "20")
     assert code == 0
 

@@ -126,22 +126,8 @@ def test_identity_spellings_and_word_roundtrip(a2):
 
 
 # -- generator steps against plain matrix products -----------------------------
-
-# (Coxeter matrix, Cartan matrix or None for the default realization)
-_STEP_SYSTEMS = {
-    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], None),
-    "B2": ([[1, 4], [4, 1]], [[2, -1], [-2, 2]]),
-    "G2": ([[1, 6], [6, 1]], [[2, -1], [-3, 2]]),
-    "affA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], None),
-    "inf14": ([[1, 0], [0, 1]], [[2, -1], [-4, 2]]),
-    "inf33": ([[1, 0], [0, 1]], [[2, -3], [-3, 2]]),
-    "mixed3": ([[1, 4, 0], [4, 1, 6], [0, 6, 1]], None),
-}
-
-
-@pytest.fixture(scope="module", params=sorted(_STEP_SYSTEMS))
-def step_system(request):
-    return make_system(*_STEP_SYSTEMS[request.param])
+#
+# `step_system` (conftest.py) runs each test on every system of STEP_SYSTEMS.
 
 
 def _ref_product(a, b):

@@ -4,6 +4,9 @@ Free and quotient modules, degreewise maps, kernels, minimal generators
 and the deconvolution that recovers a graded rank from a dimension table.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from bmsheaves.errors import CapError, InputError, NotGradedFreeError
@@ -18,15 +21,18 @@ from bmsheaves.gradedlin import (
     rank_from_dims,
 )
 from bmsheaves.laurent import LaurentPoly
-from bmsheaves.linalg import Echelon, sparse
+from bmsheaves.linalg import Echelon
 
 
 def kernel(mmap, d):
     """Degree-d kernel of a map: one equation per target basis row."""
-    cols = mmap.columns(d)
+    rows = [{} for _ in range(mmap.target.dim(d))]
+    for j, col in enumerate(mmap.columns(d)):
+        for r, a in col.items():
+            rows[r][j] = a
     ech = Echelon()
-    for r in range(mmap.target.dim(d)):
-        ech.insert({j: col[r] for j, col in enumerate(cols) if col[r]})
+    for row in rows:
+        ech.insert(row)
     return ech.kernel(mmap.source.dim(d))
 
 
@@ -34,8 +40,148 @@ def image_rank(mmap, d):
     """Rank of the degree-d image: the echelonized column span."""
     ech = Echelon()
     for col in mmap.columns(d):
-        ech.insert(sparse(col))
+        ech.insert(col)
     return ech.dim
+
+
+def dense(vec, n):
+    return [vec.get(i, 0) for i in range(n)]
+
+
+# -- a dense reference built from monomial arithmetic -----------------------------
+#
+# A degree-d element is a polynomial {(generator, exponent tuple): coeff};
+# a quotient element is rewritten without the pivot variable of alpha by
+# substituting x_p = -(1/alpha_p) sum_j alpha_j x_j until no term has x_p.
+
+
+def ref_reduce(poly, alpha):
+    if alpha is None:
+        return {key: c for key, c in poly.items() if c}
+    p = next(j for j, a in enumerate(alpha) if a)
+    out, todo = {}, dict(poly)
+    while todo:
+        (i, m), c = todo.popitem()
+        if m[p] == 0:
+            out[(i, m)] = out.get((i, m), 0) + c
+            continue
+        for j, a in enumerate(alpha):
+            if a and j != p:
+                mm = list(m)
+                mm[p] -= 1
+                mm[j] += 1
+                key = (i, tuple(mm))
+                todo[key] = todo.get(key, 0) - Fraction(a, alpha[p]) * c
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_mul_var(blocks, vec, k, d):
+    """x_k on a dense vector of the concatenated (module, alpha) blocks."""
+    out = []
+    start = 0
+    for mod, alpha in blocks:
+        poly = {}
+        for (i, m), c in zip(mod.basis(d), vec[start : start + mod.dim(d)]):
+            mm = list(m)
+            mm[k] += 1
+            poly[(i, tuple(mm))] = c
+        start += mod.dim(d)
+        piece = [0] * mod.dim(d + 2)
+        for key, c in ref_reduce(poly, alpha).items():
+            piece[mod.index(d + 2)[key]] = c
+        out.extend(piece)
+    return out
+
+
+def sparse_of(vec):
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def random_vec(rng, n):
+    values = (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))
+    return [rng.choice(values) for _ in range(n)]
+
+
+def _blocks(name):
+    r2, r3 = PolyRing(2), PolyRing(3)
+    return {
+        "free": (r3, [(FreeModule(r3, (0, 2)), None)]),
+        "quotient-3,2": (r2, [(QuotientModule(r2, (0, 2), (3, 2)), (3, 2))]),
+        "quotient-2,1,0": (r3, [(QuotientModule(r3, (0, 4), (2, 1, 0)), (2, 1, 0))]),
+        "sum": (
+            r3,
+            [
+                (QuotientModule(r3, (2,), (2, 1, 0)), (2, 1, 0)),
+                (FreeModule(r3, (0,)), None),
+                (QuotientModule(r3, (0,), (0, 1, -1)), (0, 1, -1)),
+            ],
+        ),
+    }[name]
+
+
+def _module(ring, blocks):
+    if len(blocks) == 1:
+        return blocks[0][0]
+    return DirectSum(ring, [mod for mod, _ in blocks])
+
+
+MODULES = ("free", "quotient-3,2", "quotient-2,1,0", "sum")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sparse_products_match_the_monomial_reference(name):
+    ring, blocks = _blocks(name)
+    mod = _module(ring, blocks)
+    rng = random.Random(name)
+    coeffs = (3, -1, 2)[: ring.nvars]
+    for d in range(0, 8, 2):
+        for _ in range(6):
+            vec = random_vec(rng, mod.dim(d))
+            refs = [ref_mul_var(blocks, vec, k, d) for k in range(ring.nvars)]
+            for k, ref in enumerate(refs):
+                got = mod.mul_var(sparse_of(vec), k, d)
+                assert got == sparse_of(ref), (d, k)
+                assert all(got.values())
+            by_form = [
+                sum(c * ref[t] for c, ref in zip(coeffs, refs))
+                for t in range(mod.dim(d + 2))
+            ]
+            assert mod.mul_linear(sparse_of(vec), coeffs, d) == sparse_of(by_form)
+            if isinstance(mod, DirectSum):
+                off = mod.offsets(d)
+                for idx in range(len(blocks)):
+                    block = vec[off[idx] : off[idx + 1]]
+                    got = mod.component(sparse_of(vec), idx, d)
+                    assert got == sparse_of(block)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sparse_map_columns_match_the_monomial_reference(name):
+    ring, blocks = _blocks(name)
+    target = _module(ring, blocks)
+    source = FreeModule(ring, (0, 2, 2))
+    rng = random.Random(f"map:{name}")
+    images = [sparse_of(random_vec(rng, target.dim(g))) for g in source.gens]
+    mmap = ModuleMap(source, target, images)
+    for d in range(0, 8, 2):
+        cols = mmap.columns(d)
+        assert len(cols) == source.dim(d)
+        ref_cols = []
+        for i, m in source.basis(d):
+            col = dense(images[i], target.dim(source.gens[i]))
+            e = source.gens[i]
+            for k, power in enumerate(m):
+                for _ in range(power):
+                    col = ref_mul_var(blocks, col, k, e)
+                    e += 2
+            ref_cols.append(col)
+        assert cols == [sparse_of(col) for col in ref_cols], d
+        vec = random_vec(rng, source.dim(d))
+        ref = [
+            sum(c * col[t] for c, col in zip(vec, ref_cols))
+            for t in range(target.dim(d))
+        ]
+        assert mmap.apply(sparse_of(vec), d) == sparse_of(ref)
 
 
 def test_hilbert_dimensions():
@@ -84,13 +230,13 @@ def test_multiplication_by_a_linear_form_matches_variable_sums():
     ring = PolyRing(2)
     mod = FreeModule(ring, (0, 2))
     d = 2
-    vec = [1, 0, -2]
-    assert len(vec) == mod.dim(d)
+    vec = {0: 1, 2: -2}
+    assert max(vec) < mod.dim(d)
     by_form = mod.mul_linear(vec, (3, -1), d)
     x0 = mod.mul_var(vec, 0, d)
     x1 = mod.mul_var(vec, 1, d)
-    manual = [3 * a - b for a, b in zip(x0, x1)]
-    assert by_form == manual
+    manual = {t: 3 * x0.get(t, 0) - x1.get(t, 0) for t in set(x0) | set(x1)}
+    assert by_form == {t: a for t, a in manual.items() if a}
 
 
 def test_quotient_module_kills_exactly_the_form():
@@ -98,11 +244,11 @@ def test_quotient_module_kills_exactly_the_form():
     q = QuotientModule(ring, (0,), (1, 1))
     assert [q.dim(d) for d in range(0, 8, 2)] == [1, 1, 1, 1]
     free = FreeModule(ring, (0,))
-    qmap = ModuleMap(free, q, [[1]])
+    qmap = ModuleMap(free, q, [{0: 1}])
     # alpha * generator maps to zero: the kernel in degree 2 is spanned by it
     ker = kernel(qmap, 2)
     assert len(ker) == 1
-    alpha_vec = free.mul_linear([1], (1, 1), 0)
+    alpha_vec = dense(free.mul_linear({0: 1}, (1, 1), 0), free.dim(2))
     span = [c * alpha_vec[0] for c in ker[0]]  # proportionality check
     assert ker[0][0] * alpha_vec[1] == ker[0][1] * alpha_vec[0]
     assert any(span)
@@ -114,9 +260,9 @@ def test_direct_sum_blocks_and_components():
     b = QuotientModule(ring, (0,), (1, 0))
     ds = DirectSum(ring, [a, b])
     assert ds.dim(2) == a.dim(2) + b.dim(2) == 3
-    vec = [5, 7, 9]
-    assert list(ds.component(vec, 0, 2)) == [5, 7]
-    assert list(ds.component(vec, 1, 2)) == [9]
+    vec = {0: 5, 1: 7, 2: 9}
+    assert ds.component(vec, 0, 2) == {0: 5, 1: 7}
+    assert ds.component(vec, 1, 2) == {0: 9}
 
 
 def test_rank_nullity_per_degree():
@@ -124,10 +270,8 @@ def test_rank_nullity_per_degree():
     src = FreeModule(ring, (0, 0))
     tgt = FreeModule(ring, (0,))
     # map (f, g) -> f*x0 + g*x1 shifted into degree: images of both gens
-    x0 = [0] * tgt.dim(2)
-    x0[tgt.index(2)[(0, (1, 0))]] = 1
-    x1 = [0] * tgt.dim(2)
-    x1[tgt.index(2)[(0, (0, 1))]] = 1
+    x0 = {tgt.index(2)[(0, (1, 0))]: 1}
+    x1 = {tgt.index(2)[(0, (0, 1))]: 1}
     mmap = ModuleMap(FreeModule(ring, (2, 2)), tgt, [x0, x1])
     for d in (2, 4, 6, 8):
         k = len(kernel(mmap, d))
@@ -138,10 +282,11 @@ def test_rank_nullity_per_degree():
 def test_minimal_generators_of_an_edge_image():
     ring = PolyRing(2)
     ambient = FreeModule(ring, (0, 0))
-    diag = [1, 1]
-    alpha_first = [0] * ambient.dim(2)
-    alpha_first[ambient.index(2)[(0, (1, 0))]] = 1
-    alpha_first[ambient.index(2)[(0, (0, 1))]] = 1  # (x0 + x1, 0)
+    diag = {0: 1, 1: 1}
+    alpha_first = {
+        ambient.index(2)[(0, (1, 0))]: 1,
+        ambient.index(2)[(0, (0, 1))]: 1,
+    }  # (x0 + x1, 0)
     # a basis of the submodule's degree-2 piece: x0 * diag and x1 * diag
     # are spanned already, so only alpha_first is new there
     piece = [ambient.mul_var(diag, k, 0) for k in (0, 1)] + [alpha_first]
@@ -156,8 +301,8 @@ def test_minimal_generators_refuse_a_tight_cap():
     ring = PolyRing(2)
     ambient = FreeModule(ring, (0,))
     with pytest.raises(CapError):
-        minimal_generators({0: [[1]]}, ambient, 2)
-    assert minimal_generators({0: [[1]]}, ambient, 10) == [(0, [1])]
+        minimal_generators({0: [{0: 1}]}, ambient, 2)
+    assert minimal_generators({0: [{0: 1}]}, ambient, 10) == [(0, {0: 1})]
 
 
 def test_rank_deconvolution_recovers_generator_degrees():
@@ -188,7 +333,7 @@ def test_graded_kernel_of_multiplication_into_a_quotient():
     ring = PolyRing(2)
     free = FreeModule(ring, (0,))
     q = QuotientModule(ring, (0,), (1, 1))
-    qmap = ModuleMap(free, q, [[1]])
+    qmap = ModuleMap(free, q, [{0: 1}])
     # kernel is alpha * S, free on one generator of degree 2
     dims = {d: len(kernel(qmap, d)) for d in range(0, 11, 2)}
     assert rank_from_dims(dims, 2, 10) == LaurentPoly({2: 1})
@@ -199,6 +344,6 @@ def test_module_map_validates_generator_images():
     src = FreeModule(ring, (0, 2))
     tgt = FreeModule(ring, (0,))
     with pytest.raises(InputError):
-        ModuleMap(src, tgt, [[1]])  # one image missing
+        ModuleMap(src, tgt, [{0: 1}])  # one image missing
     with pytest.raises(InputError):
-        ModuleMap(src, tgt, [[1], [1]])  # degree-2 image has dimension 2
+        ModuleMap(src, tgt, [{0: 1}, {2: 1}])  # degree-2 image has dimension 2

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from bmsheaves.linalg import Echelon, kernel_basis, rank_dense, solve_in_span, sparse
+from bmsheaves.linalg import Echelon, kernel_basis, rank_dense, solve_in_span
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
 RATIONAL = ENTRIES + (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3))
@@ -69,6 +69,11 @@ def random_matrix(rng, entries):
     if rows and rng.random() < 0.3:
         rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
     return rows, ncols
+
+
+def sparse(vec):
+    """Dense list -> {index: value} dict, dropping zeros."""
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 def matvec(rows, vec):
@@ -152,21 +157,27 @@ def test_solve_in_span_is_exact_or_none(seed):
         else:
             target = [rng.choice(RATIONAL) for _ in range(nrows)]
         inside = len(rref(columns, nrows)[0]) == len(rref(columns + [target], nrows)[0])
-        sol = solve_in_span(columns, target)
+        sol = solve_in_span([sparse(col) for col in columns], sparse(target))
         if not inside:
             assert sol is None
             continue
-        assert sol is not None and len(sol) == ncols
-        combo = [sum(c * col[i] for c, col in zip(sol, columns)) for i in range(nrows)]
+        assert sol is not None and all(c and 0 <= j < ncols for j, c in sol.items())
+        combo = [
+            sum(sol.get(j, 0) * col[i] for j, col in enumerate(columns))
+            for i in range(nrows)
+        ]
         assert combo == target
 
 
 def test_solve_in_span_small_cases():
-    assert solve_in_span([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-    assert solve_in_span([[1, 1], [2, 2]], [3, 3]) == [3, 0]
-    assert solve_in_span([[1, 1]], [1, 2]) is None
-    assert solve_in_span([], [0, 0]) == []
-    assert solve_in_span([], [1]) is None
+    assert solve_in_span([{0: 2}, {1: 3}], {0: 1, 1: 1}) == {
+        0: Fraction(1, 2),
+        1: Fraction(1, 3),
+    }
+    assert solve_in_span([{0: 1, 1: 1}, {0: 2, 1: 2}], {0: 3, 1: 3}) == {0: 3}
+    assert solve_in_span([{0: 1, 1: 1}], {0: 1, 1: 2}) is None
+    assert solve_in_span([], {}) == {}
+    assert solve_in_span([], {0: 1}) is None
 
 
 def ref_rank(vectors, ncols):

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from bmsheaves.coxeter import parse_word
+from bmsheaves.coxeter import (
+    bruhat_interval,
+    element_ball,
+    is_reflection,
+    multiply,
+    parse_word,
+    reflection_root,
+)
 from bmsheaves.errors import InconsistencyError, InputError, RealizationError
 from bmsheaves.gradedlin import FreeModule, PolyRing
 from bmsheaves.momentgraph import (
@@ -205,11 +212,55 @@ def test_decomposition_survives_a_change_of_presentation():
 def test_check_square_rejects_an_inconsistent_action():
     ring = PolyRing(1)
     free = FreeModule(ring, (0,))
-    unit = [1]
+    unit = {0: 1}
     xi_cols = {
         0: [free.mul_linear(unit, (1,), 0)],  # xi acts as alpha in degree 0
-        2: [[0] * free.dim(4)],  # but as zero afterwards
+        2: [{}],  # but as zero afterwards
     }
     zem = ZEModule(free, (1,), xi_cols)
     with pytest.raises(InconsistencyError):
         zem.check_square([0])
+
+
+# -- edges against forming every z y^-1 ---------------------------------------------
+
+
+def _brute_force_edges(system, x, kind, s=None):
+    """(lower, upper, reflection, label) of every edge, in build order, by
+    forming t = z y^-1 for each pair and asking `is_reflection(t)`."""
+    if kind == "regular":
+        vertices = bruhat_interval(x)
+    else:
+        gen = system.generators[s]
+        upper = max(x, multiply(x, gen), key=lambda w: w.length)
+        vertices = [
+            w for w in bruhat_interval(upper) if multiply(w, gen).length > w.length
+        ]
+    out = []
+    for i, y in enumerate(vertices):
+        for z in vertices[i + 1 :]:
+            if kind == "regular":
+                if (z.length - y.length) % 2 == 0 or z.length <= y.length:
+                    continue
+                ends = (z,)
+            else:
+                ends = (z, multiply(z, gen))
+            cands = []
+            for zz in ends:
+                t = multiply(zz, y.inverse())
+                if t.length % 2 and is_reflection(t):
+                    cands.append(t)
+            assert len(cands) <= 1
+            if cands:
+                out.append((y, z, cands[0], reflection_root(cands[0])))
+    return out
+
+
+def test_edges_match_the_brute_force_pair_scan(step_system):
+    for x in element_ball(step_system, 4):
+        graphs = [("regular", None)]
+        graphs += [("quotient", s) for s in range(step_system.rank)]
+        for kind, s in graphs:
+            graph = build_graph(step_system, x, kind=kind, s=s)
+            got = [(e.lower, e.upper, e.reflection, e.label) for e in graph.edges]
+            assert got == _brute_force_edges(step_system, x, kind, s), (x, kind, s)
