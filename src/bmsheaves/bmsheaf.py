@@ -16,17 +16,23 @@ generators of that image, with the cover components as the downward
 restrictions.  The sections are never solved for globally.  The builder
 carries generators of the sections over the vertices already processed:
 by construction the sheaf is flabby on upper sets, so each new vertex
-extends every section, with its costalk as the kernel.  At y the images
-of the generators span the edge image, one elimination per degree on the
-edges at y lifts the generators to y and yields the costalk, and the
-costalk's minimal generators join the list.  The costalk at a vertex
-(sections supported only there) is the kernel of the stacked upward
-restrictions; in the canonical case its graded rank is finite over the
-cap and deconvolves exactly.  Pair costalks and the flabbiness check
-solve their own small systems, one row per edge-module coordinate, and
-the flabbiness check rebuilds its rows from the stored stalks and maps,
-independent of the builder, and measures the section dimensions the
-builder logs.
+extends every section, with its costalk as the kernel.  At y one
+elimination per degree, with a row per coordinate of the edge modules
+at y, does all the work.  Its columns are the images of the monomial
+multiples of the stalk generators found so far, then the images of the
+section generators of that degree.  The section columns that hold a
+pivot are the new stalk generators; the kernel at the free stalk
+columns is the costalk, and the kernel at the free section columns
+lifts those generators to y.  The costalk's minimal generators join the
+list.  The downward restrictions keep the stalk's columns from that
+elimination and split them per edge on first use.  The costalk at a
+vertex (sections supported only there) is the kernel of the stacked
+upward restrictions; in the canonical case its graded rank is finite
+over the cap and deconvolves exactly.  Pair costalks and the flabbiness
+check solve their own small systems, one row per edge-module
+coordinate, and the flabbiness check rebuilds its rows from the stored
+stalks and maps, independent of the builder, and measures the section
+dimensions the builder logs.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -49,8 +55,10 @@ from .gradedlin import (
     ModuleMap,
     PolyRing,
     QuotientModule,
+    check_generator_cap,
     hilbert_dim,
     minimal_generators,
+    multiples,
     rank_from_dims,
 )
 from .hecke import BASIS_TT, HeckeElt
@@ -204,21 +212,23 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     Vertices are processed by decreasing length (ShortLex within a
     length), so the processed set P is an upper set.  The builder keeps
     generators of the sections over P, each a degree and its nonzero
-    stalk components in that degree.  At a vertex w, rho_upper of their
-    components at the upper ends of the edges at w spans the image of the
-    sections over {> w}; its minimal generators give the stalk and the
-    downward restrictions.  Extending P to P + w is then onto with the
-    costalk at w as its kernel, so the lifts of the generators to w
-    (`_lift_to`) and the minimal generators of the costalk generate the
-    sections over P + w.  `section_log[w][d]` is the dimension of the
-    sections over {> w} that this predicts from the costalk ranks above
-    w; `check_flabby_additive` measures it independently.
+    stalk components in that degree.  At a vertex w below the top,
+    rho_upper of their components at the upper ends of the edges at w
+    spans the image of the sections over {> w}; `_solve_vertex` takes
+    its minimal generators as the stalk, their components as the
+    downward restrictions, and in the same elimination per degree lifts
+    every generator to w and finds the costalk at w.  Extending P to
+    P + w is onto with the costalk as its kernel, so the lifts and the
+    minimal generators of the costalk generate the sections over P + w.
+    `section_log[w][d]` is the dimension of the sections over {> w} that
+    this predicts from the costalk ranks above w; `check_flabby_additive`
+    measures it independently.
 
     The per-vertex degree cap is 2 (l(top) - l(y)) + margin unless
     overridden, and a cap below 0 is refused (CapError).  Every
-    minimal-generator extraction and every graded-rank
-    deconvolution refuses to answer when generators appear in the top two
-    even degrees of its range (CapError).
+    minimal-generator extraction, of a stalk or of a costalk, and every
+    graded-rank deconvolution refuses to answer when generators appear
+    in the top two even degrees of its range (CapError).
     """
     system = graph.system
     ring = PolyRing(system.rank)
@@ -243,34 +253,15 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
         if capw < 0:
             raise CapError(f"degree cap {capw} at {w} leaves no degree to compute")
         sheaf.caps[w] = capw
-        delta = graph.up[w]
-        # images[j][i]: rho_upper of generator j's component at the upper
-        # end of delta[i]
-        images = [
-            [
-                sheaf.rho_upper[e].apply(comps[e.upper], d)
-                if e.upper in comps
-                else {}
-                for e in delta
-            ]
-            for d, comps in sections
-        ]
         if w == top:
-            sheaf.stalks[w] = FreeModule(ring, (0,))
+            stalk = sheaf.stalks[w] = FreeModule(ring, (0,))
+            # nothing lies above the top, so its whole stalk is costalk
+            costalk = {
+                d: [{i: 1} for i in range(stalk.dim(d))]
+                for d in range(0, capw + 1, 2)
+            }
         else:
-            target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
-            candidates = {}
-            for (d, _), parts in zip(sections, images):
-                off = target.offsets(d)
-                candidates.setdefault(d, []).append(
-                    {o + t: a for o, part in zip(off, parts) for t, a in part.items()}
-                )
-            gens = minimal_generators(candidates, target, capw)
-            stalk = FreeModule(ring, tuple(d for d, _ in gens))
-            sheaf.stalks[w] = stalk
-            for idx, e in enumerate(delta):
-                images_e = [target.component(vec, idx, d) for d, vec in gens]
-                sheaf.rho_lower[e] = ModuleMap(stalk, sheaf.edge_mod[e], images_e)
+            costalk = _solve_vertex(sheaf, w, sections, capw)
             above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
             sheaf.section_log[w] = {
                 d: sum(
@@ -286,7 +277,6 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
             q, qmap = sheaf.quotient_map(w, e.label.coords)
             sheaf.edge_mod[e] = q
             sheaf.rho_upper[e] = qmap
-        costalk = _lift_to(sheaf, w, sections, images, capw)
         dims = {d: len(vecs) for d, vecs in costalk.items()}
         sheaf.costalk_dim_table[w] = dims
         rank = rank_from_dims(dims, ring.nvars, capw)
@@ -298,48 +288,152 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     return sheaf
 
 
-def _lift_to(sheaf, w, gens, images, cap):
-    """Extend the generators `gens` to w; return the costalk at w.
+def _solve_vertex(sheaf, w, sections, cap):
+    """Build the stalk at w and its downward restrictions, lift the
+    section generators `sections` to w in place, and return the costalk
+    at w, as sparse stalk vectors per degree.
 
-    Per degree, the columns are the stalk at w, then one per generator of
-    that degree; the rows are rho_lower(t) = c rho_upper(g) on the edges
-    above w.  The kernel vector with c > 0 at g's column lifts c g, which
-    stays integral; the ones at free stalk columns span the costalk.
+    One elimination per degree d.  Its rows are the coordinates of the
+    direct sum of the edge modules above w.  Its columns are first the
+    cover's: the images of the monomial multiples of the stalk generators
+    of degree below d (`multiples`), in the stalk's basis order.  Then
+    come the candidates, one per section generator g of degree d, holding
+    -rho_upper(g) on the edges above w.  A candidate column with a pivot
+    is not in the image so far: it is a new minimal generator and stands
+    for its own stalk column, with the opposite sign.  The kernel vectors
+    at free cover columns span the costalk, and the one at a free
+    candidate column, with c > 0 there, lifts c g, which stays integral.
     """
+    ring = sheaf.ring
     delta = sheaf.graph.up[w]
-    stalk = sheaf.stalks[w]
+    target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
+    gens = []  # (degree, image in the target) per stalk generator
+    blocks = []  # per stalk generator, its cover columns in the last degree
+    cover = {}  # degree -> the cover's columns, as `_Cover` keeps them
     costalk = {}
+    stranded = False
     for d in range(0, cap + 1, 2):
-        n = stalk.dim(d)
-        here = [j for j, (gd, _) in enumerate(gens) if gd == d]
+        blocks = multiples(target, gens, blocks, d)
+        cols = [col for block in blocks for col in block]
+        n = len(cols)
+        off = target.offsets(d)
+        here = [comps for gd, comps in sections if gd == d]
+        cands = [
+            {
+                o + t: a
+                for o, e in zip(off, delta)
+                if e.upper in comps
+                for t, a in sheaf.rho_upper[e].apply(comps[e.upper], d).items()
+            }
+            for comps in here
+        ]
+        rows = [{} for _ in range(target.dim(d))]
+        for j, col in enumerate(cols):
+            for r, a in col.items():
+                rows[r][j] = a
+        for j, vec in enumerate(cands, n):
+            for r, a in vec.items():
+                rows[r][j] = -a
         ech = Echelon()
-        for idx, e in enumerate(delta):
-            rows = sheaf.edge_rows(e, d, {w: 0})
-            for col, j in enumerate(here, n):
-                for r, a in images[j][idx].items():
-                    rows[r][col] = -a
-            for row in rows:
+        for row in rows:
+            if row:
                 ech.insert(row)
-        if any(p >= n for p in ech.rows):
-            raise InconsistencyError(
-                f"a section over the vertices above {w} does not extend to {w}"
-            )
-        kernel = ech.kernel(n + len(here))
-        free = n - ech.dim
+        picked = _stalk_generators(ech.rows, n)
+        if len(picked) < sum(p >= n for p in ech.rows):
+            stranded = True
+        for t in picked:
+            gens.append((d, cands[t]))
+            blocks.append([cands[t]])
+        cover[d] = [off, cols + [cands[t] for t in picked], len(delta)]
         # kernel vectors are dense; their stalk parts go on as sparse ones
-        parts = [{i: a for i, a in enumerate(vec[:n]) if a} for vec in kernel]
+        kernel = ech.kernel(n + len(cands))
+        parts = [_stalk_part(vec, n, picked) for vec in kernel]
+        free = n - sum(p < n for p in ech.rows)
         costalk[d] = parts[:free]
-        for col, (j, vec, lift) in enumerate(
-            zip(here, kernel[free:], parts[free:]), n
-        ):
-            comps = gens[j][1]
-            scale = vec[col]
+        unpicked = [t for t in range(len(cands)) if n + t not in ech.rows]
+        for t, vec, lift in zip(unpicked, kernel[free:], parts[free:]):
+            comps = here[t]
+            scale = vec[n + t]
             if scale != 1:
                 for z, comp in comps.items():
                     comps[z] = {i: scale * a for i, a in comp.items()}
             if lift:
                 comps[w] = lift
+        for i, t in enumerate(picked):
+            here[t][w] = {n + i: 1}
+    check_generator_cap([g for g, _ in gens], cap)
+    if stranded:
+        raise InconsistencyError(
+            f"a section over the vertices above {w} does not extend to {w}"
+        )
+    stalk = sheaf.stalks[w] = FreeModule(ring, tuple(g for g, _ in gens))
+    shared = _Cover(cover)
+    for idx, e in enumerate(delta):
+        images = [target.component(vec, idx, g) for g, vec in gens]
+        sheaf.rho_lower[e] = _CoverPart(stalk, sheaf.edge_mod[e], images, shared, idx)
     return costalk
+
+
+def _stalk_part(vec, n, picked):
+    """The stalk vector of a kernel vector over n cover columns and the
+    candidates.  The new generator i, at stalk position n + i, stands for
+    the candidate picked[i], whose column is the generator's negated."""
+    part = {i: a for i, a in enumerate(vec[:n]) if a}
+    for i, t in enumerate(picked, n):
+        if vec[n + t]:
+            part[i] = -vec[n + t]
+    return part
+
+
+def _stalk_generators(pivots, n):
+    """The candidates, past the n cover columns, whose column holds a
+    pivot: the new stalk generators, in column order."""
+    return sorted(p - n for p in pivots if p >= n)
+
+
+class _Cover:
+    """The columns of a stalk's cover in the direct sum of the edge
+    modules above its vertex, per degree the builder solved, until every
+    edge has taken its part."""
+
+    __slots__ = ("degrees",)
+
+    def __init__(self, degrees):
+        # degree -> [part offsets, columns, parts not yet taken]
+        self.degrees = degrees
+
+    def take(self, idx, d):
+        """Edge idx's part of the degree-d columns, or None if there are
+        none to take."""
+        entry = self.degrees.get(d)
+        if entry is None:
+            return None
+        off, cols, left = entry
+        if left == 1:
+            del self.degrees[d]
+        else:
+            entry[2] = left - 1
+        lo, hi = off[idx : idx + 2]
+        return [{t - lo: a for t, a in col.items() if lo <= t < hi} for col in cols]
+
+
+class _CoverPart(ModuleMap):
+    """A downward restriction: one edge's part of the stalk's cover.
+
+    In the degrees the builder solved, its columns are sliced from the
+    cover's on first use; above them they are derived as for any map."""
+
+    def __init__(self, source, target, images, cover, idx):
+        super().__init__(source, target, images)
+        self._cover = cover
+        self._idx = idx
+
+    def columns(self, d):
+        if d not in self._cols:
+            cols = self._cover.take(self._idx, d)
+            if cols is not None:
+                self._cols[d] = cols
+        return super().columns(d)
 
 
 # -- characters -------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InputError, RealizationError
-from .linalg import kernel_basis, rank_dense
+from .linalg import rank_dense
 
 __all__ = [
     "INFINITE",
@@ -441,11 +441,12 @@ def left_descents(w: Element):
     return {s for s in range(w.system.rank) if _column_nonpositive(w.inv_matrix, s)}
 
 
-def is_reflection(w: Element) -> bool:
-    """True when rank(matrix - identity) = 1.
+def _reflection_deviation(w: Element):
+    """The matrix of w minus the identity when it has rank one, else None.
 
     A rank-one deviation from the identity that fails to be an involution
-    (or appears at even length) falsifies the realization and raises.
+    (or appears at even length) falsifies the realization and raises.  A
+    rank-one D has D^2 = tr(D) D, so (1 + D)^2 = 1 exactly when tr(D) = -2.
     """
     n = w.system.rank
     mat = [
@@ -453,34 +454,35 @@ def is_reflection(w: Element) -> bool:
         for i in range(n)
     ]
     if rank_dense(mat) != 1:
-        return False
-    if _matmul(w.matrix, w.matrix) != w.system._identity_matrix:
+        return None
+    if sum(mat[i][i] for i in range(n)) != -2:
         raise RealizationError("rank-one element that is not an involution")
     if w.length % 2 == 0:
         raise RealizationError("reflection of even length")
-    return True
+    return mat
+
+
+def is_reflection(w: Element) -> bool:
+    """True when rank(matrix - identity) = 1; see `_reflection_deviation`
+    for the refusals."""
+    return _reflection_deviation(w) is not None
 
 
 def reflection_root(w: Element) -> Root:
-    """The positive root of a reflection, primitive in the root lattice."""
-    if not is_reflection(w):
+    """The positive root of a reflection, primitive in the root lattice.
+
+    For an involution t with rank(t - 1) = 1, (t + 1)(t - 1) = 0, so the
+    image of t - 1 is the (-1)-eigenline: the root is a multiple of any
+    nonzero column of t - 1.  The column is scaled to make its last
+    nonzero entry positive; the root must then be nonnegative.
+    """
+    mat = _reflection_deviation(w)
+    if mat is None:
         raise InputError(f"{w} is not a reflection")
-    n = w.system.rank
-    rows = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            v = w.matrix[i][j] + (1 if i == j else 0)
-            if v:
-                row[j] = v
-        if row:
-            rows.append(row)
-    ker = kernel_basis(rows, n)
-    if len(ker) != 1:
-        raise RealizationError(
-            f"(-1)-eigenspace of reflection {w} has dimension {len(ker)}"
-        )
-    cls = _classify_root(ker[0])
+    col = next(c for c in zip(*mat) if any(c))
+    if next(v for v in reversed(col) if v) < 0:
+        col = [-v for v in col]
+    cls = _classify_root(col)
     if cls is None:
         raise RealizationError(f"reflection {w} has a mixed-sign root")
     coords, pos = cls

@@ -50,6 +50,8 @@ __all__ = [
     "DirectSum",
     "ModuleMap",
     "combine_columns",
+    "multiples",
+    "check_generator_cap",
     "minimal_generators",
     "rank_from_dims",
     "hilbert_dim",
@@ -355,48 +357,72 @@ def _even_cap(cap):
     return cap if cap % 2 == 0 else cap - 1
 
 
-def minimal_generators(candidates, ambient, cap):
-    """Minimal generators of the submodule spanned by candidate vectors.
+def multiples(ambient, gens, blocks, d):
+    """The degree-d columns of the generators `gens`, from degree d - 2.
 
-    `candidates` maps even degrees to lists of sparse vectors in the
-    ambient module's coordinates; the submodule is their S-span, and the
-    vectors need not be closed under multiplication by the variables.  One loop
-    walks the degrees up to the last one with a candidate, keeping a
-    basis of the span: first the products x_k * (basis at d-2) that are
-    new, then the candidates of degree d that are still new.  By the
-    graded Nakayama lemma those candidates are minimal generators, and
-    they are returned, the same dict objects, as (degree, vector) pairs
-    in that order.  When the
-    candidates of each degree are already a basis of a submodule's degree
-    piece, the picks depend only on that submodule.
-
-    Raises CapError when generators appear in the top two even degrees,
-    since further generators above the cap could then not be ruled out.
+    `gens` are (degree, vector) pairs in the ambient module, all of
+    degree below d, and blocks[i] holds generator i's columns in degree
+    d - 2: the images of m g_i for the monomials m of degree
+    d - 2 - deg g_i, in the ring's order.  The column of x_k m g_i is x_k
+    times that of m g_i, as in `ModuleMap.columns`, so the blocks
+    returned, one per generator, list the images of the degree-d basis
+    of the free module on the generators.
     """
+    steps = ambient.ring._steps
+    mul = ambient.mul_var
+    return [
+        [mul(block[j], k, d - 2) for k, j in steps(d - g)]
+        for (g, _), block in zip(gens, blocks)
+    ]
+
+
+def check_generator_cap(degrees, cap):
+    """Refuse (CapError) generators in the top two even degrees up to
+    cap, since further generators above the cap could then not be
+    ruled out."""
     cap = _even_cap(cap)
-    nvars = ambient.ring.nvars
-    last = max((d for d, vs in candidates.items() if vs and d <= cap), default=-2)
-    gens = []
-    basis = []
-    for d in range(0, last + 1, 2):
-        ech = Echelon()
-        span = []
-        for v in basis:
-            for k in range(nvars):
-                prod = ambient.mul_var(v, k, d - 2)
-                if ech.insert(prod) is not None:
-                    span.append(prod)
-        for v in candidates.get(d, ()):
-            if ech.insert(v) is not None:
-                span.append(v)
-                gens.append((d, v))
-        basis = span
-    unstable = [d for d, _ in gens if d >= cap - 2]
+    unstable = [d for d in degrees if d >= cap - 2]
     if unstable:
         raise CapError(
             f"minimal generators found in degrees {sorted(set(unstable))} at "
             f"cap {cap}; raise the cap to trust this computation"
         )
+
+
+def minimal_generators(candidates, ambient, cap):
+    """Minimal generators of the submodule spanned by candidate vectors.
+
+    `candidates` maps even degrees to lists of sparse vectors in the
+    ambient module's coordinates; the submodule is their S-span, and the
+    vectors need not be closed under multiplication by the variables.
+    One loop walks the degrees up to the last one with a candidate.  In
+    degree d it spans the monomial multiples of the generators picked
+    so far (`multiples`), which span the submodule generated below d,
+    then adds the candidates of degree d that are still new.  By the
+    graded Nakayama lemma those candidates are minimal generators, and
+    they are returned, the same dict objects, as (degree, vector) pairs
+    in that order.  When the candidates of each degree are already a
+    basis of a submodule's degree piece, the picks depend only on that
+    submodule.
+
+    Raises CapError when generators appear in the top two even degrees
+    (`check_generator_cap`).
+    """
+    cap = _even_cap(cap)
+    last = max((d for d, vs in candidates.items() if vs and d <= cap), default=-2)
+    gens = []
+    blocks = []  # per generator, its columns in the previous degree
+    for d in range(0, last + 1, 2):
+        blocks = multiples(ambient, gens, blocks, d)
+        ech = Echelon()
+        for block in blocks:
+            for v in block:
+                ech.insert(v)
+        for v in candidates.get(d, ()):
+            if ech.insert(v) is not None:
+                gens.append((d, v))
+                blocks.append([v])
+    check_generator_cap([d for d, _ in gens], cap)
     return gens
 
 

@@ -22,7 +22,7 @@ from bmsheaves.bmsheaf import (
 )
 from bmsheaves.coxeter import bruhat_leq, multiply, parse_word
 from bmsheaves.errors import CapError, InconsistencyError, InputError
-from bmsheaves.gradedlin import DirectSum, ModuleMap
+from bmsheaves.gradedlin import ModuleMap
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
 from bmsheaves.linalg import kernel_basis, rank_dense
@@ -382,17 +382,16 @@ def test_larger_cap_overrides_keep_the_default_sheaf(a3_singular_sheaf, cap):
 
 def test_builder_refuses_a_stalk_missing_a_generator(a3, monkeypatch):
     """A stalk short of one minimal generator cannot lift every section
-    from above; the builder must say so rather than build a smaller sheaf."""
-    real = bmsheaf.minimal_generators
+    from above; the builder must say so rather than build a smaller sheaf.
+    The generator is dropped where the builder's per-degree elimination
+    turns the candidate columns holding a pivot into stalk generators."""
+    real = bmsheaf._stalk_generators
 
-    def drop_last_edge_generator(candidates, ambient, cap):
-        gens = real(candidates, ambient, cap)
-        if isinstance(ambient, DirectSum):  # the edge image, not a costalk
-            return gens[:-1]
-        return gens
+    def drop_last_pivot_candidate(pivots, n):
+        return real(pivots, n)[:-1]
 
-    monkeypatch.setattr(bmsheaf, "minimal_generators", drop_last_edge_generator)
-    with pytest.raises(InconsistencyError):
+    monkeypatch.setattr(bmsheaf, "_stalk_generators", drop_last_pivot_candidate)
+    with pytest.raises(InconsistencyError, match="does not extend"):
         bm_construct(build_graph(a3, elt(a3, "2132")))
 
 

@@ -8,6 +8,7 @@ length that shares no code with the matrix representation.
 import functools
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,7 @@ from bmsheaves.coxeter import (
     sort_key,
     word_str,
 )
-from bmsheaves.errors import InputError
+from bmsheaves.errors import InputError, RealizationError
 
 
 def elt(system, text):
@@ -278,6 +279,30 @@ def test_reflections_and_roots(a2, b2):
     assert len(refls) == 4
     roots = {reflection_root(t).coords for t in refls}
     assert roots == {(1, 0), (0, 1), (1, 1), (1, 2)}
+
+
+def test_rank_one_deviations_that_are_not_reflections_are_refused():
+    """is_reflection and reflection_root read only the matrix and the
+    length, so stand-ins can carry matrices no realization produces."""
+
+    def fake(matrix, length):
+        return SimpleNamespace(
+            system=SimpleNamespace(rank=len(matrix)), matrix=matrix, length=length
+        )
+
+    # t - 1 = [[0, 1], [0, 0]] has rank one and trace 0: t^2 != 1
+    with pytest.raises(RealizationError, match="not an involution"):
+        is_reflection(fake(((1, 1), (0, 1)), 1))
+    with pytest.raises(RealizationError, match="even length"):
+        reflection_root(fake(((-1, 0), (0, 1)), 2))
+    # the swap is an involution whose (-1)-eigenline is spanned by (1, -1)
+    with pytest.raises(RealizationError, match="mixed-sign"):
+        reflection_root(fake(((0, 1), (1, 0)), 1))
+    with pytest.raises(InputError, match="not a reflection"):
+        reflection_root(fake(((1, 0), (0, 1)), 0))
+    # nonpositive columns of t - 1 still give positive roots
+    assert reflection_root(fake(((1, 0), (0, -1)), 1)).coords == (0, 1)
+    assert reflection_root(fake(((0, -1), (-1, 0)), 1)).coords == (1, 1)
 
 
 def test_inversion_roots_count_the_length(b2, g2):
