@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import Element, bruhat_leq, multiply, sort_key
+from .coxeter import Element, bruhat_leq, multiply
 from .errors import CapError, InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     DirectSum,
@@ -94,7 +94,7 @@ class SectionSpace:
         self.vertices = vertices
         self.degree = degree
         self.offsets = offsets  # vertex -> (start, end)
-        self.vectors = vectors
+        self.vectors = vectors  # sparse kernel vectors over the offsets
 
 
 class Sheaf:
@@ -345,7 +345,6 @@ def _solve_vertex(sheaf, w, sections, cap):
             gens.append((d, cands[t]))
             blocks.append([cands[t]])
         cover[d] = [off, cols + [cands[t] for t in picked], len(delta)]
-        # kernel vectors are dense; their stalk parts go on as sparse ones
         kernel = ech.kernel(n + len(cands))
         parts = [_stalk_part(vec, n, picked) for vec in kernel]
         free = n - sum(p < n for p in ech.rows)
@@ -378,10 +377,11 @@ def _stalk_part(vec, n, picked):
     """The stalk vector of a kernel vector over n cover columns and the
     candidates.  The new generator i, at stalk position n + i, stands for
     the candidate picked[i], whose column is the generator's negated."""
-    part = {i: a for i, a in enumerate(vec[:n]) if a}
+    part = {i: a for i, a in vec.items() if i < n}
     for i, t in enumerate(picked, n):
-        if vec[n + t]:
-            part[i] = -vec[n + t]
+        a = vec.get(n + t)
+        if a:
+            part[i] = -a
     return part
 
 
@@ -465,7 +465,8 @@ class PairCostalk:
     upper: Element
     rank: LaurentPoly
     dims: dict
-    bases: dict = field(repr=False)  # degree -> vectors in stalk_ys + stalk_y
+    # degree -> sparse kernel vectors over stalk_ys + stalk_y, in that order
+    bases: dict = field(repr=False)
     cap: int = 0
 
 
@@ -514,12 +515,7 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
         raise InputError(f"no edge joins {ys} and {y}")
     alpha = edge.label.coords
     ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
-    # the kernel's dense basis vectors, as sparse vectors of the ambient
-    bases = {
-        d: [{i: a for i, a in enumerate(vec) if a} for vec in vecs]
-        for d, vecs in pc.bases.items()
-    }
-    gens = minimal_generators(bases, ambient, pc.cap)
+    gens = minimal_generators(pc.bases, ambient, pc.cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
     emb = ModuleMap(free, ambient, [v for _, v in gens])
     lower_stalk = bm.stalks[ys]

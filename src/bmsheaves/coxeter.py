@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InputError, RealizationError
-from .linalg import rank_dense
 
 __all__ = [
     "INFINITE",
@@ -53,12 +52,10 @@ __all__ = [
     "normal_form",
     "multiply",
     "right_descents",
-    "left_descents",
     "is_reflection",
     "reflection_root",
     "bruhat_leq",
     "bruhat_interval",
-    "inversions",
     "element_ball",
     "parse_word",
     "word_str",
@@ -437,8 +434,24 @@ def right_descents(w: Element):
     return {s for s in range(w.system.rank) if _column_nonpositive(w.matrix, s)}
 
 
-def left_descents(w: Element):
-    return {s for s in range(w.system.rank) if _column_nonpositive(w.inv_matrix, s)}
+def _differ_by_rank_one(a, b):
+    """True when the matrix a - b has rank one.
+
+    Every nonzero row of a - b must be a multiple of the first one, which
+    is a test of the 2x2 minors against that row.  For vertices y, z with
+    matrices Y, Z, t = z y^-1 satisfies t - 1 = (Z - Y) Y^-1, so
+    `_differ_by_rank_one(Z, Y)` is `is_reflection(t)` without forming t.
+    """
+    lead = None
+    for ra, rb in zip(a, b):
+        row = [x - y for x, y in zip(ra, rb)]
+        if lead is None:
+            p = next((j for j, v in enumerate(row) if v), None)
+            if p is not None:
+                lead = row
+        elif any(v * lead[p] != row[p] * u for v, u in zip(row, lead)):
+            return False
+    return lead is not None
 
 
 def _reflection_deviation(w: Element):
@@ -448,13 +461,14 @@ def _reflection_deviation(w: Element):
     (or appears at even length) falsifies the realization and raises.  A
     rank-one D has D^2 = tr(D) D, so (1 + D)^2 = 1 exactly when tr(D) = -2.
     """
-    n = w.system.rank
+    system = w.system
+    if not _differ_by_rank_one(w.matrix, system._identity_matrix):
+        return None
+    n = system.rank
     mat = [
         [w.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
         for i in range(n)
     ]
-    if rank_dense(mat) != 1:
-        return None
     if sum(mat[i][i] for i in range(n)) != -2:
         raise RealizationError("rank-one element that is not an involution")
     if w.length % 2 == 0:
@@ -530,31 +544,6 @@ def bruhat_interval(x: Element):
                 ws = _mul_gen(w, s)
                 seen.setdefault(ws.word, ws)
         out = memo[x.word] = tuple(sorted(seen.values(), key=sort_key))
-    return out
-
-
-def inversions(w: Element):
-    """The positive roots sent negative by w^-1, listed from the word.
-
-    For w = s_{i_1} ... s_{i_k} reduced these are the k roots
-    s_{i_k} ... s_{i_{j+1}} (alpha_{i_j}).  Each must be positive and each
-    must be mapped to a negative vector by w's matrix; violations raise.
-    """
-    n = w.system.rank
-    u = w.system._identity_matrix
-    out = []
-    for s in reversed(w.word):
-        alpha = tuple(u[i][s] for i in range(n))
-        cls = _classify_root(alpha)
-        if cls is None or not cls[1]:
-            raise RealizationError(f"inversion root of {w} not positive: {alpha}")
-        image = tuple(
-            sum(w.matrix[i][j] * alpha[j] for j in range(n)) for i in range(n)
-        )
-        if not all(c <= 0 for c in image):
-            raise RealizationError(f"inversion root {alpha} of {w} not inverted")
-        out.append(Root(cls[0], True))
-        u = _gen_right(w.system, s, u)
     return out
 
 

@@ -11,11 +11,12 @@ stored row is primitive, its pivot is its smallest column and its lead
 (the entry there) is positive.  Rows are reduced as in Bareiss'
 fraction-free elimination: scale by the pivot's lead, subtract, divide
 by the content.  The form is lazy: `insert` reduces only the incoming
-row, and `kernel` back-substitutes once.  Kernel bases are primitive
-integer vectors, one per free column, in increasing free-column order,
-which keeps all downstream output deterministic.  A caller that reads
-only the last columns of a kernel orders those columns last and solves
-just `tail(start)`, the rows that live on them.
+row, and `kernel` back-substitutes once.  Kernel bases are sparse
+primitive integer vectors, {column: int} dicts without zeros like every
+other vector in the package, one per free column, in increasing
+free-column order, which keeps all downstream output deterministic.  A
+caller that reads only the last columns of a kernel orders those columns
+last and solves just `tail(start)`, the rows that live on them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-__all__ = ["Echelon", "kernel_basis", "solve_in_span", "rank_dense"]
+__all__ = ["Echelon", "kernel_basis", "solve_in_span"]
 
 
 def _primitive(row):
@@ -116,9 +117,9 @@ class Echelon:
 
     def kernel(self, ncols):
         """Kernel of the linear system whose equations are the rows,
-        over variables 0..ncols-1.  One primitive integer basis vector
-        per free column f, with a positive entry at f and zeros at the
-        other free columns."""
+        over variables 0..ncols-1.  One sparse primitive integer basis
+        vector per free column f, a {column: int} dict with a positive
+        entry at f and none at the other free columns."""
         rows = self.rows
         # Back-substitute, last pivot first: row q is already free of
         # every other pivot column when it is used to clear row p.
@@ -135,20 +136,19 @@ class Echelon:
         for f in range(ncols):
             if f in rows:
                 continue
-            vec = [0] * ncols
             col = entries.get(f, ())
             scale = lcm(*(rows[p][p] for p, _ in col))
+            vec = {p: -v * (scale // rows[p][p]) for p, v in col}
             vec[f] = scale
-            for p, v in col:
-                vec[p] = -v * (scale // rows[p][p])
-            if scale != 1 and (g := gcd(*vec)) > 1:
-                vec = [v // g for v in vec]
+            if scale != 1:
+                _primitive(vec)
             basis.append(vec)
         return basis
 
 
 def kernel_basis(rows, ncols):
-    """Kernel basis (dense integer vectors) of the given sparse rows."""
+    """Kernel basis (sparse primitive integer vectors) of the given
+    sparse rows."""
     ech = Echelon()
     for r in rows:
         if r:
@@ -179,17 +179,6 @@ def solve_in_span(columns, target):
         return None
     # column n is free and the last one, so its vector comes last
     vec = ech.kernel(n + 1)[-1]
-    z = vec[n]
-    return {
-        j: v // z if v % z == 0 else Fraction(v, z)
-        for j, v in enumerate(vec[:n])
-        if v
-    }
+    z = vec.pop(n)
+    return {j: v // z if v % z == 0 else Fraction(v, z) for j, v in vec.items()}
 
-
-def rank_dense(mat):
-    """Rank of a dense matrix (list of rows) over the rationals."""
-    ech = Echelon()
-    for row in mat:
-        ech.insert(dict(enumerate(row)))
-    return ech.dim

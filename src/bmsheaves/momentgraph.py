@@ -30,6 +30,7 @@ from fractions import Fraction
 from .coxeter import (
     Element,
     Root,
+    _differ_by_rank_one,
     bruhat_interval,
     bruhat_leq,
     multiply,
@@ -116,24 +117,6 @@ def _check_labels(edges):
                 f"label {e.label}; the realization is not faithful"
             )
         seen[e.label.coords] = e.reflection
-
-
-def _differ_by_rank_one(a, b):
-    """True when the matrix a - b has rank one.
-
-    For vertices y, z with matrices Y, Z, t = z y^-1 satisfies
-    t - 1 = (Z - Y) Y^-1, so this is `is_reflection(t)` without forming t.
-    """
-    lead = None
-    for ra, rb in zip(a, b):
-        row = [x - y for x, y in zip(ra, rb)]
-        if lead is None:
-            p = next((j for j, v in enumerate(row) if v), None)
-            if p is not None:
-                lead = row
-        elif any(v * lead[p] != row[p] * u for v, u in zip(row, lead)):
-            return False
-    return lead is not None
 
 
 def build_graph(system, x: Element, kind="regular", s=None) -> MomentGraph:
@@ -428,12 +411,12 @@ def decompose_ze_module(zem: ZEModule, cap):
         mx = kernel_basis(mx_rows, dim)  # xi m = alpha m
         my = kernel_basis(my_rows, dim)  # xi m = 0
         ech = deepcopy(span)
-        a_count = sum(1 for v in mx if ech.insert(dict(enumerate(v))) is not None)
+        a_count = sum(1 for v in mx if ech.insert(v) is not None)
         ech = deepcopy(span)
-        b_count = sum(1 for v in my if ech.insert(dict(enumerate(v))) is not None)
+        b_count = sum(1 for v in my if ech.insert(v) is not None)
         ech = deepcopy(span)
         for v in mx + my:
-            ech.insert(dict(enumerate(v)))
+            ech.insert(v)
         c_count = dim - ech.dim
         summands.extend([LocalSummand("M_lower", d)] * a_count)
         summands.extend([LocalSummand("M_upper", d)] * b_count)

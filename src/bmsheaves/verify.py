@@ -40,7 +40,6 @@ from .bmsheaf import (
 )
 from .coxeter import (
     Element,
-    bruhat_leq,
     element_ball,
     multiply,
     sort_key,
@@ -48,7 +47,7 @@ from .coxeter import (
 )
 from .errors import InconsistencyError
 from .gradedlin import FreeModule, ModuleMap, PolyRing, combine_columns
-from .hecke import BASIS_T, HeckeAlgebra
+from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .linalg import solve_in_span
 from .momentgraph import (
@@ -386,7 +385,6 @@ def crit_local(ctx: SuiteContext):
                 bad.append(f"{name} x={_wname(x)} y={_wname(w)}: degree mirror")
             if not check_flabby_additive(bm, w):
                 bad.append(f"{name} x={_wname(x)} y={_wname(w)}: flabbiness")
-        bm.clear_caches()
     return _failures(bad, checked, "vertices")
 
 
@@ -409,26 +407,15 @@ def structure_sheaf(graph) -> Sheaf:
 
 
 def section_to_ztuple(graph, space, vec) -> ZTuple:
-    """Convert a structure-sheaf section vector into a vertex tuple."""
+    """Convert a sparse structure-sheaf section vector into a vertex tuple."""
     n = graph.system.rank
+    monos = PolyRing(n).monomials(space.degree)
     entries = []
     for w in graph.vertices:
         lo, hi = space.offsets[w]
-        coeffs = {}
-        pos = lo
-        for _, mono in _structure_basis(graph, space.degree):
-            if pos >= hi:
-                break
-            if vec[pos]:
-                coeffs[mono] = coeffs.get(mono, 0) + vec[pos]
-            pos += 1
+        coeffs = {monos[i - lo]: a for i, a in vec.items() if lo <= i < hi}
         entries.append(Poly(n, coeffs))
     return ZTuple(graph, entries)
-
-
-def _structure_basis(graph, d):
-    ring = PolyRing(graph.system.rank)
-    return [(0, m) for m in ring.monomials(d)]
 
 
 def lift_edge_generator(graph, sh: Sheaf, edge):
@@ -438,12 +425,14 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
     degree 2; returns None when the degree-2 sections do not reach it.
     """
     space = sh.sections(graph.vertices, 2)
-    lo = space.offsets[edge.lower]
-    uo = space.offsets[edge.upper]
-    cols = [
-        {i: a for i, a in enumerate(vec[lo[0]:lo[1]] + vec[uo[0]:uo[1]]) if a}
-        for vec in space.vectors
-    ]
+    lo, hi = space.offsets[edge.lower]
+    ulo, uhi = space.offsets[edge.upper]
+    # each section's two stalk blocks, the lower one first, as one column
+    cols = []
+    for vec in space.vectors:
+        col = {i - lo: a for i, a in vec.items() if lo <= i < hi}
+        col.update((i - ulo + hi - lo, a) for i, a in vec.items() if ulo <= i < uhi)
+        cols.append(col)
     stalk = sh.stalks[edge.lower]
     target = {}
     idx = stalk.index(2)
@@ -454,14 +443,7 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
     expr = solve_in_span(cols, target)
     if expr is None:
         return None
-    total = [0] * len(space.vectors[0]) if space.vectors else None
-    if total is None:
-        return None
-    for j, c in expr.items():
-        for r, a in enumerate(space.vectors[j]):
-            if a:
-                total[r] += c * a
-    return section_to_ztuple(graph, space, total)
+    return section_to_ztuple(graph, space, combine_columns(expr, space.vectors))
 
 
 def _random_alpha(rng, n):

@@ -22,10 +22,10 @@ from bmsheaves.bmsheaf import (
 )
 from bmsheaves.coxeter import bruhat_leq, multiply, parse_word
 from bmsheaves.errors import CapError, InconsistencyError, InputError
-from bmsheaves.gradedlin import ModuleMap
+from bmsheaves.gradedlin import ModuleMap, combine_columns
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
-from bmsheaves.linalg import kernel_basis, rank_dense
+from bmsheaves.linalg import Echelon, kernel_basis
 from bmsheaves.momentgraph import LocalSummand, build_graph, decompose_ze_module
 
 
@@ -167,25 +167,28 @@ def test_flabbiness_check_refuses_a_zeroed_lower_restriction(a2):
 # answers from full section spaces (`Sheaf.sections`) and compare.
 
 
+def _rank(vectors):
+    ech = Echelon()
+    for vec in vectors:
+        ech.insert(vec)
+    return ech.dim
+
+
 def _same_span(a, b):
-    return rank_dense(a) == rank_dense(b) == rank_dense(a + b)
-
-
-def _dense(vec, n):
-    return [vec.get(i, 0) for i in range(n)]
+    return _rank(a) == _rank(b) == _rank(a + b)
 
 
 def _project_to_edges(bm, w, ss, d):
     """rho_upper of every section of {> w} into the sum of the B^e at w."""
     out = []
     for vec in ss.vectors:
-        image = []
+        image = {}
+        o = 0
         for e in bm.graph.up[w]:
             lo, hi = ss.offsets[e.upper]
-            comp = {i: a for i, a in enumerate(vec[lo:hi]) if a}
-            image.extend(
-                _dense(bm.rho_upper[e].apply(comp, d), bm.edge_mod[e].dim(d))
-            )
+            comp = {i - lo: a for i, a in vec.items() if lo <= i < hi}
+            image.update((o + t, a) for t, a in bm.rho_upper[e].apply(comp, d).items())
+            o += bm.edge_mod[e].dim(d)
         out.append(image)
     return out
 
@@ -193,13 +196,13 @@ def _project_to_edges(bm, w, ss, d):
 def _stalk_image(bm, w, d):
     """The image of the stalk at w in the sum of the B^e at w: the span of
     the builder's edge-image basis, of which the stalk is the cover."""
-    cols = [
-        (bm.rho_lower[e].columns(d), bm.edge_mod[e].dim(d)) for e in bm.graph.up[w]
-    ]
-    return [
-        sum((_dense(c[j], n) for c, n in cols), [])
-        for j in range(bm.stalks[w].dim(d))
-    ]
+    out = [{} for _ in range(bm.stalks[w].dim(d))]
+    o = 0
+    for e in bm.graph.up[w]:
+        for vec, col in zip(out, bm.rho_lower[e].columns(d)):
+            vec.update((o + t, a) for t, a in col.items())
+        o += bm.edge_mod[e].dim(d)
+    return out
 
 
 def _global_pair_costalk(bm, y, ys, d):
@@ -209,20 +212,17 @@ def _global_pair_costalk(bm, y, ys, d):
     ss = bm.sections(omega, d)
     outside = [z for z in omega if z not in (ys, y)]
     rows = [
-        {j: vec[r] for j, vec in enumerate(ss.vectors) if vec[r]}
+        {j: vec[r] for j, vec in enumerate(ss.vectors) if r in vec}
         for z in outside
         for r in range(*ss.offsets[z])
     ]
+    (lo, hi), (ulo, uhi) = ss.offsets[ys], ss.offsets[y]
     out = []
     for coeffs in kernel_basis(rows, len(ss.vectors)):
-        total = [0] * len(ss.vectors[0])
-        for c, vec in zip(coeffs, ss.vectors):
-            if c:
-                for r, a in enumerate(vec):
-                    total[r] += c * a
-        for z in outside:
-            assert not any(total[slice(*ss.offsets[z])])
-        out.append(total[slice(*ss.offsets[ys])] + total[slice(*ss.offsets[y])])
+        total = combine_columns(coeffs, ss.vectors)
+        # nothing outside the pair; ys precedes y, and its stalk comes first
+        assert all(lo <= r < hi or ulo <= r < uhi for r in total)
+        out.append({r - (lo if r < hi else ulo - hi + lo): a for r, a in total.items()})
     return out
 
 

@@ -3,7 +3,8 @@
 Every check compares `bmsheaves.linalg` against a small dense reduced
 row-echelon reference over `fractions.Fraction`, written out below, on
 seeded random systems: sparse and low-rank integer matrices, rational
-entries with denominators 2 and 3, and zero or empty rows.
+entries with denominators 2 and 3, and zero or empty rows.  The same
+reference checks the rank-one test that finds the moment-graph edges.
 """
 
 import random
@@ -12,7 +13,8 @@ from math import gcd
 
 import pytest
 
-from bmsheaves.linalg import Echelon, kernel_basis, rank_dense, solve_in_span
+from bmsheaves.coxeter import _differ_by_rank_one
+from bmsheaves.linalg import Echelon, kernel_basis, solve_in_span
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
 RATIONAL = ENTRIES + (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3))
@@ -76,6 +78,11 @@ def sparse(vec):
     return {i: v for i, v in enumerate(vec) if v}
 
 
+def dense(vec, ncols):
+    """{index: value} dict -> dense list of length ncols."""
+    return [vec.get(i, 0) for i in range(ncols)]
+
+
 def matvec(rows, vec):
     return [sum(a * v for a, v in zip(row, vec)) for row in rows]
 
@@ -90,7 +97,7 @@ def test_rank_pivots_and_kernel_match_the_reference(seed, entries):
         ech = Echelon()
         for row in rows:
             ech.insert(sparse(row))
-        assert ech.dim == len(pivots) == rank_dense(rows)
+        assert ech.dim == len(pivots)
         assert sorted(ech.rows) == pivots
         ker = ech.kernel(ncols)
         ref = ref_kernel(rows, ncols)
@@ -98,12 +105,16 @@ def test_rank_pivots_and_kernel_match_the_reference(seed, entries):
         assert ker == kernel_basis([sparse(r) for r in rows], ncols)
         free = [f for f in range(ncols) if f not in pivots]
         for f, vec, rvec in zip(free, ker, ref):
-            assert all(type(v) is int for v in vec)
-            assert gcd(*vec) == 1
-            assert not any(matvec(rows, vec))
+            # sparse: a {column: int} dict with no zero entry
+            assert type(vec) is dict
+            assert all(c in range(ncols) for c in vec)
+            assert all(type(v) is int and v for v in vec.values())
+            assert gcd(*vec.values()) == 1
+            assert vec.get(f, 0) > 0
+            full = dense(vec, ncols)
+            assert not any(matvec(rows, full))
             # a positive multiple of the reference vector of column f
-            assert vec[f] > 0
-            assert [Fraction(v, vec[f]) for v in vec] == rvec
+            assert [Fraction(v, vec[f]) for v in full] == rvec
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -128,11 +139,9 @@ def test_zero_and_empty_rows():
     assert ech.insert({}) is None
     assert ech.insert({0: 0, 3: Fraction(0)}) is None
     assert ech.dim == 0
-    assert ech.kernel(2) == [[1, 0], [0, 1]]
+    assert ech.kernel(2) == [{0: 1}, {1: 1}]
     assert ech.kernel(0) == []
-    assert kernel_basis([{}, {1: 0}], 2) == [[1, 0], [0, 1]]
-    assert rank_dense([[0, 0], [0, 0]]) == 0
-    assert rank_dense([]) == 0
+    assert kernel_basis([{}, {1: 0}], 2) == [{0: 1}, {1: 1}]
 
 
 def test_denominators_are_cleared_on_entry():
@@ -140,8 +149,8 @@ def test_denominators_are_cleared_on_entry():
     assert ech.insert({0: Fraction(1, 2), 1: Fraction(-1, 3)}) == 0
     assert ech.rows[0] == {0: 3, 1: -2}
     assert ech.insert({0: Fraction(-3, 2), 1: 1}) is None
-    assert ech.kernel(2) == [[2, 3]]
-    assert kernel_basis([{0: 2, 1: 4}], 2) == [[-2, 1]]
+    assert ech.kernel(2) == [{0: 2, 1: 3}]
+    assert kernel_basis([{0: 2, 1: 4}], 2) == [{0: -2, 1: 1}]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -201,7 +210,7 @@ def test_tail_solves_the_kernel_projected_onto_the_last_columns(seed):
             assert tail.dim == ref_rank(rows, ncols) - ref_rank(
                 [row[:start] for row in rows], start
             )
-            ker = tail.kernel(width)
+            ker = [dense(vec, width) for vec in tail.kernel(width)]
             assert len(ker) == width - tail.dim
             projected = [vec[start:] for vec in ref]
             rank = ref_rank(ker, width)
@@ -210,3 +219,23 @@ def test_tail_solves_the_kernel_projected_onto_the_last_columns(seed):
             assert ref_rank(ker + projected, width) == rank
         # solving a tail leaves the full echelon form as it was
         assert ech.rows == stored
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_differ_by_rank_one_matches_the_reference_rank(seed):
+    rng = random.Random(400 + seed)
+    ranks = set()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        # a difference of rank 0, 1 or 2: a sum of that many outer products
+        diff = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            u = [rng.choice(ENTRIES) for _ in range(n)]
+            v = [rng.choice(ENTRIES) for _ in range(n)]
+            diff = [[d + ui * vj for d, vj in zip(row, v)] for row, ui in zip(diff, u)]
+        a = [[x + d for x, d in zip(rb, rd)] for rb, rd in zip(b, diff)]
+        rank = ref_rank(diff, n)
+        ranks.add(rank)
+        assert _differ_by_rank_one(a, b) == (rank == 1)
+    assert ranks == {0, 1, 2}
