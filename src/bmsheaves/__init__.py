@@ -47,7 +47,6 @@ from .momentgraph import (
     split_invariant,
     to_dot,
     z_contains,
-    ze_projection_generators,
 )
 from .bmsheaf import (
     BMSheaf,

@@ -45,7 +45,7 @@ implemented on top of the same section machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coxeter import Element, bruhat_leq, multiply
 from .errors import CapError, InconsistencyError, InputError, RealizationError
@@ -465,12 +465,10 @@ class PairCostalk:
     upper: Element
     rank: LaurentPoly
     dims: dict
-    # degree -> sparse kernel vectors over stalk_ys + stalk_y, in that order
-    bases: dict = field(repr=False)
-    cap: int = 0
 
 
-def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
+def _pair_systems(bm: BMSheaf, y: Element, s: int):
+    """(ys, cap, {d: (rows, width)}); the pair costalk is the rows' kernel."""
     graph = bm.graph
     gen = graph.system.generators[s]
     ys = multiply(y, gen)
@@ -486,17 +484,22 @@ def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
         for e in graph.edges
         if e.lower in omega and e.upper in omega and {e.lower, e.upper} & {ys, y}
     ]
-    cap = bm.caps[ys]
-    dims = {}
-    bases = {}
-    for d in range(0, cap + 1, 2):
+    systems = {}
+    for d in range(0, bm.caps[ys] + 1, 2):
         offsets = {ys: 0, y: bm.stalks[ys].dim(d)}
         rows = [row for e in edges for row in bm.edge_rows(e, d, offsets)]
-        vecs = kernel_basis(rows, offsets[y] + bm.stalks[y].dim(d))
-        dims[d] = len(vecs)
-        bases[d] = vecs
-    rank = rank_from_dims(dims, bm.ring.nvars, cap)
-    return PairCostalk(ys, y, rank, dims, bases, cap)
+        systems[d] = rows, offsets[y] + bm.stalks[y].dim(d)
+    return ys, bm.caps[ys], systems
+
+
+def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
+    """The pair costalk's dimensions (width minus rank per degree) and rank."""
+    ys, cap, systems = _pair_systems(bm, y, s)
+    dims = {}
+    for d, (rows, width) in systems.items():
+        ech = Echelon()
+        dims[d] = width - sum(ech.insert(row) is not None for row in rows)
+    return PairCostalk(ys, y, rank_from_dims(dims, bm.ring.nvars, cap), dims)
 
 
 def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
@@ -505,22 +508,19 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
     xi = (alpha_t, 0) acts on a supported-on-pair section by scaling the
     lower component by the connecting edge label and killing the upper.
     """
-    pc = costalk_interval(bm, y, s)
-    ys = pc.lower
-    edge = next(
-        (e for e in bm.graph.up[ys] if e.upper == y),
-        None,
-    )
+    ys, cap, systems = _pair_systems(bm, y, s)
+    edge = next((e for e in bm.graph.up[ys] if e.upper == y), None)
     if edge is None:
         raise InputError(f"no edge joins {ys} and {y}")
     alpha = edge.label.coords
     ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
-    gens = minimal_generators(pc.bases, ambient, pc.cap)
+    bases = {d: kernel_basis(rows, width) for d, (rows, width) in systems.items()}
+    gens = minimal_generators(bases, ambient, cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
     emb = ModuleMap(free, ambient, [v for _, v in gens])
     lower_stalk = bm.stalks[ys]
     xi_cols = {}
-    for d in range(0, pc.cap - 1, 2):
+    for d in range(0, cap - 1, 2):
         nxt = emb.columns(d + 2)
         images = []
         for col in emb.columns(d):

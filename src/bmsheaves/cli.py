@@ -40,7 +40,6 @@ __all__ = [
     "cmd_bm",
     "cmd_graph",
     "cmd_verify",
-    "recheck_json",
 ]
 
 EXIT_OK = 0
@@ -192,17 +191,6 @@ def cmd_bm(args) -> int:
     if args.strict and not (match and all(checks.values())):
         return EXIT_FAIL
     return EXIT_OK
-
-
-def recheck_json(path) -> bool:
-    """Re-verify the character/basis match recorded in a result file.
-
-    Both elements were serialized with sorted terms in the same basis, so
-    the match verdict is reproducible from the file alone.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    return data["character"] == data["kl"]
 
 
 def cmd_graph(args) -> int:

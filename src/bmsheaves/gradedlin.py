@@ -15,14 +15,16 @@ Elements of a degree piece are sparse {position: coefficient} dicts with
 no zero entries; they go into `linalg.Echelon` as they are.  A module is
 a row of blocks, one per generator, each a shifted copy of S or of
 S/alpha with its monomials in degree-then-lex order, so the canonical
-basis is (generator index, monomial).  Multiplication by a variable walks
-the blocks by offset over sparse columns that the PolyRing keeps once per
-(alpha, variable, degree) for every module over it.  Maps out of a
-FreeModule are stored by generator images and their per-degree columns
-are materialized lazily, one degree from the previous one, so a map
-built under some cap extends to any degree on demand; a map, like the
-edge action of momentgraph.ZEModule, applies its columns through
-`combine_columns`.
+basis is (generator index, monomial).  The ring enumerates those
+monomials itself; the structure algebra of `momentgraph` keeps its
+polynomials as vectors of S = FreeModule(ring, (0,)) in that basis.
+Multiplication by a variable walks the blocks by offset over sparse
+columns that the PolyRing keeps once per (alpha, variable, degree) for
+every module over it.  Maps out of a FreeModule are stored by generator
+images and their per-degree columns are materialized lazily, one degree
+from the previous one, so a map built under some cap extends to any
+degree on demand; a map, like the edge action of momentgraph.ZEModule,
+applies its columns through `combine_columns`.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -36,12 +38,12 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
 from .linalg import Echelon
-from .polynomials import monomials_of_degree
 
 __all__ = [
     "PolyRing",
@@ -82,10 +84,15 @@ class PolyRing:
 
     @functools.lru_cache(maxsize=None)
     def monomials(self, d):
-        """Monomial basis of the degree-d piece, degree-then-lex order."""
+        """Exponent tuples of the degree-d piece, lex descending: for two
+        variables in degree 4, x0^2, x0 x1, x1^2."""
         if d < 0 or d % 2:
             return ()
-        return tuple(monomials_of_degree(self.nvars, d // 2))
+        n = self.nvars
+        return tuple(
+            tuple(c.count(i) for i in range(n))
+            for c in combinations_with_replacement(range(n), d // 2)
+        )
 
     @functools.lru_cache(maxsize=None)
     def quotient_monomials(self, pivot, d):
@@ -218,6 +225,14 @@ class _Module:
                 else:
                     del out[t]
         return out
+
+    def mul_mono(self, vec, mono, d):
+        """Multiplication by the monomial with exponent tuple mono."""
+        for k, e in enumerate(mono):
+            for _ in range(e):
+                vec = self.mul_var(vec, k, d)
+                d += 2
+        return vec
 
     def mul_linear(self, vec, coeffs, d):
         """Multiplication by the linear form sum_k coeffs[k] x_k: d -> d+2."""

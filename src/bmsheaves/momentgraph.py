@@ -11,8 +11,12 @@ falsify them: no double edges, distinct reflections never carry
 proportional labels, and edge endpoints are always comparable.
 
 The structure algebra Z consists of the vertex tuples (z_w) of
-polynomials with z_w = z_{w'} mod alpha_t along every edge.  Three
-operations on it drive the sheaf theory: the characteristic embedding
+polynomials with z_w = z_{w'} mod alpha_t along every edge.  A tuple
+holds each polynomial as `gradedlin` sparse vectors over the monomial
+basis of S, one per degree; congruences go through the quotient map
+S -> S/alpha_t, products through multiplication by monomials, and exact
+division through `linalg.solve_in_span`.  Three operations on it drive
+the sheaf theory: the characteristic embedding
 sigma(alpha)_w = w(alpha); the invariant splitting of Z over a rank-one
 parabolic (z decomposes as z_+ + c^s z_- with both parts invariant,
 where c^s_w = w(alpha_s)); and the decomposition of a Z(E)-module, for
@@ -39,9 +43,15 @@ from .coxeter import (
     word_str,
 )
 from .errors import InconsistencyError, InputError, RealizationError
-from .gradedlin import FreeModule, PolyRing, combine_columns, hilbert_dim
-from .linalg import Echelon, kernel_basis
-from .polynomials import Poly, linear_form
+from .gradedlin import (
+    FreeModule,
+    ModuleMap,
+    PolyRing,
+    QuotientModule,
+    combine_columns,
+    hilbert_dim,
+)
+from .linalg import Echelon, kernel_basis, solve_in_span
 
 __all__ = [
     "Edge",
@@ -51,7 +61,6 @@ __all__ = [
     "z_contains",
     "sigma",
     "c_invariant",
-    "ze_projection_generators",
     "split_invariant",
     "ZEModule",
     "LocalSummand",
@@ -84,6 +93,8 @@ class MomentGraph:
         self.vertices = tuple(sorted(vertices, key=sort_key))
         self.edges = tuple(edges)
         self.quotient_gen = quotient_gen
+        # S, the stalk of the structure sheaf, in which Z's entries live
+        self.stalk = FreeModule(PolyRing(system.rank), (0,))
         self._index = {w: i for i, w in enumerate(self.vertices)}
         up = {w: [] for w in self.vertices}
         down = {w: [] for w in self.vertices}
@@ -197,8 +208,52 @@ def build_graph(system, x: Element, kind="regular", s=None) -> MomentGraph:
 # -- structure algebra ----------------------------------------------------
 
 
+def _add(a, b):
+    """a + b for entries {degree: sparse vector}."""
+    out = {d: dict(vec) for d, vec in a.items()}
+    for d, vec in b.items():
+        acc = out.setdefault(d, {})
+        for p, x in vec.items():
+            s = acc.get(p, 0) + x
+            if s:
+                acc[p] = s
+            else:
+                del acc[p]
+        if not acc:
+            del out[d]
+    return out
+
+
+def _scale(a, c):
+    if not c:
+        return {}
+    return {d: {p: x * c for p, x in vec.items()} for d, vec in a.items()}
+
+
+def _times(stalk, a, b):
+    """The product of two entries, by monomials through `mul_mono`."""
+    out = {}
+    for da, va in a.items():
+        for db, vb in b.items():
+            monos = stalk.ring.monomials(db)
+            cols = {j: stalk.mul_mono(va, monos[j], da) for j in vb}
+            out = _add(out, {da + db: combine_columns(vb, cols)})
+    return out
+
+
+def _linear(coeffs):
+    """The entry of a linear form: position k of monomials(2) is x_k."""
+    vec = {k: a for k, a in enumerate(coeffs) if a}
+    return {2: vec} if vec else {}
+
+
 class ZTuple:
-    """One polynomial per vertex, aligned with graph.vertices."""
+    """One polynomial per vertex, aligned with graph.vertices.
+
+    An entry is a {degree: sparse vector} dict over the monomial basis of
+    the stalk `graph.stalk` = S, with no zero vector and no zero
+    coefficient, so equal polynomials have equal entries.
+    """
 
     __slots__ = ("graph", "entries")
 
@@ -213,21 +268,20 @@ class ZTuple:
 
     def __add__(self, other):
         return ZTuple(
-            self.graph, [a + b for a, b in zip(self.entries, other.entries)]
+            self.graph, [_add(a, b) for a, b in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other):
-        return ZTuple(
-            self.graph, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, ZTuple):
+            stalk = self.graph.stalk
             return ZTuple(
                 self.graph,
-                [a * b for a, b in zip(self.entries, other.entries)],
+                [_times(stalk, a, b) for a, b in zip(self.entries, other.entries)],
             )
-        return ZTuple(self.graph, [a * other for a in self.entries])
+        return ZTuple(self.graph, [_scale(a, other) for a in self.entries])
 
     __rmul__ = __mul__
 
@@ -245,10 +299,17 @@ class ZTuple:
 
 
 def z_contains(graph: MomentGraph, z: ZTuple) -> bool:
-    """Edge congruences: z_lower = z_upper mod alpha along every edge."""
+    """Edge congruences: z_lower = z_upper mod alpha along every edge,
+    through the canonical quotient map S -> S/alpha in each degree."""
+    stalk = graph.stalk
+    maps = {}  # label -> quotient map, shared by the edges it labels
     for e in graph.edges:
-        diff = z[e.lower] - z[e.upper]
-        if diff and not diff.divisible_by_linear(e.label.coords):
+        diff = _add(z[e.lower], _scale(z[e.upper], -1))
+        alpha = e.label.coords
+        if diff and alpha not in maps:
+            q = QuotientModule(stalk.ring, (0,), alpha)
+            maps[alpha] = ModuleMap(stalk, q, [{0: 1}])
+        if any(maps[alpha].apply(vec, d) for d, vec in diff.items()):
             return False
     return True
 
@@ -271,29 +332,13 @@ def sigma(graph: MomentGraph, alpha) -> ZTuple:
                 "sigma on a quotient graph needs an s-invariant covector; "
                 f"s(alpha) = {fixed} differs from alpha = {alpha}"
             )
-    return ZTuple(graph, [linear_form(w.apply(alpha)) for w in graph.vertices])
+    return ZTuple(graph, [_linear(w.apply(alpha)) for w in graph.vertices])
 
 
 def c_invariant(graph: MomentGraph, s: int) -> ZTuple:
     """The tuple c^s with c^s_w = w(alpha_s)."""
     unit = tuple(1 if i == s else 0 for i in range(graph.system.rank))
-    return ZTuple(
-        graph, [linear_form(w.apply(unit)) for w in graph.vertices]
-    )
-
-
-def ze_projection_generators(graph: MomentGraph, edge: Edge):
-    """Generators of the image of Z in the two-vertex algebra of one edge.
-
-    Returns ((1, 1), (alpha_t, 0)) as (lower, upper) component pairs; these
-    generate everything cut out by the congruence, in particular (0, alpha_t).
-    """
-    n = graph.system.rank
-    one = Poly.constant(n, 1)
-    return (
-        (one, one),
-        (linear_form(edge.label.coords), Poly.zero(n)),
-    )
+    return ZTuple(graph, [_linear(w.apply(unit)) for w in graph.vertices])
 
 
 def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
@@ -302,7 +347,9 @@ def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
     Requires the vertex set to be closed under right multiplication by s
     (true for [e, x] exactly when xs < x).  s acts by (s.z)_w = z_{ws};
     z_plus is the symmetric part and z_quot the antisymmetric part divided
-    exactly by c^s_w = w(alpha_s); failed division means z was not in Z.
+    exactly by c^s_w = w(alpha_s), one `solve_in_span` per degree over
+    the columns of multiplication by it; failed division means z was not
+    in Z.
     """
     if graph.kind != "regular":
         raise InputError("the invariant splitting needs a regular orbit graph")
@@ -315,15 +362,26 @@ def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
                 f"vertex set is not s-invariant: {w}*s is outside the graph"
             )
         partner[w] = ws
+    stalk = graph.stalk
+    unit = tuple(1 if i == s else 0 for i in range(graph.system.rank))
     half = Fraction(1, 2)
     plus, quot = [], []
     for w in graph.vertices:
         zw = z[w]
         zws = z[partner[w]]
-        plus.append((zw + zws) * half)
-        anti = (zw - zws) * half
-        cw = w.apply(tuple(1 if i == s else 0 for i in range(graph.system.rank)))
-        quot.append(anti.div_exact_linear(cw))
+        plus.append(_scale(_add(zw, zws), half))
+        cw = w.apply(unit)
+        q = {}
+        for d, vec in _add(_scale(zw, half), _scale(zws, -half)).items():
+            dim = stalk.dim(d - 2)
+            cols = [stalk.mul_linear({j: 1}, cw, d - 2) for j in range(dim)]
+            sol = solve_in_span(cols, vec)
+            if sol is None:
+                raise InputError(
+                    f"z_{w} - z_{partner[w]} is not divisible by the linear form {cw}"
+                )
+            q[d - 2] = sol
+        quot.append(q)
     return ZTuple(graph, plus), ZTuple(graph, quot)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .coxeter import CoxeterSystem, make_system
 from .errors import InputError
 
-__all__ = ["PRESETS", "preset_system", "preset_names", "is_infinite_preset"]
+__all__ = ["PRESETS", "preset_system", "is_infinite_preset"]
 
 _DEFS = {
     "A1": {
@@ -43,10 +43,6 @@ _DEFS = {
 _INFINITE = {"U2", "U3"}
 
 PRESETS = tuple(sorted(_DEFS))
-
-
-def preset_names():
-    return PRESETS
 
 
 def is_infinite_preset(name: str) -> bool:

@@ -46,7 +46,7 @@ from .coxeter import (
     word_str,
 )
 from .errors import InconsistencyError
-from .gradedlin import FreeModule, ModuleMap, PolyRing, combine_columns
+from .gradedlin import ModuleMap, PolyRing, combine_columns
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .linalg import solve_in_span
@@ -64,7 +64,6 @@ from .momentgraph import (
     summand_ze_module,
     z_contains,
 )
-from .polynomials import Poly
 from .presets import preset_system
 
 __all__ = [
@@ -392,11 +391,11 @@ def crit_local(ctx: SuiteContext):
 
 
 def structure_sheaf(graph) -> Sheaf:
-    """The sheaf with stalk S everywhere; its sections are Z^Omega."""
-    ring = PolyRing(graph.system.rank)
-    sh = Sheaf(graph, ring)
+    """The sheaf with stalk S = graph.stalk everywhere; its sections are
+    Z^Omega, in the basis of `ZTuple` entries."""
+    sh = Sheaf(graph, graph.stalk.ring)
     for w in graph.vertices:
-        sh.stalks[w] = FreeModule(ring, (0,))
+        sh.stalks[w] = graph.stalk
     for e in graph.edges:
         q, up = sh.quotient_map(e.upper, e.label.coords)
         _, low = sh.quotient_map(e.lower, e.label.coords)
@@ -408,13 +407,11 @@ def structure_sheaf(graph) -> Sheaf:
 
 def section_to_ztuple(graph, space, vec) -> ZTuple:
     """Convert a sparse structure-sheaf section vector into a vertex tuple."""
-    n = graph.system.rank
-    monos = PolyRing(n).monomials(space.degree)
     entries = []
     for w in graph.vertices:
         lo, hi = space.offsets[w]
-        coeffs = {monos[i - lo]: a for i, a in vec.items() if lo <= i < hi}
-        entries.append(Poly(n, coeffs))
+        part = {i - lo: a for i, a in vec.items() if lo <= i < hi}
+        entries.append({space.degree: part} if part else {})
     return ZTuple(graph, entries)
 
 
@@ -433,13 +430,8 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
         col = {i - lo: a for i, a in vec.items() if lo <= i < hi}
         col.update((i - ulo + hi - lo, a) for i, a in vec.items() if ulo <= i < uhi)
         cols.append(col)
-    stalk = sh.stalks[edge.lower]
-    target = {}
-    idx = stalk.index(2)
-    for k, a in enumerate(edge.label.coords):
-        if a:
-            mono = tuple(1 if i == k else 0 for i in range(len(edge.label.coords)))
-            target[idx[(0, mono)]] = a
+    # position k of the stalk's degree-2 piece is x_k
+    target = {k: a for k, a in enumerate(edge.label.coords) if a}
     expr = solve_in_span(cols, target)
     if expr is None:
         return None
@@ -457,8 +449,7 @@ def _random_z(graph, sh, rng) -> ZTuple:
     """A random structure-algebra element: integer polynomial combination
     of sigma images, their products, and edge-generator lifts."""
     n = graph.system.rank
-    zero = ZTuple(graph, [Poly.zero(n)] * len(graph.vertices))
-    total = zero
+    total = ZTuple(graph, [{}] * len(graph.vertices))
     for _ in range(rng.randint(1, 3)):
         term = sigma(graph, _random_alpha(rng, n))
         if rng.random() < 0.5:
@@ -474,8 +465,9 @@ def _random_z(graph, sh, rng) -> ZTuple:
         if rng.random() < 0.5:
             lift = lift * sigma(graph, _random_alpha(rng, n))
         total = total + lift * rng.randint(-2, 2)
-    const = Poly.constant(n, rng.randint(-2, 2))
-    return total + ZTuple(graph, [const] * len(graph.vertices))
+    const = rng.randint(-2, 2)
+    entry = {0: {0: const}} if const else {}
+    return total + ZTuple(graph, [entry] * len(graph.vertices))
 
 
 def random_ze_summands(rng, max_rank=6):
@@ -490,14 +482,6 @@ def random_ze_summands(rng, max_rank=6):
         out.append(LocalSummand(kind, 2 * rng.randint(0, 3)))
         budget -= 2 if kind == "P" else 1
     return out
-
-
-def _mul_mono(mod, vec, mono, d):
-    for k, e in enumerate(mono):
-        for _ in range(e):
-            vec = mod.mul_var(vec, k, d)
-            d += 2
-    return vec
 
 
 def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
@@ -527,7 +511,7 @@ def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
     u_cols, u_inv = {}, {}
     for d in range(0, cap + 1, 2):
         cols = [
-            _mul_mono(mod, phi[i], m, mod.gens[i]) for i, m in mod.basis(d)
+            mod.mul_mono(phi[i], m, mod.gens[i]) for i, m in mod.basis(d)
         ]
         u_cols[d] = cols
         inv = []

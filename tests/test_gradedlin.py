@@ -4,6 +4,7 @@ Free and quotient modules, degreewise maps, kernels, minimal generators
 and the deconvolution that recovers a graded rank from a dimension table.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -224,6 +225,26 @@ def test_free_module_bookkeeping():
     assert mod.dim(4) == 5
     with pytest.raises(InputError):
         FreeModule(ring, (1,))
+
+
+def test_monomials_are_the_exponent_tuples_in_lex_descending_order():
+    for n in range(1, 5):
+        ring = PolyRing(n)
+        for d in range(-2, 9):
+            want = []
+            if d >= 0 and d % 2 == 0:
+                tuples = itertools.product(range(d // 2 + 1), repeat=n)
+                want = sorted((m for m in tuples if sum(m) == d // 2), reverse=True)
+            assert list(ring.monomials(d)) == want, (n, d)
+
+
+def test_multiplication_by_a_monomial_is_repeated_variable_steps():
+    ring = PolyRing(3)
+    mod = FreeModule(ring, (0, 2))
+    vec = {0: 2, 3: -1}
+    steps = mod.mul_var(mod.mul_var(mod.mul_var(vec, 2, 2), 0, 4), 0, 6)
+    assert mod.mul_mono(vec, (2, 0, 1), 2) == steps
+    assert mod.mul_mono(vec, (0, 0, 0), 2) == vec
 
 
 def test_multiplication_by_a_linear_form_matches_variable_sums():

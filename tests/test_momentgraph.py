@@ -32,10 +32,8 @@ from bmsheaves.momentgraph import (
     summand_ze_module,
     to_dot,
     z_contains,
-    ze_projection_generators,
 )
-from bmsheaves.polynomials import Poly, linear_form
-from bmsheaves.verify import scramble_ze_module
+from bmsheaves.verify import lift_edge_generator, scramble_ze_module, structure_sheaf
 
 
 def elt(system, text):
@@ -125,11 +123,15 @@ def test_sigma_tuples_satisfy_the_edge_congruences(a2, b2):
         assert c_invariant(graph, 1) == sigma(graph, (0, 1))
 
 
+# An entry is {degree: {position in PolyRing.monomials(degree): coeff}}.
+ZERO = {}
+ONE = {0: {0: 1}}
+X0 = {2: {0: 1}}
+
+
 def test_constant_and_nonmember_tuples(a1):
     graph = build_graph(a1, a1.generators[0])
-    alpha = linear_form((1,))
-    zero = Poly.zero(1)
-    one = Poly.constant(1, 1)
+    alpha, zero, one = X0, ZERO, ONE
     assert z_contains(graph, ZTuple(graph, [one, one]))
     assert z_contains(graph, ZTuple(graph, [alpha, zero]))
     assert not z_contains(graph, ZTuple(graph, [one, zero]))
@@ -144,16 +146,15 @@ def test_sigma_on_a_quotient_graph_requires_invariance(a2):
 
 def test_invariant_split_on_the_smallest_graph(a1):
     graph = build_graph(a1, a1.generators[0])
-    alpha = linear_form((1,))
-    z = ZTuple(graph, [alpha, Poly.zero(1)])
+    z = ZTuple(graph, [X0, ZERO])
     plus, quot = split_invariant(graph, 0, z)
     half = Fraction(1, 2)
-    assert plus == ZTuple(graph, [alpha * half, alpha * half])
-    assert quot == ZTuple(graph, [Poly.constant(1, half), Poly.constant(1, half)])
+    assert plus == ZTuple(graph, [{2: {0: half}}, {2: {0: half}}])
+    assert quot == ZTuple(graph, [{0: {0: half}}, {0: {0: half}}])
     assert plus + c_invariant(graph, 0) * quot == z
     # tuples outside Z do not split
     with pytest.raises(InputError):
-        split_invariant(graph, 0, ZTuple(graph, [Poly.constant(1, 1), Poly.zero(1)]))
+        split_invariant(graph, 0, ZTuple(graph, [ONE, ZERO]))
 
 
 def test_invariant_split_roundtrip_in_type_b2(b2):
@@ -167,12 +168,40 @@ def test_invariant_split_roundtrip_in_type_b2(b2):
         assert z_contains(graph, quot)
 
 
-def test_edge_projection_generators(a2):
-    graph = build_graph(a2, elt(a2, "121"))
-    edge = graph.up[a2.identity][0]
-    (lo1, up1), (lo2, up2) = ze_projection_generators(graph, edge)
-    assert lo1 == Poly.constant(2, 1) and up1 == Poly.constant(2, 1)
-    assert lo2 == linear_form(edge.label.coords) and up2 == Poly.zero(2)
+def test_structure_algebra_on_the_longest_dihedral_elements(a2, b2, g2):
+    """Seeded members of Z on the full A2, B2 and G2 graphs: sums of
+    scaled sigma products, an edge-generator lift and a constant."""
+    rng = random.Random(11)
+    for system, m in ((a2, 3), (b2, 4), (g2, 6)):
+        graph = build_graph(system, system.element(tuple([0, 1] * m)[:m]))
+        stalk = FreeModule(PolyRing(2), (0,))
+        sh = structure_sheaf(graph)
+        for _ in range(4):
+            a = (rng.randint(-3, 3), rng.randint(1, 3))
+            b = (rng.randint(1, 3), rng.randint(-3, 3))
+            z = sigma(graph, a) * sigma(graph, b) * rng.randint(1, 3)
+            z = z + sigma(graph, (1, 1)) * Fraction(rng.randint(-3, 3), 2)
+            z = z + lift_edge_generator(graph, sh, rng.choice(graph.edges))
+            z = z + ZTuple(graph, [{0: {0: rng.randint(1, 3)}}] * len(graph.vertices))
+            assert z_contains(graph, z)
+            for s in (0, 1):
+                plus, quot = split_invariant(graph, s, z)
+                assert plus + c_invariant(graph, s) * quot == z
+                assert z_contains(graph, plus) and z_contains(graph, quot)
+            # a nonzero constant at one vertex leaves Z
+            bump = [ZERO] * len(graph.vertices)
+            bump[rng.randrange(len(bump))] = {0: {0: rng.choice((-2, -1, 1, 2))}}
+            bad = z + ZTuple(graph, bump)
+            assert not z_contains(graph, bad)
+            for s in (0, 1):
+                with pytest.raises(InputError):
+                    split_invariant(graph, s, bad)
+            # products are the per-vertex products of the linear forms
+            prod = sigma(graph, a) * sigma(graph, b)
+            for v in graph.vertices:
+                wa = {k: c for k, c in enumerate(v.apply(a)) if c}
+                want = stalk.mul_linear(wa, v.apply(b), 2)
+                assert prod[v] == ({4: want} if want else ZERO)
 
 
 # -- modules over one edge's algebra ------------------------------------------------
