@@ -16,7 +16,6 @@ from .coxeter import (
     bruhat_interval,
     bruhat_leq,
     element_ball,
-    is_reflection,
     load_system,
     make_system,
     multiply,

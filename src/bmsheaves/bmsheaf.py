@@ -24,15 +24,15 @@ section generators of that degree.  The section columns that hold a
 pivot are the new stalk generators; the kernel at the free stalk
 columns is the costalk, and the kernel at the free section columns
 lifts those generators to y.  The costalk's minimal generators join the
-list.  The downward restrictions keep the stalk's columns from that
-elimination and split them per edge on first use.  The costalk at a
-vertex (sections supported only there) is the kernel of the stacked
-upward restrictions; in the canonical case its graded rank is finite
-over the cap and deconvolves exactly.  Pair costalks and the flabbiness
-check solve their own small systems, one row per edge-module
-coordinate, and the flabbiness check rebuilds its rows from the stored
-stalks and maps, independent of the builder, and measures the section
-dimensions the builder logs.
+list.  Each downward restriction sends a stalk generator to its
+component on that edge, and its columns are derived on read, as for
+any map.  The costalk at a vertex (sections supported only there) is
+the kernel of the stacked upward restrictions; in the canonical case
+its graded rank is finite over the cap and deconvolves exactly.  Pair
+costalks and the flabbiness check solve their own small systems, one
+row per edge-module coordinate, and the flabbiness check rebuilds its
+rows from the stored stalks and maps, independent of the builder, and
+measures the section dimensions the builder logs.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -54,11 +54,11 @@ from .gradedlin import (
     FreeModule,
     ModuleMap,
     PolyRing,
-    QuotientModule,
     check_generator_cap,
     hilbert_dim,
     minimal_generators,
     multiples,
+    quotient_map,
     rank_from_dims,
 )
 from .hecke import BASIS_TT, HeckeElt
@@ -88,10 +88,9 @@ DEFAULT_MARGIN = 4
 class SectionSpace:
     """Basis of the degree-d sections over an ordered set of vertices."""
 
-    __slots__ = ("vertices", "degree", "offsets", "vectors")
+    __slots__ = ("degree", "offsets", "vectors")
 
-    def __init__(self, vertices, degree, offsets, vectors):
-        self.vertices = vertices
+    def __init__(self, degree, offsets, vectors):
         self.degree = degree
         self.offsets = offsets  # vertex -> (start, end)
         self.vectors = vectors  # sparse kernel vectors over the offsets
@@ -154,7 +153,7 @@ class Sheaf:
         for e in self.graph.edges:
             if e.lower in inside and e.upper in inside:
                 rows.extend(self.edge_rows(e, d, starts))
-        space = SectionSpace(verts, d, offsets, kernel_basis(rows, total))
+        space = SectionSpace(d, offsets, kernel_basis(rows, total))
         self._section_cache[key] = space
         return space
 
@@ -182,14 +181,6 @@ class Sheaf:
             w, self.graph.up[w] + self.graph.down[w], degrees
         )
 
-    def quotient_map(self, w, alpha) -> tuple:
-        """(QuotientModule, canonical quotient ModuleMap) of the stalk at w."""
-        stalk = self.stalks[w]
-        q = QuotientModule(self.ring, stalk.gens, alpha)
-        # generator i's unit is the first position of its block in degree g
-        images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(stalk.gens)]
-        return q, ModuleMap(stalk, q, images)
-
 
 class BMSheaf(Sheaf):
     """The canonical sheaf of an interval, with construction provenance."""
@@ -200,10 +191,6 @@ class BMSheaf(Sheaf):
         self.costalk_ranks = {}
         self.costalk_dim_table = {}
         self.section_log = {}
-
-
-def _even(c):
-    return c if c % 2 == 0 else c - 1
 
 
 def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
@@ -247,7 +234,8 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     sections = []
     for w in order:
         if cap_override is not None:
-            capw = _even(int(cap_override))
+            capw = int(cap_override)
+            capw -= capw % 2
         else:
             capw = 2 * (big_l - w.length) + margin
         if capw < 0:
@@ -274,9 +262,9 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
         # this vertex is the upper endpoint of its down-edges; their edge
         # modules and canonical quotients exist from now on
         for e in graph.down[w]:
-            q, qmap = sheaf.quotient_map(w, e.label.coords)
-            sheaf.edge_mod[e] = q
-            sheaf.rho_upper[e] = qmap
+            sheaf.edge_mod[e], sheaf.rho_upper[e] = quotient_map(
+                sheaf.stalks[w], e.label.coords
+            )
         dims = {d: len(vecs) for d, vecs in costalk.items()}
         sheaf.costalk_dim_table[w] = dims
         rank = rank_from_dims(dims, ring.nvars, capw)
@@ -303,13 +291,14 @@ def _solve_vertex(sheaf, w, sections, cap):
     for its own stalk column, with the opposite sign.  The kernel vectors
     at free cover columns span the costalk, and the one at a free
     candidate column, with c > 0 there, lifts c g, which stays integral.
+    The restriction to an edge above w sends each stalk generator to its
+    image's component on that edge.
     """
     ring = sheaf.ring
     delta = sheaf.graph.up[w]
     target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
     gens = []  # (degree, image in the target) per stalk generator
     blocks = []  # per stalk generator, its cover columns in the last degree
-    cover = {}  # degree -> the cover's columns, as `_Cover` keeps them
     costalk = {}
     stranded = False
     for d in range(0, cap + 1, 2):
@@ -344,7 +333,6 @@ def _solve_vertex(sheaf, w, sections, cap):
         for t in picked:
             gens.append((d, cands[t]))
             blocks.append([cands[t]])
-        cover[d] = [off, cols + [cands[t] for t in picked], len(delta)]
         kernel = ech.kernel(n + len(cands))
         parts = [_stalk_part(vec, n, picked) for vec in kernel]
         free = n - sum(p < n for p in ech.rows)
@@ -366,10 +354,9 @@ def _solve_vertex(sheaf, w, sections, cap):
             f"a section over the vertices above {w} does not extend to {w}"
         )
     stalk = sheaf.stalks[w] = FreeModule(ring, tuple(g for g, _ in gens))
-    shared = _Cover(cover)
     for idx, e in enumerate(delta):
         images = [target.component(vec, idx, g) for g, vec in gens]
-        sheaf.rho_lower[e] = _CoverPart(stalk, sheaf.edge_mod[e], images, shared, idx)
+        sheaf.rho_lower[e] = ModuleMap(stalk, sheaf.edge_mod[e], images)
     return costalk
 
 
@@ -389,51 +376,6 @@ def _stalk_generators(pivots, n):
     """The candidates, past the n cover columns, whose column holds a
     pivot: the new stalk generators, in column order."""
     return sorted(p - n for p in pivots if p >= n)
-
-
-class _Cover:
-    """The columns of a stalk's cover in the direct sum of the edge
-    modules above its vertex, per degree the builder solved, until every
-    edge has taken its part."""
-
-    __slots__ = ("degrees",)
-
-    def __init__(self, degrees):
-        # degree -> [part offsets, columns, parts not yet taken]
-        self.degrees = degrees
-
-    def take(self, idx, d):
-        """Edge idx's part of the degree-d columns, or None if there are
-        none to take."""
-        entry = self.degrees.get(d)
-        if entry is None:
-            return None
-        off, cols, left = entry
-        if left == 1:
-            del self.degrees[d]
-        else:
-            entry[2] = left - 1
-        lo, hi = off[idx : idx + 2]
-        return [{t - lo: a for t, a in col.items() if lo <= t < hi} for col in cols]
-
-
-class _CoverPart(ModuleMap):
-    """A downward restriction: one edge's part of the stalk's cover.
-
-    In the degrees the builder solved, its columns are sliced from the
-    cover's on first use; above them they are derived as for any map."""
-
-    def __init__(self, source, target, images, cover, idx):
-        super().__init__(source, target, images)
-        self._cover = cover
-        self._idx = idx
-
-    def columns(self, d):
-        if d not in self._cols:
-            cols = self._cover.take(self._idx, d)
-            if cols is not None:
-                self._cols[d] = cols
-        return super().columns(d)
 
 
 # -- characters -------------------------------------------------------------
@@ -598,10 +540,8 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     for e in target_graph.edges:
         u, w = e.lower, e.upper
         if multiply(u, gen) == w:
-            q, qmap = out.quotient_map(u, e.label.coords)
-            out.edge_mod[e] = q
-            out.rho_lower[e] = qmap
-            out.rho_upper[e] = qmap
+            out.edge_mod[e], qmap = quotient_map(out.stalks[u], e.label.coords)
+            out.rho_lower[e] = out.rho_upper[e] = qmap
         else:
             ubar, wbar = _bar(u), _bar(w)
             image = by_pair.get((ubar, wbar))

@@ -52,7 +52,6 @@ __all__ = [
     "normal_form",
     "multiply",
     "right_descents",
-    "is_reflection",
     "reflection_root",
     "bruhat_leq",
     "bruhat_interval",
@@ -440,7 +439,8 @@ def _differ_by_rank_one(a, b):
     Every nonzero row of a - b must be a multiple of the first one, which
     is a test of the 2x2 minors against that row.  For vertices y, z with
     matrices Y, Z, t = z y^-1 satisfies t - 1 = (Z - Y) Y^-1, so
-    `_differ_by_rank_one(Z, Y)` is `is_reflection(t)` without forming t.
+    `_differ_by_rank_one(Z, Y)` tells whether t - 1 has rank one, as
+    `_reflection_deviation(t)` does, without forming t.
     """
     lead = None
     for ra, rb in zip(a, b):
@@ -474,12 +474,6 @@ def _reflection_deviation(w: Element):
     if w.length % 2 == 0:
         raise RealizationError("reflection of even length")
     return mat
-
-
-def is_reflection(w: Element) -> bool:
-    """True when rank(matrix - identity) = 1; see `_reflection_deviation`
-    for the refusals."""
-    return _reflection_deviation(w) is not None
 
 
 def reflection_root(w: Element) -> Root:

@@ -24,7 +24,8 @@ every module over it.  Maps out of a FreeModule are stored by generator
 images and their per-degree columns are materialized lazily, one degree
 from the previous one, so a map built under some cap extends to any
 degree on demand; a map, like the edge action of momentgraph.ZEModule,
-applies its columns through `combine_columns`.
+applies its columns through `combine_columns`.  `quotient_map` is the
+one canonical map F -> F/alpha F of a free module, for every edge.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -51,6 +52,7 @@ __all__ = [
     "QuotientModule",
     "DirectSum",
     "ModuleMap",
+    "quotient_map",
     "combine_columns",
     "multiples",
     "check_generator_cap",
@@ -368,8 +370,12 @@ class ModuleMap:
         return combine_columns(vec, self.columns(d))
 
 
-def _even_cap(cap):
-    return cap if cap % 2 == 0 else cap - 1
+def quotient_map(module, alpha):
+    """(F/alpha F, the quotient map) of a free module F: each generator
+    goes to the unit of its block, the block's first position."""
+    q = QuotientModule(module.ring, module.gens, alpha)
+    images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(module.gens)]
+    return q, ModuleMap(module, q, images)
 
 
 def multiples(ambient, gens, blocks, d):
@@ -395,7 +401,7 @@ def check_generator_cap(degrees, cap):
     """Refuse (CapError) generators in the top two even degrees up to
     cap, since further generators above the cap could then not be
     ruled out."""
-    cap = _even_cap(cap)
+    cap -= cap % 2
     unstable = [d for d in degrees if d >= cap - 2]
     if unstable:
         raise CapError(
@@ -423,7 +429,7 @@ def minimal_generators(candidates, ambient, cap):
     Raises CapError when generators appear in the top two even degrees
     (`check_generator_cap`).
     """
-    cap = _even_cap(cap)
+    cap -= cap % 2
     last = max((d for d, vs in candidates.items() if vs and d <= cap), default=-2)
     gens = []
     blocks = []  # per generator, its columns in the previous degree
@@ -448,7 +454,7 @@ def rank_from_dims(dims, nvars, cap, require_stable=True):
     residual means the module is not graded free at this cap; generators
     in the top two degrees mean the cap is too small to be conclusive.
     """
-    cap = _even_cap(cap)
+    cap -= cap % 2
     gens = {}
     for d in range(0, cap + 1, 2):
         have = dims.get(d, 0)

@@ -45,11 +45,10 @@ from .coxeter import (
 from .errors import InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     FreeModule,
-    ModuleMap,
     PolyRing,
-    QuotientModule,
     combine_columns,
     hilbert_dim,
+    quotient_map,
 )
 from .linalg import Echelon, kernel_basis, solve_in_span
 
@@ -307,8 +306,7 @@ def z_contains(graph: MomentGraph, z: ZTuple) -> bool:
         diff = _add(z[e.lower], _scale(z[e.upper], -1))
         alpha = e.label.coords
         if diff and alpha not in maps:
-            q = QuotientModule(stalk.ring, (0,), alpha)
-            maps[alpha] = ModuleMap(stalk, q, [{0: 1}])
+            maps[alpha] = quotient_map(stalk, alpha)[1]
         if any(maps[alpha].apply(vec, d) for d, vec in diff.items()):
             return False
     return True
@@ -441,7 +439,7 @@ def decompose_ze_module(zem: ZEModule, cap):
     """
     mod = zem.module
     nvars = mod.ring.nvars
-    cap = cap if cap % 2 == 0 else cap - 1
+    cap -= cap % 2
     summands = []
     for d in range(0, cap + 1, 2):
         dim = mod.dim(d)
@@ -515,7 +513,7 @@ def summand_ze_module(ring: PolyRing, alpha, summands, cap) -> ZEModule:
     mod = FreeModule(ring, gens)
     alpha = tuple(alpha)
     xi_cols = {}
-    cap = cap if cap % 2 == 0 else cap - 1
+    cap -= cap % 2
     for d in range(0, cap + 1, 2):
         cols = []
         for pos, (i, m) in enumerate(mod.basis(d)):

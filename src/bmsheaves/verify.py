@@ -46,7 +46,7 @@ from .coxeter import (
     word_str,
 )
 from .errors import InconsistencyError
-from .gradedlin import ModuleMap, PolyRing, combine_columns
+from .gradedlin import PolyRing, combine_columns, quotient_map
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .linalg import solve_in_span
@@ -391,17 +391,15 @@ def crit_local(ctx: SuiteContext):
 
 
 def structure_sheaf(graph) -> Sheaf:
-    """The sheaf with stalk S = graph.stalk everywhere; its sections are
+    """The sheaf with stalk S = graph.stalk everywhere and the quotient map
+    S -> S/alpha as both restrictions of each edge; its sections are
     Z^Omega, in the basis of `ZTuple` entries."""
     sh = Sheaf(graph, graph.stalk.ring)
     for w in graph.vertices:
         sh.stalks[w] = graph.stalk
     for e in graph.edges:
-        q, up = sh.quotient_map(e.upper, e.label.coords)
-        _, low = sh.quotient_map(e.lower, e.label.coords)
-        sh.edge_mod[e] = q
-        sh.rho_upper[e] = up
-        sh.rho_lower[e] = ModuleMap(sh.stalks[e.lower], q, low.images)
+        sh.edge_mod[e], qmap = quotient_map(graph.stalk, e.label.coords)
+        sh.rho_lower[e] = sh.rho_upper[e] = qmap
     return sh
 
 
@@ -507,7 +505,7 @@ def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
                 m = monos[rng.randrange(len(monos))]
                 vec[mod.index(gi)[(j, m)]] = rng.choice([-2, -1, 1, 2])
         phi.append(vec)
-    cap = cap if cap % 2 == 0 else cap - 1
+    cap -= cap % 2
     u_cols, u_inv = {}, {}
     for d in range(0, cap + 1, 2):
         cols = [

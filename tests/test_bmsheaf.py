@@ -280,6 +280,15 @@ def test_pair_costalks_match_the_global_construction(differential_sheaf):
     bm.clear_caches()
 
 
+def test_local_costalk_solve_matches_the_builder(differential_sheaf):
+    """The kernel of the upward restrictions, solved from the stored maps
+    in every degree up to the cap, has the dimensions the builder found."""
+    bm = differential_sheaf
+    for w in bm.graph.vertices:
+        degrees = range(0, bm.caps[w] + 1, 2)
+        assert bm.costalk_dims(w, degrees) == bm.costalk_dim_table[w], w
+
+
 # -- pair costalks and wall crossing -------------------------------------------
 
 

@@ -19,6 +19,7 @@ from bmsheaves.gradedlin import (
     QuotientModule,
     hilbert_dim,
     minimal_generators,
+    quotient_map,
     rank_from_dims,
 )
 from bmsheaves.laurent import LaurentPoly
@@ -262,17 +263,30 @@ def test_multiplication_by_a_linear_form_matches_variable_sums():
 
 def test_quotient_module_kills_exactly_the_form():
     ring = PolyRing(2)
-    q = QuotientModule(ring, (0,), (1, 1))
-    assert [q.dim(d) for d in range(0, 8, 2)] == [1, 1, 1, 1]
-    free = FreeModule(ring, (0,))
-    qmap = ModuleMap(free, q, [{0: 1}])
-    # alpha * generator maps to zero: the kernel in degree 2 is spanned by it
-    ker = kernel(qmap, 2)
-    assert len(ker) == 1
-    alpha_vec = dense(free.mul_linear({0: 1}, (1, 1), 0), free.dim(2))
-    vec = dense(ker[0], free.dim(2))
-    assert any(vec)  # proportionality check
-    assert vec[0] * alpha_vec[1] == vec[1] * alpha_vec[0]
+    # (2, 3) is G2's label: its pivot coefficient is 2, so the quotient's
+    # columns hold Fractions
+    for gens, alpha in [((0,), (1, 1)), ((0,), (2, 3)), ((0, 2), (1, 1))]:
+        free = FreeModule(ring, gens)
+        q, qmap = quotient_map(free, alpha)
+        assert q.gens == free.gens and q.alpha == alpha
+        assert [q.dim(d) for d in range(0, 8, 2)] == [
+            sum(d >= g for g in gens) for d in range(0, 8, 2)
+        ]
+        for i, g in enumerate(gens):
+            unit = {free.index(g)[(i, (0, 0))]: 1}
+            # each generator goes to the unit of its block, and alpha
+            # times it to zero
+            assert qmap.apply(unit, g) == {q.block_starts(g)[i]: 1}
+            assert qmap.apply(free.mul_linear(unit, alpha, g), g + 2) == {}
+        for d in range(0, 8, 2):
+            # the kernel is exactly alpha times the degree d - 2 piece
+            ker = kernel(qmap, d)
+            assert len(ker) == free.dim(d) - q.dim(d)
+            ech = Echelon()
+            for pos in range(free.dim(d - 2)):
+                ech.insert(free.mul_linear({pos: 1}, alpha, d - 2))
+            assert ech.dim == len(ker)
+            assert all(ech.insert(vec) is None for vec in ker)
 
 
 def test_direct_sum_blocks_and_components():
