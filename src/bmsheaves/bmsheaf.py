@@ -5,8 +5,9 @@ the quotient B^E = B^upper / alpha B^upper to every edge, and restriction
 maps rho from both endpoint stalks into B^E; the upper restriction is
 always the canonical quotient.  Sections over a vertex subset are tuples
 of stalk elements agreeing in B^E along every internal edge; degree by
-degree they are the kernel of a block-sparse linear system, one row of
-which `Sheaf.edge_rows` writes per edge-module coordinate.
+degree they are the kernel of a block-sparse integer linear system with
+one row per edge-module coordinate.  `Sheaf.glue` eliminates every such
+system: sections, costalks, pair costalks and the flabbiness check.
 
 The canonical sheaf on an interval graph is built top down: the top
 stalk is one copy of S; at each lower vertex y the stalk is the
@@ -29,10 +30,10 @@ component on that edge, and its columns are derived on read, as for
 any map.  The costalk at a vertex (sections supported only there) is
 the kernel of the stacked upward restrictions; in the canonical case
 its graded rank is finite over the cap and deconvolves exactly.  Pair
-costalks and the flabbiness check solve their own small systems, one
-row per edge-module coordinate, and the flabbiness check rebuilds its
-rows from the stored stalks and maps, independent of the builder, and
-measures the section dimensions the builder logs.
+costalks and the flabbiness check glue their own small systems, and the
+flabbiness check rebuilds its rows from the stored stalks and maps,
+independent of the builder, and measures the section dimensions the
+builder logs.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -63,7 +64,7 @@ from .gradedlin import (
 )
 from .hecke import BASIS_TT, HeckeElt
 from .laurent import LaurentPoly
-from .linalg import Echelon, kernel_basis, solve_in_span
+from .linalg import Echelon, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
 
 __all__ = [
@@ -114,25 +115,29 @@ class Sheaf:
 
     # -- sections -----------------------------------------------------------
 
-    def edge_rows(self, e, d, offsets):
-        """The gluing condition on edge e in degree d.
-
-        One row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis
-        row of B^e, over the columns where `offsets` starts each end's
-        stalk.  An end that `offsets` leaves out is taken to be zero.
-        """
-        rows = [{} for _ in range(self.edge_mod[e].dim(d))]
-        for end, rho, sign in (
-            (e.lower, self.rho_lower, 1),
-            (e.upper, self.rho_upper, -1),
-        ):
-            o = offsets.get(end)
-            if o is None:
-                continue
-            for j, col in enumerate(rho[e].columns(d), o):
-                for r, a in col.items():
-                    rows[r][j] = sign * a
-        return rows
+    def glue(self, edges, d, offsets, ech=None) -> Echelon:
+        """Insert the gluing rows of `edges` in degree d into `ech`, a new
+        Echelon when None, and return it: per edge e, one row of
+        rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis position of
+        B^e, over the columns where `offsets` starts each end's stalk.  An
+        end that `offsets` leaves out is taken to be zero."""
+        if ech is None:
+            ech = Echelon()
+        for e in edges:
+            rows = [{} for _ in range(self.edge_mod[e].dim(d))]
+            for end, rho, sign in (
+                (e.lower, self.rho_lower, 1),
+                (e.upper, self.rho_upper, -1),
+            ):
+                o = offsets.get(end)
+                if o is None:
+                    continue
+                for j, col in enumerate(rho[e].columns(d), o):
+                    for r, a in col.items():
+                        rows[r][j] = sign * a
+            for row in rows:
+                ech.insert(row)
+        return ech
 
     def sections(self, vset, d) -> SectionSpace:
         verts = tuple(sorted(vset, key=self.graph.index))
@@ -149,11 +154,8 @@ class Sheaf:
             offsets[w] = (total, total + dim)
             starts[w] = total
             total += dim
-        rows = []
-        for e in self.graph.edges:
-            if e.lower in inside and e.upper in inside:
-                rows.extend(self.edge_rows(e, d, starts))
-        space = SectionSpace(d, offsets, kernel_basis(rows, total))
+        edges = [e for e in self.graph.edges if {e.lower, e.upper} <= inside]
+        space = SectionSpace(d, offsets, self.glue(edges, d, starts).kernel(total))
         self._section_cache[key] = space
         return space
 
@@ -161,15 +163,8 @@ class Sheaf:
 
     def _kernel_dims(self, w, edges, degrees):
         """Kernel dims of the stalk at w under its restrictions to `edges`."""
-        stalk = self.stalks[w]
-        out = {}
-        for d in degrees:
-            ech = Echelon()
-            for e in edges:
-                for row in self.edge_rows(e, d, {w: 0}):
-                    ech.insert(row)
-            out[d] = stalk.dim(d) - ech.dim
-        return out
+        dim = self.stalks[w].dim
+        return {d: dim(d) - self.glue(edges, d, {w: 0}).dim for d in degrees}
 
     def costalk_dims(self, w, degrees):
         """Dimensions of the sections supported only at w (upward kernel)."""
@@ -410,7 +405,7 @@ class PairCostalk:
 
 
 def _pair_systems(bm: BMSheaf, y: Element, s: int):
-    """(ys, cap, {d: (rows, width)}); the pair costalk is the rows' kernel."""
+    """(ys, cap, {d: (echelon, width)}); the pair costalk is the kernel."""
     graph = bm.graph
     gen = graph.system.generators[s]
     ys = multiply(y, gen)
@@ -429,18 +424,14 @@ def _pair_systems(bm: BMSheaf, y: Element, s: int):
     systems = {}
     for d in range(0, bm.caps[ys] + 1, 2):
         offsets = {ys: 0, y: bm.stalks[ys].dim(d)}
-        rows = [row for e in edges for row in bm.edge_rows(e, d, offsets)]
-        systems[d] = rows, offsets[y] + bm.stalks[y].dim(d)
+        systems[d] = bm.glue(edges, d, offsets), offsets[y] + bm.stalks[y].dim(d)
     return ys, bm.caps[ys], systems
 
 
 def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
     """The pair costalk's dimensions (width minus rank per degree) and rank."""
     ys, cap, systems = _pair_systems(bm, y, s)
-    dims = {}
-    for d, (rows, width) in systems.items():
-        ech = Echelon()
-        dims[d] = width - sum(ech.insert(row) is not None for row in rows)
+    dims = {d: width - ech.dim for d, (ech, width) in systems.items()}
     return PairCostalk(ys, y, rank_from_dims(dims, bm.ring.nvars, cap), dims)
 
 
@@ -456,7 +447,7 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
         raise InputError(f"no edge joins {ys} and {y}")
     alpha = edge.label.coords
     ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
-    bases = {d: kernel_basis(rows, width) for d, (rows, width) in systems.items()}
+    bases = {d: ech.kernel(width) for d, (ech, width) in systems.items()}
     gens = minimal_generators(bases, ambient, cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
     emb = ModuleMap(free, ambient, [v for _, v in gens])
@@ -641,18 +632,14 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
         for z in above:
             offsets[z] = n
             n += bm.stalks[z].dim(d)
-        ech = Echelon()
-        for e in inner:
-            for row in bm.edge_rows(e, d, offsets):
-                ech.insert(row)
+        ech = bm.glue(inner, d, offsets)
         dim_gt = n - start - ech.dim
         if dim_gt != logged.get(d, 0):
             return False
-        for e in graph.up[w]:
-            for row in bm.edge_rows(e, d, offsets):
-                ech.insert(row)
+        bm.glue(graph.up[w], d, offsets, ech)
         if n - ech.dim != dim_gt + costalk.get(d, 0):
             return False
         if n - start - ech.tail(start).dim != dim_gt:
             return False
+        del ech  # free this degree's rows before the next degree's are built
     return True

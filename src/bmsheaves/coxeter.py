@@ -75,8 +75,14 @@ _DEFAULT_PAIR = {
 }
 
 
-def _tupmat(rows):
-    return tuple(tuple(int(x) for x in r) for r in rows)
+def _tupmat(rows, name):
+    """A list of lists of ints as a tuple of tuples; refuses, never converts."""
+    seq = (list, tuple)
+    if not isinstance(rows, seq) or not all(isinstance(r, seq) for r in rows):
+        raise InputError(f"{name} matrix rows must be lists")
+    if any(type(x) is not int for r in rows for x in r):
+        raise InputError(f"{name} matrix entries must be integers")
+    return tuple(tuple(r) for r in rows)
 
 
 def _matmul(a, b):
@@ -207,12 +213,12 @@ def make_system(coxeter, cartan=None, labels=None) -> CoxeterSystem:
     gets the standard realization: m=2 -> (0,0), m=3 -> (-1,-1),
     m=4 -> (-1,-2), m=6 -> (-1,-3), m=infinity -> (-2,-2).
     """
-    n = len(coxeter)
+    cox = _tupmat(coxeter, "Coxeter")
+    n = len(cox)
     if n == 0:
         raise InputError("empty Coxeter matrix")
-    if any(len(row) != n for row in coxeter):
+    if any(len(row) != n for row in cox):
         raise InputError("Coxeter matrix must be square")
-    cox = _tupmat(coxeter)
     for i in range(n):
         if cox[i][i] != 1:
             raise InputError("diagonal Coxeter entries must be 1")
@@ -233,9 +239,9 @@ def make_system(coxeter, cartan=None, labels=None) -> CoxeterSystem:
             for j in range(i + 1, n):
                 a, b = _DEFAULT_PAIR[cox[i][j]]
                 rows[i][j], rows[j][i] = a, b
-        car = _tupmat(rows)
+        car = _tupmat(rows, "Cartan")
     else:
-        car = _tupmat(cartan)
+        car = _tupmat(cartan, "Cartan")
         if len(car) != n or any(len(r) != n for r in car):
             raise InputError("Cartan matrix shape must match the Coxeter matrix")
         for i in range(n):
@@ -259,6 +265,8 @@ def make_system(coxeter, cartan=None, labels=None) -> CoxeterSystem:
                         )
     if labels is None:
         labels = tuple(f"s{i + 1}" for i in range(n))
+    elif not isinstance(labels, (list, tuple)):
+        raise InputError("generator labels must be a list")
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
@@ -268,18 +276,18 @@ def make_system(coxeter, cartan=None, labels=None) -> CoxeterSystem:
 
 def load_system(path) -> CoxeterSystem:
     """Read a system from a JSON file {"rank", "coxeter", "cartan"?, "labels"?}."""
-    with open(path) as fh:
-        data = json.load(fh)
     try:
-        rank = int(data["rank"])
-        coxeter = data["coxeter"]
+        with open(path) as fh:
+            data = json.load(fh)
+        rank, coxeter = data["rank"], data["coxeter"]
     except KeyError as exc:
         raise InputError(f"bad system file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad system file: {exc}") from exc
-    if len(coxeter) != rank:
+    system = make_system(coxeter, data.get("cartan"), data.get("labels"))
+    if type(rank) is not int or rank != system.rank:
         raise InputError("rank does not match the Coxeter matrix size")
-    return make_system(coxeter, data.get("cartan"), data.get("labels"))
+    return system
 
 
 @dataclass(frozen=True, eq=False)

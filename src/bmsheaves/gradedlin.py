@@ -8,14 +8,15 @@ Three module shapes cover everything downstream:
                   multiset of generator degrees (S{-d} has its generator
                   in degree +d);
   QuotientModule  the same but over S/alpha for a nonzero linear form
-                  alpha, realized by eliminating alpha's pivot variable;
+                  alpha, realized by eliminating alpha's pivot variable
+                  x_p over the integral basis x^m / |a_p|^|m|;
   DirectSum       a finite concatenation of the above.
 
 Elements of a degree piece are sparse {position: coefficient} dicts with
-no zero entries; they go into `linalg.Echelon` as they are.  A module is
-a row of blocks, one per generator, each a shifted copy of S or of
-S/alpha with its monomials in degree-then-lex order, so the canonical
-basis is (generator index, monomial).  The ring enumerates those
+no zero entries; they go into `linalg.Echelon` as they are.  A module
+is a row of blocks, one per generator, each a shifted copy of S or of
+S/alpha with its (scaled) monomials in degree-then-lex order, so the
+canonical basis is (generator index, monomial).  The ring enumerates those
 monomials itself; the structure algebra of `momentgraph` keeps its
 polynomials as vectors of S = FreeModule(ring, (0,)) in that basis.
 Multiplication by a variable walks the blocks by offset over sparse
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -112,21 +112,23 @@ class PolyRing:
         return self.quotient_monomials(_pivot(alpha), d)
 
     def _var_cols(self, alpha, k, d):
-        """Sparse columns of multiplication by x_k from degree d to d+2 of
-        S (alpha None) or of S/alpha, over `_block_monomials`.  On S/alpha
-        the pivot variable is rewritten through alpha = 0."""
+        """Integer columns of multiplication by x_k from degree d to d+2
+        of S (alpha None) or of S/alpha, over `_block_monomials`.  On
+        S/alpha, with pivot p and basis b_m = x^m / |a_p|^|m|, x_k b_m =
+        |a_p| b_(m+e_k) for k != p and, by alpha = 0, x_p b_m =
+        -sign(a_p) sum_(j != p) a_j b_(m+e_j)."""
         key = (alpha, k, d)
         cols = self._varcols.get(key)
         if cols is None:
             tindex = {m: j for j, m in enumerate(self._block_monomials(alpha, d + 2))}
             subst = {k: 1}
-            if alpha is not None and k == _pivot(alpha):
-                p = alpha[k]
-                subst = {
-                    j: -a // p if a % p == 0 else Fraction(-a, p)
-                    for j, a in enumerate(alpha)
-                    if a and j != k
-                }
+            if alpha is not None:
+                p = _pivot(alpha)
+                if k != p:
+                    subst = {k: abs(alpha[p])}
+                else:
+                    sign = -1 if alpha[p] > 0 else 1
+                    subst = {j: sign * a for j, a in enumerate(alpha) if a and j != p}
             cols = []
             for m in self._block_monomials(alpha, d):
                 col = {}
@@ -289,8 +291,9 @@ class FreeModule(_Shifted):
 class QuotientModule(_Shifted):
     """Direct sum of (S/alpha){-d_i} for a nonzero linear form alpha.
 
-    Realized by eliminating the pivot variable (lowest index with nonzero
-    alpha coefficient); the basis consists of pivot-free monomials.
+    The pivot x_p is the first variable with a nonzero coefficient; the
+    basis is x^m / |a_p|^|m| over the pivot-free monomials x^m, so every
+    column is an integer, and it is x^m itself when |a_p| = 1.
     """
 
     def __init__(self, ring, gens, alpha):

@@ -20,7 +20,13 @@ from bmsheaves.bmsheaf import (
     theta_character,
     translate_out,
 )
-from bmsheaves.coxeter import bruhat_leq, multiply, parse_word
+from bmsheaves.coxeter import (
+    bruhat_leq,
+    element_ball,
+    make_system,
+    multiply,
+    parse_word,
+)
 from bmsheaves.errors import CapError, InconsistencyError, InputError
 from bmsheaves.gradedlin import ModuleMap, combine_columns
 from bmsheaves.hecke import HeckeAlgebra
@@ -271,8 +277,8 @@ def test_pair_costalks_match_the_global_construction(differential_sheaf):
             pairs += 1
             pc = costalk_interval(bm, y, s)
             assert sorted(pc.dims) == list(range(0, bm.caps[ys] + 1, 2))
-            for d, (rows, width) in bmsheaf._pair_systems(bm, y, s)[2].items():
-                basis = kernel_basis(rows, width)
+            for d, (ech, width) in bmsheaf._pair_systems(bm, y, s)[2].items():
+                basis = ech.kernel(width)
                 ref = _global_pair_costalk(bm, y, ys, d)
                 assert pc.dims[d] == len(basis) == len(ref), (y, s, d)
                 assert _same_span(basis, ref), (y, s, d)
@@ -410,3 +416,74 @@ def test_default_caps_scale_with_the_corank(a2_w0_sheaf):
     big_l = bm.top.length
     for w in bm.graph.vertices:
         assert bm.caps[w] == 2 * (big_l - w.length) + 4
+
+
+# -- integral gluing systems and the rank-2 Cartan table --------------------------
+
+# (Coxeter matrix, Cartan matrix or None for the default realization, word);
+# each has labels whose pivot (first nonzero) coefficient is not +-1
+INTEGRAL_CASES = {
+    "G2:121212": ([[1, 6], [6, 1]], None, "121212"),
+    "affA2:12312": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], None, "12312"),
+    "U2n:121212": ([[1, 0], [0, 1]], [[2, -3], [-2, 2]], "121212"),
+}
+
+
+def _all_ints(vec):
+    return all(type(a) is int for a in vec.values())
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_CASES))
+def test_gluing_systems_are_integral(name):
+    """The scaled S/alpha basis keeps every variable column of the ring,
+    every restriction column up to the cap and every rho_lower image an
+    int, whatever the labels' pivot coefficients."""
+    coxeter, cartan, word = INTEGRAL_CASES[name]
+    system = make_system(coxeter, cartan)
+    bm = bm_construct(build_graph(system, elt(system, word)))
+    pivots = {abs(next(a for a in e.label.coords if a)) for e in bm.graph.edges}
+    assert max(pivots) > 1
+    for e in bm.graph.edges:
+        assert all(_all_ints(img) for img in bm.rho_lower[e].images), e
+        for d in range(0, bm.caps[e.lower] + 1, 2):
+            for rho in (bm.rho_lower[e], bm.rho_upper[e]):
+                assert all(_all_ints(col) for col in rho.columns(d)), (e, d)
+    assert bm.ring._varcols
+    for key, cols in bm.ring._varcols.items():
+        assert all(_all_ints(col) for col in cols), key
+
+
+# every admissible rank-2 Cartan pair (a_st, a_ts) by bond order (0 is infinity)
+RANK2_CARTAN = {
+    2: [(0, 0)],
+    3: [(-1, -1)],
+    4: [(-1, -2), (-2, -1)],
+    6: [(-1, -3), (-3, -1)],
+    0: [(-1, -4), (-4, -1), (-2, -2), (-1, -5), (-5, -1), (-2, -3), (-3, -2)],
+}
+
+
+@pytest.mark.parametrize(
+    "m, a, b",
+    [
+        pytest.param(m, a, b, id=f"m{m}:{a},{b}")
+        for m, pairs in RANK2_CARTAN.items()
+        for a, b in pairs
+    ],
+)
+def test_rank_two_cartan_table(m, a, b):
+    """Every element of length <= 6 of every admissible rank-2 system:
+    the sheaf character equals both self-dual basis routes, and the
+    flabbiness, local rank and positivity checks hold at every vertex."""
+    system = make_system([[1, m], [m, 1]], [[2, a], [b, 2]])
+    alg = HeckeAlgebra(system)
+    elements = element_ball(system, 6)
+    assert len(elements) == (2 * m if m else 13)
+    for x in elements:
+        bm = bm_construct(build_graph(system, x))
+        assert character(bm) == alg.kl_basis(x) == alg.kl_oracle(x), x
+        for w in bm.graph.vertices:
+            assert check_flabby_additive(bm, w), (x, w)
+            assert check_prop_71(bm, w) == {"kernel_rank": True, "mirror": True}
+        for positive, pattern_free, _ in check_conjecture_72(bm).values():
+            assert positive and pattern_free, x

@@ -85,6 +85,23 @@ def test_system_files_are_loaded(capsys, tmp_path):
     assert code == 2
 
 
+MALFORMED_SYSTEMS = {
+    "row-not-a-list": '{"rank": 2, "coxeter": [1, 2]}',
+    "truncated": '{"rank": 2, "coxeter": [[1, 3], [3',
+    "string-entry": '{"rank": 2, "coxeter": [[1, "x"], [3, 1]]}',
+    "float-entry": '{"rank": 2, "coxeter": [[1, 3.7], [3.7, 1]]}',
+    "labels-not-a-list": '{"rank": 2, "coxeter": [[1, 3], [3, 1]], "labels": 5}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SYSTEMS))
+def test_malformed_system_files_are_usage_errors(capsys, tmp_path, name):
+    path = tmp_path / "system.json"
+    path.write_text(MALFORMED_SYSTEMS[name])
+    code, _, err = run(capsys, "kl", "--cartan", str(path), "--x", "1")
+    assert code == 2 and err.startswith("error:"), err
+
+
 def test_preset_and_file_are_mutually_exclusive(capsys, tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"rank": 1, "coxeter": [[1]]}))

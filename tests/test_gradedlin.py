@@ -99,6 +99,18 @@ def sparse_of(vec):
     return {i: c for i, c in enumerate(vec) if c}
 
 
+def monomial_coords(blocks, vec, d):
+    """A sparse degree-d vector of the concatenated blocks in the
+    reference's monomial coordinates.  The module's basis vector of
+    S/alpha at m is x^m / |a_p|^|m|, p the pivot, so its entry is
+    divided by |a_p|^|m|."""
+    scales = []
+    for mod, alpha in blocks:
+        a = 1 if alpha is None else abs(next(c for c in alpha if c))
+        scales.extend(a ** sum(m) for _, m in mod.basis(d))
+    return {pos: Fraction(c) / scales[pos] for pos, c in vec.items()}
+
+
 def random_vec(rng, n):
     values = (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))
     return [rng.choice(values) for _ in range(n)]
@@ -139,16 +151,18 @@ def test_sparse_products_match_the_monomial_reference(name):
     for d in range(0, 8, 2):
         for _ in range(6):
             vec = random_vec(rng, mod.dim(d))
-            refs = [ref_mul_var(blocks, vec, k, d) for k in range(ring.nvars)]
+            mono = dense(monomial_coords(blocks, sparse_of(vec), d), mod.dim(d))
+            refs = [ref_mul_var(blocks, mono, k, d) for k in range(ring.nvars)]
             for k, ref in enumerate(refs):
                 got = mod.mul_var(sparse_of(vec), k, d)
-                assert got == sparse_of(ref), (d, k)
+                assert monomial_coords(blocks, got, d + 2) == sparse_of(ref), (d, k)
                 assert all(got.values())
             by_form = [
                 sum(c * ref[t] for c, ref in zip(coeffs, refs))
                 for t in range(mod.dim(d + 2))
             ]
-            assert mod.mul_linear(sparse_of(vec), coeffs, d) == sparse_of(by_form)
+            got = mod.mul_linear(sparse_of(vec), coeffs, d)
+            assert monomial_coords(blocks, got, d + 2) == sparse_of(by_form)
             if isinstance(mod, DirectSum):
                 off = mod.offsets(d)
                 for idx in range(len(blocks)):
@@ -170,20 +184,22 @@ def test_sparse_map_columns_match_the_monomial_reference(name):
         assert len(cols) == source.dim(d)
         ref_cols = []
         for i, m in source.basis(d):
-            col = dense(images[i], target.dim(source.gens[i]))
             e = source.gens[i]
+            col = dense(monomial_coords(blocks, images[i], e), target.dim(e))
             for k, power in enumerate(m):
                 for _ in range(power):
                     col = ref_mul_var(blocks, col, k, e)
                     e += 2
             ref_cols.append(col)
-        assert cols == [sparse_of(col) for col in ref_cols], d
+        got = [monomial_coords(blocks, col, d) for col in cols]
+        assert got == [sparse_of(col) for col in ref_cols], d
         vec = random_vec(rng, source.dim(d))
         ref = [
             sum(c * col[t] for c, col in zip(vec, ref_cols))
             for t in range(target.dim(d))
         ]
-        assert mmap.apply(sparse_of(vec), d) == sparse_of(ref)
+        got = mmap.apply(sparse_of(vec), d)
+        assert monomial_coords(blocks, got, d) == sparse_of(ref)
 
 
 def test_hilbert_dimensions():
@@ -263,9 +279,10 @@ def test_multiplication_by_a_linear_form_matches_variable_sums():
 
 def test_quotient_module_kills_exactly_the_form():
     ring = PolyRing(2)
-    # (2, 3) is G2's label: its pivot coefficient is 2, so the quotient's
-    # columns hold Fractions
-    for gens, alpha in [((0,), (1, 1)), ((0,), (2, 3)), ((0, 2), (1, 1))]:
+    # (2, 3) is G2's label and (-2, 3) has a negative pivot: the basis of
+    # S/alpha is scaled by powers of |a_p| = 2, so the columns stay integers
+    cases = [((0,), (1, 1)), ((0,), (2, 3)), ((0,), (-2, 3)), ((0, 2), (1, 1))]
+    for gens, alpha in cases:
         free = FreeModule(ring, gens)
         q, qmap = quotient_map(free, alpha)
         assert q.gens == free.gens and q.alpha == alpha

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,16 @@ def _vec(vec):
     return [[i, str(a)] for i, a in sorted(vec.items())]
 
 
+def _monomial_coords(module, vec, d):
+    """A degree-d vector of an edge module S/alpha in the monomial
+    coordinates the digests were recorded in: the module's basis vector
+    at m is x^m / |a_p|^|m|, p the pivot, so its entry is divided by
+    |a_p|^|m|."""
+    scale = abs(next(a for a in module.alpha if a))
+    basis = module.basis(d)
+    return {pos: Fraction(a, scale ** sum(basis[pos][1])) for pos, a in vec.items()}
+
+
 def build(graph):
     """The sheaf and the builder's final list of section generators."""
     seen = []
@@ -93,7 +104,12 @@ def compute(name):
     edges = sorted(graph.edges, key=lambda e: (sort_key(e.lower), sort_key(e.upper)))
     return {
         "rho_lower": {
-            f"{e.lower}>{e.upper}": _digest([_vec(v) for v in bm.rho_lower[e].images])
+            f"{e.lower}>{e.upper}": _digest(
+                [
+                    _vec(_monomial_coords(bm.edge_mod[e], v, g))
+                    for g, v in zip(bm.stalks[e.lower].gens, bm.rho_lower[e].images)
+                ]
+            )
             for e in edges
         },
         "sections": [
