@@ -14,9 +14,7 @@ by the content.  The form is lazy: `insert` reduces only the incoming
 row, and `kernel` back-substitutes once.  Kernel bases are sparse
 primitive integer vectors, {column: int} dicts without zeros like every
 other vector in the package, one per free column, in increasing
-free-column order, which keeps all downstream output deterministic.  A
-caller that reads only the last columns of a kernel orders those columns
-last and solves just `tail(start)`, the rows that live on them.
+free-column order, which keeps all downstream output deterministic.
 """
 
 from __future__ import annotations
@@ -100,20 +98,6 @@ class Echelon:
                 r[c] = -r[c]
         rows[p] = r
         return p
-
-    def tail(self, start):
-        """The stored rows with pivot at or after column `start`, shifted
-        to begin at column 0, as a new Echelon.
-
-        A stored row's pivot is its smallest column, so these rows span
-        the part of the row space supported on columns >= start, and
-        their kernel is the projection of the full kernel onto those
-        columns."""
-        out = Echelon()
-        for p, r in self.rows.items():
-            if p >= start:
-                out.rows[p - start] = {c - start: v for c, v in r.items()}
-        return out
 
     def kernel(self, ncols):
         """Kernel of the linear system whose equations are the rows,

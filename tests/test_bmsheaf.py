@@ -5,6 +5,9 @@ The singular rank-3 case (top word 2132) pins the first two-generator
 stalk, where the character coefficients stop being pure powers.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from bmsheaves import bmsheaf
@@ -155,22 +158,29 @@ def test_flabbiness_check_refuses_a_wrong_section_dimension(a2, a2_w0_sheaf):
 
 
 def test_flabbiness_check_refuses_a_zeroed_lower_restriction(a2):
+    """A zeroed restriction on an edge above m, on a fresh sheaf each time,
+    breaks the restriction Gamma({>= m}) -> Gamma({> m}).  The vertex-by-
+    vertex reference sees that only at the w <= m, whose {>= w} holds m;
+    the certificate covers every upper set, so it refuses at every vertex."""
     graph = build_graph(a2, elt(a2, "121"))
-    for w in graph.vertices:
-        if w == graph.top:
-            continue
+    for m in graph.vertices:
+        if m == graph.top:
+            continue  # no edge lies above the top
         bm = bm_construct(graph)
-        e = graph.up[w][0]
-        zero = [{} for _ in bm.stalks[w].gens]
-        bm.rho_lower[e] = ModuleMap(bm.stalks[w], bm.edge_mod[e], zero)
-        assert not check_flabby_additive(bm, w), w
+        e = graph.up[m][0]
+        zero = [{} for _ in bm.stalks[m].gens]
+        bm.rho_lower[e] = ModuleMap(bm.stalks[m], bm.edge_mod[e], zero)
+        refused = {w for w in graph.vertices if not _flabby_by_vertex(bm, w)}
+        assert refused == {w for w in graph.vertices if bruhat_leq(w, m)}, m
+        assert not any(check_flabby_additive(bm, w) for w in graph.vertices), m
 
 
 # -- the builder against global sections -----------------------------------------
 #
-# The builder, the pair costalks and the flabbiness check each solve only
-# the part of a section system they read.  These tests rebuild the same
-# answers from full section spaces (`Sheaf.sections`) and compare.
+# The builder and the pair costalks each solve only the part of a section
+# system they read, and the flabbiness check only counts dimensions.  These
+# tests rebuild the same answers from full section spaces (`Sheaf.sections`)
+# or from per-vertex eliminations, and compare.
 
 
 def _rank(vectors):
@@ -293,6 +303,95 @@ def test_local_costalk_solve_matches_the_builder(differential_sheaf):
     for w in bm.graph.vertices:
         degrees = range(0, bm.caps[w] + 1, 2)
         assert bm.costalk_dims(w, degrees) == bm.costalk_dim_table[w], w
+
+
+def _flabby_by_vertex(bm, w):
+    """The flabbiness check vertex by vertex: per degree, eliminate the
+    gluing rows inside {> w}, then those of the edges at w, with w's
+    columns first, and compare dim Gamma({> w}), dim Gamma({>= w}) and
+    the rank of the restriction between them with the builder's tables."""
+    graph = bm.graph
+    above = [z for z in reversed(graph.vertices) if z != w and bruhat_leq(w, z)]
+    inside = set(above)
+    inner = [e for e in graph.edges if e.lower in inside and e.upper in inside]
+    costalk = bm.costalk_dim_table[w]
+    logged = bm.section_log.get(w, {})
+    for d in range(0, bm.caps[w] + 1, 2):
+        start = bm.stalks[w].dim(d)
+        offsets = {w: 0}
+        n = start
+        for z in above:
+            offsets[z] = n
+            n += bm.stalks[z].dim(d)
+        ech = bm.glue(inner, d, offsets)
+        dim_gt = n - start - ech.dim
+        if dim_gt != logged.get(d, 0):
+            return False
+        bm.glue(graph.up[w], d, offsets, ech)
+        if n - ech.dim != dim_gt + costalk.get(d, 0):
+            return False
+        # a stored row's pivot is its smallest column, so the rows with a
+        # pivot past w's columns span the relations on {> w} alone, and
+        # the restricted sections are their kernel
+        if n - start - sum(p >= start for p in ech.rows) != dim_gt:
+            return False
+    return True
+
+
+def test_flabbiness_certificate_matches_the_vertex_by_vertex_check(differential_sheaf):
+    bm = differential_sheaf
+    for w in bm.graph.vertices:
+        assert check_flabby_additive(bm, w), w
+        assert _flabby_by_vertex(bm, w), w
+
+
+def _wrong_costalk_dimension(bm, w):
+    bm.costalk_dim_table[w][2] += 1
+
+
+def _wrong_section_dimension(bm, w):
+    bm.section_log[w][2] += 1
+
+
+@pytest.mark.parametrize("mutate", [_wrong_costalk_dimension, _wrong_section_dimension])
+def test_flabbiness_certificate_matches_the_vertex_by_vertex_check_on_a_wrong_table(
+    a2, mutate
+):
+    """A wrong table entry at one vertex m, on a fresh sheaf each time:
+    the two checks agree at every vertex and both refuse m."""
+    graph = build_graph(a2, elt(a2, "121"))
+    for m in graph.vertices:
+        if m == graph.top and mutate is _wrong_section_dimension:
+            continue  # nothing lies above the top, so it has no section_log entry
+        bm = bm_construct(graph)
+        mutate(bm, m)
+        verdicts = {w: check_flabby_additive(bm, w) for w in graph.vertices}
+        assert verdicts == {w: _flabby_by_vertex(bm, w) for w in graph.vertices}, m
+        assert not verdicts[m], m
+
+
+def test_flabbiness_certificate_is_built_once_and_freed_with_the_sheaf(
+    a2, monkeypatch
+):
+    graph = build_graph(a2, elt(a2, "121"))
+    bm = bm_construct(graph)
+    glued = []
+    glue = bmsheaf.Sheaf.glue
+
+    def counting_glue(self, edges, d, offsets, ech=None):
+        if tuple(edges) == graph.edges:
+            glued.append(d)
+        return glue(self, edges, d, offsets, ech)
+
+    monkeypatch.setattr(bmsheaf.Sheaf, "glue", counting_glue)
+    for _ in range(2):
+        for w in graph.vertices:
+            assert check_flabby_additive(bm, w)
+    assert glued == list(range(0, max(bm.caps.values()) + 1, 2))
+    ref = weakref.ref(bm)
+    del bm
+    gc.collect()
+    assert ref() is None
 
 
 # -- pair costalks and wall crossing -------------------------------------------

@@ -194,34 +194,6 @@ def ref_rank(vectors, ncols):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tail_solves_the_kernel_projected_onto_the_last_columns(seed):
-    rng = random.Random(300 + seed)
-    for _ in range(60):
-        rows, ncols = random_matrix(rng, ENTRIES)
-        ech = Echelon()
-        for row in rows:
-            ech.insert(sparse(row))
-        stored = {p: dict(r) for p, r in ech.rows.items()}
-        ref = ref_kernel(rows, ncols)
-        for start in range(ncols + 1):
-            width = ncols - start
-            tail = ech.tail(start)
-            # the rank of the row space restricted to columns >= start
-            assert tail.dim == ref_rank(rows, ncols) - ref_rank(
-                [row[:start] for row in rows], start
-            )
-            ker = [dense(vec, width) for vec in tail.kernel(width)]
-            assert len(ker) == width - tail.dim
-            projected = [vec[start:] for vec in ref]
-            rank = ref_rank(ker, width)
-            assert rank == len(ker)
-            assert ref_rank(projected, width) == rank
-            assert ref_rank(ker + projected, width) == rank
-        # solving a tail leaves the full echelon form as it was
-        assert ech.rows == stored
-
-
-@pytest.mark.parametrize("seed", range(4))
 def test_differ_by_rank_one_matches_the_reference_rank(seed):
     rng = random.Random(400 + seed)
     ranks = set()
