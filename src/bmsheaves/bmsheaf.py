@@ -189,7 +189,7 @@ class BMSheaf(Sheaf):
         self._flabby = None  # see `_flabby_certificate`
 
 
-def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
+def bm_construct(graph: MomentGraph, cap_override=None):
     """Build the canonical indecomposable sheaf on the given graph.
 
     Vertices are processed by decreasing length (ShortLex within a
@@ -208,7 +208,7 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
     compares it with the measured costalk dimensions above w, whose sum
     its flabbiness certificate proves to be that dimension.
 
-    The per-vertex degree cap is 2 (l(top) - l(y)) + margin unless
+    The per-vertex degree cap is 2 (l(top) - l(y)) + DEFAULT_MARGIN unless
     overridden, and a cap below 0 is refused (CapError).  Every
     minimal-generator extraction, of a stalk or of a costalk, and every
     graded-rank deconvolution refuses to answer when generators appear
@@ -234,7 +234,7 @@ def bm_construct(graph: MomentGraph, margin=DEFAULT_MARGIN, cap_override=None):
             capw = int(cap_override)
             capw -= capw % 2
         else:
-            capw = 2 * (big_l - w.length) + margin
+            capw = 2 * (big_l - w.length) + DEFAULT_MARGIN
         if capw < 0:
             raise CapError(f"degree cap {capw} at {w} leaves no degree to compute")
         sheaf.caps[w] = capw
@@ -591,16 +591,21 @@ def check_conjecture_72(bm: BMSheaf):
     return report
 
 
-def check_prop_71(bm: BMSheaf, w: Element, margin=DEFAULT_MARGIN):
+def check_prop_71(bm: BMSheaf, w: Element):
     """Local rank identities at one vertex.
 
     (2) the kernel of stalk_w -> sum of B^E over all edges at w is graded
     free of rank v^(2 #down-edges) times the costalk rank; (4) the stalk
     generator multiset mirrors the costalk generator multiset under
     d -> 2(l(x)-l(w)) - d.
+
+    The kernel is solved up to the bottom vertex's cap 2 l(top) + m, with
+    m = DEFAULT_MARGIN, at every w: q_w has generators up to 4 below the
+    cap of w, and on [e, x] w has exactly l(w) down-edges, so
+    v^(2 l(w)) q_w has generators up to 2 l(top) + m - 4, beyond that cap.
     """
     big_l = bm.top.length
-    cap2 = 2 * big_l + margin
+    cap2 = 2 * big_l + DEFAULT_MARGIN
     dims = bm.local_kernel_dims(w, range(0, cap2 + 1, 2))
     full_rank = rank_from_dims(dims, bm.ring.nvars, cap2)
     ndown = len(bm.graph.down[w])

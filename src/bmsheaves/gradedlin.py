@@ -450,7 +450,7 @@ def minimal_generators(candidates, ambient, cap):
     return gens
 
 
-def rank_from_dims(dims, nvars, cap, require_stable=True):
+def rank_from_dims(dims, nvars, cap):
     """Graded rank (sum of v^degree over generators) from a dimension table.
 
     Greedily deconvolves against the Hilbert series of S.  A negative
@@ -472,7 +472,7 @@ def rank_from_dims(dims, nvars, cap, require_stable=True):
             )
         if residual:
             gens[d] = residual
-    if require_stable and any(d >= cap - 2 for d in gens):
+    if any(d >= cap - 2 for d in gens):
         raise CapError(
             f"graded-rank generators at the top of the range (cap {cap}); "
             "raise the cap to trust this computation"

@@ -97,9 +97,7 @@ class HeckeElt:
             {x: c.shift(sign * x.length) for x, c in self.coeffs.items()},
         )
 
-    def coeff(self, x, basis=None):
-        if basis is not None and basis != self.basis:
-            return self.convert(basis).coeff(x)
+    def coeff(self, x):
         return self.coeffs.get(x, LaurentPoly.zero())
 
     @property

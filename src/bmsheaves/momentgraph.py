@@ -5,10 +5,12 @@ in the quotient by a rank-one parabolic: vertices are group elements (or
 minimal coset representatives), there is an edge between w and tw for
 each reflection t that keeps both endpoints in the vertex set, the edge
 is directed from the shorter to the longer endpoint, and it is labeled
-by the positive root of t.  Construction checks the structural facts the
-theory predicts and raises RealizationError when a computed graph would
-falsify them: no double edges, distinct reflections never carry
-proportional labels, and edge endpoints are always comparable.
+by the positive root of t.  Each unordered pair of vertices gives at most
+one edge.  Construction checks the structural facts the theory predicts
+and raises RealizationError when a computed graph would falsify them:
+distinct reflections never carry proportional labels, and edge endpoints
+are always comparable.  `check_sanity` also refuses double edges, for
+graphs built by other means.
 
 The structure algebra Z consists of the vertex tuples (z_w) of
 polynomials with z_w = z_{w'} mod alpha_t along every edge.  A tuple
@@ -132,76 +134,50 @@ def _check_labels(edges):
 def build_graph(system, x: Element, kind="regular", s=None) -> MomentGraph:
     """Moment graph of [e, x], or of its quotient by <s> when kind='quotient'.
 
-    A pair of vertices y, z is an edge when z y^-1 is a reflection, which
-    is tested on the two matrices alone (rank(Z - Y) = 1) before z y^-1
-    is formed.  For the quotient, vertices are the minimal length coset
-    representatives of cosets below the coset of x, ordered by Bruhat
-    order on those representatives; w and u are joined when u w^-1 or
-    (u s) w^-1 is a reflection, and both succeeding at once is a double
-    edge (an error).
+    The kind only chooses the vertex set and the top.  A regular graph has
+    the interval [e, x]; a quotient graph has the minimal length coset
+    representatives of the cosets below the coset of x, ordered by Bruhat
+    order on those representatives, and the shorter of x, xs as its top.
+    Each vertex z has its ends: z itself, and z s on a quotient graph.
+    Vertices y < z are joined when zz y^-1 is a reflection for an end zz.
+    That is tested on the matrices alone: the lengths of zz and y differ
+    by an odd number and rank(ZZ - Y) = 1.  Only then is t = zz y^-1
+    formed.  The two ends of z differ in length by one, so at most one of
+    them passes the parity test and a pair gives at most one edge.
     """
     if kind == "regular":
-        vertices = bruhat_interval(x)
-        edges = []
-        for i, y in enumerate(vertices):
-            for z in vertices[i + 1:]:
-                if (z.length - y.length) % 2 == 0 or z.length <= y.length:
-                    continue
-                if not _differ_by_rank_one(z.matrix, y.matrix):
-                    continue
-                t = multiply(z, y.inverse())
-                e = Edge(y, z, t, reflection_root(t))
-                if not bruhat_leq(y, z):
-                    raise RealizationError(
-                        f"edge endpoints {y}, {z} are not comparable"
-                    )
-                edges.append(e)
-        graph = MomentGraph(system, kind, x, vertices, edges)
+        vertices, top, gen = bruhat_interval(x), x, None
     elif kind == "quotient":
         if s is None or not (0 <= s < system.rank):
             raise InputError("quotient graphs need a generator index")
         gen = system.generators[s]
-        xs = multiply(x, gen)
-        upper = x if xs.length < x.length else xs
+        top, upper = sorted((x, multiply(x, gen)), key=sort_key)
         vertices = [
             w
             for w in bruhat_interval(upper)
             if multiply(w, gen).length > w.length
         ]
-        top = min(x, xs, key=sort_key) if xs.length < x.length else x
-        edges = []
-        for i, y in enumerate(vertices):
-            for z in vertices[i + 1:]:
-                cands = []
-                for zz in (z, multiply(z, gen)):
-                    if _differ_by_rank_one(zz.matrix, y.matrix):
-                        t = multiply(zz, y.inverse())
-                        if t.length % 2:
-                            cands.append(t)
-                if not cands:
-                    continue
-                if len(cands) > 1:
-                    raise RealizationError(
-                        f"double edge between cosets of {y} and {z}"
-                    )
-                t = cands[0]
-                if z.length == y.length or not bruhat_leq(y, z):
-                    raise RealizationError(
-                        f"edge endpoints {y}, {z} are not comparable as cosets"
-                    )
-                edges.append(Edge(y, z, t, reflection_root(t)))
-        graph = MomentGraph(system, kind, top, vertices, edges, quotient_gen=s)
     else:
         raise InputError(f"unknown graph kind {kind!r}")
-    # no double edges between the same endpoints
-    seen = set()
-    for e in graph.edges:
-        key = (e.lower, e.upper)
-        if key in seen:
-            raise RealizationError(f"double edge at {key[0]} -> {key[1]}")
-        seen.add(key)
-    _check_labels(graph.edges)
-    return graph
+    ends = [(z,) if gen is None else (z, multiply(z, gen)) for z in vertices]
+    edges = []
+    for i, y in enumerate(vertices):
+        ly, my = y.length, y.matrix
+        for j in range(i + 1, len(vertices)):
+            for zz in ends[j]:
+                if (zz.length - ly) % 2 and _differ_by_rank_one(zz.matrix, my):
+                    break
+            else:
+                continue
+            z = vertices[j]
+            if z.length == ly or not bruhat_leq(y, z):
+                raise RealizationError(f"edge endpoints {y}, {z} are not comparable")
+            t = multiply(zz, y.inverse())
+            edges.append(Edge(y, z, t, reflection_root(t)))
+    _check_labels(edges)
+    return MomentGraph(
+        system, kind, top, vertices, edges, None if gen is None else s
+    )
 
 
 # -- structure algebra ----------------------------------------------------

@@ -13,6 +13,7 @@ from bmsheaves.coxeter import (
     multiply,
     parse_word,
     reflection_root,
+    sort_key,
 )
 from bmsheaves.errors import InconsistencyError, InputError, RealizationError
 from bmsheaves.gradedlin import FreeModule, PolyRing
@@ -286,6 +287,19 @@ def _brute_force_edges(system, x, kind, s=None):
     return out
 
 
+def _coset_shape(system, x, s):
+    """(vertices, top) of the quotient graph from the definition: the
+    minimal representatives of the cosets of the elements below x, and
+    the minimal representative of the coset of x."""
+    gen = system.generators[s]
+
+    def rep(w):
+        return min(w, multiply(w, gen), key=lambda u: u.length)
+
+    vertices = sorted({rep(w) for w in bruhat_interval(x)}, key=sort_key)
+    return tuple(vertices), rep(x)
+
+
 def test_edges_match_the_brute_force_pair_scan(step_system):
     for x in element_ball(step_system, 4):
         graphs = [("regular", None)]
@@ -294,3 +308,12 @@ def test_edges_match_the_brute_force_pair_scan(step_system):
             graph = build_graph(step_system, x, kind=kind, s=s)
             got = [(e.lower, e.upper, e.reflection, e.label) for e in graph.edges]
             assert got == _brute_force_edges(step_system, x, kind, s), (x, kind, s)
+            if kind == "regular":
+                assert graph.vertices == bruhat_interval(x)
+                assert (graph.top, graph.quotient_gen) == (x, None)
+                # w has l(w) down-edges: the reflections t with tw < w
+                for w in graph.vertices:
+                    assert len(graph.down[w]) == w.length, (x, w)
+            else:
+                assert (graph.vertices, graph.top) == _coset_shape(step_system, x, s)
+                assert graph.quotient_gen == s
