@@ -47,6 +47,7 @@ implemented on top of the same section machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .coxeter import Element, bruhat_leq, multiply
 from .errors import CapError, InconsistencyError, InputError, RealizationError
@@ -115,14 +116,12 @@ class Sheaf:
 
     # -- sections -----------------------------------------------------------
 
-    def glue(self, edges, d, offsets, ech=None) -> Echelon:
-        """Insert the gluing rows of `edges` in degree d into `ech`, a new
-        Echelon when None, and return it: per edge e, one row of
-        rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis position of
-        B^e, over the columns where `offsets` starts each end's stalk.  An
-        end that `offsets` leaves out is taken to be zero."""
-        if ech is None:
-            ech = Echelon()
+    def glue(self, edges, d, offsets) -> Echelon:
+        """The Echelon of the gluing rows of `edges` in degree d: per edge
+        e, one row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis
+        position of B^e, over the columns where `offsets` starts each end's
+        stalk.  An end that `offsets` leaves out is taken to be zero."""
+        ech = Echelon()
         for e in edges:
             rows = [{} for _ in range(self.edge_mod[e].dim(d))]
             for end, rho, sign in (
@@ -442,6 +441,9 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
 
     xi = (alpha_t, 0) acts on a supported-on-pair section by scaling the
     lower component by the connecting edge label and killing the upper.
+    The module is presented by D*alpha and D*xi, D the least common
+    denominator of xi's columns: (D xi)^2 = (D alpha)(D xi), and the
+    kernels and spans that `decompose_ze_module` reads are unchanged.
     """
     ys, cap, systems = _pair_systems(bm, y, s)
     edge = next((e for e in bm.graph.up[ys] if e.upper == y), None)
@@ -461,14 +463,17 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
         for col in emb.columns(d):
             # the lower stalk's block comes first in the ambient sum
             low = ambient.component(col, 0, d)
-            expr = solve_in_span(nxt, lower_stalk.mul_linear(low, alpha, d))
-            if expr is None:
+            sol = solve_in_span(nxt, lower_stalk.mul_linear(low, alpha, d))
+            if sol is None:
                 raise InconsistencyError(
                     "pair costalk is not stable under the edge algebra"
                 )
-            images.append(expr)
+            images.append(sol)
         xi_cols[d] = images
-    return ZEModule(free, alpha, xi_cols)
+    big = lcm(*(den for images in xi_cols.values() for _, den in images))
+    for images in xi_cols.values():
+        images[:] = [{j: v * (big // den) for j, v in c.items()} for c, den in images]
+    return ZEModule(free, tuple(big * a for a in alpha), xi_cols)
 
 
 def theta_character(bm: BMSheaf, s: int) -> HeckeElt:

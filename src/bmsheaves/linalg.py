@@ -6,7 +6,7 @@ solves are block sparse (each constraint couples the stalk variables of
 just two vertices), so sparse rows beat dense elimination by a wide
 margin while staying exact.
 
-An input row is scaled once, on entry, to a primitive integer row.  A
+Every scalar is an int, and an input row is made primitive on entry.  A
 stored row is primitive, its pivot is its smallest column and its lead
 (the entry there) is positive.  Rows are reduced as in Bareiss'
 fraction-free elimination: scale by the pivot's lead, subtract, divide
@@ -19,7 +19,6 @@ free-column order, which keeps all downstream output deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -76,10 +75,9 @@ class Echelon:
         return len(self.rows)
 
     def insert(self, vec):
-        """Add vec to the row space; return its pivot column, or None if
-        vec was already in the span."""
-        den = lcm(*(v.denominator for v in vec.values()))
-        r = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+        """Add vec, a {column: int} dict, to the row space; return its
+        pivot column, or None if vec was already in the span."""
+        r = {c: v for c, v in vec.items() if v}
         rows = self.rows
         heap = [c for c in r if c in rows]
         heapify(heap)
@@ -141,13 +139,13 @@ def kernel_basis(rows, ncols):
 
 
 def solve_in_span(columns, target):
-    """Express target as a rational combination of the given columns.
+    """Express den * target as an integer combination of the columns.
 
-    Columns and target are sparse {row: value} dicts.  Returns the
-    coefficients as a {column: value} dict without zeros (ints when they
-    are integral), or None if target is not in the span.  When the
-    columns are dependent, the solution is the one that vanishes on the
-    free columns.
+    Columns and target are sparse {row: int} dicts.  Returns (coeffs,
+    den), coeffs a {column: int} dict without zeros and den > 0 the
+    least integer with sum_j coeffs[j] * columns[j] == den * target, or
+    None if target is not in the span.  When the columns are dependent,
+    the solution is the one that vanishes on the free columns.
     """
     n = len(columns)
     rows = {}
@@ -161,8 +159,8 @@ def solve_in_span(columns, target):
         ech.insert(row)
     if n in ech.rows:
         return None
-    # column n is free and the last one, so its vector comes last
+    # column n is free and the last one, so its vector comes last; that
+    # vector is primitive, so its entry at n is the least denominator
     vec = ech.kernel(n + 1)[-1]
-    z = vec.pop(n)
-    return {j: v // z if v % z == 0 else Fraction(v, z) for j, v in vec.items()}
+    return vec, vec.pop(n)
 

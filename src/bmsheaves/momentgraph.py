@@ -20,18 +20,18 @@ S -> S/alpha_t, products through multiplication by monomials, and exact
 division through `linalg.solve_in_span`.  Three operations on it drive
 the sheaf theory: the characteristic embedding
 sigma(alpha)_w = w(alpha); the invariant splitting of Z over a rank-one
-parabolic (z decomposes as z_+ + c^s z_- with both parts invariant,
-where c^s_w = w(alpha_s)); and the decomposition of a Z(E)-module, for
-one edge E labeled alpha_t, into shifted copies of the two vertex-line
-modules M(x), M(y) and the full edge module P(x,y), by a greedy
-degreewise complement computation over the action of xi = (alpha_t, 0).
+parabolic (2z decomposes as z_+ + c^s z_- with both parts invariant and
+integral, where c^s_w = w(alpha_s)); and the decomposition of a
+Z(E)-module, for one edge E labeled alpha_t, into shifted copies of the
+two vertex-line modules M(x), M(y) and the full edge module P(x,y), by a
+greedy degreewise complement computation over the action of
+xi = (alpha_t, 0).
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxeter import (
     Element,
@@ -316,14 +316,15 @@ def c_invariant(graph: MomentGraph, s: int) -> ZTuple:
 
 
 def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
-    """Split z = z_plus + c^s * z_quot over the invariants of s.
+    """Split 2z = z_plus + c^s * z_quot over the invariants of s.
 
     Requires the vertex set to be closed under right multiplication by s
     (true for [e, x] exactly when xs < x).  s acts by (s.z)_w = z_{ws};
-    z_plus is the symmetric part and z_quot the antisymmetric part divided
-    exactly by c^s_w = w(alpha_s), one `solve_in_span` per degree over
-    the columns of multiplication by it; failed division means z was not
-    in Z.
+    z_plus = z + s.z, and z_quot is z - s.z divided exactly by
+    c^s_w = w(alpha_s), one `solve_in_span` per degree over the columns
+    of multiplication by it.  w(alpha_s) is primitive (w has determinant
+    +-1 on the root lattice), so by Gauss's lemma z_quot is integral when
+    z is; failed division means z was not in Z.
     """
     if graph.kind != "regular":
         raise InputError("the invariant splitting needs a regular orbit graph")
@@ -338,23 +339,22 @@ def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
         partner[w] = ws
     stalk = graph.stalk
     unit = tuple(1 if i == s else 0 for i in range(graph.system.rank))
-    half = Fraction(1, 2)
     plus, quot = [], []
     for w in graph.vertices:
         zw = z[w]
         zws = z[partner[w]]
-        plus.append(_scale(_add(zw, zws), half))
+        plus.append(_add(zw, zws))
         cw = w.apply(unit)
         q = {}
-        for d, vec in _add(_scale(zw, half), _scale(zws, -half)).items():
+        for d, vec in _add(zw, _scale(zws, -1)).items():
             dim = stalk.dim(d - 2)
             cols = [stalk.mul_linear({j: 1}, cw, d - 2) for j in range(dim)]
             sol = solve_in_span(cols, vec)
-            if sol is None:
+            if sol is None or sol[1] != 1:
                 raise InputError(
                     f"z_{w} - z_{partner[w]} is not divisible by the linear form {cw}"
                 )
-            q[d - 2] = sol
+            q[d - 2] = sol[0]
         quot.append(q)
     return ZTuple(graph, plus), ZTuple(graph, quot)
 

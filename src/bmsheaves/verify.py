@@ -414,10 +414,12 @@ def section_to_ztuple(graph, space, vec) -> ZTuple:
 
 
 def lift_edge_generator(graph, sh: Sheaf, edge):
-    """A global section restricting to (alpha_t, 0) on one edge, if any.
+    """An integer global section restricting to den * (alpha_t, 0) on one
+    edge, den > 0 the least such multiple, if there is one.
 
     Realizes the surjectivity of Z onto the two-vertex edge algebra in
-    degree 2; returns None when the degree-2 sections do not reach it.
+    degree 2, up to that scalar; returns None when the degree-2 sections
+    do not reach it.
     """
     space = sh.sections(graph.vertices, 2)
     lo, hi = space.offsets[edge.lower]
@@ -430,10 +432,10 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
         cols.append(col)
     # position k of the stalk's degree-2 piece is x_k
     target = {k: a for k, a in enumerate(edge.label.coords) if a}
-    expr = solve_in_span(cols, target)
-    if expr is None:
+    sol = solve_in_span(cols, target)
+    if sol is None:
         return None
-    return section_to_ztuple(graph, space, combine_columns(expr, space.vectors))
+    return section_to_ztuple(graph, space, combine_columns(sol[0], space.vectors))
 
 
 def _random_alpha(rng, n):
@@ -468,11 +470,11 @@ def _random_z(graph, sh, rng) -> ZTuple:
     return total + ZTuple(graph, [entry] * len(graph.vertices))
 
 
-def random_ze_summands(rng, max_rank=6):
-    """A random multiset of local summands with total rank <= max_rank."""
+def random_ze_summands(rng):
+    """A random multiset of local summands with total rank <= 6."""
     kinds = ("M_lower", "M_upper", "P")
     out = []
-    budget = max_rank
+    budget = 6
     while budget > 0 and (not out or rng.random() < 0.75):
         kind = kinds[rng.randrange(3)]
         if kind == "P" and budget < 2:
@@ -488,8 +490,8 @@ def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
     The automorphism is unipotent with respect to (degree, generator
     index): each generator maps to itself plus random multiples of
     generators of lower degree (or equal degree and smaller index), so it
-    is invertible degreewise; the conjugated module is isomorphic and
-    must decompose identically.
+    is invertible degreewise over the integers; the conjugated module is
+    isomorphic and must decompose identically.
     """
     mod = zem.module
     ring = mod.ring
@@ -515,9 +517,9 @@ def scramble_ze_module(zem: ZEModule, rng, cap) -> ZEModule:
         inv = []
         for r in range(mod.dim(d)):
             sol = solve_in_span(cols, {r: 1})
-            if sol is None:
+            if sol is None or sol[1] != 1:
                 raise InconsistencyError("scramble produced a singular map")
-            inv.append(sol)
+            inv.append(sol[0])
         u_inv[d] = inv
     new_cols = {}
     for d in range(0, cap - 1, 2):
@@ -555,7 +557,7 @@ def crit_structure(ctx: SuiteContext):
                     continue
                 plus, quot = split_invariant(graph, s, z)
                 if (
-                    plus + c_s * quot != z
+                    plus + c_s * quot != z * 2
                     or not z_contains(graph, plus)
                     or not z_contains(graph, quot)
                 ):
@@ -666,9 +668,9 @@ CRITERIA = [
 ]
 
 
-def run_suite(extended=False, progress=None, context=None):
+def run_suite(extended=False, progress=None):
     """Run all checks in order; return the list of CheckResults."""
-    ctx = context if context is not None else SuiteContext(extended)
+    ctx = SuiteContext(extended)
     results = []
     for name, fn in CRITERIA:
         start = time.perf_counter()

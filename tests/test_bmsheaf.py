@@ -323,11 +323,11 @@ def _flabby_by_vertex(bm, w):
         for z in above:
             offsets[z] = n
             n += bm.stalks[z].dim(d)
-        ech = bm.glue(inner, d, offsets)
-        dim_gt = n - start - ech.dim
+        dim_gt = n - start - bm.glue(inner, d, offsets).dim
         if dim_gt != logged.get(d, 0):
             return False
-        bm.glue(graph.up[w], d, offsets, ech)
+        # glue only inserts rows in order, so this echelon extends the last
+        ech = bm.glue(inner + list(graph.up[w]), d, offsets)
         if n - ech.dim != dim_gt + costalk.get(d, 0):
             return False
         # a stored row's pivot is its smallest column, so the rows with a
@@ -378,10 +378,10 @@ def test_flabbiness_certificate_is_built_once_and_freed_with_the_sheaf(
     glued = []
     glue = bmsheaf.Sheaf.glue
 
-    def counting_glue(self, edges, d, offsets, ech=None):
+    def counting_glue(self, edges, d, offsets):
         if tuple(edges) == graph.edges:
             glued.append(d)
-        return glue(self, edges, d, offsets, ech)
+        return glue(self, edges, d, offsets)
 
     monkeypatch.setattr(bmsheaf.Sheaf, "glue", counting_glue)
     for _ in range(2):
@@ -417,6 +417,53 @@ def test_pair_costalk_inside_the_full_a2_sheaf(a2, a2_w0_sheaf):
     assert zem.module.gens == (2, 4)
     cap = bm.caps[pc.lower] - 2
     assert decompose_ze_module(zem, cap) == [LocalSummand("P", 2)]
+
+
+def _a2_pair_decompositions(a2):
+    """The label and summands of every pair module (ws < w) over all of
+    A2, each module checked for xi^2 = alpha xi first."""
+    out = {}
+    for x in element_ball(a2, 3):
+        bm = bm_construct(build_graph(a2, x))
+        for s, gen in enumerate(a2.generators):
+            for w in bm.graph.vertices:
+                ws = multiply(w, gen)
+                if ws in bm.graph and ws.length < w.length:
+                    zem = pair_ze_module(bm, w, s)
+                    zem.check_square(zem.xi_cols)
+                    summands = decompose_ze_module(zem, bm.caps[ws] - 2)
+                    out[x, s, w] = zem.alpha, summands
+    return out
+
+
+def test_pair_modules_with_scaled_labels_decompose_the_same(a2, monkeypatch):
+    """Every solve of xi's columns has denominator 1 on real data, so the
+    path that presents the module by D*alpha and D*xi is forced here: the
+    solves return (k coeffs, k den) with k cycling through 1, 2, 3, so
+    the columns of one module carry different denominators."""
+    plain = _a2_pair_decompositions(a2)
+    solve = bmsheaf.solve_in_span
+    calls = []
+
+    def inflated(columns, target):
+        sol = solve(columns, target)
+        if sol is None:
+            return None
+        k = 1 + len(calls) % 3
+        calls.append(k)
+        coeffs, den = sol
+        return {j: k * c for j, c in coeffs.items()}, k * den
+
+    monkeypatch.setattr(bmsheaf, "solve_in_span", inflated)
+    scaled = _a2_pair_decompositions(a2)
+    assert scaled.keys() == plain.keys() and len(plain) >= 10
+    rescaled = 0
+    for key, (alpha, summands) in plain.items():
+        i = next(i for i, a in enumerate(alpha) if a)
+        big = scaled[key][0][i] // alpha[i]
+        assert scaled[key] == (tuple(big * a for a in alpha), summands), key
+        rescaled += big > 1
+    assert rescaled >= len(plain) // 2
 
 
 def test_pair_costalk_requires_a_descent(a2, a2_w0_sheaf):

@@ -1,5 +1,6 @@
 """Every name a package module imports with `from ... import` is used
-there, and every name it exports in `__all__` is read outside the tests.
+there, every name it exports in `__all__` is read outside the tests, and
+no module imports `fractions`: every scalar in the package is an int.
 
 Static checks on the source, with the standard library's `ast`: a name
 counts as used when the module reads it anywhere (a plain name, the base
@@ -91,3 +92,17 @@ def test_every_exported_name_is_read_outside_the_tests():
         )
     ]
     assert not unread, f"exported names nothing reads: {unread}"
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__.py"])
+def test_no_module_imports_fractions(name):
+    """Every scalar in the package is an int: `fractions` is imported by
+    no module, as `import fractions` or `from fractions import ...`."""
+    tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "fractions" not in imported, name

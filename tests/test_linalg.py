@@ -3,13 +3,15 @@
 Every check compares `bmsheaves.linalg` against a small dense reduced
 row-echelon reference over `fractions.Fraction`, written out below, on
 seeded random systems: sparse and low-rank integer matrices, rational
-entries with denominators 2 and 3, and zero or empty rows.  The same
+entries with denominators 2 and 3, and zero or empty rows.  `linalg`
+takes int rows only, so a rational row is scaled to an int row before it
+reaches it, while the reference works on the row as drawn.  The same
 reference checks the rank-one test that finds the moment-graph edges.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -73,6 +75,12 @@ def random_matrix(rng, entries):
     return rows, ncols
 
 
+def integral(row):
+    """A dense rational row times the lcm of its denominators."""
+    den = lcm(*(Fraction(v).denominator for v in row))
+    return [int(v * den) for v in row]
+
+
 def sparse(vec):
     """Dense list -> {index: value} dict, dropping zeros."""
     return {i: v for i, v in enumerate(vec) if v}
@@ -96,13 +104,13 @@ def test_rank_pivots_and_kernel_match_the_reference(seed, entries):
         pivots, _ = rref(rows, ncols)
         ech = Echelon()
         for row in rows:
-            ech.insert(sparse(row))
+            ech.insert(sparse(integral(row)))
         assert ech.dim == len(pivots)
         assert sorted(ech.rows) == pivots
         ker = ech.kernel(ncols)
         ref = ref_kernel(rows, ncols)
         assert len(ker) == ncols - len(pivots)
-        assert ker == kernel_basis([sparse(r) for r in rows], ncols)
+        assert ker == kernel_basis([sparse(integral(r)) for r in rows], ncols)
         free = [f for f in range(ncols) if f not in pivots]
         for f, vec, rvec in zip(free, ker, ref):
             # sparse: a {column: int} dict with no zero entry
@@ -125,7 +133,7 @@ def test_insert_reports_exactly_the_new_directions(seed):
         ech = Echelon()
         for i, row in enumerate(rows):
             grew = len(rref(rows[: i + 1], ncols)[0]) > len(rref(rows[:i], ncols)[0])
-            p = ech.insert(sparse(row))
+            p = ech.insert(sparse(integral(row)))
             assert (p is not None) == grew
             if grew:
                 stored = ech.rows[p]
@@ -137,18 +145,21 @@ def test_insert_reports_exactly_the_new_directions(seed):
 def test_zero_and_empty_rows():
     ech = Echelon()
     assert ech.insert({}) is None
-    assert ech.insert({0: 0, 3: Fraction(0)}) is None
+    assert ech.insert({0: 0, 3: 0}) is None
     assert ech.dim == 0
     assert ech.kernel(2) == [{0: 1}, {1: 1}]
     assert ech.kernel(0) == []
     assert kernel_basis([{}, {1: 0}], 2) == [{0: 1}, {1: 1}]
 
 
-def test_denominators_are_cleared_on_entry():
+def test_insert_takes_int_rows_only():
     ech = Echelon()
-    assert ech.insert({0: Fraction(1, 2), 1: Fraction(-1, 3)}) == 0
+    with pytest.raises(TypeError):
+        ech.insert({0: Fraction(1, 2), 1: Fraction(-1, 3)})
+    assert ech.dim == 0
+    assert ech.insert({0: 6, 1: -4}) == 0
     assert ech.rows[0] == {0: 3, 1: -2}
-    assert ech.insert({0: Fraction(-3, 2), 1: 1}) is None
+    assert ech.insert({0: -3, 1: 2}) is None
     assert ech.kernel(2) == [{0: 2, 1: 3}]
     assert kernel_basis([{0: 2, 1: 4}], 2) == [{0: -2, 1: 1}]
 
@@ -159,33 +170,37 @@ def test_solve_in_span_is_exact_or_none(seed):
     for _ in range(80):
         rows, ncols = random_matrix(rng, RATIONAL)
         nrows = len(rows)
-        columns = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
         if rng.random() < 0.5:
             coeffs = [rng.choice(RATIONAL) for _ in range(ncols)]
-            target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(nrows)]
+            target = [sum(c * a for c, a in zip(coeffs, row)) for row in rows]
         else:
             target = [rng.choice(RATIONAL) for _ in range(nrows)]
+        # scaling an equation keeps the solutions: make each one integral
+        system = [integral(row + [t]) for row, t in zip(rows, target)]
+        target = [row.pop() for row in system]
+        columns = [[system[i][j] for i in range(nrows)] for j in range(ncols)]
         inside = len(rref(columns, nrows)[0]) == len(rref(columns + [target], nrows)[0])
         sol = solve_in_span([sparse(col) for col in columns], sparse(target))
         if not inside:
             assert sol is None
             continue
-        assert sol is not None and all(c and 0 <= j < ncols for j, c in sol.items())
+        coeffs, den = sol
+        assert all(type(c) is int and c and 0 <= j < ncols for j, c in coeffs.items())
+        # the least denominator: no common factor is left to cancel
+        assert type(den) is int and den > 0 and gcd(den, *coeffs.values()) == 1
         combo = [
-            sum(sol.get(j, 0) * col[i] for j, col in enumerate(columns))
+            sum(coeffs.get(j, 0) * col[i] for j, col in enumerate(columns))
             for i in range(nrows)
         ]
-        assert combo == target
+        assert combo == [den * t for t in target]
 
 
 def test_solve_in_span_small_cases():
-    assert solve_in_span([{0: 2}, {1: 3}], {0: 1, 1: 1}) == {
-        0: Fraction(1, 2),
-        1: Fraction(1, 3),
-    }
-    assert solve_in_span([{0: 1, 1: 1}, {0: 2, 1: 2}], {0: 3, 1: 3}) == {0: 3}
+    assert solve_in_span([{0: 2}, {1: 3}], {0: 1, 1: 1}) == ({0: 3, 1: 2}, 6)
+    assert solve_in_span([{0: 2}, {1: 3}], {0: 4, 1: 3}) == ({0: 2, 1: 1}, 1)
+    assert solve_in_span([{0: 1, 1: 1}, {0: 2, 1: 2}], {0: 3, 1: 3}) == ({0: 3}, 1)
     assert solve_in_span([{0: 1, 1: 1}], {0: 1, 1: 2}) is None
-    assert solve_in_span([], {}) == {}
+    assert solve_in_span([], {}) == ({}, 1)
     assert solve_in_span([], {0: 1}) is None
 
 

@@ -2,7 +2,6 @@
 decomposition of modules over a single edge's algebra."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,6 +9,7 @@ from bmsheaves.coxeter import (
     _reflection_deviation,
     bruhat_interval,
     element_ball,
+    make_system,
     multiply,
     parse_word,
     reflection_root,
@@ -34,7 +34,12 @@ from bmsheaves.momentgraph import (
     to_dot,
     z_contains,
 )
-from bmsheaves.verify import lift_edge_generator, scramble_ze_module, structure_sheaf
+from bmsheaves.verify import (
+    lift_edge_generator,
+    random_ze_summands,
+    scramble_ze_module,
+    structure_sheaf,
+)
 
 
 def elt(system, text):
@@ -149,24 +154,40 @@ def test_invariant_split_on_the_smallest_graph(a1):
     graph = build_graph(a1, a1.generators[0])
     z = ZTuple(graph, [X0, ZERO])
     plus, quot = split_invariant(graph, 0, z)
-    half = Fraction(1, 2)
-    assert plus == ZTuple(graph, [{2: {0: half}}, {2: {0: half}}])
-    assert quot == ZTuple(graph, [{0: {0: half}}, {0: {0: half}}])
-    assert plus + c_invariant(graph, 0) * quot == z
+    assert plus == ZTuple(graph, [X0, X0])
+    assert quot == ZTuple(graph, [ONE, ONE])
+    assert plus + c_invariant(graph, 0) * quot == z * 2
     # tuples outside Z do not split
     with pytest.raises(InputError):
         split_invariant(graph, 0, ZTuple(graph, [ONE, ZERO]))
 
 
-def test_invariant_split_roundtrip_in_type_b2(b2):
-    graph = build_graph(b2, elt(b2, "1212"))
-    z = sigma(graph, (1, -1)) * sigma(graph, (0, 1)) + sigma(graph, (2, 1))
+@pytest.mark.parametrize(
+    "coxeter, w0, size",
+    [
+        ([[1, 4], [4, 1]], "1212", 8),
+        ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], "121321", 24),
+        ([[1, 4, 2], [4, 1, 3], [2, 3, 1]], "123123123", 48),
+    ],
+    ids=["B2", "A3", "B3"],
+)
+def test_invariant_split_roundtrip_on_longest_elements(coxeter, w0, size):
+    """2z = z_plus + c^s z_quot for every s, with both parts in Z and
+    every coefficient an int."""
+    system = make_system(coxeter)
+    n = system.rank
+    graph = build_graph(system, elt(system, w0))
+    assert len(graph.vertices) == size
+    z = sigma(graph, (1, -1, 2)[:n]) * sigma(graph, (0, 1, 1)[:n])
+    z = z + sigma(graph, (2, 1, -1)[:n])
     assert z_contains(graph, z)
-    for s in (0, 1):
+    for s in range(n):
         plus, quot = split_invariant(graph, s, z)
-        assert plus + c_invariant(graph, s) * quot == z
-        assert z_contains(graph, plus)
-        assert z_contains(graph, quot)
+        assert plus + c_invariant(graph, s) * quot == z * 2
+        for part in (plus, quot):
+            assert z_contains(graph, part)
+            for entry in part.entries:
+                assert all(type(a) is int for v in entry.values() for a in v.values())
 
 
 def test_structure_algebra_on_the_longest_dihedral_elements(a2, b2, g2):
@@ -180,14 +201,17 @@ def test_structure_algebra_on_the_longest_dihedral_elements(a2, b2, g2):
         for _ in range(4):
             a = (rng.randint(-3, 3), rng.randint(1, 3))
             b = (rng.randint(1, 3), rng.randint(-3, 3))
-            z = sigma(graph, a) * sigma(graph, b) * rng.randint(1, 3)
-            z = z + sigma(graph, (1, 1)) * Fraction(rng.randint(-3, 3), 2)
-            z = z + lift_edge_generator(graph, sh, rng.choice(graph.edges))
-            z = z + ZTuple(graph, [{0: {0: rng.randint(1, 3)}}] * len(graph.vertices))
+            # the draws of a member of Z with a half-integer coefficient at
+            # sigma((1, 1)), doubled so that every coefficient is an int
+            z = sigma(graph, a) * sigma(graph, b) * (2 * rng.randint(1, 3))
+            z = z + sigma(graph, (1, 1)) * rng.randint(-3, 3)
+            z = z + lift_edge_generator(graph, sh, rng.choice(graph.edges)) * 2
+            const = {0: {0: 2 * rng.randint(1, 3)}}
+            z = z + ZTuple(graph, [const] * len(graph.vertices))
             assert z_contains(graph, z)
             for s in (0, 1):
                 plus, quot = split_invariant(graph, s, z)
-                assert plus + c_invariant(graph, s) * quot == z
+                assert plus + c_invariant(graph, s) * quot == z * 2
                 assert z_contains(graph, plus) and z_contains(graph, quot)
             # a nonzero constant at one vertex leaves Z
             bump = [ZERO] * len(graph.vertices)
@@ -237,6 +261,35 @@ def test_decomposition_survives_a_change_of_presentation():
     scrambled.check_square(range(0, 5, 2))
     got = decompose_ze_module(scrambled, 6)
     assert got == sorted(summands, key=lambda sm: (sm.kind, sm.shift))
+
+
+def _scaled(zem, k):
+    """The module presented by k*alpha and k*xi."""
+    cols = {
+        d: [{r: k * a for r, a in col.items()} for col in cols]
+        for d, cols in zem.xi_cols.items()
+    }
+    return ZEModule(zem.module, tuple(k * a for a in zem.alpha), cols)
+
+
+@pytest.mark.parametrize("scale", [2, 3, 6])
+def test_decomposition_is_unchanged_by_scaling_alpha_and_xi(scale):
+    """(k xi)^2 = (k alpha)(k xi), with the same kernels and spans as
+    alpha and xi: canonical and scrambled presentations, scaled by k,
+    decompose into the summands they were built from."""
+    ring = PolyRing(2)
+    rng = random.Random(20 + scale)
+    for _ in range(6):
+        summands = random_ze_summands(rng)
+        alpha = (rng.randint(1, 3), rng.randint(-3, 3))
+        cap = max(sm.shift for sm in summands) + 6
+        want = sorted(summands, key=lambda sm: (sm.kind, sm.shift))
+        zem = summand_ze_module(ring, alpha, summands, cap)
+        for module in (zem, scramble_ze_module(zem, rng, cap)):
+            scaled = _scaled(module, scale)
+            scaled.check_square(range(0, cap - 3, 2))
+            assert decompose_ze_module(module, cap - 2) == want
+            assert decompose_ze_module(scaled, cap - 2) == want
 
 
 def test_check_square_rejects_an_inconsistent_action():
