@@ -7,7 +7,7 @@ always the canonical quotient.  Sections over a vertex subset are tuples
 of stalk elements agreeing in B^E along every internal edge; degree by
 degree they are the kernel of a block-sparse integer linear system with
 one row per edge-module coordinate.  `Sheaf.glue` eliminates every such
-system: sections, costalks, pair costalks and the flabbiness check.
+system: sections, costalks and pair costalks.
 
 The canonical sheaf on an interval graph is built top down: the top
 stalk is one copy of S; at each lower vertex y the stalk is the
@@ -31,9 +31,10 @@ any map.  The costalk at a vertex (sections supported only there) is
 the kernel of the stacked upward restrictions; in the canonical case
 its graded rank is finite over the cap and deconvolves exactly.  Pair
 costalks glue their own small systems.  The flabbiness check certifies
-the whole sheaf once, from the stored stalks and maps and independent
-of the builder: per degree, one elimination of all the gluing rows
-against a local costalk solve per vertex.
+the whole sheaf once from the builder's sections, verified against the
+stored stalks and maps: every generator glues on its edges, and at each
+vertex the generators born there span the locally solved costalk.  A
+failed witness refuses; nothing solves the sections again.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -185,6 +186,7 @@ class BMSheaf(Sheaf):
         self.costalk_ranks = {}
         self.costalk_dim_table = {}
         self.section_log = {}
+        self._witness = []  # the builder's section generators, see `bm_construct`
         self._flabby = None  # see `_flabby_certificate`
 
 
@@ -205,7 +207,9 @@ def bm_construct(graph: MomentGraph, cap_override=None):
     `section_log[w][d]` is the dimension of the sections over {> w} that
     this predicts from the costalk ranks above w; `check_flabby_additive`
     compares it with the measured costalk dimensions above w, whose sum
-    its flabbiness certificate proves to be that dimension.
+    its flabbiness certificate proves to be that dimension.  The final
+    generators, sections over every vertex, stay on the sheaf as
+    `_witness`; the certificate verifies them and solves no sections.
 
     The per-vertex degree cap is 2 (l(top) - l(y)) + DEFAULT_MARGIN unless
     overridden, and a cap below 0 is refused (CapError).  Every
@@ -269,6 +273,7 @@ def bm_construct(graph: MomentGraph, cap_override=None):
         if FreeModule(ring, [d for d, _ in new]).rank_poly != rank:
             raise InconsistencyError(f"the costalk at {w} is not graded free")
         sections.extend((d, {w: vec}) for d, vec in new)
+    sheaf._witness = sections
     return sheaf
 
 
@@ -296,7 +301,6 @@ def _solve_vertex(sheaf, w, sections, cap):
     gens = []  # (degree, image in the target) per stalk generator
     blocks = []  # per stalk generator, its cover columns in the last degree
     costalk = {}
-    stranded = False
     for d in range(0, cap + 1, 2):
         blocks = multiples(target, gens, blocks, d)
         cols = [col for block in blocks for col in block]
@@ -323,9 +327,7 @@ def _solve_vertex(sheaf, w, sections, cap):
         for row in rows:
             if row:
                 ech.insert(row)
-        picked = _stalk_generators(ech.rows, n)
-        if len(picked) < sum(p >= n for p in ech.rows):
-            stranded = True
+        picked = sorted(p - n for p in ech.rows if p >= n)
         for t in picked:
             gens.append((d, cands[t]))
             blocks.append([cands[t]])
@@ -345,10 +347,6 @@ def _solve_vertex(sheaf, w, sections, cap):
         for i, t in enumerate(picked):
             here[t][w] = {n + i: 1}
     check_generator_cap([g for g, _ in gens], cap)
-    if stranded:
-        raise InconsistencyError(
-            f"a section over the vertices above {w} does not extend to {w}"
-        )
     stalk = sheaf.stalks[w] = FreeModule(ring, tuple(g for g, _ in gens))
     for idx, e in enumerate(delta):
         images = [target.component(vec, idx, g) for g, vec in gens]
@@ -366,12 +364,6 @@ def _stalk_part(vec, n, picked):
         if a:
             part[i] = -a
     return part
-
-
-def _stalk_generators(pivots, n):
-    """The candidates, past the n cover columns, whose column holds a
-    pivot: the new stalk generators, in column order."""
-    return sorted(p - n for p in pivots if p >= n)
 
 
 # -- characters -------------------------------------------------------------
@@ -624,13 +616,14 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     """Degreewise flabbiness and section additivity at w.
 
     For every degree d under the cap at w: the sheaf's flabbiness
-    certificate holds in degree d, the measured costalk dimension at w
-    is the builder's `costalk_dim_table` entry, and the measured costalk
-    dimensions above w add up to its `section_log` entry.  Hence sections
-    over {>= w} restrict onto sections over {> w}, and dim Gamma({>= w})
-    = dim Gamma({> w}) + dim costalk(w) with dim Gamma({> w}) the logged
-    number.  The tables are read on every call; the certificate
-    (`_flabby_certificate`) is built on the first.
+    certificate, the builder's sections verified against the stored
+    stalks and maps, holds in degree d, the measured costalk dimension
+    at w is the builder's `costalk_dim_table` entry, and the measured
+    costalk dimensions above w add up to its `section_log` entry.  Hence
+    sections over {>= w} restrict onto sections over {> w}, and dim
+    Gamma({>= w}) = dim Gamma({> w}) + dim costalk(w) with dim Gamma({> w})
+    the logged number.  The tables are read on every call; the
+    certificate (`_flabby_certificate`) is built on the first.
     """
     onto, costalks = _flabby_certificate(bm)
     above = [z for z in bm.graph.vertices if z != w and bruhat_leq(w, z)]
@@ -654,26 +647,49 @@ def _flabby_certificate(bm: BMSheaf):
     - z) has the costalk at z as its kernel, so along any chain of upper
     sets from the empty set to the whole graph dim Gamma(V)_d <= sum_z
     c_{z,d}, with equality exactly when every step is onto in degree d.
-    Every upper set lies on such a chain, so one elimination of all the
-    gluing rows per degree, with equality, proves that every restriction
-    between upper sets is onto in degree d and that dim Gamma(U)_d =
-    sum_{z in U} c_{z,d} (Braden-MacPherson, Fiebig).  The certificate
-    reads the stalks and maps once: a sheaf changed after the first
-    check keeps the old certificate.
+    Every upper set lies on such a chain, so equality proves that every
+    restriction between upper sets is onto in degree d and that dim
+    Gamma(U)_d = sum_{z in U} c_{z,d} (Braden-MacPherson, Fiebig).
+
+    The builder's section generators (`_witness`), verified against the
+    stored stalks and maps, give the lower bound.  Each glues on every
+    edge at its support in its own degree, so its S-multiples are
+    sections.  Its birth vertex is the longest in its support (the last
+    in graph order), where the builder found it as a costalk generator,
+    and it vanishes at every vertex later in graph order.  If at each z
+    the S-multiples of the z-components of the generators born at z span
+    c_{z,d} dimensions, these sections are triangular and dim
+    Gamma(V)_d >= sum_z c_{z,d}.  A generator that does not glue leaves
+    no degree certified and a short span leaves its degree uncertified;
+    there is no fallback to solving the sections.  The stalks, maps and
+    witness are read once: a sheaf changed after the first check keeps
+    the old certificate.
     """
     if bm._flabby is None:
         graph = bm.graph
         degrees = range(0, max(bm.caps.values()) + 1, 2)
         costalks = {z: bm.costalk_dims(z, degrees) for z in graph.vertices}
-        onto = {}
-        for d in degrees:
-            # longest first: with the edges in graph order this eliminates
-            # far faster than shortest first
-            offsets, n = {}, 0
-            for z in reversed(graph.vertices):
-                offsets[z] = n
-                n += bm.stalks[z].dim(d)
-            glued = n - bm.glue(graph.edges, d, offsets).dim
-            onto[d] = glued == sum(c[d] for c in costalks.values())
+        born = {z: [] for z in graph.vertices}  # (degree, z-component)
+        glued = True
+        for g, comps in bm._witness:
+            z = max(comps, key=graph.index)
+            born[z].append((g, comps[z]))
+            glued = glued and all(
+                bm.rho_lower[e].apply(comps.get(e.lower, {}), g)
+                == bm.rho_upper[e].apply(comps.get(e.upper, {}), g)
+                for e in graph.edges
+                if e.lower in comps or e.upper in comps
+            )
+        onto = dict.fromkeys(degrees, glued)
+        for z, gens in born.items():
+            # the degree-d columns of the cover are the S-multiples in degree d
+            free = FreeModule(bm.ring, [g for g, _ in gens])
+            cover = ModuleMap(free, bm.stalks[z], [vec for _, vec in gens])
+            for d in degrees:
+                ech = Echelon()
+                for col in cover.columns(d):
+                    ech.insert(col)
+                if ech.dim != costalks[z][d]:
+                    onto[d] = False
         bm._flabby = onto, costalks
     return bm._flabby

@@ -30,7 +30,7 @@ from bmsheaves.coxeter import (
     multiply,
     parse_word,
 )
-from bmsheaves.errors import CapError, InconsistencyError, InputError
+from bmsheaves.errors import CapError, InputError
 from bmsheaves.gradedlin import ModuleMap, combine_columns
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
@@ -375,23 +375,94 @@ def test_flabbiness_certificate_is_built_once_and_freed_with_the_sheaf(
 ):
     graph = build_graph(a2, elt(a2, "121"))
     bm = bm_construct(graph)
-    glued = []
-    glue = bmsheaf.Sheaf.glue
+    solved = []
+    costalk_dims = bmsheaf.Sheaf.costalk_dims
 
-    def counting_glue(self, edges, d, offsets):
-        if tuple(edges) == graph.edges:
-            glued.append(d)
-        return glue(self, edges, d, offsets)
+    def counting_costalk_dims(self, w, degrees):
+        solved.append(w)
+        return costalk_dims(self, w, degrees)
 
-    monkeypatch.setattr(bmsheaf.Sheaf, "glue", counting_glue)
+    monkeypatch.setattr(bmsheaf.Sheaf, "costalk_dims", counting_costalk_dims)
     for _ in range(2):
         for w in graph.vertices:
             assert check_flabby_additive(bm, w)
-    assert glued == list(range(0, max(bm.caps.values()) + 1, 2))
+    assert len(solved) == len(set(solved)) == len(graph.vertices)
+    # the sheaf holds the certificate and the builder's witness; both go with it
     ref = weakref.ref(bm)
     del bm
     gc.collect()
     assert ref() is None
+
+
+def _onto_by_global_elimination(bm):
+    """{d: onto} by one elimination of all the gluing rows per degree:
+    dim Gamma(V)_d, columns longest vertex first, against the sum of the
+    local costalk dimensions."""
+    graph = bm.graph
+    degrees = range(0, max(bm.caps.values()) + 1, 2)
+    costalks = [bm.costalk_dims(z, degrees) for z in graph.vertices]
+    onto = {}
+    for d in degrees:
+        offsets, n = {}, 0
+        for z in reversed(graph.vertices):
+            offsets[z] = n
+            n += bm.stalks[z].dim(d)
+        glued = n - bm.glue(graph.edges, d, offsets).dim
+        onto[d] = glued == sum(c[d] for c in costalks)
+    return onto
+
+
+def test_witness_certificate_matches_the_global_elimination(differential_sheaf):
+    bm = differential_sheaf
+    onto, _ = bmsheaf._flabby_certificate(bm)
+    assert onto == _onto_by_global_elimination(bm)
+    assert all(onto.values())
+
+
+@pytest.fixture
+def a3_witnessed_sheaf(a3):
+    bm = bm_construct(build_graph(a3, elt(a3, "12321")))
+    assert len(bm._witness) == 24
+    return bm
+
+
+def _recertify(bm):
+    bm._flabby = None
+    return bmsheaf._flabby_certificate(bm)[0]
+
+
+def test_flabbiness_witness_refuses_a_dropped_generator(a3_witnessed_sheaf):
+    """Without one minimal generator, the generators born at its vertex
+    span less than the costalk there in its degree."""
+    bm = a3_witnessed_sheaf
+    witness = bm._witness
+    for i, (g, _) in enumerate(witness):
+        bm._witness = witness[:i] + witness[i + 1 :]
+        assert not _recertify(bm)[g], i
+        assert not all(check_flabby_additive(bm, w) for w in bm.graph.vertices), i
+    bm._witness = witness
+    assert all(_recertify(bm).values())
+
+
+def test_flabbiness_witness_refuses_a_doubled_component(a3_witnessed_sheaf):
+    """A generator with one component off its birth vertex (the longest
+    of its support) doubled no longer glues, so no degree is certified
+    and every vertex refuses."""
+    bm = a3_witnessed_sheaf
+    cases = 0
+    for g, comps in bm._witness:
+        below = sorted(comps, key=bm.graph.index)[:-1]
+        if not below:
+            continue
+        z = below[-1]
+        vec = comps[z]
+        comps[z] = {i: 2 * a for i, a in vec.items()}
+        assert not any(_recertify(bm).values()), (g, z)
+        assert not any(check_flabby_additive(bm, w) for w in bm.graph.vertices)
+        comps[z] = vec
+        cases += 1
+    assert cases == 22
+    assert all(_recertify(bm).values())
 
 
 # -- pair costalks and wall crossing -------------------------------------------
@@ -540,21 +611,6 @@ def test_larger_cap_overrides_keep_the_default_sheaf(a3_singular_sheaf, cap):
 
 
 # -- refusals ---------------------------------------------------------------------
-
-
-def test_builder_refuses_a_stalk_missing_a_generator(a3, monkeypatch):
-    """A stalk short of one minimal generator cannot lift every section
-    from above; the builder must say so rather than build a smaller sheaf.
-    The generator is dropped where the builder's per-degree elimination
-    turns the candidate columns holding a pivot into stalk generators."""
-    real = bmsheaf._stalk_generators
-
-    def drop_last_pivot_candidate(pivots, n):
-        return real(pivots, n)[:-1]
-
-    monkeypatch.setattr(bmsheaf, "_stalk_generators", drop_last_pivot_candidate)
-    with pytest.raises(InconsistencyError, match="does not extend"):
-        bm_construct(build_graph(a3, elt(a3, "2132")))
 
 
 def test_default_caps_scale_with_the_corank(a2_w0_sheaf):
