@@ -121,10 +121,12 @@ class Sheaf:
         """The Echelon of the gluing rows of `edges` in degree d: per edge
         e, one row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis
         position of B^e, over the columns where `offsets` starts each end's
-        stalk.  An end that `offsets` leaves out is taken to be zero."""
-        ech = Echelon()
+        stalk.  An end that `offsets` leaves out is taken to be zero.  The
+        rows of all the edges go in as one batch, sparsest first
+        (`Echelon.extend`)."""
+        rows = []
         for e in edges:
-            rows = [{} for _ in range(self.edge_mod[e].dim(d))]
+            block = [{} for _ in range(self.edge_mod[e].dim(d))]
             for end, rho, sign in (
                 (e.lower, self.rho_lower, 1),
                 (e.upper, self.rho_upper, -1),
@@ -134,9 +136,10 @@ class Sheaf:
                     continue
                 for j, col in enumerate(rho[e].columns(d), o):
                     for r, a in col.items():
-                        rows[r][j] = sign * a
-            for row in rows:
-                ech.insert(row)
+                        block[r][j] = sign * a
+            rows += block
+        ech = Echelon()
+        ech.extend(rows)
         return ech
 
     def sections(self, vset, d) -> SectionSpace:
@@ -324,9 +327,7 @@ def _solve_vertex(sheaf, w, sections, cap):
             for r, a in vec.items():
                 rows[r][j] = -a
         ech = Echelon()
-        for row in rows:
-            if row:
-                ech.insert(row)
+        ech.extend(rows)
         picked = sorted(p - n for p in ech.rows if p >= n)
         for t in picked:
             gens.append((d, cands[t]))
@@ -687,8 +688,7 @@ def _flabby_certificate(bm: BMSheaf):
             cover = ModuleMap(free, bm.stalks[z], [vec for _, vec in gens])
             for d in degrees:
                 ech = Echelon()
-                for col in cover.columns(d):
-                    ech.insert(col)
+                ech.extend(cover.columns(d))
                 if ech.dim != costalks[z][d]:
                     onto[d] = False
         bm._flabby = onto, costalks

@@ -439,9 +439,8 @@ def minimal_generators(candidates, ambient, cap):
     for d in range(0, last + 1, 2):
         blocks = multiples(ambient, gens, blocks, d)
         ech = Echelon()
-        for block in blocks:
-            for v in block:
-                ech.insert(v)
+        ech.extend(v for block in blocks for v in block)
+        # one by one and in order: which candidates are new depends on it
         for v in candidates.get(d, ()):
             if ech.insert(v) is not None:
                 gens.append((d, v))

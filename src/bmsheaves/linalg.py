@@ -15,6 +15,13 @@ row, and `kernel` back-substitutes once.  Kernel bases are sparse
 primitive integer vectors, {column: int} dicts without zeros like every
 other vector in the package, one per free column, in increasing
 free-column order, which keeps all downstream output deterministic.
+
+The pivot columns are the least columns of the vectors in the row
+space, and `kernel` returns the primitive null-space basis of the
+reduced form, so both depend only on the row space, never on the order
+the rows came in.  Only the work does: fill-in grows with the rows
+already stored.  So a batch of rows goes in through `extend`, sparsest
+first, and every system in the package is eliminated that way.
 """
 
 from __future__ import annotations
@@ -97,6 +104,12 @@ class Echelon:
         rows[p] = r
         return p
 
+    def extend(self, rows):
+        """Insert every nonempty row of `rows`, fewest nonzeros first;
+        the sort is stable, so rows of equal length keep their order."""
+        for r in sorted(filter(None, rows), key=len):
+            self.insert(r)
+
     def kernel(self, ncols):
         """Kernel of the linear system whose equations are the rows,
         over variables 0..ncols-1.  One sparse primitive integer basis
@@ -132,9 +145,7 @@ def kernel_basis(rows, ncols):
     """Kernel basis (sparse primitive integer vectors) of the given
     sparse rows."""
     ech = Echelon()
-    for r in rows:
-        if r:
-            ech.insert(r)
+    ech.extend(rows)
     return ech.kernel(ncols)
 
 
@@ -155,8 +166,7 @@ def solve_in_span(columns, target):
     for i, a in target.items():
         rows.setdefault(i, {})[n] = -a
     ech = Echelon()
-    for row in rows.values():
-        ech.insert(row)
+    ech.extend(rows.values())
     if n in ech.rows:
         return None
     # column n is free and the last one, so its vector comes last; that

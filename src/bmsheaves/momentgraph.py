@@ -423,11 +423,12 @@ def decompose_ze_module(zem: ZEModule, cap):
             continue
         # span of Z(E) * (everything in degree d-2) inside degree d; the
         # degree-(d-2) piece was absorbed entirely at the previous step
+        prev = range(mod.dim(d - 2))
         span = Echelon()
-        for j in range(mod.dim(d - 2)):
-            for k in range(nvars):
-                span.insert(mod.mul_var({j: 1}, k, d - 2))
-            span.insert(zem.xi_apply({j: 1}, d - 2))
+        span.extend(
+            [mod.mul_var({j: 1}, k, d - 2) for j in prev for k in range(nvars)]
+            + [zem.xi_apply({j: 1}, d - 2) for j in prev]
+        )
         xi_cols = zem.xi_cols.get(d)
         if xi_cols is None:
             raise InputError(f"xi columns missing at degree {d}")
@@ -442,14 +443,13 @@ def decompose_ze_module(zem: ZEModule, cap):
                 mx_rows[r][j] = mx_rows[r].get(j, 0) - a
         mx = kernel_basis(mx_rows, dim)  # xi m = alpha m
         my = kernel_basis(my_rows, dim)  # xi m = 0
-        ech = deepcopy(span)
-        a_count = sum(1 for v in mx if ech.insert(v) is not None)
-        ech = deepcopy(span)
-        b_count = sum(1 for v in my if ech.insert(v) is not None)
-        ech = deepcopy(span)
-        for v in mx + my:
-            ech.insert(v)
-        c_count = dim - ech.dim
+        counts = []
+        for vecs in (mx, my, mx + my):
+            ech = deepcopy(span)
+            ech.extend(vecs)
+            counts.append(ech.dim - span.dim)
+        a_count, b_count, ab_count = counts
+        c_count = dim - span.dim - ab_count
         summands.extend([LocalSummand("M_lower", d)] * a_count)
         summands.extend([LocalSummand("M_upper", d)] * b_count)
         summands.extend([LocalSummand("P", d)] * c_count)

@@ -326,7 +326,7 @@ def _flabby_by_vertex(bm, w):
         dim_gt = n - start - bm.glue(inner, d, offsets).dim
         if dim_gt != logged.get(d, 0):
             return False
-        # glue only inserts rows in order, so this echelon extends the last
+        # pivots depend only on the row space, not on the insertion order
         ech = bm.glue(inner + list(graph.up[w]), d, offsets)
         if n - ech.dim != dim_gt + costalk.get(d, 0):
             return False

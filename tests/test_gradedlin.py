@@ -10,6 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from bmsheaves import bmsheaf
+from bmsheaves.bmsheaf import bm_construct
+from bmsheaves.coxeter import parse_word
 from bmsheaves.errors import CapError, InputError, NotGradedFreeError
 from bmsheaves.gradedlin import (
     DirectSum,
@@ -19,11 +22,13 @@ from bmsheaves.gradedlin import (
     QuotientModule,
     hilbert_dim,
     minimal_generators,
+    multiples,
     quotient_map,
     rank_from_dims,
 )
 from bmsheaves.laurent import LaurentPoly
 from bmsheaves.linalg import Echelon
+from bmsheaves.momentgraph import build_graph
 
 
 def kernel(mmap, d):
@@ -355,6 +360,56 @@ def test_minimal_generators_refuse_a_tight_cap():
     with pytest.raises(CapError):
         minimal_generators({0: [{0: 1}]}, ambient, 2)
     assert minimal_generators({0: [{0: 1}]}, ambient, 10) == [(0, {0: 1})]
+
+
+def _natural_order_generators(candidates, ambient, cap):
+    """`minimal_generators` with the multiples inserted one by one in
+    their natural order, generator by generator."""
+    last = max((d for d, vs in candidates.items() if vs), default=-2)
+    gens, blocks = [], []
+    for d in range(0, last + 1, 2):
+        blocks = multiples(ambient, gens, blocks, d)
+        ech = Echelon()
+        for block in blocks:
+            for v in block:
+                ech.insert(v)
+        for v in candidates.get(d, ()):
+            if ech.insert(v) is not None:
+                gens.append((d, v))
+                blocks.append([v])
+    return gens
+
+
+def test_minimal_generators_pick_the_same_candidates_as_natural_order(a3, monkeypatch):
+    """The costalk candidates at every vertex of A3 12321, as the builder
+    gives them and reversed: the picks are the same dict objects, in the
+    same order, as with the multiples inserted in their natural order.
+    Candidates go in one by one in their given order, the one place
+    where insertion order is part of the output."""
+    calls = []
+
+    def record(candidates, ambient, cap):
+        gens = minimal_generators(candidates, ambient, cap)
+        calls.append((candidates, ambient, cap, gens))
+        return gens
+
+    monkeypatch.setattr(bmsheaf, "minimal_generators", record)
+    graph = build_graph(a3, a3.element(parse_word("12321", 3)))
+    bm_construct(graph)
+    monkeypatch.undo()
+    assert len(calls) == len(graph.vertices)
+
+    def ids(gens):
+        return [(d, id(v)) for d, v in gens]
+
+    moved = 0
+    for candidates, ambient, cap, gens in calls:
+        assert ids(gens) == ids(_natural_order_generators(candidates, ambient, cap))
+        reverse = {d: vs[::-1] for d, vs in candidates.items()}
+        picks = ids(minimal_generators(reverse, ambient, cap))
+        assert picks == ids(_natural_order_generators(reverse, ambient, cap))
+        moved += picks != ids(gens)
+    assert moved  # at some vertices the picks follow the candidates' order
 
 
 def test_rank_deconvolution_recovers_generator_degrees():

@@ -7,6 +7,10 @@ entries with denominators 2 and 3, and zero or empty rows.  `linalg`
 takes int rows only, so a rational row is scaled to an int row before it
 reaches it, while the reference works on the row as drawn.  The same
 reference checks the rank-one test that finds the moment-graph edges.
+
+Batches go in sparsest first (`Echelon.extend`), which is safe only
+because no output depends on the order of the rows; the order tests pin
+that on random systems and on the gluing systems of a real sheaf.
 """
 
 import random
@@ -15,8 +19,11 @@ from math import gcd, lcm
 
 import pytest
 
-from bmsheaves.coxeter import _differ_by_rank_one
+from bmsheaves import bmsheaf
+from bmsheaves.bmsheaf import _pair_systems, bm_construct
+from bmsheaves.coxeter import _differ_by_rank_one, multiply, parse_word
 from bmsheaves.linalg import Echelon, kernel_basis, solve_in_span
+from bmsheaves.momentgraph import build_graph
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
 RATIONAL = ENTRIES + (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3))
@@ -202,6 +209,105 @@ def test_solve_in_span_small_cases():
     assert solve_in_span([{0: 1, 1: 1}], {0: 1, 1: 2}) is None
     assert solve_in_span([], {}) == ({}, 1)
     assert solve_in_span([], {0: 1}) is None
+
+
+def reorders(rng, rows):
+    """Five other orders of rows: densest first, then four shuffles."""
+    orders = [sorted(rows, key=len, reverse=True)]
+    for _ in range(4):
+        orders.append(rng.sample(rows, len(rows)))
+    return orders
+
+
+def order_outputs(rows, ncols):
+    """Pivots and kernel with the rows inserted one by one in the given
+    order, then the same as one batch, then `kernel_basis`."""
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    batch = Echelon()
+    batch.extend(rows)
+    return (
+        ech.rows.keys(),
+        ech.kernel(ncols),
+        batch.rows.keys(),
+        batch.kernel(ncols),
+        kernel_basis(rows, ncols),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_order_changes_no_output(seed):
+    rng = random.Random(500 + seed)
+    for _ in range(60):
+        rows, ncols = random_matrix(rng, RATIONAL)
+        system_dense = [integral(row) for row in rows]
+        system = [sparse(row) for row in system_dense]
+        pivots, kernel, *rest = order_outputs(system, ncols)
+        assert rest == [pivots, kernel, kernel]
+        for order in reorders(rng, system):
+            assert order_outputs(order, ncols) == (pivots, kernel, pivots, kernel, kernel)
+        # the same system read by columns: permuting its equations keeps
+        # the solution (coefficients and least denominator) as it is
+        nrows = len(rows)
+        columns = [sparse([row[j] for row in system_dense]) for j in range(ncols)]
+        if rng.random() < 0.5:
+            coeffs = [rng.choice(ENTRIES) for _ in range(ncols)]
+            target = sparse(matvec(system_dense, coeffs))
+        else:
+            target = sparse([rng.choice(ENTRIES) for _ in range(nrows)])
+        sol = solve_in_span(columns, target)
+        for _ in range(5):
+            perm = rng.sample(range(nrows), nrows)
+            assert sol == solve_in_span(
+                [{perm[i]: a for i, a in col.items()} for col in columns],
+                {perm[i]: a for i, a in target.items()},
+            )
+
+
+def test_gluing_systems_change_no_output_under_edge_or_row_order(a3, monkeypatch):
+    """Every costalk, local kernel (prop 7.1) and pair costalk system of
+    A3 12321, glued from five shuffled edge orders, has the pivots and
+    kernel of the system in graph order, also with its rows inserted in
+    the order they were given."""
+    bm = bm_construct(build_graph(a3, a3.element(parse_word("12321", 3))))
+    graph = bm.graph
+    calls = []
+    glue = bm.glue
+
+    def record(edges, d, offsets):
+        calls.append((edges, d, offsets))
+        return glue(edges, d, offsets)
+
+    monkeypatch.setattr(bm, "glue", record)
+    for w in graph.vertices:
+        degrees = range(0, bm.caps[w] + 1, 2)
+        bm.costalk_dims(w, degrees)
+        bm.local_kernel_dims(w, degrees)
+    for s, gen in enumerate(a3.generators):
+        for y in graph.vertices:
+            if multiply(y, gen).length < y.length:
+                _pair_systems(bm, y, s)
+    monkeypatch.undo()
+    assert {len(offsets) for _, _, offsets in calls} == {1, 2}
+
+    class Given(Echelon):
+        def extend(self, rows):
+            self.given = list(rows)
+            super().extend(self.given)
+
+    monkeypatch.setattr(bmsheaf, "Echelon", Given)
+    rng = random.Random(7)
+    for edges, d, offsets in calls:
+        width = max(o + bm.stalks[z].dim(d) for z, o in offsets.items())
+        ref = glue(edges, d, offsets)
+        pivots, kernel = ref.rows.keys(), ref.kernel(width)
+        for _ in range(5):
+            ech = glue(rng.sample(edges, len(edges)), d, offsets)
+            assert ech.rows.keys() == pivots
+            assert ech.kernel(width) == kernel
+            want = (pivots, kernel, pivots, kernel, kernel)
+            assert order_outputs(ech.given, width) == want
 
 
 def ref_rank(vectors, ncols):
