@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .coxeter import Element, bruhat_leq, multiply
+from .coxeter import Element, multiply
 from .errors import CapError, InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     DirectSum,
@@ -60,13 +60,13 @@ from .gradedlin import (
     check_generator_cap,
     hilbert_dim,
     minimal_generators,
-    multiples,
     quotient_map,
     rank_from_dims,
+    step_columns,
 )
 from .hecke import BASIS_TT, HeckeElt
 from .laurent import LaurentPoly
-from .linalg import Echelon, solve_in_span
+from .linalg import Echelon, column_echelon, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
 
 __all__ = [
@@ -253,11 +253,10 @@ def bm_construct(graph: MomentGraph, cap_override=None):
             }
         else:
             costalk = _solve_vertex(sheaf, w, sections, capw)
-            above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
             sheaf.section_log[w] = {
                 d: sum(
                     c * hilbert_dim(ring.nvars, d - g)
-                    for z in above
+                    for z in graph.above[w]
                     for g, c in sheaf.costalk_ranks[z].c.items()
                 )
                 for d in range(0, capw + 1, 2)
@@ -285,18 +284,18 @@ def _solve_vertex(sheaf, w, sections, cap):
     section generators `sections` to w in place, and return the costalk
     at w, as sparse stalk vectors per degree.
 
-    One elimination per degree d.  Its rows are the coordinates of the
-    direct sum of the edge modules above w.  Its columns are first the
-    cover's: the images of the monomial multiples of the stalk generators
-    of degree below d (`multiples`), in the stalk's basis order.  Then
-    come the candidates, one per section generator g of degree d, holding
-    -rho_upper(g) on the edges above w.  A candidate column with a pivot
-    is not in the image so far: it is a new minimal generator and stands
-    for its own stalk column, with the opposite sign.  The kernel vectors
-    at free cover columns span the costalk, and the one at a free
-    candidate column, with c > 0 there, lifts c g, which stays integral.
-    The restriction to an edge above w sends each stalk generator to its
-    image's component on that edge.
+    One column system per degree d (`column_echelon`).  Its rows are the
+    coordinates of the direct sum of the edge modules above w.  Its
+    columns are first the cover's: the images of the monomial multiples
+    of the stalk generators of degree below d (`step_columns`), in the
+    stalk's basis order.  Then come the candidates, one per section
+    generator g of degree d, holding -rho_upper(g) on the edges above w.
+    A candidate column with a pivot is not in the image so far: it is a
+    new minimal generator and stands for its own stalk column, with the
+    opposite sign.  The kernel vectors at free cover columns span the
+    costalk, and the one at a free candidate column, with c > 0 there,
+    lifts c g, which stays integral.  The restriction to an edge above w
+    sends each stalk generator to its image's component on that edge.
     """
     ring = sheaf.ring
     delta = sheaf.graph.up[w]
@@ -305,7 +304,7 @@ def _solve_vertex(sheaf, w, sections, cap):
     blocks = []  # per stalk generator, its cover columns in the last degree
     costalk = {}
     for d in range(0, cap + 1, 2):
-        blocks = multiples(target, gens, blocks, d)
+        blocks = [step_columns(target, b, g, d) for (g, _), b in zip(gens, blocks)]
         cols = [col for block in blocks for col in block]
         n = len(cols)
         off = target.offsets(d)
@@ -319,15 +318,8 @@ def _solve_vertex(sheaf, w, sections, cap):
             }
             for comps in here
         ]
-        rows = [{} for _ in range(target.dim(d))]
-        for j, col in enumerate(cols):
-            for r, a in col.items():
-                rows[r][j] = a
-        for j, vec in enumerate(cands, n):
-            for r, a in vec.items():
-                rows[r][j] = -a
-        ech = Echelon()
-        ech.extend(rows)
+        cols += [{r: -a for r, a in vec.items()} for vec in cands]
+        ech = column_echelon(cols)
         picked = sorted(p - n for p in ech.rows if p >= n)
         for t in picked:
             gens.append((d, cands[t]))
@@ -407,7 +399,7 @@ def _pair_systems(bm: BMSheaf, y: Element, s: int):
         raise InputError(f"{y} has no right descent {s + 1}")
     if y not in graph or ys not in graph:
         raise InputError("both endpoints of the pair must be in the graph")
-    omega = {z for z in graph.vertices if z == ys or bruhat_leq(ys, z)}
+    omega = graph.above[ys] | {ys}
     # every edge inside {>= ys} with an end in the pair; the other ends
     # lie outside the pair, where these sections vanish
     edges = [
@@ -627,7 +619,7 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     certificate (`_flabby_certificate`) is built on the first.
     """
     onto, costalks = _flabby_certificate(bm)
-    above = [z for z in bm.graph.vertices if z != w and bruhat_leq(w, z)]
+    above = bm.graph.above[w]
     table = bm.costalk_dim_table[w]
     logged = bm.section_log.get(w, {})
     return all(

@@ -123,32 +123,13 @@ def _gen_right(system, s, a):
 
 @dataclass(frozen=True)
 class Root:
-    """Integer coordinate vector in the simple-root basis of V*.
-
-    `positive` records the sign of the (sign-coherent) coordinate vector;
-    mixed signs never form a Root and raise RealizationError upstream.
-    """
+    """Primitive nonnegative integer coordinates in the simple-root basis
+    of V*; see `reflection_root`."""
 
     coords: tuple
-    positive: bool
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
-
-
-def _classify_root(coords):
-    """Return (primitive coords, positive flag); mixed signs -> None."""
-    if all(c == 0 for c in coords):
-        return None
-    g = 0
-    for c in coords:
-        g = gcd(g, abs(c))
-    coords = tuple(c // g for c in coords)
-    if all(c >= 0 for c in coords):
-        return coords, True
-    if all(c <= 0 for c in coords):
-        return tuple(-c for c in coords), False
-    return None
 
 
 @dataclass(frozen=True)
@@ -490,7 +471,8 @@ def reflection_root(w: Element) -> Root:
     For an involution t with rank(t - 1) = 1, (t + 1)(t - 1) = 0, so the
     image of t - 1 is the (-1)-eigenline: the root is a multiple of any
     nonzero column of t - 1.  The column is scaled to make its last
-    nonzero entry positive; the root must then be nonnegative.
+    nonzero entry positive; the root must then be nonnegative, and a
+    column of mixed signs is refused.
     """
     mat = _reflection_deviation(w)
     if mat is None:
@@ -498,13 +480,10 @@ def reflection_root(w: Element) -> Root:
     col = next(c for c in zip(*mat) if any(c))
     if next(v for v in reversed(col) if v) < 0:
         col = [-v for v in col]
-    cls = _classify_root(col)
-    if cls is None:
+    if any(v < 0 for v in col):
         raise RealizationError(f"reflection {w} has a mixed-sign root")
-    coords, pos = cls
-    if not pos:
-        raise RealizationError(f"reflection {w} has a negative (-1)-eigenvector")
-    return Root(coords, True)
+    g = gcd(*col)
+    return Root(tuple(v // g for v in col))
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,12 +21,16 @@ monomials itself; the structure algebra of `momentgraph` keeps its
 polynomials as vectors of S = FreeModule(ring, (0,)) in that basis.
 Multiplication by a variable walks the blocks by offset over sparse
 columns that the PolyRing keeps once per (alpha, variable, degree) for
-every module over it.  Maps out of a FreeModule are stored by generator
-images and their per-degree columns are materialized lazily, one degree
-from the previous one, so a map built under some cap extends to any
-degree on demand; a map, like the edge action of momentgraph.ZEModule,
-applies its columns through `combine_columns`.  `quotient_map` is the
-one canonical map F -> F/alpha F of a free module, for every edge.
+every module over it.  A generator's columns in degree d, the images of
+its monomial multiples, come from its columns in degree d - 2 by one
+x_k-step, `step_columns`.  Maps out of a FreeModule are stored by
+generator images and their per-degree columns are materialized lazily
+by that step, so a map built under some cap extends to any degree on
+demand; the minimal-generator loop here and the sheaf builder grow the
+span of the generators they have picked by the same step.  A map, like
+the edge action of momentgraph.ZEModule, applies its columns through
+`combine_columns`.  `quotient_map` is the one canonical map
+F -> F/alpha F of a free module, for every edge.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -54,7 +58,7 @@ __all__ = [
     "ModuleMap",
     "quotient_map",
     "combine_columns",
-    "multiples",
+    "step_columns",
     "check_generator_cap",
     "minimal_generators",
     "rank_from_dims",
@@ -350,23 +354,16 @@ class ModuleMap:
 
     def columns(self, d):
         cols = self._cols.get(d)
-        if cols is not None:
-            return cols
-        # the column of x_k m g_i is x_k times that of m g_i in degree d-2
-        steps = self.source.ring._steps
-        mul = self.target.mul_var
-        prev = None
-        cols = []
-        for i, g in enumerate(self.source.gens):
-            if d == g:
-                cols.append(self.images[i])
-            elif d > g:
-                if prev is None:
-                    prev = self.columns(d - 2)
-                    start = self.source.block_starts(d - 2)
-                for k, j in steps(d - g):
-                    cols.append(mul(prev[start[i] + j], k, d - 2))
-        self._cols[d] = cols
+        if cols is None:
+            cols = []
+            start = self.source.block_starts(d - 2)
+            for i, g in enumerate(self.source.gens):
+                if d == g:
+                    cols.append(self.images[i])
+                elif d > g:
+                    block = self.columns(d - 2)[start[i] : start[i + 1]]
+                    cols += step_columns(self.target, block, g, d)
+            self._cols[d] = cols
         return cols
 
     def apply(self, vec, d):
@@ -381,23 +378,17 @@ def quotient_map(module, alpha):
     return q, ModuleMap(module, q, images)
 
 
-def multiples(ambient, gens, blocks, d):
-    """The degree-d columns of the generators `gens`, from degree d - 2.
+def step_columns(ambient, block, g, d):
+    """The degree-d columns of a generator of degree g < d, from its
+    columns `block` in degree d - 2.
 
-    `gens` are (degree, vector) pairs in the ambient module, all of
-    degree below d, and blocks[i] holds generator i's columns in degree
-    d - 2: the images of m g_i for the monomials m of degree
-    d - 2 - deg g_i, in the ring's order.  The column of x_k m g_i is x_k
-    times that of m g_i, as in `ModuleMap.columns`, so the blocks
-    returned, one per generator, list the images of the degree-d basis
-    of the free module on the generators.
+    A generator's columns in degree d are the images of m g for the
+    monomials m of degree d - g, in the ring's order, and the column of
+    x_k m g is x_k times that of m g in degree d - 2.  Every map's
+    columns and every S-span of generators grow one degree by this step.
     """
-    steps = ambient.ring._steps
     mul = ambient.mul_var
-    return [
-        [mul(block[j], k, d - 2) for k, j in steps(d - g)]
-        for (g, _), block in zip(gens, blocks)
-    ]
+    return [mul(block[j], k, d - 2) for k, j in ambient.ring._steps(d - g)]
 
 
 def check_generator_cap(degrees, cap):
@@ -421,7 +412,7 @@ def minimal_generators(candidates, ambient, cap):
     vectors need not be closed under multiplication by the variables.
     One loop walks the degrees up to the last one with a candidate.  In
     degree d it spans the monomial multiples of the generators picked
-    so far (`multiples`), which span the submodule generated below d,
+    so far (`step_columns`), which span the submodule generated below d,
     then adds the candidates of degree d that are still new.  By the
     graded Nakayama lemma those candidates are minimal generators, and
     they are returned, the same dict objects, as (degree, vector) pairs
@@ -437,7 +428,9 @@ def minimal_generators(candidates, ambient, cap):
     gens = []
     blocks = []  # per generator, its columns in the previous degree
     for d in range(0, last + 1, 2):
-        blocks = multiples(ambient, gens, blocks, d)
+        blocks = [
+            step_columns(ambient, b, g, d) for (g, _), b in zip(gens, blocks)
+        ]
         ech = Echelon()
         ech.extend(v for block in blocks for v in block)
         # one by one and in order: which candidates are new depends on it

@@ -22,6 +22,14 @@ reduced form, so both depend only on the row space, never on the order
 the rows came in.  Only the work does: fill-in grows with the rows
 already stored.  So a batch of rows goes in through `extend`, sparsest
 first, and every system in the package is eliminated that way.
+
+Most systems arrive as columns, one sparse vector per unknown, and
+`column_echelon` is their one entry: it transposes the columns into
+equations and extends an Echelon by them.  `solve_in_span`, the
+builder's per-vertex system and the Z(E)-module kernels all go through
+it.  Two systems stay row-built on purpose: the gluing rows of a sheaf,
+written straight from the restriction maps, and a span of vectors,
+whose rows are the vectors themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-__all__ = ["Echelon", "kernel_basis", "solve_in_span"]
+__all__ = ["Echelon", "column_echelon", "solve_in_span"]
 
 
 def _primitive(row):
@@ -141,12 +149,22 @@ class Echelon:
         return basis
 
 
-def kernel_basis(rows, ncols):
-    """Kernel basis (sparse primitive integer vectors) of the given
-    sparse rows."""
+def column_echelon(columns):
+    """The Echelon of the linear system whose j-th column is columns[j].
+
+    Columns are sparse {row: int} dicts.  Equation i, the row holding
+    every columns[j][i] at column j, goes in as one batch with the
+    others in increasing i, sparsest first (`Echelon.extend`).  The
+    kernel over len(columns) variables solves sum_j c_j columns[j] == 0.
+    """
+    nrows = 1 + max((i for col in columns for i in col), default=-1)
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            rows[i][j] = a
     ech = Echelon()
     ech.extend(rows)
-    return ech.kernel(ncols)
+    return ech
 
 
 def solve_in_span(columns, target):
@@ -159,18 +177,10 @@ def solve_in_span(columns, target):
     the solution is the one that vanishes on the free columns.
     """
     n = len(columns)
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, a in col.items():
-            rows.setdefault(i, {})[j] = a
-    for i, a in target.items():
-        rows.setdefault(i, {})[n] = -a
-    ech = Echelon()
-    ech.extend(rows.values())
+    ech = column_echelon([*columns, {i: -a for i, a in target.items()}])
     if n in ech.rows:
         return None
     # column n is free and the last one, so its vector comes last; that
     # vector is primitive, so its entry at n is the least denominator
     vec = ech.kernel(n + 1)[-1]
     return vec, vec.pop(n)
-

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coxeter import (
     Element,
@@ -52,7 +53,7 @@ from .gradedlin import (
     hilbert_dim,
     quotient_map,
 )
-from .linalg import Echelon, kernel_basis, solve_in_span
+from .linalg import Echelon, column_echelon, solve_in_span
 
 __all__ = [
     "Edge",
@@ -104,6 +105,22 @@ class MomentGraph:
             down[e.upper].append(e)
         self.up = {w: tuple(es) for w, es in up.items()}
         self.down = {w: tuple(es) for w, es in down.items()}
+
+    @cached_property
+    def above(self):
+        """The strict upper set {z : w < z} of each vertex w, a frozenset:
+        the closure of its up-edges, built longest vertex first.  Bruhat
+        order is generated by reflection steps, and on minimal coset
+        representatives by the steps between them (Deodhar), so on
+        either graph kind this is Bruhat order on the vertex set."""
+        above = {}
+        for w in reversed(self.vertices):
+            out = set()
+            for e in self.up[w]:
+                out.add(e.upper)
+                out |= above[e.upper]
+            above[w] = frozenset(out)
+        return above
 
     def index(self, w):
         return self._index[w]
@@ -432,17 +449,13 @@ def decompose_ze_module(zem: ZEModule, cap):
         xi_cols = zem.xi_cols.get(d)
         if xi_cols is None:
             raise InputError(f"xi columns missing at degree {d}")
-        # one row per basis position of degree d+2; an entry may be zero
-        tdim = mod.dim(d + 2)
-        my_rows = [{} for _ in range(tdim)]
-        mx_rows = [{} for _ in range(tdim)]
-        for j in range(dim):
-            for r, a in xi_cols[j].items():
-                my_rows[r][j] = mx_rows[r][j] = a
-            for r, a in mod.mul_linear({j: 1}, zem.alpha, d).items():
-                mx_rows[r][j] = mx_rows[r].get(j, 0) - a
-        mx = kernel_basis(mx_rows, dim)  # xi m = alpha m
-        my = kernel_basis(my_rows, dim)  # xi m = 0
+        # the columns of xi - alpha
+        mx_cols = [
+            combine_columns({0: 1, 1: -1}, [col, mod.mul_linear({j: 1}, zem.alpha, d)])
+            for j, col in enumerate(xi_cols)
+        ]
+        mx = column_echelon(mx_cols).kernel(dim)  # xi m = alpha m
+        my = column_echelon(xi_cols).kernel(dim)  # xi m = 0
         counts = []
         for vecs in (mx, my, mx + my):
             ech = deepcopy(span)

@@ -34,7 +34,7 @@ from bmsheaves.errors import CapError, InputError
 from bmsheaves.gradedlin import ModuleMap, combine_columns
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
-from bmsheaves.linalg import Echelon, kernel_basis
+from bmsheaves.linalg import Echelon, column_echelon
 from bmsheaves.momentgraph import LocalSummand, build_graph, decompose_ze_module
 
 
@@ -226,15 +226,13 @@ def _global_pair_costalk(bm, y, ys, d):
     graph = bm.graph
     omega = [z for z in graph.vertices if z == ys or bruhat_leq(ys, z)]
     ss = bm.sections(omega, d)
-    outside = [z for z in omega if z not in (ys, y)]
-    rows = [
-        {j: vec[r] for j, vec in enumerate(ss.vectors) if r in vec}
-        for z in outside
-        for r in range(*ss.offsets[z])
-    ]
+    outside = {
+        r for z in omega if z not in (ys, y) for r in range(*ss.offsets[z])
+    }
+    parts = [{r: a for r, a in vec.items() if r in outside} for vec in ss.vectors]
     (lo, hi), (ulo, uhi) = ss.offsets[ys], ss.offsets[y]
     out = []
-    for coeffs in kernel_basis(rows, len(ss.vectors)):
+    for coeffs in column_echelon(parts).kernel(len(ss.vectors)):
         total = combine_columns(coeffs, ss.vectors)
         # nothing outside the pair; ys precedes y, and its stalk comes first
         assert all(lo <= r < hi or ulo <= r < uhi for r in total)

@@ -22,25 +22,18 @@ from bmsheaves.gradedlin import (
     QuotientModule,
     hilbert_dim,
     minimal_generators,
-    multiples,
     quotient_map,
     rank_from_dims,
+    step_columns,
 )
 from bmsheaves.laurent import LaurentPoly
-from bmsheaves.linalg import Echelon
+from bmsheaves.linalg import Echelon, column_echelon
 from bmsheaves.momentgraph import build_graph
 
 
 def kernel(mmap, d):
     """Degree-d kernel of a map: one equation per target basis row."""
-    rows = [{} for _ in range(mmap.target.dim(d))]
-    for j, col in enumerate(mmap.columns(d)):
-        for r, a in col.items():
-            rows[r][j] = a
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.kernel(mmap.source.dim(d))
+    return column_echelon(mmap.columns(d)).kernel(mmap.source.dim(d))
 
 
 def image_rank(mmap, d):
@@ -368,7 +361,7 @@ def _natural_order_generators(candidates, ambient, cap):
     last = max((d for d, vs in candidates.items() if vs), default=-2)
     gens, blocks = [], []
     for d in range(0, last + 1, 2):
-        blocks = multiples(ambient, gens, blocks, d)
+        blocks = [step_columns(ambient, b, g, d) for (g, _), b in zip(gens, blocks)]
         ech = Echelon()
         for block in blocks:
             for v in block:

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from bmsheaves.coxeter import bruhat_interval, element_ball, make_system, parse_word
+from bmsheaves.errors import InputError
 from bmsheaves.hecke import BASIS_T, BASIS_TT, HeckeAlgebra, HeckeElt
 from bmsheaves.laurent import LaurentPoly
 
@@ -119,8 +120,10 @@ def test_universal_rank3_straight_words(u3, u3_alg):
     assert c.coeff(u3.identity) == v(3)
 
 
-def test_polynomial_vanishes_off_the_interval(a2, a2_alg):
+def test_polynomial_vanishes_off_the_interval(a2, a3, a2_alg):
     assert a2_alg.kl_polynomial(elt(a2, "2"), elt(a2, "1")) == LaurentPoly.zero()
+    with pytest.raises(InputError):
+        a2_alg.kl_polynomial(elt(a3, "2"), elt(a2, "1"))
 
 
 # -- structural properties -------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from bmsheaves import bmsheaf
 from bmsheaves.bmsheaf import _pair_systems, bm_construct
 from bmsheaves.coxeter import _differ_by_rank_one, multiply, parse_word
-from bmsheaves.linalg import Echelon, kernel_basis, solve_in_span
+from bmsheaves.linalg import Echelon, column_echelon, solve_in_span
 from bmsheaves.momentgraph import build_graph
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
@@ -117,7 +117,9 @@ def test_rank_pivots_and_kernel_match_the_reference(seed, entries):
         ker = ech.kernel(ncols)
         ref = ref_kernel(rows, ncols)
         assert len(ker) == ncols - len(pivots)
-        assert ker == kernel_basis([sparse(integral(r)) for r in rows], ncols)
+        batch = Echelon()
+        batch.extend([sparse(integral(r)) for r in rows])
+        assert ker == batch.kernel(ncols)
         free = [f for f in range(ncols) if f not in pivots]
         for f, vec, rvec in zip(free, ker, ref):
             # sparse: a {column: int} dict with no zero entry
@@ -156,7 +158,7 @@ def test_zero_and_empty_rows():
     assert ech.dim == 0
     assert ech.kernel(2) == [{0: 1}, {1: 1}]
     assert ech.kernel(0) == []
-    assert kernel_basis([{}, {1: 0}], 2) == [{0: 1}, {1: 1}]
+    assert column_echelon([{}, {1: 0}]).kernel(2) == [{0: 1}, {1: 1}]
 
 
 def test_insert_takes_int_rows_only():
@@ -168,7 +170,7 @@ def test_insert_takes_int_rows_only():
     assert ech.rows[0] == {0: 3, 1: -2}
     assert ech.insert({0: -3, 1: 2}) is None
     assert ech.kernel(2) == [{0: 2, 1: 3}]
-    assert kernel_basis([{0: 2, 1: 4}], 2) == [{0: -2, 1: 1}]
+    assert column_echelon([{0: 2}, {0: 4}]).kernel(2) == [{0: -2, 1: 1}]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -211,6 +213,43 @@ def test_solve_in_span_small_cases():
     assert solve_in_span([], {0: 1}) is None
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_column_echelon_matches_extend_over_the_transposed_rows(seed):
+    """Random column systems with empty columns and explicit zero
+    entries: the same stored pivot rows and the same kernel as
+    `Echelon.extend` over the transposed rows in row order, and the
+    kernel of the dense reference."""
+    rng = random.Random(600 + seed)
+    empties = zeros = 0
+    for _ in range(60):
+        rows, ncols = random_matrix(rng, ENTRIES)
+        columns = [sparse([row[j] for row in rows]) for j in range(ncols)]
+        for col in columns:
+            i = rng.randrange(len(rows) + 2)
+            if rng.random() < 0.3 and i not in col:
+                col[i] = 0
+        empties += sum(not any(col.values()) for col in columns)
+        zeros += sum(0 in col.values() for col in columns)
+        transposed = transpose(columns)
+        ref = Echelon()
+        ref.extend([transposed[i] for i in sorted(transposed)])
+        ech = column_echelon(columns)
+        assert ech.rows == ref.rows
+        assert ech.kernel(ncols) == ref.kernel(ncols)
+        assert ech.kernel(ncols) == ref_kernel_int(rows, ncols)
+    assert empties and zeros
+
+
+def ref_kernel_int(rows, ncols):
+    """The reference kernel scaled to primitive integer vectors."""
+    out = []
+    for vec in ref_kernel(rows, ncols):
+        ints = integral(vec)
+        g = gcd(*ints)
+        out.append(sparse([v // g for v in ints]))
+    return out
+
+
 def reorders(rng, rows):
     """Five other orders of rows: densest first, then four shuffles."""
     orders = [sorted(rows, key=len, reverse=True)]
@@ -219,20 +258,32 @@ def reorders(rng, rows):
     return orders
 
 
+def transpose(vectors):
+    """Sparse vectors with the roles of index and position swapped."""
+    out = {}
+    for j, vec in enumerate(vectors):
+        for i, a in vec.items():
+            out.setdefault(i, {})[j] = a
+    return out
+
+
 def order_outputs(rows, ncols):
     """Pivots and kernel with the rows inserted one by one in the given
-    order, then the same as one batch, then `kernel_basis`."""
+    order, then the same as one batch, then the kernel of the same
+    system given by columns to `column_echelon`."""
     ech = Echelon()
     for row in rows:
         ech.insert(row)
     batch = Echelon()
     batch.extend(rows)
+    columns = transpose(rows)
+    by_columns = column_echelon([columns.get(j, {}) for j in range(ncols)])
     return (
         ech.rows.keys(),
         ech.kernel(ncols),
         batch.rows.keys(),
         batch.kernel(ncols),
-        kernel_basis(rows, ncols),
+        by_columns.kernel(ncols),
     )
 
 
