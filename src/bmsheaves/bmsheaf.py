@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .coxeter import Element, multiply
+from .coxeter import Element, bruhat_leq, multiply
 from .errors import CapError, InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     DirectSum,
@@ -253,10 +253,11 @@ def bm_construct(graph: MomentGraph, cap_override=None):
             }
         else:
             costalk = _solve_vertex(sheaf, w, sections, capw)
+            above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
             sheaf.section_log[w] = {
                 d: sum(
                     c * hilbert_dim(ring.nvars, d - g)
-                    for z in graph.above[w]
+                    for z in above
                     for g, c in sheaf.costalk_ranks[z].c.items()
                 )
                 for d in range(0, capw + 1, 2)
@@ -399,7 +400,7 @@ def _pair_systems(bm: BMSheaf, y: Element, s: int):
         raise InputError(f"{y} has no right descent {s + 1}")
     if y not in graph or ys not in graph:
         raise InputError("both endpoints of the pair must be in the graph")
-    omega = graph.above[ys] | {ys}
+    omega = {z for z in graph.vertices if z == ys or bruhat_leq(ys, z)}
     # every edge inside {>= ys} with an end in the pair; the other ends
     # lie outside the pair, where these sections vanish
     edges = [
@@ -619,7 +620,7 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     certificate (`_flabby_certificate`) is built on the first.
     """
     onto, costalks = _flabby_certificate(bm)
-    above = bm.graph.above[w]
+    above = [z for z in bm.graph.vertices if z != w and bruhat_leq(w, z)]
     table = bm.costalk_dim_table[w]
     logged = bm.section_log.get(w, {})
     return all(

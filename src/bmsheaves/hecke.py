@@ -41,6 +41,7 @@ from collections import defaultdict
 from .coxeter import (
     Element,
     bruhat_interval,
+    bruhat_leq,
     multiply,
     right_descents,
     sort_key,
@@ -294,7 +295,6 @@ class HeckeAlgebra:
                     f"product coefficient at {x} is {prod.coeff(x)}, expected 1"
                 )
             self.kl_products[x] = (s, prod)
-            below = set(bruhat_interval(x))
             for y, c in prod.coeffs.items():
                 if y == x:
                     continue
@@ -302,7 +302,7 @@ class HeckeAlgebra:
                     raise InconsistencyError(
                         f"product coefficient h at {y} not in Z[v]: {c}"
                     )
-                if y not in below:
+                if not bruhat_leq(y, x):
                     raise InconsistencyError(f"product support {y} not below {x}")
                 c0 = c.constant_term
                 if c0:
@@ -371,13 +371,9 @@ class HeckeAlgebra:
     # -- classical polynomial normalization -------------------------------
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
-        """P_{y,x} as a polynomial in q, via P(v^-2) = v^(l(y)-l(x)) h_{y,x}.
-
-        It is zero unless y <= x: `kl_basis` refuses a support outside
-        the interval below x.
-        """
-        if y.system != x.system:
-            raise InputError("elements of different systems")
+        """P_{y,x} as a polynomial in q, via P(v^-2) = v^(l(y)-l(x)) h_{y,x}."""
+        if not bruhat_leq(y, x):
+            return LaurentPoly.zero()
         h = self.kl_basis(x).coeff(y)
         shifted = h.shift(y.length - x.length)
         out = {}

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
-from functools import cached_property
 
 from .coxeter import (
     Element,
@@ -105,22 +104,6 @@ class MomentGraph:
             down[e.upper].append(e)
         self.up = {w: tuple(es) for w, es in up.items()}
         self.down = {w: tuple(es) for w, es in down.items()}
-
-    @cached_property
-    def above(self):
-        """The strict upper set {z : w < z} of each vertex w, a frozenset:
-        the closure of its up-edges, built longest vertex first.  Bruhat
-        order is generated by reflection steps, and on minimal coset
-        representatives by the steps between them (Deodhar), so on
-        either graph kind this is Bruhat order on the vertex set."""
-        above = {}
-        for w in reversed(self.vertices):
-            out = set()
-            for e in self.up[w]:
-                out.add(e.upper)
-                out |= above[e.upper]
-            above[w] = frozenset(out)
-        return above
 
     def index(self, w):
         return self._index[w]

@@ -8,7 +8,6 @@ import pytest
 from bmsheaves.coxeter import (
     _reflection_deviation,
     bruhat_interval,
-    bruhat_leq,
     element_ball,
     make_system,
     multiply,
@@ -371,17 +370,3 @@ def test_edges_match_the_brute_force_pair_scan(step_system):
             else:
                 assert (graph.vertices, graph.top) == _coset_shape(step_system, x, s)
                 assert graph.quotient_gen == s
-
-
-def test_upper_sets_are_the_bruhat_upper_sets(step_system):
-    """`graph.above`, the closure of the up-edges, is {z : w < z} in the
-    vertex set at every vertex of the regular graph and of every quotient
-    graph, Bruhat order on the minimal coset representatives."""
-    for x in element_ball(step_system, 5):
-        graphs = [("regular", None)]
-        graphs += [("quotient", s) for s in range(step_system.rank)]
-        for kind, s in graphs:
-            graph = build_graph(step_system, x, kind=kind, s=s)
-            for w in graph.vertices:
-                want = {z for z in graph.vertices if z != w and bruhat_leq(w, z)}
-                assert graph.above[w] == want, (x, kind, s, w)
