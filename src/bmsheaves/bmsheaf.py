@@ -310,26 +310,26 @@ def _solve_vertex(sheaf, w, sections, cap):
         n = len(cols)
         off = target.offsets(d)
         here = [comps for gd, comps in sections if gd == d]
-        cands = [
+        cols += [
             {
-                o + t: a
+                o + t: -a
                 for o, e in zip(off, delta)
                 if e.upper in comps
                 for t, a in sheaf.rho_upper[e].apply(comps[e.upper], d).items()
             }
             for comps in here
         ]
-        cols += [{r: -a for r, a in vec.items()} for vec in cands]
-        ech = column_echelon(cols)
+        ech = column_echelon(cols, target.dim(d))
         picked = sorted(p - n for p in ech.rows if p >= n)
         for t in picked:
-            gens.append((d, cands[t]))
-            blocks.append([cands[t]])
-        kernel = ech.kernel(n + len(cands))
+            image = {r: -a for r, a in cols[n + t].items()}
+            gens.append((d, image))
+            blocks.append([image])
+        kernel = ech.kernel(len(cols))
         parts = [_stalk_part(vec, n, picked) for vec in kernel]
         free = n - sum(p < n for p in ech.rows)
         costalk[d] = parts[:free]
-        unpicked = [t for t in range(len(cands)) if n + t not in ech.rows]
+        unpicked = [t for t in range(len(here)) if n + t not in ech.rows]
         for t, vec, lift in zip(unpicked, kernel[free:], parts[free:]):
             comps = here[t]
             scale = vec[n + t]

@@ -149,15 +149,16 @@ class Echelon:
         return basis
 
 
-def column_echelon(columns):
-    """The Echelon of the linear system whose j-th column is columns[j].
+def column_echelon(columns, nrows):
+    """The Echelon of the linear system of nrows equations whose j-th
+    column is columns[j].
 
-    Columns are sparse {row: int} dicts.  Equation i, the row holding
-    every columns[j][i] at column j, goes in as one batch with the
-    others in increasing i, sparsest first (`Echelon.extend`).  The
-    kernel over len(columns) variables solves sum_j c_j columns[j] == 0.
+    Columns are sparse {row: int} dicts with rows below nrows.  Equation
+    i, the row holding every columns[j][i] at column j, goes in as one
+    batch with the others in increasing i, sparsest first
+    (`Echelon.extend`).  The kernel over len(columns) variables solves
+    sum_j c_j columns[j] == 0.
     """
-    nrows = 1 + max((i for col in columns for i in col), default=-1)
     rows = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, a in col.items():
@@ -177,7 +178,8 @@ def solve_in_span(columns, target):
     the solution is the one that vanishes on the free columns.
     """
     n = len(columns)
-    ech = column_echelon([*columns, {i: -a for i, a in target.items()}])
+    cols = [*columns, {i: -a for i, a in target.items()}]
+    ech = column_echelon(cols, 1 + max((max(c) for c in cols if c), default=-1))
     if n in ech.rows:
         return None
     # column n is free and the last one, so its vector comes last; that

@@ -432,13 +432,14 @@ def decompose_ze_module(zem: ZEModule, cap):
         xi_cols = zem.xi_cols.get(d)
         if xi_cols is None:
             raise InputError(f"xi columns missing at degree {d}")
+        tdim = mod.dim(d + 2)
         # the columns of xi - alpha
         mx_cols = [
             combine_columns({0: 1, 1: -1}, [col, mod.mul_linear({j: 1}, zem.alpha, d)])
             for j, col in enumerate(xi_cols)
         ]
-        mx = column_echelon(mx_cols).kernel(dim)  # xi m = alpha m
-        my = column_echelon(xi_cols).kernel(dim)  # xi m = 0
+        mx = column_echelon(mx_cols, tdim).kernel(dim)  # xi m = alpha m
+        my = column_echelon(xi_cols, tdim).kernel(dim)  # xi m = 0
         counts = []
         for vecs in (mx, my, mx + my):
             ech = deepcopy(span)

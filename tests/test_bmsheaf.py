@@ -232,7 +232,8 @@ def _global_pair_costalk(bm, y, ys, d):
     parts = [{r: a for r, a in vec.items() if r in outside} for vec in ss.vectors]
     (lo, hi), (ulo, uhi) = ss.offsets[ys], ss.offsets[y]
     out = []
-    for coeffs in column_echelon(parts).kernel(len(ss.vectors)):
+    nrows = max(hi for _, hi in ss.offsets.values())
+    for coeffs in column_echelon(parts, nrows).kernel(len(ss.vectors)):
         total = combine_columns(coeffs, ss.vectors)
         # nothing outside the pair; ys precedes y, and its stalk comes first
         assert all(lo <= r < hi or ulo <= r < uhi for r in total)

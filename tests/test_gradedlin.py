@@ -33,7 +33,7 @@ from bmsheaves.momentgraph import build_graph
 
 def kernel(mmap, d):
     """Degree-d kernel of a map: one equation per target basis row."""
-    return column_echelon(mmap.columns(d)).kernel(mmap.source.dim(d))
+    return column_echelon(mmap.columns(d), mmap.target.dim(d)).kernel(mmap.source.dim(d))
 
 
 def image_rank(mmap, d):

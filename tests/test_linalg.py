@@ -158,7 +158,7 @@ def test_zero_and_empty_rows():
     assert ech.dim == 0
     assert ech.kernel(2) == [{0: 1}, {1: 1}]
     assert ech.kernel(0) == []
-    assert column_echelon([{}, {1: 0}]).kernel(2) == [{0: 1}, {1: 1}]
+    assert column_echelon([{}, {1: 0}], 2).kernel(2) == [{0: 1}, {1: 1}]
 
 
 def test_insert_takes_int_rows_only():
@@ -170,7 +170,7 @@ def test_insert_takes_int_rows_only():
     assert ech.rows[0] == {0: 3, 1: -2}
     assert ech.insert({0: -3, 1: 2}) is None
     assert ech.kernel(2) == [{0: 2, 1: 3}]
-    assert column_echelon([{0: 2}, {0: 4}]).kernel(2) == [{0: -2, 1: 1}]
+    assert column_echelon([{0: 2}, {0: 4}], 1).kernel(2) == [{0: -2, 1: 1}]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -233,7 +233,7 @@ def test_column_echelon_matches_extend_over_the_transposed_rows(seed):
         transposed = transpose(columns)
         ref = Echelon()
         ref.extend([transposed[i] for i in sorted(transposed)])
-        ech = column_echelon(columns)
+        ech = column_echelon(columns, len(rows) + 2)
         assert ech.rows == ref.rows
         assert ech.kernel(ncols) == ref.kernel(ncols)
         assert ech.kernel(ncols) == ref_kernel_int(rows, ncols)
@@ -277,7 +277,7 @@ def order_outputs(rows, ncols):
     batch = Echelon()
     batch.extend(rows)
     columns = transpose(rows)
-    by_columns = column_echelon([columns.get(j, {}) for j in range(ncols)])
+    by_columns = column_echelon([columns.get(j, {}) for j in range(ncols)], len(rows))
     return (
         ech.rows.keys(),
         ech.kernel(ncols),
