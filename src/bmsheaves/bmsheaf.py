@@ -220,8 +220,7 @@ def bm_construct(graph: MomentGraph, cap_override=None):
     graded-rank deconvolution refuses to answer when generators appear
     in the top two even degrees of its range (CapError).
     """
-    system = graph.system
-    ring = PolyRing(system.rank)
+    ring = graph.stalk.ring
     sheaf = BMSheaf(graph, ring)
     order = sorted(graph.vertices, key=lambda w: (-w.length, w.word))
     top = graph.top
@@ -427,8 +426,11 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
 
     xi = (alpha_t, 0) acts on a supported-on-pair section by scaling the
     lower component by the connecting edge label and killing the upper.
-    The module is presented by D*alpha and D*xi, D the least common
-    denominator of xi's columns: (D xi)^2 = (D alpha)(D xi), and the
+    xi is one exact solve per minimal generator of the costalk.  Those
+    images present it only when the free module on the generators has
+    the costalk's dimension in every degree, which is checked.  The
+    module is presented by D*alpha and D*xi, D the least common
+    denominator of the images: (D xi)^2 = (D alpha)(D xi), and the
     kernels and spans that `decompose_ze_module` reads are unchanged.
     """
     ys, cap, systems = _pair_systems(bm, y, s)
@@ -440,26 +442,23 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
     bases = {d: ech.kernel(width) for d, (ech, width) in systems.items()}
     gens = minimal_generators(bases, ambient, cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
+    if any(free.dim(d) != len(basis) for d, basis in bases.items()):
+        raise InconsistencyError("pair costalk is not free on its minimal generators")
     emb = ModuleMap(free, ambient, [v for _, v in gens])
     lower_stalk = bm.stalks[ys]
-    xi_cols = {}
-    for d in range(0, cap - 1, 2):
-        nxt = emb.columns(d + 2)
-        images = []
-        for col in emb.columns(d):
-            # the lower stalk's block comes first in the ambient sum
-            low = ambient.component(col, 0, d)
-            sol = solve_in_span(nxt, lower_stalk.mul_linear(low, alpha, d))
-            if sol is None:
-                raise InconsistencyError(
-                    "pair costalk is not stable under the edge algebra"
-                )
-            images.append(sol)
-        xi_cols[d] = images
-    big = lcm(*(den for images in xi_cols.values() for _, den in images))
-    for images in xi_cols.values():
-        images[:] = [{j: v * (big // den) for j, v in c.items()} for c, den in images]
-    return ZEModule(free, tuple(big * a for a in alpha), xi_cols)
+    sols = []
+    for g, v in gens:
+        # the lower stalk's block comes first in the ambient sum
+        low = ambient.component(v, 0, g)
+        sol = solve_in_span(emb.columns(g + 2), lower_stalk.mul_linear(low, alpha, g))
+        if sol is None:
+            raise InconsistencyError(
+                "pair costalk is not stable under the edge algebra"
+            )
+        sols.append(sol)
+    big = lcm(*(den for _, den in sols))
+    images = [{j: v * (big // den) for j, v in c.items()} for c, den in sols]
+    return ZEModule(free, tuple(big * a for a in alpha), images)
 
 
 def theta_character(bm: BMSheaf, s: int) -> HeckeElt:

@@ -8,7 +8,7 @@ against the self-dual basis; `graph` exports the moment graph as DOT;
 verification failure, 2 a usage or input error.
 
 Words are 1-based digit strings ("121"); ranks beyond 9 use commas
-("2,10,3"); "" or "e" is the identity.  Presets with infinite bonds
+("2,10,3"); "" or "e" is the identity.  Systems with infinite bonds
 require --max-length, and the requested element must fit under it.
 """
 
@@ -20,7 +20,7 @@ import json
 import sys
 
 from .bmsheaf import bm_construct, character, check_conjecture_72
-from .coxeter import bruhat_interval, load_system, normal_form, parse_word
+from .coxeter import INFINITE, bruhat_interval, load_system, normal_form, parse_word
 from .errors import (
     CapError,
     InconsistencyError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hecke import HeckeAlgebra
 from .momentgraph import build_graph, to_dot
-from .presets import PRESETS, is_infinite_preset, preset_system
+from .presets import PRESETS, preset_system
 from .verify import run_suite
 
 __all__ = [
@@ -52,14 +52,13 @@ def _resolve_system(args):
         raise InputError("use either --preset or --cartan, not both")
     if args.cartan:
         system = load_system(args.cartan)
-        infinite = any(m == 0 for row in system.coxeter for m in row)
         label = args.cartan
     elif args.preset:
         system = preset_system(args.preset)
-        infinite = is_infinite_preset(args.preset)
         label = args.preset
     else:
         raise InputError("one of --preset or --cartan is required")
+    infinite = any(m == INFINITE for row in system.coxeter for m in row)
     return system, infinite, label
 
 

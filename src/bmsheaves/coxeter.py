@@ -139,7 +139,6 @@ class CoxeterSystem:
     rank: int
     coxeter: tuple
     cartan: tuple
-    labels: tuple
 
     @functools.cached_property
     def _cartan_terms(self):
@@ -187,7 +186,7 @@ class CoxeterSystem:
         return f"CoxeterSystem(rank={self.rank})"
 
 
-def make_system(coxeter, cartan=None, labels=None) -> CoxeterSystem:
+def make_system(coxeter, cartan=None) -> CoxeterSystem:
     """Validate a Coxeter matrix and (optional) Cartan matrix.
 
     Bond order infinity is written 0.  When `cartan` is omitted, each bond
@@ -244,19 +243,11 @@ def make_system(coxeter, cartan=None, labels=None) -> CoxeterSystem:
                             f"bond order {m} needs a_st*a_ts = {_COS2X4[m]}, "
                             f"got {prod}"
                         )
-    if labels is None:
-        labels = tuple(f"s{i + 1}" for i in range(n))
-    elif not isinstance(labels, (list, tuple)):
-        raise InputError("generator labels must be a list")
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise InputError("wrong number of generator labels")
-    return CoxeterSystem(n, cox, car, labels)
+    return CoxeterSystem(n, cox, car)
 
 
 def load_system(path) -> CoxeterSystem:
-    """Read a system from a JSON file {"rank", "coxeter", "cartan"?, "labels"?}."""
+    """Read a system from a JSON file {"rank", "coxeter", "cartan"?}."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -265,7 +256,7 @@ def load_system(path) -> CoxeterSystem:
         raise InputError(f"bad system file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad system file: {exc}") from exc
-    system = make_system(coxeter, data.get("cartan"), data.get("labels"))
+    system = make_system(coxeter, data.get("cartan"))
     if type(rank) is not int or rank != system.rank:
         raise InputError("rank does not match the Coxeter matrix size")
     return system

@@ -27,8 +27,9 @@ x_k-step, `step_columns`.  Maps out of a FreeModule are stored by
 generator images and their per-degree columns are materialized lazily
 by that step, so a map built under some cap extends to any degree on
 demand; the minimal-generator loop here and the sheaf builder grow the
-span of the generators they have picked by the same step.  A map, like
-the edge action of momentgraph.ZEModule, applies its columns through
+span of the generators they have picked by the same step.  The edge
+action xi of a momentgraph.ZEModule is such a map, from the module
+shifted up by 2 into itself.  A map applies its columns through
 `combine_columns`.  `quotient_map` is the one canonical map
 F -> F/alpha F of a free module, for every edge.
 

@@ -42,11 +42,11 @@ from .coxeter import (
     multiply,
     reflection_root,
     sort_key,
-    word_str,
 )
 from .errors import InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     FreeModule,
+    ModuleMap,
     PolyRing,
     combine_columns,
     hilbert_dim,
@@ -372,34 +372,32 @@ class LocalSummand:
 
 
 class ZEModule:
-    """A graded free module with a degreewise action of xi = (alpha_t, 0).
+    """A graded free module with an S-linear action of xi = (alpha_t, 0).
 
-    Z(E) is generated over S by xi, which satisfies xi^2 = alpha_t xi; a
-    module is presented by a FreeModule and the columns of xi per degree,
-    one sparse vector of degree d+2 per basis position of degree d.
+    Z(E) is generated over S by xi, which satisfies xi^2 = alpha_t xi and
+    raises degree by 2; a module is presented by a FreeModule and the
+    image of each generator under xi.  `xi` is the ModuleMap from the
+    module shifted up by 2 into the module: the shifted basis in degree
+    d + 2 is the module's basis in degree d, so xi.columns(d + 2) are the
+    images of the degree-d basis vectors.
     """
 
-    def __init__(self, module: FreeModule, alpha, xi_cols):
+    def __init__(self, module: FreeModule, alpha, images):
         self.module = module
         self.alpha = tuple(alpha)
-        self.xi_cols = dict(xi_cols)  # degree -> list of sparse image columns
+        shifted = FreeModule(module.ring, [g + 2 for g in module.gens])
+        self.xi = ModuleMap(shifted, module, images)
 
-    def xi_apply(self, vec, d):
-        return combine_columns(vec, self.xi_cols[d])
-
-    def check_square(self, degrees):
-        """xi(xi(v)) = alpha * xi(v) on basis vectors of the given degrees."""
+    def check_square(self):
+        """xi(xi(g)) = alpha * xi(g) on every generator g, hence by
+        S-linearity on the whole module."""
         mod = self.module
-        for d in degrees:
-            if d not in self.xi_cols or (d + 2) not in self.xi_cols:
-                continue
-            for pos in range(mod.dim(d)):
-                first = self.xi_apply({pos: 1}, d)
-                twice = self.xi_apply(first, d + 2)
-                if twice != mod.mul_linear(first, self.alpha, d + 2):
-                    raise InconsistencyError(
-                        f"xi^2 differs from alpha*xi at degree {d}"
-                    )
+        for g, first in zip(mod.gens, self.xi.images):
+            twice = self.xi.apply(first, g + 4)
+            if twice != mod.mul_linear(first, self.alpha, g + 2):
+                raise InconsistencyError(
+                    f"xi^2 differs from alpha*xi on a generator of degree {g}"
+                )
         return True
 
 
@@ -422,24 +420,22 @@ def decompose_ze_module(zem: ZEModule, cap):
         if not dim:
             continue
         # span of Z(E) * (everything in degree d-2) inside degree d; the
-        # degree-(d-2) piece was absorbed entirely at the previous step
-        prev = range(mod.dim(d - 2))
+        # degree-(d-2) piece was absorbed entirely at the previous step.
+        # S_2 times it is spanned by the basis vectors m g with deg m > 0.
         span = Echelon()
         span.extend(
-            [mod.mul_var({j: 1}, k, d - 2) for j in prev for k in range(nvars)]
-            + [zem.xi_apply({j: 1}, d - 2) for j in prev]
+            [{pos: 1} for pos, (i, _) in enumerate(mod.basis(d)) if mod.gens[i] < d]
+            + zem.xi.columns(d)
         )
-        xi_cols = zem.xi_cols.get(d)
-        if xi_cols is None:
-            raise InputError(f"xi columns missing at degree {d}")
+        cols = zem.xi.columns(d + 2)
         tdim = mod.dim(d + 2)
         # the columns of xi - alpha
         mx_cols = [
             combine_columns({0: 1, 1: -1}, [col, mod.mul_linear({j: 1}, zem.alpha, d)])
-            for j, col in enumerate(xi_cols)
+            for j, col in enumerate(cols)
         ]
         mx = column_echelon(mx_cols, tdim).kernel(dim)  # xi m = alpha m
-        my = column_echelon(xi_cols, tdim).kernel(dim)  # xi m = 0
+        my = column_echelon(cols, tdim).kernel(dim)  # xi m = 0
         counts = []
         for vecs in (mx, my, mx + my):
             ech = deepcopy(span)
@@ -467,47 +463,29 @@ def decompose_ze_module(zem: ZEModule, cap):
     return sorted(summands, key=lambda sm: (sm.kind, sm.shift))
 
 
-def summand_ze_module(ring: PolyRing, alpha, summands, cap) -> ZEModule:
+def summand_ze_module(ring: PolyRing, alpha, summands) -> ZEModule:
     """The canonical ZEModule that is the direct sum of the given summands.
 
-    M(lower){-a}: one generator, xi acts as multiplication by alpha.
-    M(upper){-b}: one generator, xi acts as zero.
-    P{-c}: generators in degrees c and c+2 with xi(p1) = p2 and
+    M(lower){-a}: one generator g, xi(g) = alpha g.
+    M(upper){-b}: one generator g, xi(g) = 0.
+    P{-c}: generators p1, p2 in degrees c and c+2 with xi(p1) = p2 and
     xi(p2) = alpha p2.
     """
     gens = []
-    blocks = []  # (kind, first generator index)
     for sm in summands:
-        blocks.append((sm.kind, len(gens)))
-        if sm.kind == "P":
-            gens.extend([sm.shift, sm.shift + 2])
-        else:
-            gens.append(sm.shift)
+        gens.extend([sm.shift, sm.shift + 2] if sm.kind == "P" else [sm.shift])
     mod = FreeModule(ring, gens)
-    alpha = tuple(alpha)
-    xi_cols = {}
-    cap -= cap % 2
-    for d in range(0, cap + 1, 2):
-        cols = []
-        for pos, (i, m) in enumerate(mod.basis(d)):
-            unit = {pos: 1}
-            kind, first = next(
-                (k, f)
-                for (k, f) in blocks
-                if f <= i <= f + (1 if k == "P" else 0)
-            )
-            if kind == "M_lower":
-                cols.append(mod.mul_linear(unit, alpha, d))
-            elif kind == "M_upper":
-                cols.append({})
-            elif i == first:
-                # P, first generator: xi sends m*p1 to m*p2
-                cols.append({mod.index(d + 2)[(i + 1, m)]: 1})
-            else:
-                # P, second generator: xi acts as alpha
-                cols.append(mod.mul_linear(unit, alpha, d))
-        xi_cols[d] = cols
-    return ZEModule(mod, alpha, xi_cols)
+    images = []
+    for sm in summands:
+        unit = {mod.block_starts(sm.shift)[len(images)]: 1}
+        if sm.kind == "M_lower":
+            images.append(mod.mul_linear(unit, alpha, sm.shift))
+        elif sm.kind == "M_upper":
+            images.append({})
+        else:
+            p2 = {mod.block_starts(sm.shift + 2)[len(images) + 1]: 1}
+            images += [p2, mod.mul_linear(p2, alpha, sm.shift + 2)]
+    return ZEModule(mod, alpha, images)
 
 
 def check_sanity(graph: MomentGraph) -> bool:
@@ -553,13 +531,10 @@ def to_dot(graph: MomentGraph) -> str:
     lines = ["digraph momentgraph {"]
     lines.append('  rankdir="BT";')
     for w in graph.vertices:
-        name = word_str(w.word) or "e"
-        lines.append(f'  "{name}" [label="{name} (l={w.length})"];')
+        lines.append(f'  "{w}" [label="{w} (l={w.length})"];')
     for e in sorted(
         graph.edges, key=lambda e: (sort_key(e.lower), sort_key(e.upper))
     ):
-        lo = word_str(e.lower.word) or "e"
-        up = word_str(e.upper.word) or "e"
-        lines.append(f'  "{lo}" -> "{up}" [label="{e.label}"];')
+        lines.append(f'  "{e.lower}" -> "{e.upper}" [label="{e.label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .coxeter import CoxeterSystem, make_system
 from .errors import InputError
 
-__all__ = ["PRESETS", "preset_system", "is_infinite_preset"]
+__all__ = ["PRESETS", "preset_system"]
 
 _DEFS = {
     "A1": {
@@ -40,13 +40,7 @@ _DEFS = {
     },
 }
 
-_INFINITE = {"U2", "U3"}
-
 PRESETS = tuple(sorted(_DEFS))
-
-
-def is_infinite_preset(name: str) -> bool:
-    return name in _INFINITE
 
 
 def preset_system(name: str) -> CoxeterSystem:

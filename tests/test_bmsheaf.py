@@ -7,6 +7,7 @@ stalk, where the character coefficients stop being pure powers.
 
 import gc
 import weakref
+from math import lcm
 
 import pytest
 
@@ -30,11 +31,17 @@ from bmsheaves.coxeter import (
     multiply,
     parse_word,
 )
-from bmsheaves.errors import CapError, InputError
-from bmsheaves.gradedlin import ModuleMap, combine_columns
+from bmsheaves.errors import CapError, InconsistencyError, InputError
+from bmsheaves.gradedlin import (
+    DirectSum,
+    FreeModule,
+    ModuleMap,
+    combine_columns,
+    minimal_generators,
+)
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
-from bmsheaves.linalg import Echelon, column_echelon
+from bmsheaves.linalg import Echelon, column_echelon, solve_in_span
 from bmsheaves.momentgraph import LocalSummand, build_graph, decompose_ze_module
 
 
@@ -500,17 +507,18 @@ def _a2_pair_decompositions(a2):
                 ws = multiply(w, gen)
                 if ws in bm.graph and ws.length < w.length:
                     zem = pair_ze_module(bm, w, s)
-                    zem.check_square(zem.xi_cols)
+                    zem.check_square()
                     summands = decompose_ze_module(zem, bm.caps[ws] - 2)
                     out[x, s, w] = zem.alpha, summands
     return out
 
 
 def test_pair_modules_with_scaled_labels_decompose_the_same(a2, monkeypatch):
-    """Every solve of xi's columns has denominator 1 on real data, so the
-    path that presents the module by D*alpha and D*xi is forced here: the
-    solves return (k coeffs, k den) with k cycling through 1, 2, 3, so
-    the columns of one module carry different denominators."""
+    """Every solve of xi's generator images has denominator 1 on real
+    data, so the path that presents the module by D*alpha and D*xi is
+    forced here: the solves return (k coeffs, k den) with k cycling
+    through 1, 2, 3, so the images of one module carry different
+    denominators."""
     plain = _a2_pair_decompositions(a2)
     solve = bmsheaf.solve_in_span
     calls = []
@@ -534,6 +542,68 @@ def test_pair_modules_with_scaled_labels_decompose_the_same(a2, monkeypatch):
         assert scaled[key] == (tuple(big * a for a in alpha), summands), key
         rescaled += big > 1
     assert rescaled >= len(plain) // 2
+
+
+def _xi_columns_by_column(bm, y, s):
+    """Reference for xi on the pair module of (ys, y): one exact solve per
+    basis column of the costalk's embedding in every degree d <= cap - 2,
+    all scaled by the least common denominator of the solves."""
+    ys, cap, systems = bmsheaf._pair_systems(bm, y, s)
+    alpha = next(e for e in bm.graph.up[ys] if e.upper == y).label.coords
+    ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
+    bases = {d: ech.kernel(width) for d, (ech, width) in systems.items()}
+    gens = minimal_generators(bases, ambient, cap)
+    free = FreeModule(bm.ring, tuple(d for d, _ in gens))
+    emb = ModuleMap(free, ambient, [vec for _, vec in gens])
+    sols = {}
+    for d in range(0, cap - 1, 2):
+        sols[d] = []
+        for col in emb.columns(d):
+            low = ambient.component(col, 0, d)
+            target = bm.stalks[ys].mul_linear(low, alpha, d)
+            sols[d].append(solve_in_span(emb.columns(d + 2), target))
+    big = lcm(*(den for col_sols in sols.values() for _, den in col_sols))
+    return {
+        d: [{j: c * (big // den) for j, c in sol.items()} for sol, den in col_sols]
+        for d, col_sols in sols.items()
+    }
+
+
+def test_xi_from_generator_images_matches_the_per_column_solves(a2, a3):
+    """xi, built from one solve per generator, has the columns of one
+    solve per basis column in every degree, on every pair module of A2
+    and of A3 121321."""
+    sheaves = [bm_construct(build_graph(a2, x)) for x in element_ball(a2, 3)]
+    sheaves.append(bm_construct(build_graph(a3, elt(a3, "121321"))))
+    modules = 0
+    for bm in sheaves:
+        system = bm.graph.system
+        for s, gen in enumerate(system.generators):
+            for w in bm.graph.vertices:
+                ws = multiply(w, gen)
+                if ws in bm.graph and ws.length < w.length:
+                    zem = pair_ze_module(bm, w, s)
+                    ref = _xi_columns_by_column(bm, w, s)
+                    assert ref, (w, s)
+                    for d, cols in ref.items():
+                        assert zem.xi.columns(d + 2) == cols, (w, s, d)
+                    modules += 1
+    assert modules >= 40
+
+
+def test_pair_module_refuses_a_redundant_generator(a2, a2_w0_sheaf, monkeypatch):
+    """xi's generator images present the costalk only when the free module
+    on its minimal generators has the costalk's dimensions."""
+    found = bmsheaf.minimal_generators
+
+    def padded(candidates, ambient, cap):
+        gens = found(candidates, ambient, cap)
+        d, vec = gens[0]
+        return gens + [(d + 2, ambient.mul_var(vec, 0, d))]
+
+    monkeypatch.setattr(bmsheaf, "minimal_generators", padded)
+    with pytest.raises(InconsistencyError, match="not free"):
+        pair_ze_module(a2_w0_sheaf, elt(a2, "12"), 1)
 
 
 def test_pair_costalk_requires_a_descent(a2, a2_w0_sheaf):

@@ -90,7 +90,6 @@ MALFORMED_SYSTEMS = {
     "truncated": '{"rank": 2, "coxeter": [[1, 3], [3',
     "string-entry": '{"rank": 2, "coxeter": [[1, "x"], [3, 1]]}',
     "float-entry": '{"rank": 2, "coxeter": [[1, 3.7], [3.7, 1]]}',
-    "labels-not-a-list": '{"rank": 2, "coxeter": [[1, 3], [3, 1]], "labels": 5}',
 }
 
 
