@@ -48,6 +48,7 @@ implemented on top of the same section machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 
 from .coxeter import Element, bruhat_leq, multiply
@@ -57,6 +58,7 @@ from .gradedlin import (
     FreeModule,
     ModuleMap,
     PolyRing,
+    QuotientModule,
     check_generator_cap,
     hilbert_dim,
     minimal_generators,
@@ -164,20 +166,11 @@ class Sheaf:
 
     # -- costalks -----------------------------------------------------------
 
-    def _kernel_dims(self, w, edges, degrees):
-        """Kernel dims of the stalk at w under its restrictions to `edges`."""
-        dim = self.stalks[w].dim
-        return {d: dim(d) - self.glue(edges, d, {w: 0}).dim for d in degrees}
-
     def costalk_dims(self, w, degrees):
         """Dimensions of the sections supported only at w (upward kernel)."""
-        return self._kernel_dims(w, self.graph.up[w], degrees)
-
-    def local_kernel_dims(self, w, degrees):
-        """Kernel dims of stalk_w -> sum of B^E over ALL edges at w."""
-        return self._kernel_dims(
-            w, self.graph.up[w] + self.graph.down[w], degrees
-        )
+        dim = self.stalks[w].dim
+        up = self.graph.up[w]
+        return {d: dim(d) - self.glue(up, d, {w: 0}).dim for d in degrees}
 
 
 class BMSheaf(Sheaf):
@@ -589,20 +582,87 @@ def check_prop_71(bm: BMSheaf, w: Element):
     generator multiset mirrors the costalk generator multiset under
     d -> 2(l(x)-l(w)) - d.
 
-    The kernel is solved up to the bottom vertex's cap 2 l(top) + m, with
-    m = DEFAULT_MARGIN, at every w: q_w has generators up to 4 below the
-    cap of w, and on [e, x] w has exactly l(w) down-edges, so
-    v^(2 l(w)) q_w has generators up to 2 l(top) + m - 4, beyond that cap.
+    (2) is checked from its proof.  Let F be the stalk at w, D the
+    down-edges at w, P the product of their labels and K_w the costalk,
+    the kernel of the upward restrictions.  Suppose that
+
+    - the labels of all edges at w are pairwise non-proportional, and
+    - each edge module is the quotient of its upper stalk by the edge's
+      label, and each restriction from w down an edge of D is the
+      canonical quotient F -> F/alpha_E F.
+
+    Then the labels of D are pairwise coprime primes of S and F is free,
+    so the kernel of F -> sum over D of F/alpha_E F is P F.  Each upward
+    edge module is free over the domain S/alpha_E, and alpha_E divides no
+    factor of P, so P is a nonzerodivisor on it: P g restricts to zero
+    upward exactly when g does.  Hence the local kernel is P K_w, and its
+    dimension in degree d is the costalk's in degree d - 2|D|.  On [e, x]
+    |D| = l(w), so the kernel up to the bottom vertex's cap 2 l(top) +
+    DEFAULT_MARGIN is the costalk up to 2 (l(top) - l(w)) + DEFAULT_MARGIN
+    = caps[w], the cap the builder solved it under.  Solving K_w up to
+    caps[w] therefore decides (2), and its rank deconvolution refuses
+    generators in the top two degrees (CapError) as the builder's does.
+    The hypotheses are checked, not assumed, and a failed one makes
+    "kernel_rank" False.  K_w is solved here from the stored maps,
+    independently of the builder's tables and of the flabbiness
+    certificate.
+
+    >>> from bmsheaves.coxeter import make_system, parse_word
+    >>> from bmsheaves.momentgraph import build_graph
+    >>> a2 = make_system([[1, 3], [3, 1]])
+    >>> bm = bm_construct(build_graph(a2, a2.element(parse_word("121", 2))))
+    >>> reports = [check_prop_71(bm, w) for w in bm.graph.vertices]
+    >>> len(reports), reports[0]
+    (6, {'kernel_rank': True, 'mirror': True})
+    >>> all(r == reports[0] for r in reports)
+    True
     """
     big_l = bm.top.length
-    cap2 = 2 * big_l + DEFAULT_MARGIN
-    dims = bm.local_kernel_dims(w, range(0, cap2 + 1, 2))
-    full_rank = rank_from_dims(dims, bm.ring.nvars, cap2)
-    ndown = len(bm.graph.down[w])
-    ok2 = full_rank == bm.costalk_ranks[w].shift(2 * ndown)
+    cap = bm.caps[w]
+    ok2 = _local_kernel_is_shifted_costalk(bm, w) and (
+        rank_from_dims(bm.costalk_dims(w, range(0, cap + 1, 2)), bm.ring.nvars, cap)
+        == bm.costalk_ranks[w]
+    )
     reflected = bm.costalk_ranks[w].bar().shift(2 * (big_l - w.length))
     ok4 = bm.stalks[w].rank_poly == reflected
     return {"kernel_rank": ok2, "mirror": ok4}
+
+
+def _proportional(a, b):
+    """True when the linear forms a and b are proportional: every 2x2
+    minor of the matrix with rows a and b vanishes."""
+    return all(
+        a[i] * b[j] == a[j] * b[i]
+        for i, j in combinations(range(len(a)), 2)
+    )
+
+
+def _local_kernel_is_shifted_costalk(bm: BMSheaf, w: Element):
+    """The hypotheses of the lemma in `check_prop_71` at w."""
+    graph = bm.graph
+    stalk = bm.stalks[w]
+    edges = graph.up[w] + graph.down[w]
+    labels = [e.label.coords for e in edges]
+    if any(_proportional(a, b) for a, b in combinations(labels, 2)):
+        return False
+    for e in edges:
+        mod = bm.edge_mod[e]
+        if not (
+            isinstance(mod, QuotientModule)
+            and mod.alpha == e.label.coords
+            and mod.gens == bm.stalks[e.upper].gens
+        ):
+            return False
+    for e in graph.down[w]:
+        rho = bm.rho_upper[e]
+        _, canonical = quotient_map(stalk, e.label.coords)
+        if (
+            rho.source is not stalk
+            or rho.target is not bm.edge_mod[e]
+            or rho.images != canonical.images
+        ):
+            return False
+    return True
 
 
 def check_flabby_additive(bm: BMSheaf, w: Element):

@@ -31,13 +31,19 @@ from bmsheaves.coxeter import (
     multiply,
     parse_word,
 )
-from bmsheaves.errors import CapError, InconsistencyError, InputError
+from bmsheaves.errors import (
+    CapError,
+    InconsistencyError,
+    InputError,
+    NotGradedFreeError,
+)
 from bmsheaves.gradedlin import (
     DirectSum,
     FreeModule,
     ModuleMap,
     combine_columns,
     minimal_generators,
+    rank_from_dims,
 )
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
@@ -132,6 +138,73 @@ def test_local_rank_identities_at_every_vertex(a2_w0_sheaf, a3_singular_sheaf):
         for w in bm.graph.vertices:
             flags = check_prop_71(bm, w)
             assert flags == {"kernel_rank": True, "mirror": True}
+
+
+def _prop_71_refuses(bm, w):
+    """check_prop_71 denies the kernel rank at w, or refuses the costalk
+    as not graded free."""
+    try:
+        return not check_prop_71(bm, w)["kernel_rank"]
+    except NotGradedFreeError:
+        return True
+
+
+@pytest.mark.parametrize("name, word, nedges", [("a2", "121", 9), ("b2", "1212", 16)])
+@pytest.mark.parametrize("side", ["rho_lower", "rho_upper"])
+def test_local_rank_check_refuses_a_zeroed_restriction(
+    request, name, word, nedges, side
+):
+    """Zeroing one restriction of one edge breaks (2) somewhere, for the
+    check from the lemma and for the all-edge kernel solve alike."""
+    system = request.getfixturevalue(name)
+    bm = bm_construct(build_graph(system, elt(system, word)))
+    graph = bm.graph
+    assert len(graph.edges) == nedges
+    maps = getattr(bm, side)
+    for e in graph.edges:
+        end = e.lower if side == "rho_lower" else e.upper
+        kept = maps[e]
+        zero = [{} for _ in bm.stalks[end].gens]
+        maps[e] = ModuleMap(bm.stalks[end], bm.edge_mod[e], zero)
+        try:
+            for refuses in (_prop_71_refuses, _prop_71_by_local_kernel_refuses):
+                assert any(refuses(bm, w) for w in graph.vertices), (refuses, e)
+        finally:
+            maps[e] = kept
+    assert not any(_prop_71_refuses(bm, w) for w in graph.vertices)
+
+
+def test_local_rank_check_refuses_a_non_canonical_quotient(a2_w0_sheaf):
+    """A downward restriction with its images doubled is an isomorphism
+    onto the same edge module, so the local kernel keeps its rank, but
+    it is not the canonical quotient the lemma needs."""
+    bm = a2_w0_sheaf
+    for e in bm.graph.edges:
+        kept = bm.rho_upper[e]
+        doubled = [{t: 2 * a for t, a in img.items()} for img in kept.images]
+        bm.rho_upper[e] = ModuleMap(kept.source, kept.target, doubled)
+        try:
+            assert not check_prop_71(bm, e.upper)["kernel_rank"], e
+            assert check_prop_71(bm, e.lower)["kernel_rank"], e
+        finally:
+            bm.rho_upper[e] = kept
+    assert all(check_prop_71(bm, w)["kernel_rank"] for w in bm.graph.vertices)
+
+
+@pytest.mark.parametrize(
+    "a, b, proportional",
+    [
+        ((1, 2, 0), (2, 4, 0), True),
+        ((1, 2, 0), (-1, -2, 0), True),
+        ((0, 2, 3), (0, 4, 6), True),
+        ((1, 2, 0), (1, 2, 1), False),
+        ((1, 0, 0), (0, 1, 0), False),
+        ((2, 3), (3, 2), False),
+    ],
+)
+def test_proportional_labels_are_told_apart_by_their_minors(a, b, proportional):
+    assert bmsheaf._proportional(a, b) is proportional
+    assert bmsheaf._proportional(b, a) is proportional
 
 
 def test_sections_restrict_onto_smaller_upsets(a2_w0_sheaf):
@@ -309,6 +382,41 @@ def test_local_costalk_solve_matches_the_builder(differential_sheaf):
     for w in bm.graph.vertices:
         degrees = range(0, bm.caps[w] + 1, 2)
         assert bm.costalk_dims(w, degrees) == bm.costalk_dim_table[w], w
+
+
+def _all_edge_kernel_dims(bm, w, degrees):
+    """Kernel dims of stalk_w -> sum of B^E over all edges at w, one
+    elimination per degree: the solve that `check_prop_71` replaces by
+    the costalk."""
+    edges = bm.graph.up[w] + bm.graph.down[w]
+    return {d: bm.stalks[w].dim(d) - bm.glue(edges, d, {w: 0}).dim for d in degrees}
+
+
+def _prop_71_by_local_kernel_refuses(bm, w):
+    """Prop 7.1(2) by brute force: the all-edge kernel, solved up to the
+    bottom vertex's cap, is not graded free of rank v^(2 #down-edges) q_w."""
+    cap = 2 * bm.top.length + bmsheaf.DEFAULT_MARGIN
+    dims = _all_edge_kernel_dims(bm, w, range(0, cap + 1, 2))
+    want = bm.costalk_ranks[w].shift(2 * len(bm.graph.down[w]))
+    try:
+        return rank_from_dims(dims, bm.ring.nvars, cap) != want
+    except NotGradedFreeError:
+        return True
+
+
+def test_local_kernel_is_the_costalk_shifted(differential_sheaf):
+    """In every even degree up to the bottom vertex's cap, the all-edge
+    kernel at w has the costalk's dimension 2 #down-edges lower, and the
+    brute-force verdict agrees with the check from the lemma."""
+    bm = differential_sheaf
+    cap = 2 * bm.top.length + bmsheaf.DEFAULT_MARGIN
+    for w in bm.graph.vertices:
+        shift = 2 * len(bm.graph.down[w])
+        kernel = _all_edge_kernel_dims(bm, w, range(0, cap + 1, 2))
+        costalk = bm.costalk_dims(w, range(0, cap - shift + 1, 2))
+        assert kernel == {d: costalk.get(d - shift, 0) for d in kernel}, w
+        assert not _prop_71_by_local_kernel_refuses(bm, w), w
+        assert check_prop_71(bm, w)["kernel_rank"], w
 
 
 def _flabby_by_vertex(bm, w):
