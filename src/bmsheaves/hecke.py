@@ -26,8 +26,23 @@ routes compute it:
               pushed into the defects of the elements below y.  The cost
               is the total support of the d(Tt_y), not |[e, x]|^2.
 
-Inner loops add into integer accumulators {element: {exponent: coeff}}
-and build one HeckeElt at the end; a power of v is an exponent shift.
+The product route adds into accumulators {element: {exponent: coeff}}.
+The duality route packs polynomials into integers (Kronecker
+substitution).  Write d(Tt_y) = sum_z r_{z,y} Tt_z.  For z <= y the
+exponents of r_{z,y} have the parity of l(y) - l(z) and lie in
++-(l(y) - l(z)), so v^(l(y)-l(z)) r_{z,y} is a polynomial in v^2; the
+memo holds its value at v^2 = 2^B, one B-bit balanced digit per power.
+A power of v^2 is then a shift by B bits, and a sum of polynomials is a
+sum of integers.  A value is decoded only when a bound puts every
+coefficient below 2^(B-1) in absolute value, so the digits are exact:
+
+  * each prefix step at most triples the L1 norm of a column, so
+    |r_{z,y}|_1 <= 3^l(y);
+  * a defect of the duality solve is bounded by the sum of
+    |d(h_y)|_1 3^l(y) over the elements y settled so far.
+
+B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles until
+it fits, the memo is repacked once, and a solve in progress starts over.
 
 The two routes share nothing but the element containers, so agreement is
 a genuine cross-check.  The classical polynomial normalization is
@@ -54,10 +69,12 @@ __all__ = ["BASIS_T", "BASIS_TT", "HeckeElt", "HeckeAlgebra"]
 BASIS_T = "T"
 BASIS_TT = "Tt"
 
-# exponent dicts of the factors in the one-letter steps
+# exponent dicts of the factors in the one-letter product steps
 _ONE = {0: 1}
-_V_MINUS_VINV = {1: 1, -1: -1}
 _VINV_MINUS_V = {-1: 1, 1: -1}
+
+# digit width B of a fresh algebra's packed duality memo
+_START_BITS = 64
 
 
 def _add_into(acc, x, p, q, shift=0):
@@ -69,6 +86,23 @@ def _add_into(acc, x, p, q, shift=0):
         e2 += shift
         for e1, c1 in p.items():
             tgt[e1 + e2] += c1 * c2
+
+
+def _unpack(n, bits, low):
+    """{low + 2k: d_k} for the nonzero balanced base-2^bits digits d_k of n."""
+    out = {}
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    e = low
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            out[e] = d
+        n = (n - d) >> bits
+        e += 2
+    return out
 
 
 def _elt(basis, acc):
@@ -168,7 +202,10 @@ class HeckeAlgebra:
     def __init__(self, system):
         self.system = system
         self._kl = {}
-        self._bar_tt = {system.identity: self.one()}
+        # packed columns {y: {z: n_{z,y}}} of d(Tt_y), with digits of
+        # self._bits bits (see the module docstring)
+        self._bits = _START_BITS
+        self._bar_tt = {system.identity: {system.identity: 1}}
         # products C_xs * C_s recorded by kl_basis, keyed by x
         self.kl_products = {}
 
@@ -217,21 +254,59 @@ class HeckeAlgebra:
     def bar(self, a: HeckeElt) -> HeckeElt:
         """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1.
 
-        Each term c X_x adds d(c) d(X_x) into one accumulator.  In the Tt
-        basis d(Tt_x) is `bar_tt(x)`; in the T basis (T_{x^-1})^-1 =
-        d(T_x) = v^l(x) d(Tt_x), whose term r Tt_z is v^(l(x)+l(z)) r T_z.
+        Each term c X_x adds d(c) d(X_x).  In the Tt basis d(Tt_x) =
+        sum_z r_{z,x} Tt_z; in the T basis (T_{x^-1})^-1 = v^l(x) d(Tt_x),
+        whose term r Tt_z is v^(l(x)+l(z)) r T_z.  With r_{z,x} =
+        v^(l(z)-l(x)) N(v^2), N the packed entry, a term c_e v^e of c adds
+        c_e v^t N(v^2) to v^(-k l(z)) times the output at z: k = 1 and
+        t = -e - l(x) in the Tt basis, k = 2 and t = -e in the T basis.
+        These sums go into one integer per z and parity of t, after a
+        per-call offset that makes every t nonnegative, and each output
+        coefficient is decoded once.  The output is bounded by the sum of
+        |c|_1 3^l(x) over the terms, and the width is fitted to it first.
         """
         in_t = a.basis == BASIS_T
-        acc = {}
-        for x, c in a.coeffs.items():
-            cbar = c.bar().c
-            for z, r in self.bar_tt(x).coeffs.items():
-                shift = x.length + z.length if in_t else 0
-                _add_into(acc, z, r.c, cbar, shift)
-        return _elt(a.basis, acc)
+        terms = [(x, c.c, self._column(x)) for x, c in a.coeffs.items()]
+        self._fit(sum(sum(map(abs, c.values())) * 3**x.length for x, c, _ in terms))
+        bits = self._bits
+        offset = max(
+            (e + (0 if in_t else x.length) for x, c, _ in terms for e in c),
+            default=0,
+        )
+        accs = ({}, {})
+        for x, c, col in terms:
+            base = offset if in_t else offset - x.length
+            for e, ce in c.items():
+                t = base - e
+                acc = accs[t & 1]
+                sh = bits * (t >> 1)
+                for z, n in col.items():
+                    acc[z] = acc.get(z, 0) + ((ce * n) << sh)
+        k = 2 if in_t else 1
+        out = {}
+        for p, acc in enumerate(accs):
+            for z, n in acc.items():
+                got = _unpack(n, bits, p - offset + k * z.length)
+                if got:
+                    out.setdefault(z, {}).update(got)
+        return HeckeElt(a.basis, {z: LaurentPoly(c) for z, c in out.items()})
 
     def bar_tt(self, x: Element) -> HeckeElt:
-        """d(Tt_x) in the Tt basis, memoized (unitriangular with 1 at x).
+        """d(Tt_x) in the Tt basis, unitriangular with 1 at x.
+
+        Decoded from the packed column of x: the entry n at z is the value
+        at v^2 = 2^B of v^(l(x)-l(z)) r_{z,x}, so r_{z,x} has the digit d_k
+        of n as its coefficient of v^(l(z)-l(x)+2k).  See `_column`.
+        """
+        col = self._column(x)
+        bits, lx = self._bits, x.length
+        return HeckeElt(
+            BASIS_TT,
+            {z: LaurentPoly(_unpack(n, bits, z.length - lx)) for z, n in col.items()},
+        )
+
+    def _column(self, x: Element):
+        """The packed column {z: n_{z,x}} of d(Tt_x), memoized.
 
         With s the last letter of x's ShortLex word, x = zs with z shorter
         and z's word the prefix, so (T_{x^-1})^-1 = (T_{z^-1})^-1 T_s^-1
@@ -242,32 +317,56 @@ class HeckeAlgebra:
             T_y T_s^-1 = v^2 T_ys + (v^2 - 1) T_y      otherwise,
 
         so in Tt coordinates a term r Tt_y of d(Tt_z) goes to r Tt_ys,
-        plus (v - v^-1) r Tt_y when l(ys) > l(y).  The memo is filled
-        along the prefixes of x, one such step each; it calls no product.
+        plus (v - v^-1) r Tt_y when l(ys) > l(y).  Packed, a term (y, n)
+        adds n << B at ys when ys < y, and otherwise n at ys and
+        (n << B) - n at y.  The memo is filled along the prefixes of x,
+        one such step each, after the width is fitted to 3^l(x); it calls
+        no product.
         """
         memo = self._bar_tt
-        cached = memo.get(x)
-        if cached is not None:
-            return cached
+        col = memo.get(x)
+        if col is not None:
+            return col
+        if x.system != self.system:
+            raise InputError("elements of different systems")
         gens = self.system.generators
         chain = []
         while x not in memo:
             chain.append(x)
             x = multiply(x, gens[x.word[-1]])
-        prev = memo[x]
+        self._fit(3 ** chain[0].length)
+        bits = self._bits
+        col = memo[x]
         for x in reversed(chain):
             gen = gens[x.word[-1]]
             acc = {}
-            for y, r in prev.coeffs.items():
+            for y, n in col.items():
                 ys = multiply(y, gen)
-                _add_into(acc, ys, r.c, _ONE)
-                if ys.length > y.length:
-                    _add_into(acc, y, r.c, _V_MINUS_VINV)
-            prev = _elt(BASIS_TT, acc)
-            if prev.coeff(x) != LaurentPoly.one():
+                if ys.length < y.length:
+                    acc[ys] = acc.get(ys, 0) + (n << bits)
+                else:
+                    acc[ys] = acc.get(ys, 0) + n
+                    acc[y] = acc.get(y, 0) + (n << bits) - n
+            if acc.get(x) != 1:
                 raise InconsistencyError(f"d(Tt_{x}) is not unitriangular")
-            memo[x] = prev
-        return prev
+            col = memo[x] = {y: n for y, n in acc.items() if n}
+        return col
+
+    def _fit(self, bound):
+        """Widen the digits until |coefficients| <= bound decode exactly.
+
+        The width doubles until bound < 2^(B-1), and the memo is then
+        repacked once, in place.
+        """
+        old = bits = self._bits
+        while bound >> (bits - 1):
+            bits *= 2
+        if bits != old:
+            for col in self._bar_tt.values():
+                for z, n in col.items():
+                    digits = _unpack(n, old, 0).items()
+                    col[z] = sum(d << (bits * (e >> 1)) for e, d in digits)
+            self._bits = bits
 
     # -- self-dual basis, route 1: product recursion -----------------------
 
@@ -331,26 +430,61 @@ class HeckeAlgebra:
         in the support of d(Tt_y), so the cost is the sum of those
         supports rather than |[e, x]|^2.  A term of d(Tt_y) at an element
         already settled, or outside [e, x], cannot be pushed and raises.
+
+        The defect of z is packed as the value at v^2 = 2^B of
+        v^(l(x)-l(z)) g_z.  A term c v^f of d(h_y) then adds c n_{z,y}
+        shifted by B (l(x) - l(y) + f) / 2 bits: a small-by-large product
+        and a shift.  Every coefficient of a defect is at most the sum of
+        |d(h_y)|_1 3^l(y) over the settled y; when that bound reaches
+        2^(B-1) before a decode, the width grows and the solve restarts.
         """
+        interval = bruhat_interval(x)
+        # every column below x then fits, so no fill during the walk
+        # changes the width the packed defects were built with
+        self._fit(3 ** x.length)
+        h = None
+        while h is None:
+            h = self._solve(x, interval)
+        return HeckeElt(BASIS_TT, h)
+
+    def _solve(self, x, interval):
+        """The coefficients h_y of `kl_oracle`, or None after a widening."""
+        bits = self._bits
+        half = 1 << (bits - 1)
+        lx = x.length
         h = {}
-        # defects {z: {exponent: coefficient}} pushed from settled elements
+        # packed defects {z: int} pushed from settled elements
         defect = {}
-        for y in reversed(bruhat_interval(x)):
-            g = LaurentPoly(defect.pop(y, None))
+        bound = 0
+        for y in reversed(interval):
+            d = lx - y.length
             if y == x:
                 hy = LaurentPoly.one()
-            elif g + g.bar() != LaurentPoly.zero() or g.constant_term:
-                raise InconsistencyError(
-                    f"duality defect at {y} is not skew: {g}; no self-dual "
-                    "solution exists"
-                )
             else:
+                if bound >= half:
+                    self._fit(bound)
+                    return None
+                g = LaurentPoly(_unpack(defect.pop(y, 0), bits, -d))
+                if g + g.bar() != LaurentPoly.zero() or g.constant_term:
+                    raise InconsistencyError(
+                        f"duality defect at {y} is not skew: {g}; no "
+                        "self-dual solution exists"
+                    )
                 hy = g.positive_part()
             h[y] = hy
             if not hy:
                 continue
-            dh = hy.bar().c.items()
-            for z, r in self.bar_tt(y).coeffs.items():
+            dh = hy.bar()
+            pushes = []
+            for f, c in dh.c.items():
+                if (d + f) & 1 or d + f < 0:
+                    raise InconsistencyError(
+                        f"d(h_{y}) = {dh} has a term v^{f}, which no "
+                        f"defect below {y} can hold"
+                    )
+                pushes.append((c, bits * ((d + f) >> 1)))
+                bound += abs(c) * 3**y.length
+            for z, n in self._column(y).items():
                 if z is y:
                     continue
                 acc = defect.get(z)
@@ -359,14 +493,14 @@ class HeckeAlgebra:
                         raise InconsistencyError(
                             f"d(Tt_{y}) has a term at {z}, which is settled"
                         )
-                    acc = defect[z] = defaultdict(int)
-                for e1, c1 in dh:
-                    for e2, c2 in r.c.items():
-                        acc[e1 + e2] += c1 * c2
+                    acc = 0
+                for c, sh in pushes:
+                    acc += (c * n) << sh
+                defect[z] = acc
         if defect:
             z = next(iter(defect))
             raise InconsistencyError(f"a d(Tt_y) term at {z} lies outside [e, {x}]")
-        return HeckeElt(BASIS_TT, h)
+        return h
 
     # -- classical polynomial normalization -------------------------------
 

@@ -127,17 +127,26 @@ class LaurentPoly:
     def is_nonnegative(self):
         return all(c >= 0 for c in self.c.values())
 
+    # bar, shift and positive_part keep nonzero coefficients nonzero, so
+    # they skip the filtering constructor, as __add__ does
+
     def bar(self):
         """The involution v -> v^-1."""
-        return LaurentPoly({-e: c for e, c in self.c.items()})
+        p = LaurentPoly.__new__(LaurentPoly)
+        p.c = {-e: c for e, c in self.c.items()}
+        return p
 
     def shift(self, k):
         """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self.c.items()})
+        p = LaurentPoly.__new__(LaurentPoly)
+        p.c = {e + k: c for e, c in self.c.items()}
+        return p
 
     def positive_part(self):
         """Sum of the terms with strictly positive exponent."""
-        return LaurentPoly({e: c for e, c in self.c.items() if e > 0})
+        p = LaurentPoly.__new__(LaurentPoly)
+        p.c = {e: c for e, c in self.c.items() if e > 0}
+        return p
 
     # -- io ---------------------------------------------------------------
 

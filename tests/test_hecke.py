@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from bmsheaves import hecke
 from bmsheaves.coxeter import bruhat_interval, element_ball, make_system, parse_word
 from bmsheaves.errors import InputError
 from bmsheaves.hecke import BASIS_T, BASIS_TT, HeckeAlgebra, HeckeElt
@@ -207,6 +208,68 @@ def test_the_duality_matches_products_of_inverse_generators(name):
         assert alg.bar(alg.mult(a, b)) == alg.mult(alg.bar(a), alg.bar(b))
 
 
+def test_a_long_dihedral_word_widens_the_packing(u2):
+    """3^40 > 2^63, so the 64-bit digits of a fresh algebra must widen
+    for l(x) = 40; the values stay those of the product references."""
+    x = elt(u2, "12" * 20)
+    alg = HeckeAlgebra(u2)
+    assert alg.kl_oracle(x) == alg.kl_basis(x)
+    assert alg._bits > hecke._START_BITS
+    ref = alg.T(u2.identity)
+    for s in x.word:
+        inverse = alg.T(u2.generators[s], v(2)) + alg.T(u2.identity, v(2) - v(0))
+        ref = alg.mult(ref, inverse)
+    assert alg.bar_tt(x) == ref.scale(v(-x.length))
+
+
+@pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
+def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
+    """With 8-bit digits at the start, the memo widens while a column of
+    length >= 5 is filled (3^5 > 2^7), and the duality solve widens and
+    restarts partway down an interval; both give the values of 64-bit
+    digits.  B2, whose longest element has length 4, only restarts."""
+    coxeter, bound = _DUALITY_SYSTEMS[name]
+    system = make_system(coxeter)
+    ball = element_ball(system, bound)
+    wide = HeckeAlgebra(system)
+    bars = [wide.bar_tt(x) for x in ball]
+    solved = [wide.kl_oracle(x) for x in ball]
+    monkeypatch.setattr(hecke, "_START_BITS", 8)
+    restarts = []
+    solve = HeckeAlgebra._solve
+
+    def counted(self, x, interval):
+        out = solve(self, x, interval)
+        if out is None:
+            restarts.append(x)
+        return out
+
+    monkeypatch.setattr(HeckeAlgebra, "_solve", counted)
+    fill_first = HeckeAlgebra(system)
+    assert [fill_first.bar_tt(x) for x in ball] == bars
+    assert (fill_first._bits > 8) == (ball[-1].length >= 5)
+    assert not restarts
+    assert [fill_first.kl_oracle(x) for x in ball] == solved
+    solve_first = HeckeAlgebra(system)
+    assert [solve_first.kl_oracle(x) for x in ball] == solved
+    assert restarts
+    assert [solve_first.bar_tt(x) for x in ball] == bars
+
+
+def test_an_element_of_another_system_is_refused(a2, b2):
+    """The duality route of an A2 algebra refuses B2 elements, the
+    identity included, with InputError."""
+    alg = HeckeAlgebra(a2)
+    for x in (b2.identity, elt(b2, "1"), elt(b2, "1212")):
+        with pytest.raises(InputError, match="different systems"):
+            alg.kl_oracle(x)
+        with pytest.raises(InputError, match="different systems"):
+            alg.bar_tt(x)
+        for basis in (BASIS_T, BASIS_TT):
+            with pytest.raises(InputError, match="different systems"):
+                alg.bar(HeckeElt(basis, {x: v(1)}))
+
+
 @pytest.mark.parametrize(
     "y, z, message",
     [("12", "21", "outside"), ("1", "12", "settled"), ("1", "2", "settled")],
@@ -221,8 +284,10 @@ def test_the_duality_solve_refuses_terms_it_cannot_push(a2, y, z, message):
     # bad entry written before then would also reach d(Tt_12)
     for x in bruhat_interval(elt(a2, "12")):
         alg.bar_tt(x)
-    bad = alg.bar_tt(elt(a2, y)) + alg.Tt(elt(a2, z), v(1))
-    alg._bar_tt[elt(a2, y)] = bad
+    # add 1 to the packed entry at z of y's column, the lowest digit: the
+    # term v^(l(z)-l(y)) Tt_z, of the one parity the packed format holds
+    column = alg._bar_tt[elt(a2, y)]
+    column[elt(a2, z)] = column.get(elt(a2, z), 0) + 1
     with pytest.raises(InconsistencyError, match=message):
         alg.kl_oracle(elt(a2, "12"))
 
@@ -237,7 +302,7 @@ def test_expansion_in_the_self_dual_basis_inverts_it(b2, b2_alg):
     assert back == mixed
 
 
-def test_the_two_routes_are_independent(a2, monkeypatch):
+def test_the_two_routes_are_independent(a2, a3, monkeypatch):
     """A corrupted bar involution must be caught by the duality-solve route
     while leaving the product recursion untouched: the routes share no
     machinery beyond ring arithmetic."""
@@ -254,6 +319,10 @@ def test_the_two_routes_are_independent(a2, monkeypatch):
 
     x = a2.element((0, 1, 0))
     reference = HeckeAlgebra(a2).kl_basis(x)
+    # the product route never fills the packed duality memo
+    a3_fresh = HeckeAlgebra(a3)
+    a3_fresh.kl_basis(elt(a3, "121321"))
+    assert a3_fresh._bar_tt == {a3.identity: {a3.identity: 1}}
     monkeypatch.setattr(laurent.LaurentPoly, "bar", wrong_bar)
     alg = HeckeAlgebra(a2)
     assert alg.kl_basis(x) == reference  # route 1 never calls bar
