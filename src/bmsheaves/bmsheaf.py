@@ -6,8 +6,8 @@ maps rho from both endpoint stalks into B^E; the upper restriction is
 always the canonical quotient.  Sections over a vertex subset are tuples
 of stalk elements agreeing in B^E along every internal edge; degree by
 degree they are the kernel of a block-sparse integer linear system with
-one row per edge-module coordinate.  `Sheaf.glue` eliminates every such
-system: sections, costalks and pair costalks.
+one row per edge-module coordinate.  `Sheaf.glue` eliminates such a
+system for sections and for pair costalks.
 
 The canonical sheaf on an interval graph is built top down: the top
 stalk is one copy of S; at each lower vertex y the stalk is the
@@ -36,6 +36,37 @@ stored stalks and maps: every generator glues on its edges, and at each
 vertex the generators born there span the locally solved costalk.  A
 failed witness refuses; nothing solves the sections again.
 
+The builder and `Sheaf.costalk_dims` both solve the kernel of an
+S-linear map out of a free stalk, degree by degree, and neither
+eliminates a column that the kernel one degree down has settled
+(`gradedlin.KernelSweep`).  This is the leading-term criterion of the
+Macaulay-matrix Groebner methods (Faugere's F4).  A column is dropped
+when it is x_k mu for a free column mu of the degree below, and the
+proof that this changes no output has five steps.
+
+1. A stored row's pivot is its least column, so each kernel basis
+   vector's largest column is its own free column.
+2. The column order, generator block and then the ring's lex monomial
+   order, commutes with multiplication by x_k.  So x_k times the kernel
+   vector at mu is a kernel vector whose largest column is x_k mu, and
+   each dropped column is a combination of smaller columns.
+3. The span of the columns below each kept column is therefore the
+   span over all the columns.  The pivots, the ranks and the kernel
+   vectors at the kept free columns are those of the full system, and
+   the kernel's dimension is the number of dropped columns plus the
+   number of kept free ones.
+4. The costalk vector at a dropped column x_k mu is x_k times the one
+   at mu, less vectors at smaller free columns, up to a scalar.  So it
+   lies in the S-multiples of lower degrees plus the span of the vectors
+   before it, and `minimal_generators` never picks it.  The builder
+   passes it only the kept vectors and records the costalk's dimension
+   as #dropped + #kept-free.
+5. A column is kept only when every x_k-divisor of its monomial is a
+   pivot one degree down.  Its predecessor under the ring's `_steps`,
+   whose column one x_k-step carries to its own, is one of them, so it
+   is always resident: a sweep holds only the last degree's pivot
+   columns.
+
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
 the top coefficient is 1.  Everything downstream of the character - the
@@ -56,6 +87,7 @@ from .errors import CapError, InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     DirectSum,
     FreeModule,
+    KernelSweep,
     ModuleMap,
     PolyRing,
     QuotientModule,
@@ -64,11 +96,10 @@ from .gradedlin import (
     minimal_generators,
     quotient_map,
     rank_from_dims,
-    step_columns,
 )
 from .hecke import BASIS_TT, HeckeElt
 from .laurent import LaurentPoly
-from .linalg import Echelon, column_echelon, solve_in_span
+from .linalg import Echelon, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
 
 __all__ = [
@@ -167,10 +198,35 @@ class Sheaf:
     # -- costalks -----------------------------------------------------------
 
     def costalk_dims(self, w, degrees):
-        """Dimensions of the sections supported only at w (upward kernel)."""
-        dim = self.stalks[w].dim
+        """Dimensions of the sections supported only at w, the kernel of
+        the stacked upward restrictions, in the given degrees.
+
+        A `KernelSweep` steps the restrictions' generator images, stacked
+        in the direct sum of the edge modules above w, through every even
+        degree up to the last one asked for.  It drops the stalk columns
+        x_k mu for mu a free column one degree down, where a kernel
+        vector ends (step 1 of the module docstring).  Each is a
+        combination of smaller columns (step 2), so the rank is the one
+        over every column, and the dimension is the stalk's minus that
+        rank, the number of dropped columns plus the number of kept free
+        ones (step 3).  Only the last degree's pivot columns are held
+        (step 5), and the maps' own column memos are not filled.
+        """
+        degrees = tuple(degrees)
+        stalk = self.stalks[w]
         up = self.graph.up[w]
-        return {d: dim(d) - self.glue(up, d, {w: 0}).dim for d in degrees}
+        target = DirectSum(self.ring, [self.edge_mod[e] for e in up])
+        images = []
+        for i, g in enumerate(stalk.gens):
+            image = {}
+            for o, e in zip(target.offsets(g), up):
+                image.update((o + t, a) for t, a in self.rho_lower[e].images[i].items())
+            images.append(image)
+        sweep = KernelSweep(target, stalk.gens, images)
+        dims = {}
+        for d in range(0, max(degrees, default=-2) + 1, 2):
+            dims[d] = stalk.dim(d) - sweep.step(d)[0].dim
+        return {d: dims.get(d, 0) for d in degrees}
 
 
 class BMSheaf(Sheaf):
@@ -238,13 +294,12 @@ def bm_construct(graph: MomentGraph, cap_override=None):
         sheaf.caps[w] = capw
         if w == top:
             stalk = sheaf.stalks[w] = FreeModule(ring, (0,))
-            # nothing lies above the top, so its whole stalk is costalk
-            costalk = {
-                d: [{i: 1} for i in range(stalk.dim(d))]
-                for d in range(0, capw + 1, 2)
-            }
+            # nothing lies above the top, so its whole stalk is costalk;
+            # the unit leads it, and every other column is a multiple
+            dims = {d: stalk.dim(d) for d in range(0, capw + 1, 2)}
+            costalk = {0: [{0: 1}]}
         else:
-            costalk = _solve_vertex(sheaf, w, sections, capw)
+            dims, costalk = _solve_vertex(sheaf, w, sections, capw)
             above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
             sheaf.section_log[w] = {
                 d: sum(
@@ -260,7 +315,6 @@ def bm_construct(graph: MomentGraph, cap_override=None):
             sheaf.edge_mod[e], sheaf.rho_upper[e] = quotient_map(
                 sheaf.stalks[w], e.label.coords
             )
-        dims = {d: len(vecs) for d, vecs in costalk.items()}
         sheaf.costalk_dim_table[w] = dims
         rank = rank_from_dims(dims, ring.nvars, capw)
         sheaf.costalk_ranks[w] = rank
@@ -275,34 +329,42 @@ def bm_construct(graph: MomentGraph, cap_override=None):
 def _solve_vertex(sheaf, w, sections, cap):
     """Build the stalk at w and its downward restrictions, lift the
     section generators `sections` to w in place, and return the costalk
-    at w, as sparse stalk vectors per degree.
+    at w: ({d: dimension}, {d: the kernel vectors at its kept columns}).
 
-    One column system per degree d (`column_echelon`).  Its rows are the
-    coordinates of the direct sum of the edge modules above w.  Its
-    columns are first the cover's: the images of the monomial multiples
-    of the stalk generators of degree below d (`step_columns`), in the
-    stalk's basis order.  Then come the candidates, one per section
-    generator g of degree d, holding -rho_upper(g) on the edges above w.
-    A candidate column with a pivot is not in the image so far: it is a
-    new minimal generator and stands for its own stalk column, with the
-    opposite sign.  The kernel vectors at free cover columns span the
-    costalk, and the one at a free candidate column, with c > 0 there,
-    lifts c g, which stays integral.  The restriction to an edge above w
-    sends each stalk generator to its image's component on that edge.
+    One column system per degree d, stepped by a `KernelSweep` into the
+    direct sum of the edge modules above w.  Its columns are first the
+    cover's, the images of the monomial multiples of the stalk
+    generators of degree below d, in the stalk's basis order.  Then come
+    the candidates, one per section generator g of degree d, holding
+    -rho_upper(g) on the edges above w.  A candidate column with a pivot
+    is not in the image so far: it is a new minimal generator and stands
+    for its own stalk column, with the opposite sign.  The kernel vectors
+    at free cover columns span the costalk, and the one at a free
+    candidate column, with c > 0 there, lifts c g, which stays integral.
+    The restriction to an edge above w sends each stalk generator to its
+    image's component on that edge.
+
+    The sweep drops the cover columns x_k mu for mu a free cover column
+    one degree down, where a costalk vector there ends (step 1 of the
+    module docstring); each is a combination of smaller cover columns
+    (step 2).  Every candidate comes after every cover column, so the
+    picks, the costalk vectors at the kept free columns and every lift
+    are those of the system over all the cover columns, and the
+    costalk's dimension is the number of dropped columns plus the number
+    of kept free ones (step 3).  `minimal_generators` never picks a
+    dropped costalk vector (step 4), so the kept ones alone give the
+    same stalk generators.  The predecessor of each kept column is a
+    held pivot (step 5).
     """
     ring = sheaf.ring
     delta = sheaf.graph.up[w]
     target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
-    gens = []  # (degree, image in the target) per stalk generator
-    blocks = []  # per stalk generator, its cover columns in the last degree
-    costalk = {}
+    sweep = KernelSweep(target)
+    dims, costalk = {}, {}
     for d in range(0, cap + 1, 2):
-        blocks = [step_columns(target, b, g, d) for (g, _), b in zip(gens, blocks)]
-        cols = [col for block in blocks for col in block]
-        n = len(cols)
         off = target.offsets(d)
         here = [comps for gd, comps in sections if gd == d]
-        cols += [
+        candidates = [
             {
                 o + t: -a
                 for o, e in zip(off, delta)
@@ -311,16 +373,18 @@ def _solve_vertex(sheaf, w, sections, cap):
             }
             for comps in here
         ]
-        ech = column_echelon(cols, target.dim(d))
+        width = sweep.dim(d)
+        ech, positions = sweep.step(d, candidates)
+        n = len(positions)
         picked = sorted(p - n for p in ech.rows if p >= n)
         for t in picked:
-            image = {r: -a for r, a in cols[n + t].items()}
-            gens.append((d, image))
-            blocks.append([image])
-        kernel = ech.kernel(len(cols))
-        parts = [_stalk_part(vec, n, picked) for vec in kernel]
-        free = n - sum(p < n for p in ech.rows)
+            sweep.add(d, {r: -a for r, a in candidates[t].items()})
+        kernel = ech.kernel(n + len(candidates))
+        parts = [_stalk_part(vec, positions, width, picked) for vec in kernel]
+        rank = ech.dim - len(picked)  # the cover columns' pivots
+        free = n - rank
         costalk[d] = parts[:free]
+        dims[d] = width - rank
         unpicked = [t for t in range(len(here)) if n + t not in ech.rows]
         for t, vec, lift in zip(unpicked, kernel[free:], parts[free:]):
             comps = here[t]
@@ -330,22 +394,26 @@ def _solve_vertex(sheaf, w, sections, cap):
                     comps[z] = {i: scale * a for i, a in comp.items()}
             if lift:
                 comps[w] = lift
-        for i, t in enumerate(picked):
-            here[t][w] = {n + i: 1}
-    check_generator_cap([g for g, _ in gens], cap)
-    stalk = sheaf.stalks[w] = FreeModule(ring, tuple(g for g, _ in gens))
+        for i, t in enumerate(picked, width):
+            here[t][w] = {i: 1}
+    check_generator_cap(sweep.gens, cap)
+    stalk = sheaf.stalks[w] = FreeModule(ring, sweep.gens)
     for idx, e in enumerate(delta):
-        images = [target.component(vec, idx, g) for g, vec in gens]
+        images = [
+            target.component(vec, idx, g) for g, vec in zip(sweep.gens, sweep.images)
+        ]
         sheaf.rho_lower[e] = ModuleMap(stalk, sheaf.edge_mod[e], images)
-    return costalk
+    return dims, costalk
 
 
-def _stalk_part(vec, n, picked):
-    """The stalk vector of a kernel vector over n cover columns and the
-    candidates.  The new generator i, at stalk position n + i, stands for
-    the candidate picked[i], whose column is the generator's negated."""
-    part = {i: a for i, a in vec.items() if i < n}
-    for i, t in enumerate(picked, n):
+def _stalk_part(vec, positions, width, picked):
+    """The stalk vector of a kernel vector over the kept cover columns,
+    at the stalk positions `positions`, and the candidates.  The new
+    generator i, at stalk position width + i, stands for the candidate
+    picked[i], whose column is the generator's negated."""
+    n = len(positions)
+    part = {positions[i]: a for i, a in vec.items() if i < n}
+    for i, t in enumerate(picked, width):
         a = vec.get(n + t)
         if a:
             part[i] = -a
@@ -728,8 +796,8 @@ def _flabby_certificate(bm: BMSheaf):
             z = max(comps, key=graph.index)
             born[z].append((g, comps[z]))
             glued = glued and all(
-                bm.rho_lower[e].apply(comps.get(e.lower, {}), g)
-                == bm.rho_upper[e].apply(comps.get(e.upper, {}), g)
+                _restrict(bm.rho_lower[e], comps.get(e.lower), g)
+                == _restrict(bm.rho_upper[e], comps.get(e.upper), g)
                 for e in graph.edges
                 if e.lower in comps or e.upper in comps
             )
@@ -745,3 +813,9 @@ def _flabby_certificate(bm: BMSheaf):
                     onto[d] = False
         bm._flabby = onto, costalks
     return bm._flabby
+
+
+def _restrict(rho, vec, g):
+    """rho(vec) in degree g; a missing component restricts to zero, and
+    the map's columns are not read for it."""
+    return rho.apply(vec, g) if vec else {}

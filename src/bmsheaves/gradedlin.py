@@ -26,12 +26,15 @@ its monomial multiples, come from its columns in degree d - 2 by one
 x_k-step, `step_columns`.  Maps out of a FreeModule are stored by
 generator images and their per-degree columns are materialized lazily
 by that step, so a map built under some cap extends to any degree on
-demand; the minimal-generator loop here and the sheaf builder grow the
-span of the generators they have picked by the same step.  The edge
-action xi of a momentgraph.ZEModule is such a map, from the module
-shifted up by 2 into itself.  A map applies its columns through
-`combine_columns`.  `quotient_map` is the one canonical map
-F -> F/alpha F of a free module, for every edge.
+demand; the minimal-generator loop here grows the span of the
+generators it has picked by the same step.  A `KernelSweep` steps a
+map's columns too, but only those that the kernel one degree down has
+not settled, and holds one degree of them; the sheaf builder and the
+costalk solves eliminate through it.  The edge action xi of a
+momentgraph.ZEModule is a ModuleMap, from the module shifted up by 2
+into itself.  A map applies its columns through `combine_columns`.
+`quotient_map` is the one canonical map F -> F/alpha F of a free
+module, for every edge.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -49,7 +52,7 @@ from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
-from .linalg import Echelon
+from .linalg import Echelon, column_echelon
 
 __all__ = [
     "PolyRing",
@@ -60,6 +63,7 @@ __all__ = [
     "quotient_map",
     "combine_columns",
     "step_columns",
+    "KernelSweep",
     "check_generator_cap",
     "minimal_generators",
     "rank_from_dims",
@@ -146,17 +150,23 @@ class PolyRing:
         return cols
 
     def _steps(self, d):
-        """(k, j) per monomial of degree d: it is x_k times monomial j of
-        degree d-2, with x_k its first variable."""
+        """(k, j, divisors) per monomial m of degree d: m is x_k times
+        monomial j of degree d-2, with x_k its first variable, and
+        `divisors` holds the index in degree d-2 of m / x_i for every
+        variable x_i of m, j first."""
         out = self._stepmemo.get(d)
         if out is None:
             pindex = {m: j for j, m in enumerate(self.monomials(d - 2))}
             out = []
             for m in self.monomials(d):
+                divisors = []
+                for i, e in enumerate(m):
+                    if e:
+                        mm = list(m)
+                        mm[i] -= 1
+                        divisors.append(pindex[tuple(mm)])
                 k = next(i for i, e in enumerate(m) if e)
-                mm = list(m)
-                mm[k] -= 1
-                out.append((k, pindex[tuple(mm)]))
+                out.append((k, divisors[0], tuple(divisors)))
             self._stepmemo[d] = out
         return out
 
@@ -389,7 +399,95 @@ def step_columns(ambient, block, g, d):
     columns and every S-span of generators grow one degree by this step.
     """
     mul = ambient.mul_var
-    return [mul(block[j], k, d - 2) for k, j in ambient.ring._steps(d - g)]
+    return [mul(block[j], k, d - 2) for k, j, _ in ambient.ring._steps(d - g)]
+
+
+class KernelSweep:
+    """An S-linear map out of a free module, eliminated one degree at a
+    time over the columns that the degree below leaves open.
+
+    The map is given by generator images in `target`, as a ModuleMap is,
+    and its degree-d columns are the source positions (generator,
+    monomial) in the source's basis order.  `step(d)`, for d = 0, 2, 4,
+    ... in turn, builds the column system (`column_echelon`) of the kept
+    columns, then of the caller's `extra` columns.
+
+    The criterion.  A stored row's pivot is its least column, so the
+    kernel basis vector at a free column f holds f and pivots below it:
+    the free columns are the largest columns of the kernel's vectors.
+    The column order, generator block and then the ring's lex monomial
+    order, commutes with multiplication by x_k.  So a kernel vector of
+    degree d-2 whose largest column is mu gives one, x_k times it, whose
+    largest column is x_k mu, and the column x_k mu is a combination of
+    smaller columns.  Such a column is dropped, and the span of the
+    columns below a kept one does not change.  Hence the pivots, the rank
+    and the kernel vectors at the kept free columns, whose other entries
+    lie at pivots, are those of the system over all the columns, and the
+    kernel's dimension is `dim(d)` minus the rank: every dropped column
+    is free.  A column is kept when every x_k-divisor of its monomial is
+    a pivot one degree down.  Its predecessor under `PolyRing._steps`,
+    whose column one x_k-step carries to its own, is one of them, so the
+    sweep holds per generator only the pivot columns of the last degree.
+    The `extra` columns come after every source column, so they change
+    none of this.
+    """
+
+    def __init__(self, target, gens=(), images=()):
+        self.target = target
+        self.gens = []
+        self.images = []
+        self._degree = -2  # the degree stepped last
+        self._held = []  # per generator, {monomial index: column} at its pivots
+        for g, image in zip(gens, images):
+            self.add(g, image)
+
+    def add(self, g, image):
+        """Append a generator of degree g.  One added right after
+        `step(g)` must be independent of that degree's columns, as a new
+        minimal generator is, and is held as a pivot."""
+        if g < self._degree:
+            raise InputError(f"generator of degree {g} after step {self._degree}")
+        self.gens.append(g)
+        self.images.append(image)
+        self._held.append({0: image} if g == self._degree else {})
+
+    def dim(self, d):
+        """Dimension of the source in degree d."""
+        nvars = self.target.ring.nvars
+        return sum(hilbert_dim(nvars, d - g) for g in self.gens)
+
+    def step(self, d, extra=()):
+        """(Echelon, positions) of degree d, the degree after the last
+        step.  The Echelon's columns are the kept source columns, at the
+        source positions `positions` in order, then the columns `extra`."""
+        if d != self._degree + 2:
+            raise InputError(f"step to degree {d} after degree {self._degree}")
+        ring = self.target.ring
+        mul = self.target.mul_var
+        positions, cols, owners = [], [], []
+        start = 0
+        for i, g in enumerate(self.gens):
+            if g > d:
+                continue
+            if g == d:
+                positions.append(start)
+                cols.append(self.images[i])
+                owners.append((i, 0))
+            else:
+                held = self._held[i]
+                for j, (k, p, divisors) in enumerate(ring._steps(d - g)):
+                    if all(q in held for q in divisors):
+                        positions.append(start + j)
+                        cols.append(mul(held[p], k, d - 2))
+                        owners.append((i, j))
+            start += hilbert_dim(ring.nvars, d - g)
+        ech = column_echelon(cols + list(extra), self.target.dim(d))
+        self._held = [{} for _ in self.gens]
+        for c, (i, j) in enumerate(owners):
+            if c in ech.rows:
+                self._held[i][j] = cols[c]
+        self._degree = d
+        return ech, positions
 
 
 def check_generator_cap(degrees, cap):

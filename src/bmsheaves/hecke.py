@@ -375,8 +375,11 @@ class HeckeAlgebra:
 
         The product C_xs C_s comes from `mult`'s accumulator, and each
         c_y C_y (c_y the constant term at y < x) is subtracted from that
-        same accumulator.  No duality is used.
+        same accumulator.  No duality is used.  An element of another
+        system is refused (InputError) before the memo is read.
         """
+        if x.system != self.system:
+            raise InputError("elements of different systems")
         cached = self._kl.get(x)
         if cached is not None:
             return cached

@@ -6,6 +6,7 @@ stalk, where the character coefficients stop being pure powers.
 """
 
 import gc
+import tracemalloc
 import weakref
 from math import lcm
 
@@ -384,6 +385,40 @@ def test_local_costalk_solve_matches_the_builder(differential_sheaf):
         assert bm.costalk_dims(w, degrees) == bm.costalk_dim_table[w], w
 
 
+def _costalk_dims_by_all_columns(sheaf, w, degrees):
+    """The all-column costalk solve: per degree, the gluing rows of the
+    upward edges at w over every stalk column, and the stalk's dimension
+    less their rank."""
+    up = sheaf.graph.up[w]
+    return {d: sheaf.stalks[w].dim(d) - sheaf.glue(up, d, {w: 0}).dim for d in degrees}
+
+
+def _assert_costalks_match_the_all_column_solve(sheaf):
+    degrees = range(0, max(sheaf.caps.values()) + 1, 2)
+    for w in sheaf.graph.vertices:
+        want = _costalk_dims_by_all_columns(sheaf, w, degrees)
+        assert sheaf.costalk_dims(w, degrees) == want, w
+
+
+def test_costalks_without_settled_columns_match_the_all_column_solve(
+    differential_sheaf,
+):
+    """At every vertex and in every even degree up to the largest cap,
+    where most columns are dropped, the costalk dimension of the sweep
+    is the one over every column."""
+    _assert_costalks_match_the_all_column_solve(differential_sheaf)
+
+
+def test_lifted_costalks_match_the_all_column_solve(a3):
+    """The same on the lift of the A3 121321 sheaf on its quotient graph
+    by s2, whose edges share restriction maps between cosets."""
+    x = elt(a3, "121321")
+    quotient = build_graph(a3, x, kind="quotient", s=1)
+    _assert_costalks_match_the_all_column_solve(
+        translate_out(bm_construct(quotient), build_graph(a3, x))
+    )
+
+
 def _all_edge_kernel_dims(bm, w, degrees):
     """Kernel dims of stalk_w -> sum of B^E over all edges at w, one
     elimination per degree: the solve that `check_prop_71` replaces by
@@ -506,6 +541,27 @@ def test_flabbiness_certificate_is_built_once_and_freed_with_the_sheaf(
     del bm
     gc.collect()
     assert ref() is None
+
+
+def test_flabbiness_checks_hold_little_memory_beyond_the_sheaf(a3):
+    """After the flabbiness check at all 24 vertices of A3 121321, the
+    longest element, tracemalloc holds at most 1 MiB above the built
+    sheaf: the certificate's tables and the column memos its witness
+    glue check fills.  Measured: 0.74 MiB with Python 3.11, against
+    2.7 MiB when every costalk solve filled the restriction maps' column
+    memos up to the largest cap."""
+    tracemalloc.start()
+    try:
+        bm = bm_construct(build_graph(a3, elt(a3, "121321")))
+        gc.collect()
+        built, _ = tracemalloc.get_traced_memory()
+        assert all(check_flabby_additive(bm, w) for w in bm.graph.vertices)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bm.graph.vertices) == 24
+    assert held - built <= 2**20, (held - built) / 2**20
 
 
 def _onto_by_global_elimination(bm):

@@ -17,6 +17,7 @@ from bmsheaves.errors import CapError, InputError, NotGradedFreeError
 from bmsheaves.gradedlin import (
     DirectSum,
     FreeModule,
+    KernelSweep,
     ModuleMap,
     PolyRing,
     QuotientModule,
@@ -329,6 +330,94 @@ def test_rank_nullity_per_degree():
         assert k + i == mmap.source.dim(d)
 
 
+def _sweep_against_all_columns(mmap, top):
+    """Step a KernelSweep of the map through every even degree up to top
+    and compare each degree with the column system over every column:
+    the same pivots and rank, and at each kept free column the same
+    kernel vector.  Returns the number of columns the sweep dropped."""
+    source = mmap.source
+    sweep = KernelSweep(mmap.target, source.gens, mmap.images)
+    dropped = 0
+    pivots = set()  # the full system's pivots one degree down, as (i, m)
+    for d in range(0, top + 1, 2):
+        width = source.dim(d)
+        full = column_echelon(mmap.columns(d), mmap.target.dim(d))
+        basis = full.kernel(width)
+        ech, positions = sweep.step(d)
+        assert sweep.dim(d) == width
+        # kept: every m / x_k of the position's monomial is such a pivot
+        assert positions == [
+            pos
+            for pos, (i, m) in enumerate(source.basis(d))
+            if all(
+                (i, m[:k] + (e - 1,) + m[k + 1 :]) in pivots
+                for k, e in enumerate(m)
+                if e
+            )
+        ], d
+        pivots = {source.basis(d)[p] for p in full.rows}
+        assert {positions[p] for p in ech.rows} == full.rows.keys(), d
+        assert width - ech.dim == len(basis), d
+        # a kernel basis vector's largest column is its free column
+        kept = [vec for vec in basis if max(vec) in positions]
+        pruned = [
+            {positions[i]: a for i, a in vec.items()}
+            for vec in ech.kernel(len(positions))
+        ]
+        assert pruned == kept, d
+        # only the pivot columns are held for the next degree
+        assert sum(map(len, sweep._held)) == ech.dim
+        dropped += width - len(positions)
+    return dropped
+
+
+def test_kernel_sweep_drops_columns_and_keeps_the_kernel_vectors():
+    """S{0} + S{-2} -> S/(x0 + x1) + S/(x0 - x1) in two variables,
+    sending the generators to (1, 1) and (x1, 0).  The kernel holds
+    (x0 - x1, 2) in degree 2 and (x1^2 - x0^2, 0) in degree 4, so from
+    degree 4 on the sweep drops columns, and from degree 6 on it keeps
+    only the two pivots."""
+    ring = PolyRing(2)
+    plus = QuotientModule(ring, (0,), (1, 1))
+    minus = QuotientModule(ring, (0,), (1, -1))
+    target = DirectSum(ring, [plus, minus])
+    x1 = plus.index(2)[(0, (0, 1))]
+    mmap = ModuleMap(FreeModule(ring, (0, 2)), target, [{0: 1, 1: 1}, {x1: 1}])
+    assert _sweep_against_all_columns(mmap, 12) == 2 + 5 + 7 + 9 + 11
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_sweep_matches_all_columns_on_random_maps(seed):
+    """Random integer images of generators of degrees 0, 2 and 2 in a sum
+    of quotient modules of S in three variables."""
+    rng = random.Random(seed)
+    ring = PolyRing(3)
+    target = DirectSum(
+        ring,
+        [
+            QuotientModule(ring, (0,), (1, 1, 0)),
+            QuotientModule(ring, (0, 2), (0, 2, -1)),
+            QuotientModule(ring, (2,), (1, -1, 3)),
+        ],
+    )
+    source = FreeModule(ring, (0, 2, 2))
+    images = [
+        {t: a for t in range(target.dim(g)) if (a := rng.choice((0, 0, 1, -1, 2)))}
+        for g in source.gens
+    ]
+    assert _sweep_against_all_columns(ModuleMap(source, target, images), 10) > 0
+
+
+def test_kernel_sweep_steps_one_degree_at_a_time():
+    ring = PolyRing(2)
+    sweep = KernelSweep(FreeModule(ring, (0,)), (0,), [{0: 1}])
+    with pytest.raises(InputError):
+        sweep.step(2)
+    sweep.step(0)
+    with pytest.raises(InputError):
+        sweep.add(-2, {})
+
+
 def test_minimal_generators_of_an_edge_image():
     ring = PolyRing(2)
     ambient = FreeModule(ring, (0, 0))
@@ -375,10 +464,13 @@ def _natural_order_generators(candidates, ambient, cap):
 
 def test_minimal_generators_pick_the_same_candidates_as_natural_order(a3, monkeypatch):
     """The costalk candidates at every vertex of A3 12321, as the builder
-    gives them and reversed: the picks are the same dict objects, in the
-    same order, as with the multiples inserted in their natural order.
-    Candidates go in one by one in their given order, the one place
-    where insertion order is part of the output."""
+    gives them (its kernel vectors at the kept columns) and as full
+    costalk bases from the all-column solve, each as given and reversed:
+    the picks are the same dict objects, in the same order, as with the
+    multiples inserted in their natural order.  The builder's candidates
+    and the full bases pick equal vectors.  Candidates go in one by one
+    in their given order, the one place where insertion order is part of
+    the output."""
     calls = []
 
     def record(candidates, ambient, cap):
@@ -388,20 +480,35 @@ def test_minimal_generators_pick_the_same_candidates_as_natural_order(a3, monkey
 
     monkeypatch.setattr(bmsheaf, "minimal_generators", record)
     graph = build_graph(a3, a3.element(parse_word("12321", 3)))
-    bm_construct(graph)
+    bm = bm_construct(graph)
     monkeypatch.undo()
     assert len(calls) == len(graph.vertices)
 
     def ids(gens):
         return [(d, id(v)) for d, v in gens]
 
+    def full_bases(w, cap):
+        """The costalk at w from the gluing rows of its upward edges."""
+        return {
+            d: bm.glue(graph.up[w], d, {w: 0}).kernel(bm.stalks[w].dim(d))
+            for d in range(0, cap + 1, 2)
+        }
+
+    vertex = {id(bm.stalks[w]): w for w in graph.vertices}
     moved = 0
     for candidates, ambient, cap, gens in calls:
-        assert ids(gens) == ids(_natural_order_generators(candidates, ambient, cap))
-        reverse = {d: vs[::-1] for d, vs in candidates.items()}
-        picks = ids(minimal_generators(reverse, ambient, cap))
-        assert picks == ids(_natural_order_generators(reverse, ambient, cap))
-        moved += picks != ids(gens)
+        w = vertex[id(ambient)]
+        full = full_bases(w, cap)
+        full_gens = minimal_generators(full, ambient, cap)
+        assert full_gens == gens, w
+        for given in (candidates, full):
+            picks = ids(minimal_generators(given, ambient, cap))
+            assert picks == ids(_natural_order_generators(given, ambient, cap))
+            reverse = {d: vs[::-1] for d, vs in given.items()}
+            picks_rev = ids(minimal_generators(reverse, ambient, cap))
+            assert picks_rev == ids(_natural_order_generators(reverse, ambient, cap))
+            if given is full:
+                moved += picks_rev != picks
     assert moved  # at some vertices the picks follow the candidates' order
 
 

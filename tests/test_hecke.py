@@ -270,6 +270,20 @@ def test_an_element_of_another_system_is_refused(a2, b2):
                 alg.bar(HeckeElt(basis, {x: v(1)}))
 
 
+def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
+    """`kl_basis` of an A2 algebra refuses B2 elements of every length,
+    the identity and a generator included, before it reads or writes its
+    memo; the A2 values it holds stay as they were."""
+    alg = HeckeAlgebra(a2)
+    want = {x: alg.kl_basis(x) for x in (a2.identity, elt(a2, "1"), elt(a2, "121"))}
+    memo, products = dict(alg._kl), dict(alg.kl_products)
+    for x in (b2.identity, elt(b2, "1"), elt(b2, "2"), elt(b2, "1212")):
+        with pytest.raises(InputError, match="different systems"):
+            alg.kl_basis(x)
+    assert alg._kl == memo and alg.kl_products == products
+    assert {x: alg.kl_basis(x) for x in want} == want
+
+
 @pytest.mark.parametrize(
     "y, z, message",
     [("12", "21", "outside"), ("1", "12", "settled"), ("1", "2", "settled")],

@@ -319,10 +319,16 @@ def test_row_order_changes_no_output(seed):
 def test_gluing_systems_change_no_output_under_edge_or_row_order(a3, monkeypatch):
     """Every costalk and pair costalk system of A3 12321, glued from five
     shuffled edge orders, has the pivots and kernel of the system in graph
-    order, also with its rows inserted in the order they were given."""
+    order, also with its rows inserted in the order they were given.  The
+    costalk systems are the one-vertex systems of the upward edges at
+    each vertex, up to its cap."""
     bm = bm_construct(build_graph(a3, a3.element(parse_word("12321", 3))))
     graph = bm.graph
-    calls = []
+    calls = [
+        (graph.up[w], d, {w: 0})
+        for w in graph.vertices
+        for d in range(0, bm.caps[w] + 1, 2)
+    ]
     glue = bm.glue
 
     def record(edges, d, offsets):
@@ -330,9 +336,6 @@ def test_gluing_systems_change_no_output_under_edge_or_row_order(a3, monkeypatch
         return glue(edges, d, offsets)
 
     monkeypatch.setattr(bm, "glue", record)
-    for w in graph.vertices:
-        degrees = range(0, bm.caps[w] + 1, 2)
-        bm.costalk_dims(w, degrees)
     for s, gen in enumerate(a3.generators):
         for y in graph.vertices:
             if multiply(y, gen).length < y.length:
