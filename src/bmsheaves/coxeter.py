@@ -21,12 +21,34 @@ multiple of column s to each column: O(n^2) integer operations, never a
 full matrix product.  Normal forms, word extraction (stripping left
 descents) and inversion roots are built from these two steps; a full
 product is left only for `multiply` by an element of length > 1.
-Right multiplication by a generator is memoized per system in a
-{(word, s): Element} dict, and so are Bruhat intervals.  Each system
-also keeps a {word: Element} table and hands out one instance per
-canonical word, whose hash is computed once, so dict and set lookups hit
-on identity.  All three tables live exactly as long as the CoxeterSystem
-that owns them.
+
+A right product ws by a generator takes one step for its matrices and
+reads its word from w's, with no extraction.  Let a be the first letter
+of w's word and t the least left descent of ws (from ws's inverse
+matrix).  The exchange lemma says: if l(tw) > l(w) and l(ws) > l(w),
+then tws = w or l(tws) = l(w) + 2 (Bjorner-Brenti, ch. 1-2).  Then:
+
+  t < a   word(ws) = t word(w).  t is no left descent of w, as a is the
+          least.  Were ws < w, t would be a left descent of ws and then
+          of w; so ws > w, the lemma applies, and l(tws) = l(ws) - 1 =
+          l(w) leaves tws = w.
+  t > a   word(ws) = word(w) without a, i.e. ws = aw.  When ws > w, a is
+          a left descent of ws (l(aws) <= l(aw) + 1 < l(ws)), so t <= a;
+          hence ws < w.  For u = ws, l(au) > l(u) and l(us) > l(u), and
+          l(aus) = l(aw) = l(u), so the lemma gives aus = u.
+  t = a   word(ws) = a word((aw)s), a product of the shorter aw.
+
+At w = e the rule reads as t < a, and ws = e (w = s) has no t.  A
+suffix of a ShortLex-least word is ShortLex least, so aw has the word of
+w without its first letter.  Each case is checked on the matrices
+(t ws = w; ws = aw; a ws = (aw)s), and a disagreement raises
+RealizationError.  Each element keeps its right products in one slot per
+generator, its tail aw, and its least right descent.  Each system keeps
+a {word: Element} table and hands out one instance per canonical word,
+whose hash is computed once, so dict and set lookups hit on identity;
+it also memoizes Bruhat intervals.  The table holds every element and
+so every slot, and both tables live exactly as long as the
+CoxeterSystem that owns them.
 
 Words cross the API boundary 0-based as tuples of generator indices and
 are serialized 1-based, as digit strings for rank <= 9 and comma
@@ -146,11 +168,6 @@ class CoxeterSystem:
         return tuple(
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan
         )
-
-    @functools.cached_property
-    def _mul_memo(self):
-        """{(word, s): Element} of right products by a generator."""
-        return {}
 
     @functools.cached_property
     def _elements(self):
@@ -277,13 +294,19 @@ class Element:
     matrix: tuple
     inv_matrix: tuple = field(repr=False)
     _hash: int = field(init=False, repr=False)
+    length: int = field(init=False, repr=False)
+    # the least right descent, None at the identity
+    descent: int = field(init=False, repr=False)
+    # [w s for each generator s], filled by _mul_gen
+    _right: list = field(init=False, repr=False)
+    # a w for a the first letter of the word, filled by _tail and _prepend
+    _tail: Element = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.word, self.system.cartan)))
-
-    @property
-    def length(self):
-        return len(self.word)
+        object.__setattr__(self, "length", len(self.word))
+        object.__setattr__(self, "descent", _least_descent(self.matrix))
+        object.__setattr__(self, "_right", [None] * self.system.rank)
 
     def __eq__(self, other):
         if self is other:
@@ -320,8 +343,16 @@ def sort_key(w: Element):
     return (len(w.word), w.word)
 
 
-def _column_nonpositive(mat, j):
-    return all(mat[i][j] <= 0 for i in range(len(mat)))
+def _least_descent(mat):
+    """The least s whose column of mat is nonpositive, or None.
+
+    On an element's matrix this is its least right descent, and on its
+    inverse matrix its least left descent.
+    """
+    for s in range(len(mat)):
+        if all(row[s] <= 0 for row in mat):
+            return s
+    return None
 
 
 _MAX_EXTRACT = 10_000
@@ -349,10 +380,8 @@ def _from_matrices(system, mat, inv) -> Element:
     for _ in range(_MAX_EXTRACT):
         if a == ident:
             return _intern(system, tuple(word), mat, inv)
-        for s in range(system.rank):
-            if _column_nonpositive(ainv, s):
-                break
-        else:
+        s = _least_descent(ainv)
+        if s is None:
             raise RealizationError(
                 "non-identity matrix with no left descent; the realization "
                 "is not reflection faithful"
@@ -393,24 +422,83 @@ def multiply(a: Element, b: Element) -> Element:
     )
 
 
-def _mul_gen(w: Element, s: int) -> Element:
-    """w s, memoized in the system's {(word, s): Element} dict."""
-    system = w.system
-    key = (w.word, s)
-    ws = system._mul_memo.get(key)
-    if ws is None:
-        ws = _from_matrices(
+def _tail(w: Element) -> Element:
+    """a w, for a the first letter of w's word: w's word without a."""
+    tail = w._tail
+    if tail is None:
+        system, a = w.system, w.word[0]
+        tail = _intern(
             system,
-            _gen_right(system, s, w.matrix),
-            _gen_left(system, s, w.inv_matrix),
+            w.word[1:],
+            _gen_left(system, a, w.matrix),
+            _gen_right(system, a, w.inv_matrix),
         )
-        system._mul_memo[key] = ws
+        object.__setattr__(w, "_tail", tail)
+    return tail
+
+
+def _prepend(system, t, mat, inv, below) -> Element:
+    """The element t below, whose matrices are mat and inv, with the word
+    t word(below); refused unless G_t mat is below's matrix."""
+    if _gen_left(system, t, mat) != below.matrix:
+        raise RealizationError(
+            f"the generator step to {word_str((t,) + below.word)} disagrees "
+            "with its matrices"
+        )
+    w = _intern(system, (t,) + below.word, mat, inv)
+    if w._tail is None:
+        object.__setattr__(w, "_tail", below)
+    return w
+
+
+def _mul_gen(w: Element, s: int) -> Element:
+    """w s, memoized in w's slot for s, by the step rule of the module
+    docstring.
+
+    While t = a, the step waits for (aw)s: the walk goes down the tails
+    until a product is known or settles without one, then prepends the
+    waiting first letters on the way back up.
+    """
+    ws = w._right[s]
+    if ws is not None:
+        return ws
+    system = w.system
+    waiting = []
+    while ws is None:
+        mat = _gen_right(system, s, w.matrix)
+        inv = _gen_left(system, s, w.inv_matrix)
+        t = _least_descent(inv)
+        a = w.word[0] if w.word else None
+        if t is None:
+            if mat != system._identity_matrix:
+                raise RealizationError(
+                    "non-identity matrix with no left descent; the "
+                    "realization is not reflection faithful"
+                )
+            ws = system.identity
+        elif a is None or t < a:
+            ws = _prepend(system, t, mat, inv, w)
+        elif t > a:
+            ws = _tail(w)
+            if ws.matrix != mat:
+                raise RealizationError(
+                    f"{w} s{s + 1} is not s{a + 1} {w}, against the exchange "
+                    "condition"
+                )
+        else:
+            waiting.append((w, mat, inv))
+            w = _tail(w)
+            ws = w._right[s]
+            continue
+        w._right[s] = ws
+    for w, mat, inv in reversed(waiting):
+        ws = w._right[s] = _prepend(system, w.word[0], mat, inv, ws)
     return ws
 
 
 def right_descents(w: Element):
     """Generators s with l(ws) < l(w), i.e. w(alpha_s) negative."""
-    return {s for s in range(w.system.rank) if _column_nonpositive(w.matrix, s)}
+    return {s for s in range(w.system.rank) if all(r[s] <= 0 for r in w.matrix)}
 
 
 def _differ_by_rank_one(a, b):
@@ -483,7 +571,7 @@ def bruhat_leq(y: Element, x: Element) -> bool:
 
     With s the smallest right descent of x: y <= x iff min(y, ys) <= xs.
     """
-    if y.system != x.system:
+    if y.system is not x.system and y.system != x.system:
         raise InputError("elements of different systems")
     if y.length > x.length:
         return False
@@ -491,7 +579,7 @@ def bruhat_leq(y: Element, x: Element) -> bool:
         return True
     if x.length == 0:
         return y.length == 0
-    s = next(s for s in range(x.system.rank) if _column_nonpositive(x.matrix, s))
+    s = x.descent
     xs = _mul_gen(x, s)
     ys = _mul_gen(y, s)
     return bruhat_leq(ys if ys.length < y.length else y, xs)
@@ -510,31 +598,29 @@ def bruhat_interval(x: Element):
     memo = x.system._interval_memo
     out = memo.get(x.word)
     if out is None:
-        seen = {(): x.system.identity}
+        seen = {x.system.identity}
         for s in x.word:
-            for w in list(seen.values()):
-                ws = _mul_gen(w, s)
-                seen.setdefault(ws.word, ws)
-        out = memo[x.word] = tuple(sorted(seen.values(), key=sort_key))
+            seen.update([_mul_gen(w, s) for w in seen])
+        out = memo[x.word] = tuple(sorted(seen, key=sort_key))
     return out
 
 
 def element_ball(system: CoxeterSystem, max_length: int):
     """All elements of length <= max_length, sorted by (length, word)."""
     layer = [system.identity]
-    seen = {(): system.identity}
+    seen = {system.identity}
     for _ in range(max_length):
         nxt = []
         for w in layer:
             for s in range(system.rank):
                 ws = _mul_gen(w, s)
-                if ws.length == w.length + 1 and ws.word not in seen:
-                    seen[ws.word] = ws
+                if ws.length > w.length and ws not in seen:
+                    seen.add(ws)
                     nxt.append(ws)
         layer = nxt
         if not layer:
             break
-    return sorted(seen.values(), key=sort_key)
+    return sorted(seen, key=sort_key)
 
 
 def parse_word(text: str, rank: int):

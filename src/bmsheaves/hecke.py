@@ -26,27 +26,39 @@ routes compute it:
               pushed into the defects of the elements below y.  The cost
               is the total support of the d(Tt_y), not |[e, x]|^2.
 
-The product route adds into accumulators {element: {exponent: coeff}}.
-The duality route packs polynomials into integers (Kronecker
-substitution).  Write d(Tt_y) = sum_z r_{z,y} Tt_z.  For z <= y the
+Both routes pack polynomials into integers (Kronecker substitution), each
+in its own memo and with its own digit width B: a polynomial is held as
+its value at a power of two, one balanced B-bit digit per power, so a
+power of the variable is a shift by B bits and a sum of polynomials is a
+sum of integers.  Packing is a ring map, so the integers are exact; a
+value is decoded only when a bound puts every coefficient below 2^(B-1)
+in absolute value, and then the digits are exact too.
+
+The product route packs h_y at v = 2^B: h_x = 1 and h_y is in v Z[v]
+below x.  A term of C_xs C_s is a shift up or down by B bits (see
+`HeckeAlgebra._kl_column`), and exactness follows from
+
+  * |C_x|_1 <= 2 |C_xs|_1 + sum |c_y| |C_y|_1, with c_y the constant
+    terms subtracted, recorded as a bound per element.
+
+The duality route writes d(Tt_y) = sum_z r_{z,y} Tt_z.  For z <= y the
 exponents of r_{z,y} have the parity of l(y) - l(z) and lie in
 +-(l(y) - l(z)), so v^(l(y)-l(z)) r_{z,y} is a polynomial in v^2; the
-memo holds its value at v^2 = 2^B, one B-bit balanced digit per power.
-A power of v^2 is then a shift by B bits, and a sum of polynomials is a
-sum of integers.  A value is decoded only when a bound puts every
-coefficient below 2^(B-1) in absolute value, so the digits are exact:
+memo holds its value at v^2 = 2^B.  Its bounds are:
 
   * each prefix step at most triples the L1 norm of a column, so
     |r_{z,y}|_1 <= 3^l(y);
   * a defect of the duality solve is bounded by the sum of
     |d(h_y)|_1 3^l(y) over the elements y settled so far.
 
-B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles until
-it fits, the memo is repacked once, and a solve in progress starts over.
+Each B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles
+until it fits and the memo is repacked once; a duality solve in progress
+starts over, and a product in progress is repacked with the memo.
 
-The two routes share nothing but the element containers, so agreement is
-a genuine cross-check.  The classical polynomial normalization is
-recovered by P_{y,x}(v^-2) = v^(l(y)-l(x)) h_{y,x}(v).
+The two routes share nothing but the element containers and the digit
+coding (`_unpack`, `_repack`), so agreement is a genuine cross-check.
+The classical polynomial normalization is recovered by
+P_{y,x}(v^-2) = v^(l(y)-l(x)) h_{y,x}(v).
 """
 
 from __future__ import annotations
@@ -55,10 +67,10 @@ from collections import defaultdict
 
 from .coxeter import (
     Element,
+    _mul_gen,
     bruhat_interval,
     bruhat_leq,
     multiply,
-    right_descents,
     sort_key,
 )
 from .errors import InconsistencyError, InputError
@@ -73,36 +85,52 @@ BASIS_TT = "Tt"
 _ONE = {0: 1}
 _VINV_MINUS_V = {-1: 1, 1: -1}
 
-# digit width B of a fresh algebra's packed duality memo
+# digit width B of a fresh algebra's packed memos
 _START_BITS = 64
 
 
-def _add_into(acc, x, p, q, shift=0):
-    """acc[x] += v^shift p q, for exponent dicts p and q."""
+def _add_into(acc, x, p, q):
+    """acc[x] += p q, for exponent dicts p and q."""
     tgt = acc.get(x)
     if tgt is None:
         tgt = acc[x] = defaultdict(int)
     for e2, c2 in q.items():
-        e2 += shift
         for e1, c1 in p.items():
             tgt[e1 + e2] += c1 * c2
 
 
-def _unpack(n, bits, low):
-    """{low + 2k: d_k} for the nonzero balanced base-2^bits digits d_k of n."""
+def _unpack(n, bits, low, step=2):
+    """{low + step k: d_k} for the nonzero balanced base-2^bits digits d_k
+    of n.  Each pass reads the digit at n's lowest set bit and clears it,
+    so zero digits cost nothing."""
     out = {}
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
-    e = low
     while n:
-        d = n & mask
+        k = ((n & -n).bit_length() - 1) // bits
+        sh = bits * k
+        d = (n >> sh) & mask
         if d >= half:
             d -= mask + 1
-        if d:
-            out[e] = d
-        n = (n - d) >> bits
-        e += 2
+        out[low + step * k] = d
+        n -= d << sh
     return out
+
+
+def _wider(bits, bound):
+    """bits, doubled until bound < 2^(bits-1)."""
+    while bound >> (bits - 1):
+        bits *= 2
+    return bits
+
+
+def _repack(cols, old, bits):
+    """Rewrite each packed column {key: n} in cols from old-bit to bits-bit
+    digits, in place."""
+    for col in cols:
+        for z, n in col.items():
+            digits = _unpack(n, old, 0, 1).items()
+            col[z] = sum(d << (bits * k) for k, d in digits)
 
 
 def _elt(basis, acc):
@@ -201,7 +229,13 @@ class HeckeAlgebra:
 
     def __init__(self, system):
         self.system = system
+        # the decoded C_x returned by kl_basis
         self._kl = {}
+        # packed C_x {x: {y: h_y(2^B)}} with digits of self._kl_bits bits,
+        # and a bound on each one's L1 norm (see `_kl_column`)
+        self._kl_bits = _START_BITS
+        self._kl_cols = {system.identity: {system.identity: 1}}
+        self._kl_norms = {system.identity: 1}
         # packed columns {y: {z: n_{z,y}}} of d(Tt_y), with digits of
         # self._bits bits (see the module docstring)
         self._bits = _START_BITS
@@ -233,8 +267,9 @@ class HeckeAlgebra:
                 _add_into(out, x, r, _VINV_MINUS_V)
         return out
 
-    def _mult_acc(self, a: HeckeElt, b: HeckeElt):
-        """a b in the Tt basis, as one accumulator."""
+    def mult(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
+        """Product, computed in the Tt basis along reduced words of b and
+        added into one accumulator."""
         acc = {}
         start = {x: c.c for x, c in a.convert(BASIS_TT).coeffs.items()}
         for y, c in b.convert(BASIS_TT).coeffs.items():
@@ -243,11 +278,7 @@ class HeckeAlgebra:
                 term = self._mult_gen_tt(term, s)
             for x, r in term.items():
                 _add_into(acc, x, r, c.c)
-        return acc
-
-    def mult(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        """Product, computed in the Tt basis along reduced words of b."""
-        return _elt(BASIS_TT, self._mult_acc(a, b)).convert(a.basis)
+        return _elt(BASIS_TT, acc).convert(a.basis)
 
     # -- duality -----------------------------------------------------------
 
@@ -358,14 +389,9 @@ class HeckeAlgebra:
         The width doubles until bound < 2^(B-1), and the memo is then
         repacked once, in place.
         """
-        old = bits = self._bits
-        while bound >> (bits - 1):
-            bits *= 2
-        if bits != old:
-            for col in self._bar_tt.values():
-                for z, n in col.items():
-                    digits = _unpack(n, old, 0).items()
-                    col[z] = sum(d << (bits * (e >> 1)) for e, d in digits)
+        bits = _wider(self._bits, bound)
+        if bits != self._bits:
+            _repack(self._bar_tt.values(), self._bits, bits)
             self._bits = bits
 
     # -- self-dual basis, route 1: product recursion -----------------------
@@ -373,49 +399,110 @@ class HeckeAlgebra:
     def kl_basis(self, x: Element) -> HeckeElt:
         """C_x by the product recursion C_xs C_s = C_x + sum_y c_y C_y.
 
-        The product C_xs C_s comes from `mult`'s accumulator, and each
-        c_y C_y (c_y the constant term at y < x) is subtracted from that
-        same accumulator.  No duality is used.  An element of another
-        system is refused (InputError) before the memo is read.
+        Filled in the packed memo (see `_kl_column`) and decoded once per
+        x.  No duality is used.  An element of another system is refused
+        (InputError) before the memo is read.
         """
         if x.system != self.system:
             raise InputError("elements of different systems")
-        cached = self._kl.get(x)
-        if cached is not None:
-            return cached
-        if x.length == 0:
-            out = self.Tt(x)
-        elif x.length == 1:
-            out = self.Tt(x) + self.Tt(self.system.identity, LaurentPoly.v())
-        else:
-            s = min(right_descents(x))
-            gen = self.system.generators[s]
-            acc = self._mult_acc(self.kl_basis(multiply(x, gen)), self.kl_basis(gen))
-            prod = _elt(BASIS_TT, acc)
-            if prod.coeff(x) != LaurentPoly.one():
-                raise InconsistencyError(
-                    f"product coefficient at {x} is {prod.coeff(x)}, expected 1"
-                )
-            self.kl_products[x] = (s, prod)
-            for y, c in prod.coeffs.items():
-                if y == x:
-                    continue
-                if not c.is_polynomial():
-                    raise InconsistencyError(
-                        f"product coefficient h at {y} not in Z[v]: {c}"
-                    )
-                if not bruhat_leq(y, x):
-                    raise InconsistencyError(f"product support {y} not below {x}")
-                c0 = c.constant_term
-                if c0:
-                    for z, r in self.kl_basis(y).coeffs.items():
-                        _add_into(acc, z, r.c, {0: -c0})
-            out = _elt(BASIS_TT, acc)
-        for y, c in out.coeffs.items():
-            if y != x and not c.is_v_times_polynomial():
-                raise InconsistencyError(f"coefficient at {y} not in vZ[v]: {c}")
-        self._kl[x] = out
+        out = self._kl.get(x)
+        if out is None:
+            col = self._kl_column(x)
+            bits = self._kl_bits
+            out = self._kl[x] = HeckeElt(
+                BASIS_TT,
+                {y: LaurentPoly(_unpack(n, bits, 0, 1)) for y, n in col.items()},
+            )
         return out
+
+    def _kl_column(self, x):
+        """The packed C_x {y: h_y(2^B)}, memoized with a bound on its norm.
+
+        h_x = 1 and h_y is in v Z[v] for y < x, so h_y(2^B) holds one
+        balanced B-bit digit per power of v.  With s the least right
+        descent of x, C_s = Tt_s + v and the multiplication rule give
+
+            Tt_y C_s = Tt_ys + v Tt_y          if l(ys) > l(y)
+            Tt_y C_s = Tt_ys + v^-1 Tt_y       otherwise,
+
+        so a term (y, n) of C_xs adds n at ys, and n << B at y when ys > y.
+        When ys < y it adds n >> B at y, and is refused unless the low
+        digit of n is 0 (h_y in v Z[v]).  The product P = C_xs C_s is
+        decoded into `kl_products`; its coefficient at x must be 1 and its
+        support must lie below x.  Its constant terms are the c_y, and each
+        c_y C_y is subtracted with one small-by-large product per term.
+
+        Packing is evaluation at v = 2^B, a ring map, so the integers are
+        exact, and a value decodes exactly once every coefficient is below
+        2^(B-1).  Each coefficient of P is at most 2 |C_xs|_1, and each of
+        C_x at most 2 |C_xs|_1 + sum |c_y| |C_y|_1, the bound recorded for
+        |C_x|_1.  The width is fitted to the first bound before P is
+        formed and to the second, after the C_y are filled, before the
+        subtraction; a widening repacks the memo, and P with it.
+        """
+        col = self._kl_cols.get(x)
+        if col is not None:
+            return col
+        norms = self._kl_norms
+        if x.length == 1:
+            # C_s = Tt_s + v Tt_e; only lengths >= 2 record a product
+            identity = self.system.identity
+            col = {x: 1, identity: 1 << self._kl_bits}
+            norms[x] = 2
+            self._kl_cols[x] = col
+            return col
+        s = x.descent
+        xs = _mul_gen(x, s)
+        self._kl_column(xs)
+        self._kl_fit(2 * norms[xs])
+        bits = self._kl_bits
+        mask = (1 << bits) - 1
+        acc = {}
+        for y, n in self._kl_cols[xs].items():
+            ys = _mul_gen(y, s)
+            acc[ys] = acc.get(ys, 0) + n
+            if ys.length > y.length:
+                acc[y] = acc.get(y, 0) + (n << bits)
+            elif n & mask:
+                raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
+            else:
+                acc[y] = acc.get(y, 0) + (n >> bits)
+        prod = {y: LaurentPoly(_unpack(n, bits, 0, 1)) for y, n in acc.items()}
+        if acc.get(x) != 1:
+            raise InconsistencyError(
+                f"product coefficient at {x} is {prod.get(x, 0)}, expected 1"
+            )
+        self.kl_products[x] = (s, HeckeElt(BASIS_TT, prod))
+        lower = []
+        for y, c in prod.items():
+            if y is x or not c:
+                continue
+            if not bruhat_leq(y, x):
+                raise InconsistencyError(f"product support {y} not below {x}")
+            if c.constant_term:
+                lower.append((y, c.constant_term, self._kl_column(y)))
+        norm = 2 * norms[xs] + sum(abs(c) * norms[y] for y, c, _ in lower)
+        self._kl_fit(norm)
+        if self._kl_bits != bits:
+            _repack((acc,), bits, self._kl_bits)
+            bits = self._kl_bits
+            mask = (1 << bits) - 1
+        for _, c, lcol in lower:
+            for z, m in lcol.items():
+                acc[z] = acc.get(z, 0) - c * m
+        for y, n in acc.items():
+            if n & mask and y is not x:
+                raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
+        col = self._kl_cols[x] = {y: n for y, n in acc.items() if n}
+        norms[x] = norm
+        return col
+
+    def _kl_fit(self, bound):
+        """`_fit` for the packed C_x memo."""
+        bits = _wider(self._kl_bits, bound)
+        if bits != self._kl_bits:
+            _repack(self._kl_cols.values(), self._kl_bits, bits)
+            self._kl_bits = bits
 
     # -- self-dual basis, route 2: duality solve ---------------------------
 

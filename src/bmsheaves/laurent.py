@@ -116,10 +116,6 @@ class LaurentPoly:
     def constant_term(self):
         return self.c.get(0, 0)
 
-    def is_polynomial(self):
-        """True when no negative exponent occurs (element of Z[v])."""
-        return all(e >= 0 for e in self.c)
-
     def is_v_times_polynomial(self):
         """True when every exponent is >= 1 (element of v Z[v])."""
         return all(e >= 1 for e in self.c)

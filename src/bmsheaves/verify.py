@@ -38,7 +38,7 @@ from .bmsheaf import (
     theta_character,
     translate_out,
 )
-from .coxeter import element_ball, multiply, sort_key
+from .coxeter import element_ball, multiply, right_descents, sort_key
 from .errors import InconsistencyError
 from .gradedlin import ModuleMap, PolyRing, combine_columns, quotient_map
 from .hecke import HeckeAlgebra
@@ -278,6 +278,8 @@ def crit_product_recursion(ctx: SuiteContext):
         for x, (s, prod) in sorted(
             alg.kl_products.items(), key=lambda kv: sort_key(kv[0])
         ):
+            if s != min(right_descents(x)):
+                bad.append(f"{name} x={x}: s={s + 1} is not its least right descent")
             gen = alg.system.generators[s]
             base = alg.kl_basis(multiply(x, gen))
             full = alg.kl_basis(x)

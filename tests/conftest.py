@@ -89,3 +89,28 @@ STEP_SYSTEMS = {
 @pytest.fixture(scope="module", params=sorted(STEP_SYSTEMS))
 def step_system(request):
     return make_system(*STEP_SYSTEMS[request.param])
+
+
+# The step systems, more infinite bonds with non-symmetric Cartan data, G2
+# in both orientations and a rank-3 system mixing bond orders 4, 6 and
+# infinity with non-symmetric Cartan entries, for the checks of the
+# generator-step rule: (Coxeter matrix, Cartan matrix or None, largest
+# length)
+PRODUCT_SYSTEMS = {
+    **{name: (*data, 5) for name, data in STEP_SYSTEMS.items()},
+    "inf14": ([[1, 0], [0, 1]], [[2, -1], [-4, 2]], 8),
+    "inf25": ([[1, 0], [0, 1]], [[2, -2], [-5, 2]], 8),
+    "G2": ([[1, 6], [6, 1]], [[2, -1], [-3, 2]], 6),
+    "G2op": ([[1, 6], [6, 1]], [[2, -3], [-1, 2]], 6),
+    "mixed3n": (
+        [[1, 4, 0], [4, 1, 6], [0, 6, 1]],
+        [[2, -2, -3], [-1, 2, -1], [-2, -3, 2]],
+        5,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(PRODUCT_SYSTEMS))
+def product_case(request):
+    """(name, Coxeter matrix, Cartan matrix or None, largest length)."""
+    return (request.param, *PRODUCT_SYSTEMS[request.param])

@@ -181,29 +181,49 @@ def test_intervals_match_subword_enumeration(step_system):
         assert bruhat_interval(x) == tuple(sorted(subwords, key=sort_key))
 
 
-def test_generator_products_match_the_general_path(step_system):
-    for w in element_ball(step_system, 5):
-        for g in step_system.generators:
-            general = _from_matrices(
-                step_system,
-                _matmul(w.matrix, g.matrix),
-                _matmul(g.inv_matrix, w.inv_matrix),
-            )
-            ws = multiply(w, g)
-            assert (ws.word, ws.matrix, ws.inv_matrix) == (
-                general.word, general.matrix, general.inv_matrix
-            )
-            assert multiply(w, g) is ws
+def test_generator_products_match_the_general_path(product_case):
+    """w s from the step rule against word extraction from the product
+    matrices, which shares no word logic with it: the word, both
+    matrices and the instance agree.  First on normal forms of random
+    words, whose tails and products are not yet known, then on a ball."""
+    name, coxeter, cartan, bound = product_case
+    system = make_system(coxeter, cartan)
+    ref = make_system(coxeter, cartan)
+
+    def check(w, s):
+        g = system.generators[s]
+        ws = multiply(w, g)
+        mat = _matmul(w.matrix, g.matrix)
+        inv = _matmul(g.inv_matrix, w.inv_matrix)
+        general = _from_matrices(ref, mat, inv)
+        assert (ws.word, ws.matrix, ws.inv_matrix) == (
+            general.word, general.matrix, general.inv_matrix
+        )
+        assert _from_matrices(system, mat, inv) is ws
+        assert multiply(w, g) is ws
+
+    rng = random.Random(f"steps:{name}")
+    for _ in range(40):
+        word = [rng.randrange(system.rank) for _ in range(rng.randrange(2 * bound))]
+        check(normal_form(system, word), rng.randrange(system.rank))
+    for w in element_ball(system, bound):
+        for s in range(system.rank):
+            check(w, s)
 
 
 def test_memos_belong_to_their_system():
+    """Intervals are memoized on the system and right products in slots
+    of the system's own elements; an equal system shares none of them."""
     first = make_system([[1, 3], [3, 1]])
     second = make_system([[1, 3], [3, 1]])
     interval = bruhat_interval(normal_form(first, (0, 1, 0)))
-    assert first._interval_memo and first._mul_memo
-    assert set(interval) <= set(first._elements.values())
+    assert first._interval_memo
+    own = {id(w) for w in first._elements.values()}
+    assert {id(w) for w in interval} <= own
     assert all(w.system is first for w in first._elements.values())
-    assert not second._interval_memo and not second._mul_memo
+    products = [ws for w in first._elements.values() for ws in w._right if ws]
+    assert products and {id(ws) for ws in products} <= own
+    assert not second._interval_memo
     assert not second._elements
 
 

@@ -10,7 +10,13 @@ import random
 import pytest
 
 from bmsheaves import hecke
-from bmsheaves.coxeter import bruhat_interval, element_ball, make_system, parse_word
+from bmsheaves.coxeter import (
+    bruhat_interval,
+    element_ball,
+    make_system,
+    multiply,
+    parse_word,
+)
 from bmsheaves.errors import InputError
 from bmsheaves.hecke import BASIS_T, BASIS_TT, HeckeAlgebra, HeckeElt
 from bmsheaves.laurent import LaurentPoly
@@ -256,6 +262,54 @@ def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
     assert [solve_first.bar_tt(x) for x in ball] == bars
 
 
+@pytest.mark.parametrize("name", sorted(_ROUTE_SYSTEMS))
+def test_a_narrow_start_width_widens_the_product_route_to_the_same_values(
+    name, monkeypatch
+):
+    """With 8-bit digits at the start, `kl_basis` and the decoded
+    `kl_products` equal those of 64-bit digits, filled up the ball or down
+    from its top.  The norm bound of some C_x passes 2^7 on G2, U2 and
+    inf14, so their width grows; on A3, B2 and affA2 it stays below."""
+    coxeter, cartan, bound, _ = _ROUTE_SYSTEMS[name]
+    system = make_system(coxeter, cartan)
+    ball = element_ball(system, bound)
+    wide = HeckeAlgebra(system)
+    values = [wide.kl_basis(x) for x in ball]
+    monkeypatch.setattr(hecke, "_START_BITS", 8)
+    for order in (ball, ball[::-1]):
+        narrow = HeckeAlgebra(system)
+        got = {x: narrow.kl_basis(x) for x in order}
+        assert [got[x] for x in ball] == values
+        assert narrow.kl_products == wide.kl_products
+        assert (narrow._kl_bits > 8) == (name in ("G2", "U2", "inf14"))
+
+
+def test_the_product_route_refuses_a_nonzero_lowest_digit(a3):
+    """A term (y, n) of the packed C_xs with ys < y is divided by v, so
+    its lowest digit must be 0 (h_y in v Z[v]); adding 1 there, for each
+    such y below each x of A3, is refused rather than shifted away."""
+    from bmsheaves.errors import InconsistencyError
+
+    refused = 0
+    for x in element_ball(a3, 6):
+        if x.length < 2:
+            continue
+        s = x.descent
+        gen = a3.generators[s]
+        xs = multiply(x, gen)
+        for y in HeckeAlgebra(a3).kl_basis(xs).support:
+            if multiply(y, gen).length > y.length:
+                continue
+            alg = HeckeAlgebra(a3)
+            alg.kl_basis(xs)
+            alg._kl_cols[xs][y] += 1
+            with pytest.raises(InconsistencyError, match=f"at {y} not in vZ"):
+                alg.kl_basis(x)
+            assert x not in alg._kl_cols
+            refused += 1
+    assert refused == 25
+
+
 def test_an_element_of_another_system_is_refused(a2, b2):
     """The duality route of an A2 algebra refuses B2 elements, the
     identity included, with InputError."""
@@ -277,10 +331,14 @@ def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
     alg = HeckeAlgebra(a2)
     want = {x: alg.kl_basis(x) for x in (a2.identity, elt(a2, "1"), elt(a2, "121"))}
     memo, products = dict(alg._kl), dict(alg.kl_products)
+    packed = {x: dict(col) for x, col in alg._kl_cols.items()}
+    norms, bits = dict(alg._kl_norms), alg._kl_bits
     for x in (b2.identity, elt(b2, "1"), elt(b2, "2"), elt(b2, "1212")):
         with pytest.raises(InputError, match="different systems"):
             alg.kl_basis(x)
     assert alg._kl == memo and alg.kl_products == products
+    assert alg._kl_cols == packed
+    assert (alg._kl_norms, alg._kl_bits) == (norms, bits)
     assert {x: alg.kl_basis(x) for x in want} == want
 
 
