@@ -38,8 +38,9 @@ The product route packs h_y at v = 2^B: h_x = 1 and h_y is in v Z[v]
 below x.  A term of C_xs C_s is a shift up or down by B bits (see
 `HeckeAlgebra._kl_column`), and exactness follows from
 
-  * |C_x|_1 <= 2 |C_xs|_1 + sum |c_y| |C_y|_1, with c_y the constant
-    terms subtracted, recorded as a bound per element.
+  * each coefficient of P = C_xs C_s is at most 2 |C_xs|_1, and
+    |C_x|_1 <= |P|_1 + sum |c_y| |C_y|_1, with c_y the constant terms
+    subtracted; the second bound is recorded per element.
 
 The duality route writes d(Tt_y) = sum_z r_{z,y} Tt_z.  For z <= y the
 exponents of r_{z,y} have the parity of l(y) - l(z) and lie in
@@ -229,8 +230,6 @@ class HeckeAlgebra:
 
     def __init__(self, system):
         self.system = system
-        # the decoded C_x returned by kl_basis
-        self._kl = {}
         # packed C_x {x: {y: h_y(2^B)}} with digits of self._kl_bits bits,
         # and a bound on each one's L1 norm (see `_kl_column`)
         self._kl_bits = _START_BITS
@@ -242,6 +241,19 @@ class HeckeAlgebra:
         self._bar_tt = {system.identity: {system.identity: 1}}
         # products C_xs * C_s recorded by kl_basis, keyed by x
         self.kl_products = {}
+
+    def _own(self, x: Element) -> Element:
+        """x as the instance of this algebra's system.
+
+        The memos compare elements by identity, so an element of an equal
+        system is swapped for its counterpart; one of another system is
+        refused (InputError).
+        """
+        if x.system is not self.system:
+            if x.system != self.system:
+                raise InputError("elements of different systems")
+            x = self.system.element(x.word)
+        return x
 
     # -- element constructors ------------------------------------------
 
@@ -358,8 +370,7 @@ class HeckeAlgebra:
         col = memo.get(x)
         if col is not None:
             return col
-        if x.system != self.system:
-            raise InputError("elements of different systems")
+        x = self._own(x)
         gens = self.system.generators
         chain = []
         while x not in memo:
@@ -399,21 +410,16 @@ class HeckeAlgebra:
     def kl_basis(self, x: Element) -> HeckeElt:
         """C_x by the product recursion C_xs C_s = C_x + sum_y c_y C_y.
 
-        Filled in the packed memo (see `_kl_column`) and decoded once per
-        x.  No duality is used.  An element of another system is refused
+        Filled in the packed memo (see `_kl_column`) and decoded on each
+        call.  No duality is used.  An element of another system is refused
         (InputError) before the memo is read.
         """
-        if x.system != self.system:
-            raise InputError("elements of different systems")
-        out = self._kl.get(x)
-        if out is None:
-            col = self._kl_column(x)
-            bits = self._kl_bits
-            out = self._kl[x] = HeckeElt(
-                BASIS_TT,
-                {y: LaurentPoly(_unpack(n, bits, 0, 1)) for y, n in col.items()},
-            )
-        return out
+        col = self._kl_column(self._own(x))
+        bits = self._kl_bits
+        return HeckeElt(
+            BASIS_TT,
+            {y: LaurentPoly(_unpack(n, bits, 0, 1)) for y, n in col.items()},
+        )
 
     def _kl_column(self, x):
         """The packed C_x {y: h_y(2^B)}, memoized with a bound on its norm.
@@ -435,10 +441,11 @@ class HeckeAlgebra:
         Packing is evaluation at v = 2^B, a ring map, so the integers are
         exact, and a value decodes exactly once every coefficient is below
         2^(B-1).  Each coefficient of P is at most 2 |C_xs|_1, and each of
-        C_x at most 2 |C_xs|_1 + sum |c_y| |C_y|_1, the bound recorded for
+        C_x at most |P|_1 + sum |c_y| |C_y|_1, the bound recorded for
         |C_x|_1.  The width is fitted to the first bound before P is
-        formed and to the second, after the C_y are filled, before the
-        subtraction; a widening repacks the memo, and P with it.
+        formed and to the second, after P is decoded and the C_y are
+        filled, before the subtraction; a widening repacks the memo, and P
+        with it.
         """
         col = self._kl_cols.get(x)
         if col is not None:
@@ -481,7 +488,8 @@ class HeckeAlgebra:
                 raise InconsistencyError(f"product support {y} not below {x}")
             if c.constant_term:
                 lower.append((y, c.constant_term, self._kl_column(y)))
-        norm = 2 * norms[xs] + sum(abs(c) * norms[y] for y, c, _ in lower)
+        norm = sum(abs(c) for p in prod.values() for c in p.c.values())
+        norm += sum(abs(c) * norms[y] for y, c, _ in lower)
         self._kl_fit(norm)
         if self._kl_bits != bits:
             _repack((acc,), bits, self._kl_bits)
@@ -528,6 +536,7 @@ class HeckeAlgebra:
         |d(h_y)|_1 3^l(y) over the settled y; when that bound reaches
         2^(B-1) before a decode, the width grows and the solve restarts.
         """
+        x = self._own(x)
         interval = bruhat_interval(x)
         # every column below x then fits, so no fill during the walk
         # changes the width the packed defects were built with
@@ -598,7 +607,9 @@ class HeckeAlgebra:
         """P_{y,x} as a polynomial in q, via P(v^-2) = v^(l(y)-l(x)) h_{y,x}."""
         if not bruhat_leq(y, x):
             return LaurentPoly.zero()
-        h = self.kl_basis(x).coeff(y)
+        # decode only the entry at y of the packed C_x
+        n = self._kl_column(self._own(x)).get(y, 0)
+        h = LaurentPoly(_unpack(n, self._kl_bits, 0, 1))
         shifted = h.shift(y.length - x.length)
         out = {}
         for e, c in shifted.c.items():

@@ -262,26 +262,39 @@ def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
     assert [solve_first.bar_tt(x) for x in ball] == bars
 
 
+@pytest.mark.parametrize("start", [3, 8])
 @pytest.mark.parametrize("name", sorted(_ROUTE_SYSTEMS))
 def test_a_narrow_start_width_widens_the_product_route_to_the_same_values(
-    name, monkeypatch
+    name, start, monkeypatch
 ):
-    """With 8-bit digits at the start, `kl_basis` and the decoded
+    """With 3- or 8-bit digits at the start, `kl_basis` and the decoded
     `kl_products` equal those of 64-bit digits, filled up the ball or down
-    from its top.  The norm bound of some C_x passes 2^7 on G2, U2 and
-    inf14, so their width grows; on A3, B2 and affA2 it stays below."""
+    from its top.  The norm bound of some C_x passes 2^2 on every system
+    and stays below 2^7, so 3-bit digits widen and 8-bit ones stay.  On
+    affA2, filled upwards from 3 bits, a widening falls between the two
+    fits of one product, which is then repacked with the memo."""
     coxeter, cartan, bound, _ = _ROUTE_SYSTEMS[name]
     system = make_system(coxeter, cartan)
     ball = element_ball(system, bound)
     wide = HeckeAlgebra(system)
     values = [wide.kl_basis(x) for x in ball]
-    monkeypatch.setattr(hecke, "_START_BITS", 8)
+    monkeypatch.setattr(hecke, "_START_BITS", start)
+    repack = hecke._repack
+    in_product = []
+
+    def watched(cols, old, bits):
+        in_product.append(isinstance(cols, tuple))
+        repack(cols, old, bits)
+
+    monkeypatch.setattr(hecke, "_repack", watched)
     for order in (ball, ball[::-1]):
         narrow = HeckeAlgebra(system)
         got = {x: narrow.kl_basis(x) for x in order}
         assert [got[x] for x in ball] == values
         assert narrow.kl_products == wide.kl_products
-        assert (narrow._kl_bits > 8) == (name in ("G2", "U2", "inf14"))
+        assert (narrow._kl_bits > 8) == (start == 3 and name != "B2")
+        assert (narrow._kl_bits > start) == (start == 3)
+    assert any(in_product) == (name == "affA2" and start == 3)
 
 
 def test_the_product_route_refuses_a_nonzero_lowest_digit(a3):
@@ -330,16 +343,42 @@ def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
     memo; the A2 values it holds stay as they were."""
     alg = HeckeAlgebra(a2)
     want = {x: alg.kl_basis(x) for x in (a2.identity, elt(a2, "1"), elt(a2, "121"))}
-    memo, products = dict(alg._kl), dict(alg.kl_products)
+    products = dict(alg.kl_products)
     packed = {x: dict(col) for x, col in alg._kl_cols.items()}
     norms, bits = dict(alg._kl_norms), alg._kl_bits
     for x in (b2.identity, elt(b2, "1"), elt(b2, "2"), elt(b2, "1212")):
         with pytest.raises(InputError, match="different systems"):
             alg.kl_basis(x)
-    assert alg._kl == memo and alg.kl_products == products
+    assert alg.kl_products == products
     assert alg._kl_cols == packed
     assert (alg._kl_norms, alg._kl_bits) == (norms, bits)
     assert {x: alg.kl_basis(x) for x in want} == want
+
+
+def test_an_algebra_serves_the_elements_of_an_equal_system():
+    """Elements of equal systems are interchangeable: an algebra filled
+    from one system's elements gives the same values at the elements of
+    an equal second system, on both routes, and keeps its own values.
+    Its memos hold only the first system's instances."""
+    first = make_system([[1, 3], [3, 1]])
+    second = make_system([[1, 3], [3, 1]])
+    reference = HeckeAlgebra(make_system([[1, 3], [3, 1]]))
+    alg = HeckeAlgebra(first)
+    alg.kl_basis(elt(first, "1"))
+    alg.kl_oracle(elt(first, "12"))
+    for word in ("12", "21", "121"):
+        want = reference.kl_basis(elt(first, word))
+        assert alg.kl_basis(elt(second, word)) == want
+        assert alg.kl_oracle(elt(second, word)) == want
+        assert alg.kl_basis(elt(first, word)) == want
+        assert alg.bar_tt(elt(second, word)) == reference.bar_tt(elt(first, word))
+        for y in bruhat_interval(elt(second, word)):
+            assert alg.kl_polynomial(y, elt(second, word)) == (
+                reference.kl_polynomial(y, elt(first, word))
+            )
+    for memo in (alg._kl_cols, alg._bar_tt):
+        for x, col in memo.items():
+            assert x.system is first and all(y.system is first for y in col)
 
 
 @pytest.mark.parametrize(
