@@ -21,9 +21,10 @@ routes compute it:
               subtract the constant terms of the lower coefficients;
   kl_oracle   solve d(C) = C directly on the interval below x, using only
               the bar matrix of the Tt basis.  The walk goes down the
-              interval by length; each h_y is settled from the defect
-              accumulated so far, then d(h_y) times the column d(Tt_y) is
-              pushed into the defects of the elements below y.  The cost
+              interval by length; each h_y is settled on the digits of
+              the packed defect accumulated so far, then d(h_y), packed
+              once, is pushed into the defect of each element below y
+              with one product per entry of the column d(Tt_y).  The cost
               is the total support of the d(Tt_y), not |[e, x]|^2.
 
 Both routes pack polynomials into integers (Kronecker substitution), each
@@ -50,7 +51,9 @@ memo holds its value at v^2 = 2^B.  Its bounds are:
   * each prefix step at most triples the L1 norm of a column, so
     |r_{z,y}|_1 <= 3^l(y);
   * a defect of the duality solve is bounded by the sum of
-    |d(h_y)|_1 3^l(y) over the elements y settled so far.
+    |d(h_y)|_1 3^l(y) over the elements y settled so far.  Packing d(h_y)
+    first and pushing it with one product per entry gives the same
+    integers as pushing it term by term, so the bound is the same.
 
 Each B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles
 until it fits and the memo is repacked once; a duality solve in progress
@@ -137,6 +140,23 @@ def _repack(cols, old, bits):
 def _elt(basis, acc):
     """The HeckeElt of an accumulator {x: {exponent: coefficient}}."""
     return HeckeElt(basis, {x: LaurentPoly(t) for x, t in acc.items()})
+
+
+def _poly(digits):
+    """LaurentPoly(digits) for a dict with no zero value, built without
+    filtering it again."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.c = digits
+    return p
+
+
+def _decoded(basis, coeffs):
+    """HeckeElt(basis, coeffs) for nonzero coeffs, built without filtering
+    them again."""
+    a = HeckeElt.__new__(HeckeElt)
+    a.basis = basis
+    a.coeffs = coeffs
+    return a
 
 
 class HeckeElt:
@@ -304,9 +324,11 @@ class HeckeAlgebra:
         c_e v^t N(v^2) to v^(-k l(z)) times the output at z: k = 1 and
         t = -e - l(x) in the Tt basis, k = 2 and t = -e in the T basis.
         These sums go into one integer per z and parity of t, after a
-        per-call offset that makes every t nonnegative, and each output
-        coefficient is decoded once.  The output is bounded by the sum of
-        |c|_1 3^l(x) over the terms, and the width is fitted to it first.
+        per-call offset that makes every t nonnegative: the terms of c of
+        one parity are packed once, as m = sum c_e << B floor(t/2), and each
+        entry n of the column of x adds n m.  Each output coefficient is
+        decoded once.  The output is bounded by the sum of |c|_1 3^l(x)
+        over the terms, and the width is fitted to it first.
         """
         in_t = a.basis == BASIS_T
         terms = [(x, c.c, self._column(x)) for x, c in a.coeffs.items()]
@@ -319,12 +341,14 @@ class HeckeAlgebra:
         accs = ({}, {})
         for x, c, col in terms:
             base = offset if in_t else offset - x.length
+            packed = [0, 0]
             for e, ce in c.items():
                 t = base - e
-                acc = accs[t & 1]
-                sh = bits * (t >> 1)
-                for z, n in col.items():
-                    acc[z] = acc.get(z, 0) + ((ce * n) << sh)
+                packed[t & 1] += ce << (bits * (t >> 1))
+            for acc, m in zip(accs, packed):
+                if m:
+                    for z, n in col.items():
+                        acc[z] = acc.get(z, 0) + n * m
         k = 2 if in_t else 1
         out = {}
         for p, acc in enumerate(accs):
@@ -332,7 +356,7 @@ class HeckeAlgebra:
                 got = _unpack(n, bits, p - offset + k * z.length)
                 if got:
                     out.setdefault(z, {}).update(got)
-        return HeckeElt(a.basis, {z: LaurentPoly(c) for z, c in out.items()})
+        return _decoded(a.basis, {z: _poly(c) for z, c in out.items()})
 
     def bar_tt(self, x: Element) -> HeckeElt:
         """d(Tt_x) in the Tt basis, unitriangular with 1 at x.
@@ -343,9 +367,9 @@ class HeckeAlgebra:
         """
         col = self._column(x)
         bits, lx = self._bits, x.length
-        return HeckeElt(
+        return _decoded(
             BASIS_TT,
-            {z: LaurentPoly(_unpack(n, bits, z.length - lx)) for z, n in col.items()},
+            {z: _poly(_unpack(n, bits, z.length - lx)) for z, n in col.items()},
         )
 
     def _column(self, x: Element):
@@ -416,9 +440,8 @@ class HeckeAlgebra:
         """
         col = self._kl_column(self._own(x))
         bits = self._kl_bits
-        return HeckeElt(
-            BASIS_TT,
-            {y: LaurentPoly(_unpack(n, bits, 0, 1)) for y, n in col.items()},
+        return _decoded(
+            BASIS_TT, {y: _poly(_unpack(n, bits, 0, 1)) for y, n in col.items()}
         )
 
     def _kl_column(self, x):
@@ -524,6 +547,7 @@ class HeckeAlgebra:
         which by then holds the pushes of every y' above it: g_y must be
         skew under bar with zero constant term, and h_y is its
         positive-exponent part (uniquely, given h_y in v Z[v] for y < x).
+        Both are read off the decoded digits of g_y.
         Then d(h_y) r_{z,y} is pushed into the defect of each z below y
         in the support of d(Tt_y), so the cost is the sum of those
         supports rather than |[e, x]|^2.  A term of d(Tt_y) at an element
@@ -531,10 +555,12 @@ class HeckeAlgebra:
 
         The defect of z is packed as the value at v^2 = 2^B of
         v^(l(x)-l(z)) g_z.  A term c v^f of d(h_y) then adds c n_{z,y}
-        shifted by B (l(x) - l(y) + f) / 2 bits: a small-by-large product
-        and a shift.  Every coefficient of a defect is at most the sum of
-        |d(h_y)|_1 3^l(y) over the settled y; when that bound reaches
-        2^(B-1) before a decode, the width grows and the solve restarts.
+        shifted by B (l(x) - l(y) + f) / 2 bits, so d(h_y) is packed once
+        as D = sum c << B (l(x) - l(y) + f) / 2 and each entry n_{z,y} adds
+        n_{z,y} D: one product per entry.  Every coefficient of a defect
+        is at most the sum of |d(h_y)|_1 3^l(y) over the settled y; when
+        that bound reaches 2^(B-1) before a decode, the width grows and
+        the solve restarts.
         """
         x = self._own(x)
         interval = bruhat_interval(x)
@@ -544,44 +570,56 @@ class HeckeAlgebra:
         h = None
         while h is None:
             h = self._solve(x, interval)
-        return HeckeElt(BASIS_TT, h)
+        return _decoded(BASIS_TT, h)
 
     def _solve(self, x, interval):
-        """The coefficients h_y of `kl_oracle`, or None after a widening."""
+        """The coefficients h_y of `kl_oracle`, or None after a widening.
+
+        Each defect is decoded once into a digit dict {exponent: d}; the
+        skew check and h_y read that dict, and a LaurentPoly is built only
+        for h_y (and for g_y on the error path).  d(h_y) is taken with
+        `LaurentPoly.bar`, packed once, and pushed with one product per
+        entry of y's column.
+        """
         bits = self._bits
         half = 1 << (bits - 1)
         lx = x.length
         h = {}
+        # settled elements whose h_y is 0, dropped from h at the end
+        empty = []
         # packed defects {z: int} pushed from settled elements
         defect = {}
         bound = 0
         for y in reversed(interval):
             d = lx - y.length
-            if y == x:
+            if y is x:
                 hy = LaurentPoly.one()
             else:
                 if bound >= half:
                     self._fit(bound)
                     return None
-                g = LaurentPoly(_unpack(defect.pop(y, 0), bits, -d))
-                if g + g.bar() != LaurentPoly.zero() or g.constant_term:
+                g = _unpack(defect.pop(y, 0), bits, -d)
+                # skew with zero constant term: g[-e] = -g[e] != 0 for
+                # every e, which also rules out e = 0
+                if any(g.get(-e) != -c for e, c in g.items()):
                     raise InconsistencyError(
-                        f"duality defect at {y} is not skew: {g}; no "
+                        f"duality defect at {y} is not skew: {_poly(g)}; no "
                         "self-dual solution exists"
                     )
-                hy = g.positive_part()
+                hy = _poly({e: c for e, c in g.items() if e > 0})
             h[y] = hy
             if not hy:
+                empty.append(y)
                 continue
             dh = hy.bar()
-            pushes = []
+            push = 0
             for f, c in dh.c.items():
                 if (d + f) & 1 or d + f < 0:
                     raise InconsistencyError(
                         f"d(h_{y}) = {dh} has a term v^{f}, which no "
                         f"defect below {y} can hold"
                     )
-                pushes.append((c, bits * ((d + f) >> 1)))
+                push += c << (bits * ((d + f) >> 1))
                 bound += abs(c) * 3**y.length
             for z, n in self._column(y).items():
                 if z is y:
@@ -593,12 +631,12 @@ class HeckeAlgebra:
                             f"d(Tt_{y}) has a term at {z}, which is settled"
                         )
                     acc = 0
-                for c, sh in pushes:
-                    acc += (c * n) << sh
-                defect[z] = acc
+                defect[z] = acc + n * push
         if defect:
             z = next(iter(defect))
             raise InconsistencyError(f"a d(Tt_y) term at {z} lies outside [e, {x}]")
+        for y in empty:
+            del h[y]
         return h
 
     # -- classical polynomial normalization -------------------------------

@@ -6,6 +6,7 @@ Small cases are pinned against hand-computed values.
 """
 
 import random
+import re
 
 import pytest
 
@@ -262,6 +263,34 @@ def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
     assert [solve_first.bar_tt(x) for x in ball] == bars
 
 
+@pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
+def test_bar_at_a_narrow_start_width_gives_the_same_values(name, monkeypatch):
+    """With 8-bit digits at the start, `bar` of 50 random mixed-basis
+    elements, each in both bases, equals the values of 64-bit digits.  Its
+    bound |c|_1 3^l(x) passes 2^7, so `bar` widens the memo itself, also on
+    B2, whose columns fit 8 bits."""
+    coxeter, bound = _DUALITY_SYSTEMS[name]
+    system = make_system(coxeter)
+    ball = element_ball(system, bound)
+    rng = random.Random(name)
+    elements = []
+    for _ in range(50):
+        a = HeckeElt(BASIS_T)
+        for _ in range(3):
+            coeff = LaurentPoly(
+                {rng.randrange(-3, 4): rng.choice((-2, -1, 1, 3)) for _ in range(2)}
+            )
+            basis = rng.choice((BASIS_T, BASIS_TT))
+            a = a + HeckeElt(basis, {rng.choice(ball): coeff})
+        elements += [a.convert(BASIS_T), a.convert(BASIS_TT)]
+    wide = HeckeAlgebra(system)
+    want = [(b.basis, b.coeffs) for b in map(wide.bar, elements)]
+    monkeypatch.setattr(hecke, "_START_BITS", 8)
+    narrow = HeckeAlgebra(system)
+    assert [(b.basis, b.coeffs) for b in map(narrow.bar, elements)] == want
+    assert narrow._bits > 8
+
+
 @pytest.mark.parametrize("start", [3, 8])
 @pytest.mark.parametrize("name", sorted(_ROUTE_SYSTEMS))
 def test_a_narrow_start_width_widens_the_product_route_to_the_same_values(
@@ -401,6 +430,26 @@ def test_the_duality_solve_refuses_terms_it_cannot_push(a2, y, z, message):
     column[elt(a2, z)] = column.get(elt(a2, z), 0) + 1
     with pytest.raises(InconsistencyError, match=message):
         alg.kl_oracle(elt(a2, "12"))
+
+
+@pytest.mark.parametrize(
+    "digit, defect", [(0, "v^2"), (1, "-v^-2 + 1 + v^2")]
+)
+def test_the_duality_solve_refuses_a_defect_that_is_not_skew(a2, digit, defect):
+    """Adding 1 at digit k of the packed entry at 1 of d(Tt_12) adds the
+    term v^(2k-1) Tt_1 there.  Under d(h_12) = v^-1 it reaches the defect
+    v^2 - v^-2 of 1 in [e, 121] as v^(2k-2): k = 0 cancels v^-2 and leaves
+    it asymmetric, k = 1 gives it a constant term.  Both are refused."""
+    from bmsheaves.errors import InconsistencyError
+
+    alg = HeckeAlgebra(a2)
+    # fill the memo first, so the bad entry stays out of d(Tt_121)
+    for x in bruhat_interval(elt(a2, "121")):
+        alg.bar_tt(x)
+    alg._bar_tt[elt(a2, "12")][elt(a2, "1")] += 1 << (alg._bits * digit)
+    message = re.escape(f"defect at 1 is not skew: {defect};")
+    with pytest.raises(InconsistencyError, match=message):
+        alg.kl_oracle(elt(a2, "121"))
 
 
 def test_expansion_in_the_self_dual_basis_inverts_it(b2, b2_alg):
