@@ -44,11 +44,12 @@ w without its first letter.  Each case is checked on the matrices
 (t ws = w; ws = aw; a ws = (aw)s), and a disagreement raises
 RealizationError.  Each element keeps its right products in one slot per
 generator, its tail aw, and its least right descent.  Each system keeps
-a {word: Element} table and hands out one instance per canonical word,
-whose hash is computed once, so dict and set lookups hit on identity;
+a {word: Element} table and hands out one instance per canonical word;
 it also memoizes Bruhat intervals.  The table holds every element and
 so every slot, and both tables live exactly as long as the
-CoxeterSystem that owns them.
+CoxeterSystem that owns them.  `make_system` hands out one system per
+Coxeter and Cartan datum, so equal elements are one object: elements
+and systems compare and hash by identity.
 
 Words cross the API boundary 0-based as tuples of generator indices and
 are serialized 1-based, as digit strings for rank <= 9 and comma
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -154,9 +156,12 @@ class Root:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoxeterSystem:
-    """A Coxeter matrix together with a compatible integer Cartan matrix."""
+    """A Coxeter matrix together with a compatible integer Cartan matrix.
+
+    Build systems with `make_system`, which hands out one per datum.
+    """
 
     rank: int
     coxeter: tuple
@@ -203,12 +208,20 @@ class CoxeterSystem:
         return f"CoxeterSystem(rank={self.rank})"
 
 
+# {(coxeter, cartan): the live system}; holds no system alive
+_SYSTEMS = weakref.WeakValueDictionary()
+
+
 def make_system(coxeter, cartan=None) -> CoxeterSystem:
     """Validate a Coxeter matrix and (optional) Cartan matrix.
 
     Bond order infinity is written 0.  When `cartan` is omitted, each bond
     gets the standard realization: m=2 -> (0,0), m=3 -> (-1,-1),
     m=4 -> (-1,-2), m=6 -> (-1,-3), m=infinity -> (-2,-2).
+
+    Equal data give one instance while it is alive: the registry holds
+    each system weakly, so a system that nothing else holds is collected
+    with its element table and memos, and a later call builds it anew.
     """
     cox = _tupmat(coxeter, "Coxeter")
     n = len(cox)
@@ -260,7 +273,10 @@ def make_system(coxeter, cartan=None) -> CoxeterSystem:
                             f"bond order {m} needs a_st*a_ts = {_COS2X4[m]}, "
                             f"got {prod}"
                         )
-    return CoxeterSystem(n, cox, car)
+    system = _SYSTEMS.get((cox, car))
+    if system is None:
+        system = _SYSTEMS[cox, car] = CoxeterSystem(n, cox, car)
+    return system
 
 
 def load_system(path) -> CoxeterSystem:
@@ -285,15 +301,14 @@ class Element:
 
     Build elements with `CoxeterSystem.element` or the arithmetic below,
     never directly: each system hands out one instance per canonical word,
-    so equal elements of one system are the same object.  The hash,
-    hash((word, system.cartan)), is computed once here.
+    and there is one system per datum, so equal elements are the same
+    object and compare and hash by identity.
     """
 
     system: CoxeterSystem
     word: tuple
     matrix: tuple
     inv_matrix: tuple = field(repr=False)
-    _hash: int = field(init=False, repr=False)
     length: int = field(init=False, repr=False)
     # the least right descent, None at the identity
     descent: int = field(init=False, repr=False)
@@ -303,20 +318,9 @@ class Element:
     _tail: Element = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.word, self.system.cartan)))
         object.__setattr__(self, "length", len(self.word))
         object.__setattr__(self, "descent", _least_descent(self.matrix))
         object.__setattr__(self, "_right", [None] * self.system.rank)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.word == other.word and self.system == other.system
-
-    def __hash__(self):
-        return self._hash
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -411,7 +415,7 @@ def normal_form(system: CoxeterSystem, word) -> Element:
 
 
 def multiply(a: Element, b: Element) -> Element:
-    if a.system != b.system:
+    if a.system is not b.system:
         raise InputError("elements of different systems")
     if b.length == 0:
         return a
@@ -571,14 +575,12 @@ def bruhat_leq(y: Element, x: Element) -> bool:
 
     With s the smallest right descent of x: y <= x iff min(y, ys) <= xs.
     """
-    if y.system is not x.system and y.system != x.system:
+    if y.system is not x.system:
         raise InputError("elements of different systems")
     if y.length > x.length:
         return False
-    if y.word == x.word:
+    if y is x:
         return True
-    if x.length == 0:
-        return y.length == 0
     s = x.descent
     xs = _mul_gen(x, s)
     ys = _mul_gen(y, s)

@@ -262,19 +262,6 @@ class HeckeAlgebra:
         # products C_xs * C_s recorded by kl_basis, keyed by x
         self.kl_products = {}
 
-    def _own(self, x: Element) -> Element:
-        """x as the instance of this algebra's system.
-
-        The memos compare elements by identity, so an element of an equal
-        system is swapped for its counterpart; one of another system is
-        refused (InputError).
-        """
-        if x.system is not self.system:
-            if x.system != self.system:
-                raise InputError("elements of different systems")
-            x = self.system.element(x.word)
-        return x
-
     # -- element constructors ------------------------------------------
 
     def T(self, x: Element, coeff=None):
@@ -394,7 +381,8 @@ class HeckeAlgebra:
         col = memo.get(x)
         if col is not None:
             return col
-        x = self._own(x)
+        if x.system is not self.system:
+            raise InputError("elements of different systems")
         gens = self.system.generators
         chain = []
         while x not in memo:
@@ -438,7 +426,9 @@ class HeckeAlgebra:
         call.  No duality is used.  An element of another system is refused
         (InputError) before the memo is read.
         """
-        col = self._kl_column(self._own(x))
+        if x.system is not self.system:
+            raise InputError("elements of different systems")
+        col = self._kl_column(x)
         bits = self._kl_bits
         return _decoded(
             BASIS_TT, {y: _poly(_unpack(n, bits, 0, 1)) for y, n in col.items()}
@@ -562,7 +552,8 @@ class HeckeAlgebra:
         that bound reaches 2^(B-1) before a decode, the width grows and
         the solve restarts.
         """
-        x = self._own(x)
+        if x.system is not self.system:
+            raise InputError("elements of different systems")
         interval = bruhat_interval(x)
         # every column below x then fits, so no fill during the walk
         # changes the width the packed defects were built with
@@ -643,10 +634,12 @@ class HeckeAlgebra:
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x} as a polynomial in q, via P(v^-2) = v^(l(y)-l(x)) h_{y,x}."""
+        if x.system is not self.system:
+            raise InputError("elements of different systems")
         if not bruhat_leq(y, x):
             return LaurentPoly.zero()
         # decode only the entry at y of the packed C_x
-        n = self._kl_column(self._own(x)).get(y, 0)
+        n = self._kl_column(x).get(y, 0)
         h = LaurentPoly(_unpack(n, self._kl_bits, 0, 1))
         shifted = h.shift(y.length - x.length)
         out = {}

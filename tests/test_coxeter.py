@@ -6,13 +6,18 @@ length that shares no code with the matrix representation.
 """
 
 import functools
+import gc
 import itertools
+import json
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 from bmsheaves.coxeter import (
+    CoxeterSystem,
+    Element,
     _from_matrices,
     _matmul,
     _mul_gen,
@@ -31,6 +36,7 @@ from bmsheaves.coxeter import (
     word_str,
 )
 from bmsheaves.errors import InputError, RealizationError
+from bmsheaves.presets import preset_system
 
 
 def elt(system, text):
@@ -185,10 +191,13 @@ def test_generator_products_match_the_general_path(product_case):
     """w s from the step rule against word extraction from the product
     matrices, which shares no word logic with it: the word, both
     matrices and the instance agree.  First on normal forms of random
-    words, whose tails and products are not yet known, then on a ball."""
+    words, whose tails and products are not yet known, then on a ball.
+    The reference system is built outside `make_system`'s registry, so
+    it shares no element table or slot with the system under test."""
     name, coxeter, cartan, bound = product_case
     system = make_system(coxeter, cartan)
-    ref = make_system(coxeter, cartan)
+    ref = CoxeterSystem(system.rank, system.coxeter, system.cartan)
+    assert ref is not system
 
     def check(w, s):
         g = system.generators[s]
@@ -213,9 +222,9 @@ def test_generator_products_match_the_general_path(product_case):
 
 def test_memos_belong_to_their_system():
     """Intervals are memoized on the system and right products in slots
-    of the system's own elements; an equal system shares none of them."""
+    of the system's own elements; a second `make_system` call on equal
+    data gives the same system, so it finds them filled."""
     first = make_system([[1, 3], [3, 1]])
-    second = make_system([[1, 3], [3, 1]])
     interval = bruhat_interval(normal_form(first, (0, 1, 0)))
     assert first._interval_memo
     own = {id(w) for w in first._elements.values()}
@@ -223,19 +232,21 @@ def test_memos_belong_to_their_system():
     assert all(w.system is first for w in first._elements.values())
     products = [ws for w in first._elements.values() for ws in w._right if ws]
     assert products and {id(ws) for ws in products} <= own
-    assert not second._interval_memo
-    assert not second._elements
+    second = make_system([[1, 3], [3, 1]])
+    assert second is first
+    assert bruhat_interval(normal_form(second, (1, 0, 1))) is interval
 
 
 # -- one instance per word -----------------------------------------------------
 
 
 def test_equal_elements_of_one_system_are_one_object(step_system):
-    """Every route to an element returns the system's one instance, whose
-    hash is that of (word, Cartan matrix)."""
+    """Every route to an element returns the system's one instance, also
+    through a second `make_system` call on the same data."""
     identity = step_system.identity
+    again = make_system(step_system.coxeter, step_system.cartan)
     for x in element_ball(step_system, 4):
-        assert hash(x) == hash((x.word, step_system.cartan))
+        assert normal_form(again, x.word) is x
         assert normal_form(step_system, x.word) is x
         for s, g in enumerate(step_system.generators):
             assert normal_form(step_system, x.word + (s, s)) is x
@@ -259,18 +270,68 @@ def test_braid_equivalent_words_give_one_object(a3, b2, g2):
         assert elt(system, left) is elt(system, right)
 
 
-def test_elements_compare_by_word_and_cartan_matrix():
+def test_equal_data_give_one_system_and_one_element():
+    """Two `make_system` calls on equal data give one system, so the
+    elements of one word are one object; the transposed non-symmetric
+    Cartan matrix is another datum, whose elements are distinct and
+    unequal."""
     first = make_system([[1, 3], [3, 1]])
     second = make_system([[1, 3], [3, 1]])
+    assert second is first
     x, y = normal_form(first, (0, 1)), normal_form(second, (0, 1))
-    assert x is not y
-    assert x == y and hash(x) == hash(y)
+    assert x is y
     assert {x: 1}[y] == 1
     assert bruhat_leq(y, normal_form(first, (0, 1, 0)))
     one = make_system([[1, 0], [0, 1]], [[2, -1], [-4, 2]])
     other = make_system([[1, 0], [0, 1]], [[2, -4], [-1, 2]])
+    assert one is not other and one is make_system(one.coxeter, one.cartan)
+    assert normal_form(one, (0, 1)) is not normal_form(other, (0, 1))
     assert normal_form(one, (0, 1)) != normal_form(other, (0, 1))
     assert one.identity != other.identity
+    assert len({one.identity, other.identity, one.generators[0]}) == 3
+
+
+def test_make_system_interns_each_datum_weakly(tmp_path):
+    """One live system per datum, whichever way it is given; the registry
+    keeps none alive, so a dropped system goes with its memos and the
+    next call builds a fresh one.  Elements and systems hash and compare
+    by identity."""
+    a2 = make_system([[1, 3], [3, 1]])
+    assert make_system([[1, 3], [3, 1]], [[2, -1], [-1, 2]]) is a2
+    assert preset_system("A2") is a2
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"rank": 2, "coxeter": [[1, 3], [3, 1]]}))
+    assert load_system(path) is a2
+
+    # a datum no other test uses, never passed to bruhat_leq (whose
+    # cache would keep it alive)
+    coxeter, cartan = [[1, 0], [0, 1]], [[2, -3], [-5, 2]]
+    system = make_system(coxeter, cartan)
+    bruhat_interval(normal_form(system, (0, 1, 0, 1)))
+    assert system._elements and system._interval_memo
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+    fresh = make_system(coxeter, cartan)
+    assert not fresh._elements and not fresh._interval_memo
+
+    assert Element.__hash__ is object.__hash__
+    assert Element.__eq__ is object.__eq__
+    assert CoxeterSystem.__hash__ is object.__hash__
+    assert CoxeterSystem.__eq__ is object.__eq__
+
+
+@pytest.mark.parametrize("word", [(), (0,)])
+def test_arithmetic_refuses_elements_of_different_systems(a2, b2, word):
+    """`multiply` and `bruhat_leq` refuse an A2 element against a B2
+    element in either order, the identity and a generator included."""
+    x, y = normal_form(a2, word), normal_form(b2, word)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(InputError, match="elements of different systems"):
+            multiply(a, b)
+        with pytest.raises(InputError, match="elements of different systems"):
+            bruhat_leq(a, b)
 
 
 # -- descents and reflections --------------------------------------------------

@@ -384,13 +384,14 @@ def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
     assert {x: alg.kl_basis(x) for x in want} == want
 
 
-def test_an_algebra_serves_the_elements_of_an_equal_system():
-    """Elements of equal systems are interchangeable: an algebra filled
-    from one system's elements gives the same values at the elements of
-    an equal second system, on both routes, and keeps its own values.
-    Its memos hold only the first system's instances."""
+def test_an_algebra_serves_the_elements_of_equal_data():
+    """Two `make_system` calls on equal data give one system: an algebra
+    filled from the first call's elements gives, at the second call's
+    elements, the values of a fresh algebra, on both routes.  Its memos
+    hold only that system's instances."""
     first = make_system([[1, 3], [3, 1]])
     second = make_system([[1, 3], [3, 1]])
+    assert second is first
     reference = HeckeAlgebra(make_system([[1, 3], [3, 1]]))
     alg = HeckeAlgebra(first)
     alg.kl_basis(elt(first, "1"))
