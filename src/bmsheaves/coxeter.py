@@ -45,8 +45,10 @@ w without its first letter.  Each case is checked on the matrices
 RealizationError.  Each element keeps its right products in one slot per
 generator, its tail aw, and its least right descent.  Each system keeps
 a {word: Element} table and hands out one instance per canonical word;
-it also memoizes Bruhat intervals.  The table holds every element and
-so every slot, and both tables live exactly as long as the
+`normal_form` of a canonical word reads that table.  The system also
+keeps the elements recovered from matrices, keyed by matrix, and
+memoizes Bruhat intervals.  The word table holds every element and so
+every slot, and all three tables live exactly as long as the
 CoxeterSystem that owns them.  `make_system` hands out one system per
 Coxeter and Cartan datum, so equal elements are one object: elements
 and systems compare and hash by identity.
@@ -177,6 +179,11 @@ class CoxeterSystem:
     @functools.cached_property
     def _elements(self):
         """{word: Element}: the one instance of each canonical word."""
+        return {}
+
+    @functools.cached_property
+    def _by_matrix(self):
+        """{matrix: Element} of the results of `_from_matrices`."""
         return {}
 
     @functools.cached_property
@@ -376,14 +383,22 @@ def _from_matrices(system, mat, inv) -> Element:
 
     Repeatedly strips the smallest left descent (the first letter of every
     reduced word is a left descent, so taking the minimum at each step
-    yields the ShortLex-least reduced word).
+    yields the ShortLex-least reduced word).  The element is a function of
+    its matrix, so each result is kept on the system, keyed by matrix, and
+    a matrix met before costs one lookup.
     """
+    memo = system._by_matrix
+    w = memo.get(mat)
+    if w is not None:
+        return w
     ident = system._identity_matrix
     word = []
     a, ainv = mat, inv
     for _ in range(_MAX_EXTRACT):
         if a == ident:
-            return _intern(system, tuple(word), mat, inv)
+            w = _intern(system, tuple(word), mat, inv)
+            memo[w.matrix] = w
+            return w
         s = _least_descent(ainv)
         if s is None:
             raise RealizationError(
@@ -397,7 +412,11 @@ def _from_matrices(system, mat, inv) -> Element:
 
 
 def normal_form(system: CoxeterSystem, word) -> Element:
-    """Canonical Element of an arbitrary word in the generators."""
+    """Canonical Element of an arbitrary word in the generators.
+
+    The system's table is keyed by canonical words, so a word found there
+    is answered by its entry; any other word goes through its matrices.
+    """
     if isinstance(word, str):
         raise InputError(
             "words are sequences of 0-based generator indices; "
@@ -407,6 +426,9 @@ def normal_form(system: CoxeterSystem, word) -> Element:
     for s in word:
         if not (0 <= s < system.rank):
             raise InputError(f"generator index {s} out of range")
+    w = system._elements.get(word)
+    if w is not None:
+        return w
     mat = inv = system._identity_matrix
     for s in word:
         mat = _gen_right(system, s, mat)

@@ -21,11 +21,13 @@ routes compute it:
               subtract the constant terms of the lower coefficients;
   kl_oracle   solve d(C) = C directly on the interval below x, using only
               the bar matrix of the Tt basis.  The walk goes down the
-              interval by length; each h_y is settled on the digits of
-              the packed defect accumulated so far, then d(h_y), packed
-              once, is pushed into the defect of each element below y
-              with one product per entry of the column d(Tt_y).  The cost
-              is the total support of the d(Tt_y), not |[e, x]|^2.
+              interval by length; each h_y is decoded from the upper
+              digits of the packed defect accumulated so far, then
+              d(h_y), packed once, is checked against the lower digits
+              with one integer comparison and pushed into the defect of
+              each element below y with one product per entry of the
+              column d(Tt_y).  The cost is the total support of the
+              d(Tt_y), not |[e, x]|^2.
 
 Both routes pack polynomials into integers (Kronecker substitution), each
 in its own memo and with its own digit width B: a polynomial is held as
@@ -53,7 +55,10 @@ memo holds its value at v^2 = 2^B.  Its bounds are:
   * a defect of the duality solve is bounded by the sum of
     |d(h_y)|_1 3^l(y) over the elements y settled so far.  Packing d(h_y)
     first and pushing it with one product per entry gives the same
-    integers as pushing it term by term, so the bound is the same.
+    integers as pushing it term by term, so the bound is the same.  Under
+    this bound the lower digits of a defect, those of the exponents <= 0,
+    are its centered residue modulo a power of two, so h_y and the skew
+    check need no decode of them (see `HeckeAlgebra._solve`).
 
 Each B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles
 until it fits and the memo is repacked once; a duality solve in progress
@@ -148,6 +153,14 @@ def _poly(digits):
     p = LaurentPoly.__new__(LaurentPoly)
     p.c = digits
     return p
+
+
+def _not_skew(y, n, bits, d):
+    """The refusal of a packed defect n of y that is not skew."""
+    return InconsistencyError(
+        f"duality defect at {y} is not skew: {_poly(_unpack(n, bits, -d))}; "
+        "no self-dual solution exists"
+    )
 
 
 def _decoded(basis, coeffs):
@@ -487,15 +500,15 @@ class HeckeAlgebra:
                 raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
             else:
                 acc[y] = acc.get(y, 0) + (n >> bits)
-        prod = {y: LaurentPoly(_unpack(n, bits, 0, 1)) for y, n in acc.items()}
+        prod = {y: _poly(_unpack(n, bits, 0, 1)) for y, n in acc.items() if n}
         if acc.get(x) != 1:
             raise InconsistencyError(
                 f"product coefficient at {x} is {prod.get(x, 0)}, expected 1"
             )
-        self.kl_products[x] = (s, HeckeElt(BASIS_TT, prod))
+        self.kl_products[x] = (s, _decoded(BASIS_TT, prod))
         lower = []
         for y, c in prod.items():
-            if y is x or not c:
+            if y is x:
                 continue
             if not bruhat_leq(y, x):
                 raise InconsistencyError(f"product support {y} not below {x}")
@@ -537,7 +550,9 @@ class HeckeAlgebra:
         which by then holds the pushes of every y' above it: g_y must be
         skew under bar with zero constant term, and h_y is its
         positive-exponent part (uniquely, given h_y in v Z[v] for y < x).
-        Both are read off the decoded digits of g_y.
+        h_y is decoded from the upper digits of the packed g_y alone, and
+        skewness is one integer comparison of its lower digits with the
+        packed d(h_y) (see `_solve`).
         Then d(h_y) r_{z,y} is pushed into the defect of each z below y
         in the support of d(Tt_y), so the cost is the sum of those
         supports rather than |[e, x]|^2.  A term of d(Tt_y) at an element
@@ -566,11 +581,18 @@ class HeckeAlgebra:
     def _solve(self, x, interval):
         """The coefficients h_y of `kl_oracle`, or None after a widening.
 
-        Each defect is decoded once into a digit dict {exponent: d}; the
-        skew check and h_y read that dict, and a LaurentPoly is built only
-        for h_y (and for g_y on the error path).  d(h_y) is taken with
-        `LaurentPoly.bar`, packed once, and pushed with one product per
-        entry of y's column.
+        With d = l(x) - l(y), digit k of the packed defect n of y holds the
+        exponent -d + 2k of g_y, so the K = floor(d/2) + 1 digits below
+        the cut c = B K hold the exponents <= 0.  Every digit is below
+        2^(B-1) in absolute value once the bound check has passed, so their
+        value L is the centered residue of n mod 2^c, and (n - L) >> c holds
+        exactly the digits of h_y, the positive part; only those are
+        decoded.  d(h_y) is taken with `LaurentPoly.bar` and packed once as
+        `push`, in the digits of the defect below y.  g_y is skew with zero
+        constant term exactly when L == -push (an exponent of h_y above d
+        has no mirror in g_y), so one integer comparison checks it; the
+        whole defect is decoded only to word a refusal.  Then push is added
+        with one product per entry of y's column.
         """
         bits = self._bits
         half = 1 << (bits - 1)
@@ -589,30 +611,27 @@ class HeckeAlgebra:
                 if bound >= half:
                     self._fit(bound)
                     return None
-                g = _unpack(defect.pop(y, 0), bits, -d)
-                # skew with zero constant term: g[-e] = -g[e] != 0 for
-                # every e, which also rules out e = 0
-                if any(g.get(-e) != -c for e, c in g.items()):
-                    raise InconsistencyError(
-                        f"duality defect at {y} is not skew: {_poly(g)}; no "
-                        "self-dual solution exists"
-                    )
-                hy = _poly({e: c for e, c in g.items() if e > 0})
+                n = defect.pop(y, 0)
+                # low: the digits of the exponents <= 0, centered
+                cut = bits * (d // 2 + 1)
+                low = n & ((1 << cut) - 1)
+                if low >> (cut - 1):
+                    low -= 1 << cut
+                hy = _poly(_unpack((n - low) >> cut, bits, 2 - (d & 1)))
+            push = 0
+            weight = 3**y.length
+            for f, c in hy.bar().c.items():
+                if d + f < 0:
+                    raise _not_skew(y, n, bits, d)
+                push += c << (bits * ((d + f) >> 1))
+                bound += abs(c) * weight
+            if y is not x and low != -push:
+                raise _not_skew(y, n, bits, d)
             h[y] = hy
             if not hy:
                 empty.append(y)
                 continue
-            dh = hy.bar()
-            push = 0
-            for f, c in dh.c.items():
-                if (d + f) & 1 or d + f < 0:
-                    raise InconsistencyError(
-                        f"d(h_{y}) = {dh} has a term v^{f}, which no "
-                        f"defect below {y} can hold"
-                    )
-                push += c << (bits * ((d + f) >> 1))
-                bound += abs(c) * 3**y.length
-            for z, n in self._column(y).items():
+            for z, m in self._column(y).items():
                 if z is y:
                     continue
                 acc = defect.get(z)
@@ -622,7 +641,7 @@ class HeckeAlgebra:
                             f"d(Tt_{y}) has a term at {z}, which is settled"
                         )
                     acc = 0
-                defect[z] = acc + n * push
+                defect[z] = acc + m * push
         if defect:
             z = next(iter(defect))
             raise InconsistencyError(f"a d(Tt_y) term at {z} lies outside [e, {x}]")

@@ -220,6 +220,52 @@ def test_generator_products_match_the_general_path(product_case):
             check(w, s)
 
 
+def test_known_elements_are_read_from_the_system_tables(product_case):
+    """Every word of an element, canonical or not, and its inverse's
+    inverse give the one instance; a general product is the fold of the
+    generator steps of its right factor's word; and every element kept by
+    matrix carries that matrix."""
+    name, coxeter, cartan, bound = product_case
+    system = make_system(coxeter, cartan)
+    ball = element_ball(system, bound)
+    for w in ball:
+        assert normal_form(system, w.word) is w
+        for s in range(system.rank):
+            assert normal_form(system, w.word + (s, s)) is w
+            assert normal_form(system, (s, s) + w.word) is w
+        assert w.inverse().inverse() is w
+    rng = random.Random(f"table:{name}")
+    for _ in range(60):
+        a, b = rng.choice(ball), rng.choice(ball)
+        assert multiply(a, b) is functools.reduce(_mul_gen, b.word, a)
+    assert system._by_matrix
+    for mat, w in system._by_matrix.items():
+        assert w.system is system and w.matrix == mat
+
+
+def test_a_word_out_of_range_is_refused_before_any_lookup():
+    """`normal_form` checks the generator indices before it reads the
+    element table: a rank-3 system refuses (0, 7), (7,) and (-1, 0) with
+    InputError, also a copy outside the registry whose tables raise when
+    read."""
+
+    class Watched(dict):
+        def get(self, *args):
+            raise AssertionError("the table was read")
+
+        __getitem__ = get
+
+    system = make_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    ref = CoxeterSystem(system.rank, system.coxeter, system.cartan)
+    ref.__dict__["_elements"] = Watched()
+    ref.__dict__["_by_matrix"] = Watched()
+    for word in ((0, 7), (7,), (-1, 0)):
+        with pytest.raises(InputError, match="out of range"):
+            normal_form(ref, word)
+        with pytest.raises(InputError, match="out of range"):
+            normal_form(system, word)
+
+
 def test_memos_belong_to_their_system():
     """Intervals are memoized on the system and right products in slots
     of the system's own elements; a second `make_system` call on equal
@@ -308,13 +354,14 @@ def test_make_system_interns_each_datum_weakly(tmp_path):
     coxeter, cartan = [[1, 0], [0, 1]], [[2, -3], [-5, 2]]
     system = make_system(coxeter, cartan)
     bruhat_interval(normal_form(system, (0, 1, 0, 1)))
-    assert system._elements and system._interval_memo
+    assert system._elements and system._by_matrix and system._interval_memo
     ref = weakref.ref(system)
     del system
     gc.collect()
     assert ref() is None
     fresh = make_system(coxeter, cartan)
-    assert not fresh._elements and not fresh._interval_memo
+    assert not fresh._elements and not fresh._by_matrix
+    assert not fresh._interval_memo
 
     assert Element.__hash__ is object.__hash__
     assert Element.__eq__ is object.__eq__

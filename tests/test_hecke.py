@@ -434,13 +434,21 @@ def test_the_duality_solve_refuses_terms_it_cannot_push(a2, y, z, message):
 
 
 @pytest.mark.parametrize(
-    "digit, defect", [(0, "v^2"), (1, "-v^-2 + 1 + v^2")]
+    "digit, defect",
+    [
+        (0, "v^2"),
+        (1, "-v^-2 + 1 + v^2"),
+        (2, "-v^-2 + 2*v^2"),
+        (3, "-v^-2 + v^2 + v^4"),
+    ],
 )
 def test_the_duality_solve_refuses_a_defect_that_is_not_skew(a2, digit, defect):
     """Adding 1 at digit k of the packed entry at 1 of d(Tt_12) adds the
     term v^(2k-1) Tt_1 there.  Under d(h_12) = v^-1 it reaches the defect
     v^2 - v^-2 of 1 in [e, 121] as v^(2k-2): k = 0 cancels v^-2 and leaves
-    it asymmetric, k = 1 gives it a constant term.  Both are refused."""
+    it asymmetric, k = 1 gives it a constant term, k = 2 puts the fault in
+    the positive half, which becomes h_1, and k = 3 adds v^4, above every
+    exponent that d(h_1) could mirror.  All four are refused."""
     from bmsheaves.errors import InconsistencyError
 
     alg = HeckeAlgebra(a2)
@@ -451,6 +459,29 @@ def test_the_duality_solve_refuses_a_defect_that_is_not_skew(a2, digit, defect):
     message = re.escape(f"defect at 1 is not skew: {defect};")
     with pytest.raises(InconsistencyError, match=message):
         alg.kl_oracle(elt(a2, "121"))
+
+
+@pytest.mark.parametrize(
+    "digit, defect",
+    [(0, "v^3"), (1, "-v^-3 + v^-1 + v^3"), (2, "-v^-3 + v + v^3")],
+)
+def test_the_duality_solve_refuses_a_defect_of_odd_depth(b2, digit, defect):
+    """The same at an odd distance d = l(x) - l(y), where no digit holds
+    the exponent 0: adding 1 at digit k of the packed entry at 1 of
+    d(Tt_121) adds v^(2k-2) Tt_1 there, and under d(h_121) = v^-1 it
+    reaches the defect v^3 - v^-3 of 1 in [e, 1212] as v^(2k-3).  k = 0
+    cancels v^-3, and k = 1 and k = 2 add a term to the lower and the
+    upper half.  All three are refused."""
+    from bmsheaves.errors import InconsistencyError
+
+    alg = HeckeAlgebra(b2)
+    # fill the memo first, so the bad entry stays out of d(Tt_1212)
+    for x in bruhat_interval(elt(b2, "1212")):
+        alg.bar_tt(x)
+    alg._bar_tt[elt(b2, "121")][elt(b2, "1")] += 1 << (alg._bits * digit)
+    message = re.escape(f"defect at 1 is not skew: {defect};")
+    with pytest.raises(InconsistencyError, match=message):
+        alg.kl_oracle(elt(b2, "1212"))
 
 
 def test_expansion_in_the_self_dual_basis_inverts_it(b2, b2_alg):

@@ -1,0 +1,98 @@
+"""Seeded sweep over random admissible rank-3 Cartan data (Hecke half).
+
+Each seed draws a rank-3 Coxeter matrix with bonds from {2, 3, 4, 6,
+infinity} and an integer Cartan matrix realizing it: the pair
+(a_st, a_ts) has product 0, 1, 2 or 3 for bonds 2, 3, 4 and 6, and at
+least 4 for infinity, and need not be symmetric.  On every element of
+length at most 5 the two routes to the self-dual basis must agree and the
+normal form of the element's own word must be the element; otherwise the
+draw must end in one of the package's typed errors.  `check_draw` is
+also run over more seeds as a separate CI step:
+
+    cd tests && python -c 'from test_random_cartan import check_draw; ...'
+"""
+
+import random
+
+import pytest
+
+from bmsheaves.coxeter import INFINITE, element_ball, make_system, normal_form
+from bmsheaves.errors import (
+    CapError,
+    InconsistencyError,
+    InputError,
+    NotGradedFreeError,
+    RealizationError,
+)
+from bmsheaves.hecke import HeckeAlgebra
+
+TYPED_ERRORS = (
+    CapError,
+    InconsistencyError,
+    InputError,
+    NotGradedFreeError,
+    RealizationError,
+)
+
+BONDS = (2, 3, 4, 6, INFINITE)
+# the integer pairs (a_st, a_ts) of each finite bond
+_FINITE_PAIRS = {
+    2: [(0, 0)],
+    3: [(-1, -1)],
+    4: [(-1, -2), (-2, -1)],
+    6: [(-1, -3), (-3, -1)],
+}
+MAX_LENGTH = 5
+
+
+def draw(seed):
+    """(Coxeter matrix, Cartan matrix) of the rank-3 datum of a seed."""
+    rng = random.Random(f"rank3:{seed}")
+    coxeter = [[1] * 3 for _ in range(3)]
+    cartan = [[2] * 3 for _ in range(3)]
+    for s, t in ((0, 1), (0, 2), (1, 2)):
+        m = rng.choice(BONDS)
+        if m == INFINITE:
+            # a_st a_ts >= 4, with each entry at most 5 in absolute value
+            a = rng.randint(1, 5)
+            pair = (-a, -rng.randint((a + 3) // a, 5))
+        else:
+            pair = rng.choice(_FINITE_PAIRS[m])
+        coxeter[s][t] = coxeter[t][s] = m
+        cartan[s][t], cartan[t][s] = pair
+    return coxeter, cartan
+
+
+def check_draw(seed):
+    """"ok" when both Hecke routes agree and every normal form is its
+    element on the ball of the seed's system, else the name of the typed
+    error that ended the draw.  Anything else fails."""
+    coxeter, cartan = draw(seed)
+    try:
+        system = make_system(coxeter, cartan)
+        alg = HeckeAlgebra(system)
+        for x in element_ball(system, MAX_LENGTH):
+            assert normal_form(system, x.word) is x, (seed, str(x))
+            assert alg.kl_basis(x) == alg.kl_oracle(x), (seed, str(x))
+    except TYPED_ERRORS as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_draws_are_admissible():
+    """Every draw passes `make_system`'s checks, and the draws reach every
+    bond order and a non-symmetric pair."""
+    bonds, skew = set(), False
+    for seed in range(20):
+        coxeter, cartan = draw(seed)
+        make_system(coxeter, cartan)
+        bonds.update(coxeter[s][t] for s, t in ((0, 1), (0, 2), (1, 2)))
+        skew = skew or any(
+            cartan[s][t] != cartan[t][s] for s in range(3) for t in range(s)
+        )
+    assert bonds == set(BONDS) and skew
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_rank3_data_agree_or_raise_a_typed_error(seed):
+    assert check_draw(seed) in ("ok",) + tuple(e.__name__ for e in TYPED_ERRORS)
