@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
-from .coxeter import Element, bruhat_leq, multiply
+from .coxeter import Element, multiply
 from .errors import CapError, InconsistencyError, InputError, RealizationError
 from .gradedlin import (
     DirectSum,
@@ -300,11 +300,10 @@ def bm_construct(graph: MomentGraph, cap_override=None):
             costalk = {0: [{0: 1}]}
         else:
             dims, costalk = _solve_vertex(sheaf, w, sections, capw)
-            above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
             sheaf.section_log[w] = {
                 d: sum(
                     c * hilbert_dim(ring.nvars, d - g)
-                    for z in above
+                    for z in graph.above(w)
                     for g, c in sheaf.costalk_ranks[z].c.items()
                 )
                 for d in range(0, capw + 1, 2)
@@ -460,7 +459,7 @@ def _pair_systems(bm: BMSheaf, y: Element, s: int):
         raise InputError(f"{y} has no right descent {s + 1}")
     if y not in graph or ys not in graph:
         raise InputError("both endpoints of the pair must be in the graph")
-    omega = {z for z in graph.vertices if z == ys or bruhat_leq(ys, z)}
+    omega = {ys, *graph.above(ys)}
     # every edge inside {>= ys} with an end in the pair; the other ends
     # lie outside the pair, where these sections vanish
     edges = [
@@ -747,13 +746,12 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     certificate (`_flabby_certificate`) is built on the first.
     """
     onto, costalks = _flabby_certificate(bm)
-    above = [z for z in bm.graph.vertices if z != w and bruhat_leq(w, z)]
     table = bm.costalk_dim_table[w]
     logged = bm.section_log.get(w, {})
     return all(
         onto[d]
         and costalks[w][d] == table.get(d, 0)
-        and sum(costalks[z][d] for z in above) == logged.get(d, 0)
+        and sum(costalks[z][d] for z in bm.graph.above(w)) == logged.get(d, 0)
         for d in range(0, bm.caps[w] + 1, 2)
     )
 

@@ -11,7 +11,8 @@ Tt_x = v^(l(x)) T_x.  Right multiplication by a generator:
 The duality d is the ring involution with d(v) = v^-1 and
 d(T_x) = (T_{x^-1})^-1, where T_s^-1 = v^2 T_s + (v^2 - 1).  Its values
 on the Tt basis are memoized once per element, each one step from the
-value at the word's prefix (see `HeckeAlgebra.bar_tt`).
+value at the word's prefix (see `HeckeAlgebra._column`); `bar` works in
+the Tt basis and reads them from that memo.
 
 The self-dual basis element C_x = sum_y h_y Tt_y is the unique d-fixed
 element with h_x = 1 and h_y in v Z[v] for y < x.  Two independent
@@ -61,18 +62,17 @@ memo holds its value at v^2 = 2^B.  Its bounds are:
     check need no decode of them (see `HeckeAlgebra._solve`).
 
 Each B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles
-until it fits and the memo is repacked once; a duality solve in progress
-starts over, and a product in progress is repacked with the memo.
+until it fits and the memo is repacked once (`_fit`); a duality solve in
+progress starts over, and a product in progress is repacked with the memo.
 
-The two routes share nothing but the element containers and the digit
-coding (`_unpack`, `_repack`), so agreement is a genuine cross-check.
+The two routes share nothing but the element containers, the digit
+coding (`_unpack`, `_repack`) and the width rule (`_fit`), so agreement
+is a genuine cross-check.
 The classical polynomial normalization is recovered by
 P_{y,x}(v^-2) = v^(l(y)-l(x)) h_{y,x}(v).
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .coxeter import (
     Element,
@@ -90,22 +90,11 @@ __all__ = ["BASIS_T", "BASIS_TT", "HeckeElt", "HeckeAlgebra"]
 BASIS_T = "T"
 BASIS_TT = "Tt"
 
-# exponent dicts of the factors in the one-letter product steps
-_ONE = {0: 1}
-_VINV_MINUS_V = {-1: 1, 1: -1}
+# the factor of Tt_x in Tt_x Tt_s when l(xs) < l(x)
+_VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 # digit width B of a fresh algebra's packed memos
 _START_BITS = 64
-
-
-def _add_into(acc, x, p, q):
-    """acc[x] += p q, for exponent dicts p and q."""
-    tgt = acc.get(x)
-    if tgt is None:
-        tgt = acc[x] = defaultdict(int)
-    for e2, c2 in q.items():
-        for e1, c1 in p.items():
-            tgt[e1 + e2] += c1 * c2
 
 
 def _unpack(n, bits, low, step=2):
@@ -126,13 +115,6 @@ def _unpack(n, bits, low, step=2):
     return out
 
 
-def _wider(bits, bound):
-    """bits, doubled until bound < 2^(bits-1)."""
-    while bound >> (bits - 1):
-        bits *= 2
-    return bits
-
-
 def _repack(cols, old, bits):
     """Rewrite each packed column {key: n} in cols from old-bit to bits-bit
     digits, in place."""
@@ -142,9 +124,16 @@ def _repack(cols, old, bits):
             col[z] = sum(d << (bits * k) for k, d in digits)
 
 
-def _elt(basis, acc):
-    """The HeckeElt of an accumulator {x: {exponent: coefficient}}."""
-    return HeckeElt(basis, {x: LaurentPoly(t) for x, t in acc.items()})
+def _fit(cols, bits, bound):
+    """The width for coefficients of absolute value <= bound: bits, doubled
+    until bound < 2^(bits-1).  When it grows, the packed columns in cols
+    are repacked to it once, in place."""
+    wide = bits
+    while bound >> (wide - 1):
+        wide *= 2
+    if wide != bits:
+        _repack(cols, bits, wide)
+    return wide
 
 
 def _poly(digits):
@@ -283,64 +272,53 @@ class HeckeAlgebra:
     def Tt(self, x: Element, coeff=None):
         return HeckeElt(BASIS_TT, {x: coeff or LaurentPoly.one()})
 
-    def one(self):
-        return self.Tt(self.system.identity)
-
     # -- multiplication --------------------------------------------------
 
-    def _mult_gen_tt(self, terms, s: int):
-        """terms * Tt_s, for an accumulator terms in the Tt basis."""
-        gen = self.system.generators[s]
-        out = {}
-        for x, r in terms.items():
-            xs = multiply(x, gen)
-            _add_into(out, xs, r, _ONE)
-            if xs.length < x.length:
-                _add_into(out, x, r, _VINV_MINUS_V)
-        return out
-
     def mult(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        """Product, computed in the Tt basis along reduced words of b and
-        added into one accumulator."""
+        """Product, computed in the Tt basis: a times each term c Tt_y of
+        b is a multiplied by Tt_s along the reduced word of y, then by c."""
+        gens = self.system.generators
+        start = a.convert(BASIS_TT).coeffs
         acc = {}
-        start = {x: c.c for x, c in a.convert(BASIS_TT).coeffs.items()}
         for y, c in b.convert(BASIS_TT).coeffs.items():
             term = start
             for s in y.word:
-                term = self._mult_gen_tt(term, s)
+                step = {}
+                for x, r in term.items():
+                    xs = multiply(x, gens[s])
+                    step[xs] = step.get(xs, 0) + r
+                    if xs.length < x.length:
+                        step[x] = step.get(x, 0) + r * _VINV_MINUS_V
+                term = step
             for x, r in term.items():
-                _add_into(acc, x, r, c.c)
-        return _elt(BASIS_TT, acc).convert(a.basis)
+                acc[x] = acc.get(x, 0) + r * c
+        return HeckeElt(BASIS_TT, acc).convert(a.basis)
 
     # -- duality -----------------------------------------------------------
 
     def bar(self, a: HeckeElt) -> HeckeElt:
-        """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1.
+        """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1, computed in the
+        Tt basis and returned in the basis of a.
 
-        Each term c X_x adds d(c) d(X_x).  In the Tt basis d(Tt_x) =
-        sum_z r_{z,x} Tt_z; in the T basis (T_{x^-1})^-1 = v^l(x) d(Tt_x),
-        whose term r Tt_z is v^(l(x)+l(z)) r T_z.  With r_{z,x} =
-        v^(l(z)-l(x)) N(v^2), N the packed entry, a term c_e v^e of c adds
-        c_e v^t N(v^2) to v^(-k l(z)) times the output at z: k = 1 and
-        t = -e - l(x) in the Tt basis, k = 2 and t = -e in the T basis.
-        These sums go into one integer per z and parity of t, after a
-        per-call offset that makes every t nonnegative: the terms of c of
-        one parity are packed once, as m = sum c_e << B floor(t/2), and each
-        entry n of the column of x adds n m.  Each output coefficient is
-        decoded once.  The output is bounded by the sum of |c|_1 3^l(x)
-        over the terms, and the width is fitted to it first.
+        Each term c Tt_x adds d(c) d(Tt_x), and d(Tt_x) = sum_z r_{z,x} Tt_z
+        with r_{z,x} = v^(l(z)-l(x)) N(v^2), N the packed entry.  So a term
+        c_e v^e of c adds c_e v^t N(v^2) to v^-l(z) times the output at z,
+        with t = -e - l(x).  These sums go into one integer per z and
+        parity of t, after a per-call offset that makes every t
+        nonnegative: the terms of c of one parity are packed once, as
+        m = sum c_e << B floor(t/2), and each entry n of the column of x
+        adds n m.  Each output coefficient is decoded once.  The output is
+        bounded by the sum of |c|_1 3^l(x) over the terms, and the width
+        is fitted to it first.
         """
-        in_t = a.basis == BASIS_T
-        terms = [(x, c.c, self._column(x)) for x, c in a.coeffs.items()]
-        self._fit(sum(sum(map(abs, c.values())) * 3**x.length for x, c, _ in terms))
-        bits = self._bits
-        offset = max(
-            (e + (0 if in_t else x.length) for x, c, _ in terms for e in c),
-            default=0,
-        )
+        a_tt = a.convert(BASIS_TT)
+        terms = [(x, c.c, self._column(x)) for x, c in a_tt.coeffs.items()]
+        bound = sum(sum(map(abs, c.values())) * 3**x.length for x, c, _ in terms)
+        bits = self._bits = _fit(self._bar_tt.values(), self._bits, bound)
+        offset = max((e + x.length for x, c, _ in terms for e in c), default=0)
         accs = ({}, {})
         for x, c, col in terms:
-            base = offset if in_t else offset - x.length
+            base = offset - x.length
             packed = [0, 0]
             for e, ce in c.items():
                 t = base - e
@@ -349,28 +327,14 @@ class HeckeAlgebra:
                 if m:
                     for z, n in col.items():
                         acc[z] = acc.get(z, 0) + n * m
-        k = 2 if in_t else 1
         out = {}
         for p, acc in enumerate(accs):
             for z, n in acc.items():
-                got = _unpack(n, bits, p - offset + k * z.length)
+                got = _unpack(n, bits, p - offset + z.length)
                 if got:
                     out.setdefault(z, {}).update(got)
-        return _decoded(a.basis, {z: _poly(c) for z, c in out.items()})
-
-    def bar_tt(self, x: Element) -> HeckeElt:
-        """d(Tt_x) in the Tt basis, unitriangular with 1 at x.
-
-        Decoded from the packed column of x: the entry n at z is the value
-        at v^2 = 2^B of v^(l(x)-l(z)) r_{z,x}, so r_{z,x} has the digit d_k
-        of n as its coefficient of v^(l(z)-l(x)+2k).  See `_column`.
-        """
-        col = self._column(x)
-        bits, lx = self._bits, x.length
-        return _decoded(
-            BASIS_TT,
-            {z: _poly(_unpack(n, bits, z.length - lx)) for z, n in col.items()},
-        )
+        tt = _decoded(BASIS_TT, {z: _poly(c) for z, c in out.items()})
+        return tt.convert(a.basis)
 
     def _column(self, x: Element):
         """The packed column {z: n_{z,x}} of d(Tt_x), memoized.
@@ -401,8 +365,7 @@ class HeckeAlgebra:
         while x not in memo:
             chain.append(x)
             x = multiply(x, gens[x.word[-1]])
-        self._fit(3 ** chain[0].length)
-        bits = self._bits
+        bits = self._bits = _fit(memo.values(), self._bits, 3 ** chain[0].length)
         col = memo[x]
         for x in reversed(chain):
             gen = gens[x.word[-1]]
@@ -418,17 +381,6 @@ class HeckeAlgebra:
                 raise InconsistencyError(f"d(Tt_{x}) is not unitriangular")
             col = memo[x] = {y: n for y, n in acc.items() if n}
         return col
-
-    def _fit(self, bound):
-        """Widen the digits until |coefficients| <= bound decode exactly.
-
-        The width doubles until bound < 2^(B-1), and the memo is then
-        repacked once, in place.
-        """
-        bits = _wider(self._bits, bound)
-        if bits != self._bits:
-            _repack(self._bar_tt.values(), self._bits, bits)
-            self._bits = bits
 
     # -- self-dual basis, route 1: product recursion -----------------------
 
@@ -487,11 +439,11 @@ class HeckeAlgebra:
         s = x.descent
         xs = _mul_gen(x, s)
         self._kl_column(xs)
-        self._kl_fit(2 * norms[xs])
-        bits = self._kl_bits
+        cols = self._kl_cols
+        bits = self._kl_bits = _fit(cols.values(), self._kl_bits, 2 * norms[xs])
         mask = (1 << bits) - 1
         acc = {}
-        for y, n in self._kl_cols[xs].items():
+        for y, n in cols[xs].items():
             ys = _mul_gen(y, s)
             acc[ys] = acc.get(ys, 0) + n
             if ys.length > y.length:
@@ -516,7 +468,7 @@ class HeckeAlgebra:
                 lower.append((y, c.constant_term, self._kl_column(y)))
         norm = sum(abs(c) for p in prod.values() for c in p.c.values())
         norm += sum(abs(c) * norms[y] for y, c, _ in lower)
-        self._kl_fit(norm)
+        self._kl_bits = _fit(cols.values(), self._kl_bits, norm)
         if self._kl_bits != bits:
             _repack((acc,), bits, self._kl_bits)
             bits = self._kl_bits
@@ -527,16 +479,9 @@ class HeckeAlgebra:
         for y, n in acc.items():
             if n & mask and y is not x:
                 raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
-        col = self._kl_cols[x] = {y: n for y, n in acc.items() if n}
+        col = cols[x] = {y: n for y, n in acc.items() if n}
         norms[x] = norm
         return col
-
-    def _kl_fit(self, bound):
-        """`_fit` for the packed C_x memo."""
-        bits = _wider(self._kl_bits, bound)
-        if bits != self._kl_bits:
-            _repack(self._kl_cols.values(), self._kl_bits, bits)
-            self._kl_bits = bits
 
     # -- self-dual basis, route 2: duality solve ---------------------------
 
@@ -572,7 +517,7 @@ class HeckeAlgebra:
         interval = bruhat_interval(x)
         # every column below x then fits, so no fill during the walk
         # changes the width the packed defects were built with
-        self._fit(3 ** x.length)
+        self._bits = _fit(self._bar_tt.values(), self._bits, 3**x.length)
         h = None
         while h is None:
             h = self._solve(x, interval)
@@ -609,7 +554,7 @@ class HeckeAlgebra:
                 hy = LaurentPoly.one()
             else:
                 if bound >= half:
-                    self._fit(bound)
+                    self._bits = _fit(self._bar_tt.values(), self._bits, bound)
                     return None
                 n = defect.pop(y, 0)
                 # low: the digits of the exponents <= 0, centered
@@ -653,11 +598,10 @@ class HeckeAlgebra:
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x} as a polynomial in q, via P(v^-2) = v^(l(y)-l(x)) h_{y,x}."""
-        if x.system is not self.system:
+        if x.system is not self.system or y.system is not self.system:
             raise InputError("elements of different systems")
-        if not bruhat_leq(y, x):
-            return LaurentPoly.zero()
-        # decode only the entry at y of the packed C_x
+        # decode only the entry at y of the packed C_x, which has no entry
+        # off [e, x]
         n = self._kl_column(x).get(y, 0)
         h = LaurentPoly(_unpack(n, self._kl_bits, 0, 1))
         shifted = h.shift(y.length - x.length)

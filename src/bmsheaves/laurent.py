@@ -123,7 +123,7 @@ class LaurentPoly:
     def is_nonnegative(self):
         return all(c >= 0 for c in self.c.values())
 
-    # bar, shift and positive_part keep nonzero coefficients nonzero, so
+    # bar and shift keep nonzero coefficients nonzero, so
     # they skip the filtering constructor, as __add__ does
 
     def bar(self):
@@ -136,12 +136,6 @@ class LaurentPoly:
         """Multiply by v^k."""
         p = LaurentPoly.__new__(LaurentPoly)
         p.c = {e + k: c for e, c in self.c.items()}
-        return p
-
-    def positive_part(self):
-        """Sum of the terms with strictly positive exponent."""
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.c = {e: c for e, c in self.c.items() if e > 0}
         return p
 
     # -- io ---------------------------------------------------------------

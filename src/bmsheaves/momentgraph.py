@@ -104,9 +104,19 @@ class MomentGraph:
             down[e.upper].append(e)
         self.up = {w: tuple(es) for w, es in up.items()}
         self.down = {w: tuple(es) for w, es in down.items()}
+        self._above = {}
 
     def index(self, w):
         return self._index[w]
+
+    def above(self, w):
+        """The vertices z > w in Bruhat order, in vertex order; memoized."""
+        out = self._above.get(w)
+        if out is None:
+            out = self._above[w] = tuple(
+                z for z in self.vertices if z is not w and bruhat_leq(w, z)
+            )
+        return out
 
     def __contains__(self, w):
         return w in self._index

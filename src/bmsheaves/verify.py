@@ -119,9 +119,7 @@ class SuiteContext:
         key = (name, max_length)
         if key not in self._elements:
             bound = _FULL_LENGTH[name] if max_length is None else max_length
-            self._elements[key] = sorted(
-                element_ball(self.system(name), bound), key=sort_key
-            )
+            self._elements[key] = element_ball(self.system(name), bound)
         return self._elements[key]
 
     def kl_scope(self):

@@ -341,6 +341,38 @@ def differential_sheaf(request):
     return bm_construct(build_graph(system, x, kind="quotient", s=s))
 
 
+def _up_closure(graph, w):
+    """The vertices reached from w along one or more up-edges."""
+    seen, stack = set(), [w]
+    while stack:
+        for e in graph.up[stack.pop()]:
+            if e.upper not in seen:
+                seen.add(e.upper)
+                stack.append(e.upper)
+    return seen
+
+
+@pytest.mark.parametrize("key", sorted(_DIFFERENTIAL) + ["A3:121321"])
+def test_the_upper_set_is_the_bruhat_order_and_the_up_edge_closure(key, request):
+    """`MomentGraph.above(w)` lists the z > w in Bruhat order, in vertex
+    order, and holds the same set as the transitive closure of the
+    up-edges from w; the second call returns the memoized tuple."""
+    name, word, s = _DIFFERENTIAL.get(key, ("a3", "121321", None))
+    system = request.getfixturevalue(name)
+    x = elt(system, word)
+    if s is None:
+        graph = build_graph(system, x)
+    else:
+        graph = build_graph(system, x, kind="quotient", s=s)
+    for w in graph.vertices:
+        above = graph.above(w)
+        assert above == tuple(
+            z for z in graph.vertices if z is not w and bruhat_leq(w, z)
+        )
+        assert set(above) == _up_closure(graph, w), w
+        assert graph.above(w) is above
+
+
 def test_builder_matches_the_global_sections_above_each_vertex(differential_sheaf):
     bm = differential_sheaf
     graph = bm.graph

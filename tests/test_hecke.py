@@ -49,7 +49,8 @@ def test_quadratic_relation_in_the_normalized_basis(a2, a2_alg):
 
 
 def test_bar_fixes_the_identity_and_inverts_generators(a2, a2_alg):
-    assert a2_alg.bar(a2_alg.one()) == a2_alg.one()
+    one = a2_alg.Tt(a2.identity)
+    assert a2_alg.bar(one) == one
     s = a2.generators[0]
     barred = a2_alg.bar(a2_alg.Tt(s))
     assert barred == a2_alg.Tt(s) + a2_alg.Tt(a2.identity, v(1) - v(-1))
@@ -199,7 +200,7 @@ def test_the_duality_matches_products_of_inverse_generators(name):
         ref = one
         for s in x.word:
             ref = alg.mult(ref, inverse[s])
-        assert alg.bar_tt(x) == ref.scale(v(-x.length)), x
+        assert alg.bar(alg.Tt(x)) == ref.scale(v(-x.length)), x
     rng = random.Random(name)
 
     def draw():
@@ -226,7 +227,7 @@ def test_a_long_dihedral_word_widens_the_packing(u2):
     for s in x.word:
         inverse = alg.T(u2.generators[s], v(2)) + alg.T(u2.identity, v(2) - v(0))
         ref = alg.mult(ref, inverse)
-    assert alg.bar_tt(x) == ref.scale(v(-x.length))
+    assert alg.bar(alg.Tt(x)) == ref.scale(v(-x.length))
 
 
 @pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
@@ -239,7 +240,7 @@ def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
     system = make_system(coxeter)
     ball = element_ball(system, bound)
     wide = HeckeAlgebra(system)
-    bars = [wide.bar_tt(x) for x in ball]
+    bars = [wide.bar(wide.Tt(x)) for x in ball]
     solved = [wide.kl_oracle(x) for x in ball]
     monkeypatch.setattr(hecke, "_START_BITS", 8)
     restarts = []
@@ -253,14 +254,14 @@ def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
 
     monkeypatch.setattr(HeckeAlgebra, "_solve", counted)
     fill_first = HeckeAlgebra(system)
-    assert [fill_first.bar_tt(x) for x in ball] == bars
+    assert [fill_first.bar(fill_first.Tt(x)) for x in ball] == bars
     assert (fill_first._bits > 8) == (ball[-1].length >= 5)
     assert not restarts
     assert [fill_first.kl_oracle(x) for x in ball] == solved
     solve_first = HeckeAlgebra(system)
     assert [solve_first.kl_oracle(x) for x in ball] == solved
     assert restarts
-    assert [solve_first.bar_tt(x) for x in ball] == bars
+    assert [solve_first.bar(solve_first.Tt(x)) for x in ball] == bars
 
 
 @pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
@@ -360,7 +361,7 @@ def test_an_element_of_another_system_is_refused(a2, b2):
         with pytest.raises(InputError, match="different systems"):
             alg.kl_oracle(x)
         with pytest.raises(InputError, match="different systems"):
-            alg.bar_tt(x)
+            alg.bar(alg.Tt(x))
         for basis in (BASIS_T, BASIS_TT):
             with pytest.raises(InputError, match="different systems"):
                 alg.bar(HeckeElt(basis, {x: v(1)}))
@@ -369,7 +370,8 @@ def test_an_element_of_another_system_is_refused(a2, b2):
 def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
     """`kl_basis` of an A2 algebra refuses B2 elements of every length,
     the identity and a generator included, before it reads or writes its
-    memo; the A2 values it holds stay as they were."""
+    memo, and `kl_polynomial` refuses them in either argument; the A2
+    values it holds stay as they were."""
     alg = HeckeAlgebra(a2)
     want = {x: alg.kl_basis(x) for x in (a2.identity, elt(a2, "1"), elt(a2, "121"))}
     products = dict(alg.kl_products)
@@ -378,6 +380,10 @@ def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
     for x in (b2.identity, elt(b2, "1"), elt(b2, "2"), elt(b2, "1212")):
         with pytest.raises(InputError, match="different systems"):
             alg.kl_basis(x)
+        with pytest.raises(InputError, match="different systems"):
+            alg.kl_polynomial(x, elt(a2, "121"))
+        with pytest.raises(InputError, match="different systems"):
+            alg.kl_polynomial(elt(a2, "1"), x)
     assert alg.kl_products == products
     assert alg._kl_cols == packed
     assert (alg._kl_norms, alg._kl_bits) == (norms, bits)
@@ -401,7 +407,9 @@ def test_an_algebra_serves_the_elements_of_equal_data():
         assert alg.kl_basis(elt(second, word)) == want
         assert alg.kl_oracle(elt(second, word)) == want
         assert alg.kl_basis(elt(first, word)) == want
-        assert alg.bar_tt(elt(second, word)) == reference.bar_tt(elt(first, word))
+        assert alg.bar(alg.Tt(elt(second, word))) == (
+            reference.bar(reference.Tt(elt(first, word)))
+        )
         for y in bruhat_interval(elt(second, word)):
             assert alg.kl_polynomial(y, elt(second, word)) == (
                 reference.kl_polynomial(y, elt(first, word))
@@ -424,7 +432,7 @@ def test_the_duality_solve_refuses_terms_it_cannot_push(a2, y, z, message):
     # fill the memo first: each d(Tt_x) is built from its prefix's, so a
     # bad entry written before then would also reach d(Tt_12)
     for x in bruhat_interval(elt(a2, "12")):
-        alg.bar_tt(x)
+        alg.bar(alg.Tt(x))
     # add 1 to the packed entry at z of y's column, the lowest digit: the
     # term v^(l(z)-l(y)) Tt_z, of the one parity the packed format holds
     column = alg._bar_tt[elt(a2, y)]
@@ -454,7 +462,7 @@ def test_the_duality_solve_refuses_a_defect_that_is_not_skew(a2, digit, defect):
     alg = HeckeAlgebra(a2)
     # fill the memo first, so the bad entry stays out of d(Tt_121)
     for x in bruhat_interval(elt(a2, "121")):
-        alg.bar_tt(x)
+        alg.bar(alg.Tt(x))
     alg._bar_tt[elt(a2, "12")][elt(a2, "1")] += 1 << (alg._bits * digit)
     message = re.escape(f"defect at 1 is not skew: {defect};")
     with pytest.raises(InconsistencyError, match=message):
@@ -477,7 +485,7 @@ def test_the_duality_solve_refuses_a_defect_of_odd_depth(b2, digit, defect):
     alg = HeckeAlgebra(b2)
     # fill the memo first, so the bad entry stays out of d(Tt_1212)
     for x in bruhat_interval(elt(b2, "1212")):
-        alg.bar_tt(x)
+        alg.bar(alg.Tt(x))
     alg._bar_tt[elt(b2, "121")][elt(b2, "1")] += 1 << (alg._bits * digit)
     message = re.escape(f"defect at 1 is not skew: {defect};")
     with pytest.raises(InconsistencyError, match=message):

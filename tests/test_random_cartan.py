@@ -1,13 +1,20 @@
-"""Seeded sweep over random admissible rank-3 Cartan data (Hecke half).
+"""Seeded sweep over random admissible rank-3 Cartan data.
 
 Each seed draws a rank-3 Coxeter matrix with bonds from {2, 3, 4, 6,
 infinity} and an integer Cartan matrix realizing it: the pair
 (a_st, a_ts) has product 0, 1, 2 or 3 for bonds 2, 3, 4 and 6, and at
-least 4 for infinity, and need not be symmetric.  On every element of
-length at most 5 the two routes to the self-dual basis must agree and the
-normal form of the element's own word must be the element; otherwise the
-draw must end in one of the package's typed errors.  `check_draw` is
-also run over more seeds as a separate CI step:
+least 4 for infinity, and need not be symmetric.  Every draw must either
+pass its checks or end in one of the package's typed errors.
+
+  Hecke half (`check_draw`): on every element of length at most 5 the two
+  routes to the self-dual basis agree, and the normal form of the
+  element's own word is the element.
+  Sheaf half (`check_sheaf_draw`): at every element x of one length, the
+  canonical sheaf on [e, x] has the character of both routes, passes the
+  flabbiness and local rank checks at every vertex, and has every
+  subleading character coefficient in v Z[v].
+
+Both are also run over more seeds as separate CI steps:
 
     cd tests && python -c 'from test_random_cartan import check_draw; ...'
 """
@@ -16,6 +23,13 @@ import random
 
 import pytest
 
+from bmsheaves.bmsheaf import (
+    bm_construct,
+    character,
+    check_conjecture_72,
+    check_flabby_additive,
+    check_prop_71,
+)
 from bmsheaves.coxeter import INFINITE, element_ball, make_system, normal_form
 from bmsheaves.errors import (
     CapError,
@@ -25,6 +39,7 @@ from bmsheaves.errors import (
     RealizationError,
 )
 from bmsheaves.hecke import HeckeAlgebra
+from bmsheaves.momentgraph import build_graph
 
 TYPED_ERRORS = (
     CapError,
@@ -43,6 +58,8 @@ _FINITE_PAIRS = {
     6: [(-1, -3), (-3, -1)],
 }
 MAX_LENGTH = 5
+# the report of check_prop_71 at a vertex where both identities hold
+_LOCAL_OK = {"kernel_rank": True, "mirror": True}
 
 
 def draw(seed):
@@ -79,6 +96,32 @@ def check_draw(seed):
     return "ok"
 
 
+def check_sheaf_draw(seed, length):
+    """"ok" when, at every element x of the given length in the seed's
+    system, the canonical sheaf on [e, x] has the character kl_basis(x) =
+    kl_oracle(x), check_flabby_additive and check_prop_71 hold at every
+    vertex, and every subleading character coefficient is in v Z[v]; else
+    the name of the typed error that ended the draw.  Anything else
+    fails."""
+    coxeter, cartan = draw(seed)
+    try:
+        system = make_system(coxeter, cartan)
+        alg = HeckeAlgebra(system)
+        for x in element_ball(system, length):
+            if x.length < length:
+                continue
+            bm = bm_construct(build_graph(system, x))
+            where = (seed, str(x))
+            assert character(bm) == alg.kl_basis(x) == alg.kl_oracle(x), where
+            for w in bm.graph.vertices:
+                assert check_flabby_additive(bm, w), where + (str(w),)
+                assert check_prop_71(bm, w) == _LOCAL_OK, where + (str(w),)
+            assert all(pos for pos, _, _ in check_conjecture_72(bm).values()), where
+    except TYPED_ERRORS as exc:
+        return type(exc).__name__
+    return "ok"
+
+
 def test_draws_are_admissible():
     """Every draw passes `make_system`'s checks, and the draws reach every
     bond order and a non-symmetric pair."""
@@ -96,3 +139,10 @@ def test_draws_are_admissible():
 @pytest.mark.parametrize("seed", range(20))
 def test_random_rank3_data_agree_or_raise_a_typed_error(seed):
     assert check_draw(seed) in ("ok",) + tuple(e.__name__ for e in TYPED_ERRORS)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_rank3_sheaves_match_both_routes_or_raise_a_typed_error(seed):
+    assert check_sheaf_draw(seed, 4) in ("ok",) + tuple(
+        e.__name__ for e in TYPED_ERRORS
+    )
