@@ -4,10 +4,11 @@ A sheaf here assigns a graded free S-module to every vertex (the stalk),
 the quotient B^E = B^upper / alpha B^upper to every edge, and restriction
 maps rho from both endpoint stalks into B^E; the upper restriction is
 always the canonical quotient.  Sections over a vertex subset are tuples
-of stalk elements agreeing in B^E along every internal edge; degree by
-degree they are the kernel of a block-sparse integer linear system with
-one row per edge-module coordinate.  `Sheaf.glue` eliminates such a
-system for sections and for pair costalks.
+of stalk elements agreeing in B^E along every internal edge: the kernel
+of the S-linear map rho_lower - rho_upper from the stalks there into the
+edge modules, `Sheaf.gluing_map`.  The sections, the costalk at a vertex
+and the pair costalks behind wall crossing are all kernels of that one
+map, over different vertices and edges.
 
 The canonical sheaf on an interval graph is built top down: the top
 stalk is one copy of S; at each lower vertex y the stalk is the
@@ -28,21 +29,23 @@ lifts those generators to y.  The costalk's minimal generators join the
 list.  Each downward restriction sends a stalk generator to its
 component on that edge, and its columns are derived on read, as for
 any map.  The costalk at a vertex (sections supported only there) is
-the kernel of the stacked upward restrictions; in the canonical case
-its graded rank is finite over the cap and deconvolves exactly.  Pair
-costalks glue their own small systems.  The flabbiness check certifies
-the whole sheaf once from the builder's sections, verified against the
-stored stalks and maps: every generator glues on its edges, and at each
-vertex the generators born there span the locally solved costalk.  A
-failed witness refuses; nothing solves the sections again.
+the kernel of the gluing map of its upward edges; in the canonical case
+its graded rank is finite over the cap and deconvolves exactly.  A pair
+costalk is the kernel of the gluing map of the pair's edges inside the
+upper set it spans.  The flabbiness check certifies the whole sheaf
+once from the builder's sections, verified against the stored stalks
+and maps: every generator glues on its edges, and at each vertex the
+generators born there span the locally solved costalk.  A failed
+witness refuses; nothing solves the sections again.
 
-The builder and `Sheaf.costalk_dims` both solve the kernel of an
-S-linear map out of a free stalk, degree by degree, and neither
-eliminates a column that the kernel one degree down has settled
-(`gradedlin.KernelSweep`).  This is the leading-term criterion of the
-Macaulay-matrix Groebner methods (Faugere's F4).  A column is dropped
-when it is x_k mu for a free column mu of the degree below, and the
-proof that this changes no output has five steps.
+The builder, `Sheaf.costalk_dims` and the pair costalks solve the kernel
+of an S-linear map out of free stalks, degree by degree, and none of
+them eliminates a column that the kernel one degree down has settled
+(`gradedlin.KernelSweep`); `Sheaf.sections` eliminates every column.
+This is the leading-term criterion of the Macaulay-matrix Groebner
+methods (Faugere's F4).  A column is dropped when it is x_k mu for a
+free column mu of the degree below, and the proof that this changes no
+output has five steps.
 
 1. A stored row's pivot is its least column, so each kernel basis
    vector's largest column is its own free column.
@@ -59,8 +62,8 @@ proof that this changes no output has five steps.
    at mu, less vectors at smaller free columns, up to a scalar.  So it
    lies in the S-multiples of lower degrees plus the span of the vectors
    before it, and `minimal_generators` never picks it.  The builder
-   passes it only the kept vectors and records the costalk's dimension
-   as #dropped + #kept-free.
+   and `pair_ze_module` pass it only the kept vectors and take the
+   costalk's dimension as #dropped + #kept-free.
 5. A column is kept only when every x_k-divisor of its monomial is a
    pivot one degree down.  Its predecessor under the ring's `_steps`,
    whose column one x_k-step carries to its own, is one of them, so it
@@ -99,7 +102,7 @@ from .gradedlin import (
 )
 from .hecke import BASIS_TT, HeckeElt
 from .laurent import LaurentPoly
-from .linalg import Echelon, solve_in_span
+from .linalg import Echelon, column_echelon, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
 
 __all__ = [
@@ -150,32 +153,37 @@ class Sheaf:
 
     # -- sections -----------------------------------------------------------
 
-    def glue(self, edges, d, offsets) -> Echelon:
-        """The Echelon of the gluing rows of `edges` in degree d: per edge
-        e, one row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per basis
-        position of B^e, over the columns where `offsets` starts each end's
-        stalk.  An end that `offsets` leaves out is taken to be zero.  The
-        rows of all the edges go in as one batch, sparsest first
-        (`Echelon.extend`)."""
-        rows = []
-        for e in edges:
-            block = [{} for _ in range(self.edge_mod[e].dim(d))]
-            for end, rho, sign in (
-                (e.lower, self.rho_lower, 1),
-                (e.upper, self.rho_upper, -1),
-            ):
-                o = offsets.get(end)
-                if o is None:
-                    continue
-                for j, col in enumerate(rho[e].columns(d), o):
-                    for r, a in col.items():
-                        block[r][j] = sign * a
-            rows += block
-        ech = Echelon()
-        ech.extend(rows)
-        return ech
+    def gluing_map(self, verts, edges) -> ModuleMap:
+        """The map from the stalks at `verts`, in order, into the direct
+        sum of the edge modules of `edges`: on each edge, rho_lower of the
+        lower end's component minus rho_upper of the upper end's, with an
+        end outside `verts` taken as zero.  Its kernel is the sections
+        over `verts` that vanish at those outside ends.  Its source
+        columns in degree d are the stalks' own, one stalk after the
+        other."""
+        target = DirectSum(self.ring, [self.edge_mod[e] for e in edges])
+        ends = {w: [] for w in verts}  # (edge index, generator images, sign)
+        for idx, e in enumerate(edges):
+            if e.lower in ends:
+                ends[e.lower].append((idx, self.rho_lower[e].images, 1))
+            if e.upper in ends:
+                ends[e.upper].append((idx, self.rho_upper[e].images, -1))
+        gens, images = [], []
+        for w in verts:
+            gens += self.stalks[w].gens
+            for i, g in enumerate(self.stalks[w].gens):
+                off = target.offsets(g)
+                image = {}
+                for idx, imgs, sign in ends[w]:
+                    image.update((off[idx] + t, sign * a) for t, a in imgs[i].items())
+                images.append(image)
+        return ModuleMap(FreeModule(self.ring, gens), target, images)
 
     def sections(self, vset, d) -> SectionSpace:
+        """The degree-d sections over the vertex set `vset`, cached per
+        set and degree: the kernel of the gluing map of its internal
+        edges, over every column.  `offsets` places each vertex's stalk,
+        in graph order, in the kernel vectors."""
         verts = tuple(sorted(vset, key=self.graph.index))
         key = (verts, d)
         cached = self._section_cache.get(key)
@@ -183,15 +191,15 @@ class Sheaf:
             return cached
         inside = set(verts)
         offsets = {}
-        starts = {}
         total = 0
         for w in verts:
             dim = self.stalks[w].dim(d)
             offsets[w] = (total, total + dim)
-            starts[w] = total
             total += dim
         edges = [e for e in self.graph.edges if {e.lower, e.upper} <= inside]
-        space = SectionSpace(d, offsets, self.glue(edges, d, starts).kernel(total))
+        m = self.gluing_map(verts, edges)
+        ech = column_echelon(m.columns(d), m.target.dim(d))
+        space = SectionSpace(d, offsets, ech.kernel(total))
         self._section_cache[key] = space
         return space
 
@@ -199,33 +207,24 @@ class Sheaf:
 
     def costalk_dims(self, w, degrees):
         """Dimensions of the sections supported only at w, the kernel of
-        the stacked upward restrictions, in the given degrees.
+        the gluing map of the upward edges at w, in the given degrees.
 
-        A `KernelSweep` steps the restrictions' generator images, stacked
-        in the direct sum of the edge modules above w, through every even
-        degree up to the last one asked for.  It drops the stalk columns
-        x_k mu for mu a free column one degree down, where a kernel
-        vector ends (step 1 of the module docstring).  Each is a
-        combination of smaller columns (step 2), so the rank is the one
-        over every column, and the dimension is the stalk's minus that
-        rank, the number of dropped columns plus the number of kept free
-        ones (step 3).  Only the last degree's pivot columns are held
-        (step 5), and the maps' own column memos are not filled.
+        A `KernelSweep` steps that map through every even degree up to
+        the last one asked for.  It drops the stalk columns x_k mu for mu
+        a free column one degree down, where a kernel vector ends (step 1
+        of the module docstring).  Each is a combination of smaller
+        columns (step 2), so the rank is the one over every column, and
+        the dimension is the stalk's minus that rank, the number of
+        dropped columns plus the number of kept free ones (step 3).  Only
+        the last degree's pivot columns are held (step 5), and no
+        restriction map's column memo is filled.
         """
         degrees = tuple(degrees)
-        stalk = self.stalks[w]
-        up = self.graph.up[w]
-        target = DirectSum(self.ring, [self.edge_mod[e] for e in up])
-        images = []
-        for i, g in enumerate(stalk.gens):
-            image = {}
-            for o, e in zip(target.offsets(g), up):
-                image.update((o + t, a) for t, a in self.rho_lower[e].images[i].items())
-            images.append(image)
-        sweep = KernelSweep(target, stalk.gens, images)
+        m = self.gluing_map([w], self.graph.up[w])
+        sweep = KernelSweep(m.target, m.source.gens, m.images)
         dims = {}
         for d in range(0, max(degrees, default=-2) + 1, 2):
-            dims[d] = stalk.dim(d) - sweep.step(d)[0].dim
+            dims[d] = m.source.dim(d) - sweep.step(d)[0].dim
         return {d: dims.get(d, 0) for d in degrees}
 
 
@@ -451,9 +450,15 @@ class PairCostalk:
 
 
 def _pair_systems(bm: BMSheaf, y: Element, s: int):
-    """(ys, cap, {d: (echelon, width)}); the pair costalk is the kernel."""
+    """(ys, cap, {d: (echelon, positions, width)}) for every even d up to
+    cap = caps[ys]: one `KernelSweep` of the gluing map of the pair
+    {ys, y} inside {>= ys}, whose kernel is the pair costalk.  The
+    echelon's columns are the kept source columns, at the stalk
+    positions `positions` (lower stalk first); the costalk's dimension
+    is the width, the source's dimension, minus the rank (step 3 of the
+    module docstring)."""
     graph = bm.graph
-    gen = graph.system.generators[s]
+    gen = graph.system.generator(s)
     ys = multiply(y, gen)
     if ys.length >= y.length:
         raise InputError(f"{y} has no right descent {s + 1}")
@@ -467,17 +472,19 @@ def _pair_systems(bm: BMSheaf, y: Element, s: int):
         for e in graph.edges
         if e.lower in omega and e.upper in omega and {e.lower, e.upper} & {ys, y}
     ]
+    m = bm.gluing_map([ys, y], edges)
+    sweep = KernelSweep(m.target, m.source.gens, m.images)
     systems = {}
     for d in range(0, bm.caps[ys] + 1, 2):
-        offsets = {ys: 0, y: bm.stalks[ys].dim(d)}
-        systems[d] = bm.glue(edges, d, offsets), offsets[y] + bm.stalks[y].dim(d)
+        ech, positions = sweep.step(d)
+        systems[d] = ech, positions, m.source.dim(d)
     return ys, bm.caps[ys], systems
 
 
 def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
     """The pair costalk's dimensions (width minus rank per degree) and rank."""
     ys, cap, systems = _pair_systems(bm, y, s)
-    dims = {d: width - ech.dim for d, (ech, width) in systems.items()}
+    dims = {d: width - ech.dim for d, (ech, _, width) in systems.items()}
     return PairCostalk(ys, y, rank_from_dims(dims, bm.ring.nvars, cap), dims)
 
 
@@ -486,12 +493,16 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
 
     xi = (alpha_t, 0) acts on a supported-on-pair section by scaling the
     lower component by the connecting edge label and killing the upper.
-    xi is one exact solve per minimal generator of the costalk.  Those
-    images present it only when the free module on the generators has
-    the costalk's dimension in every degree, which is checked.  The
-    module is presented by D*alpha and D*xi, D the least common
-    denominator of the images: (D xi)^2 = (D alpha)(D xi), and the
-    kernels and spans that `decompose_ze_module` reads are unchanged.
+    xi is one exact solve per minimal generator of the costalk, picked
+    from its kernel vectors at the kept free columns of the pair's
+    sweep; they are those of the system over every column, and
+    `minimal_generators` never picks a vector at a dropped column (steps
+    3 and 4 of the module docstring).  The images present the costalk
+    only when the free module on the generators has its dimension, width
+    minus rank, in every degree, which is checked.  The module is
+    presented by D*alpha and D*xi, D the least common denominator of the
+    images: (D xi)^2 = (D alpha)(D xi), and the kernels and spans that
+    `decompose_ze_module` reads are unchanged.
     """
     ys, cap, systems = _pair_systems(bm, y, s)
     edge = next((e for e in bm.graph.up[ys] if e.upper == y), None)
@@ -499,10 +510,12 @@ def pair_ze_module(bm: BMSheaf, y: Element, s: int) -> ZEModule:
         raise InputError(f"no edge joins {ys} and {y}")
     alpha = edge.label.coords
     ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
-    bases = {d: ech.kernel(width) for d, (ech, width) in systems.items()}
+    bases = {}
+    for d, (ech, kept, _) in systems.items():
+        bases[d] = [{kept[i]: a for i, a in v.items()} for v in ech.kernel(len(kept))]
     gens = minimal_generators(bases, ambient, cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
-    if any(free.dim(d) != len(basis) for d, basis in bases.items()):
+    if any(free.dim(d) != width - ech.dim for d, (ech, _, width) in systems.items()):
         raise InconsistencyError("pair costalk is not free on its minimal generators")
     emb = ModuleMap(free, ambient, [v for _, v in gens])
     lower_stalk = bm.stalks[ys]
@@ -529,14 +542,9 @@ def theta_character(bm: BMSheaf, s: int) -> HeckeElt:
     with shifts -1 at the upper and +1 at the lower vertex.
     """
     graph = bm.graph
-    gen = graph.system.generators[s]
+    gen = graph.system.generator(s)
     big_l = bm.top.length
     coeffs = {}
-
-    def _add(x, poly):
-        cur = coeffs.get(x, LaurentPoly.zero())
-        coeffs[x] = cur + poly
-
     for w in graph.vertices:
         ws = multiply(w, gen)
         if ws.length < w.length:
@@ -545,8 +553,8 @@ def theta_character(bm: BMSheaf, s: int) -> HeckeElt:
             q_pair = costalk_interval(bm, ws, s).rank
         else:
             q_pair = bm.costalk_ranks[w]
-        _add(ws, q_pair.shift(ws.length - big_l - 1))
-        _add(w, q_pair.shift(w.length - big_l + 1))
+        coeffs[ws] = coeffs.get(ws, 0) + q_pair.shift(ws.length - big_l - 1)
+        coeffs[w] = coeffs.get(w, 0) + q_pair.shift(w.length - big_l + 1)
     return HeckeElt(BASIS_TT, coeffs)
 
 

@@ -208,6 +208,12 @@ class CoxeterSystem:
             out.append(_intern(self, (i,), m, m))
         return tuple(out)
 
+    def generator(self, s):
+        """The generator of 0-based index s; InputError for any other s."""
+        if not 0 <= s < self.rank:
+            raise InputError(f"generator index {s} out of range")
+        return self.generators[s]
+
     def element(self, word):
         return normal_form(self, word)
 

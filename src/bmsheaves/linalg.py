@@ -26,10 +26,10 @@ first, and every system in the package is eliminated that way.
 Most systems arrive as columns, one sparse vector per unknown, and
 `column_echelon` is their one entry: it transposes the columns into
 equations and extends an Echelon by them.  `solve_in_span`, the
-builder's per-vertex system and the Z(E)-module kernels all go through
-it.  Two systems stay row-built on purpose: the gluing rows of a sheaf,
-written straight from the restriction maps, and a span of vectors,
-whose rows are the vectors themselves.
+builder's per-vertex system, the gluing map of a sheaf (its sections,
+costalks and pair costalks) and the Z(E)-module kernels all go through
+it.  Only a span of vectors stays row-built, since its rows are the
+vectors themselves.
 """
 
 from __future__ import annotations

@@ -321,6 +321,7 @@ def sigma(graph: MomentGraph, alpha) -> ZTuple:
 
 def c_invariant(graph: MomentGraph, s: int) -> ZTuple:
     """The tuple c^s with c^s_w = w(alpha_s)."""
+    graph.system.generator(s)  # refuses an index out of range
     unit = tuple(1 if i == s else 0 for i in range(graph.system.rank))
     return ZTuple(graph, [_linear(w.apply(unit)) for w in graph.vertices])
 
@@ -338,7 +339,7 @@ def split_invariant(graph: MomentGraph, s: int, z: ZTuple):
     """
     if graph.kind != "regular":
         raise InputError("the invariant splitting needs a regular orbit graph")
-    gen = graph.system.generators[s]
+    gen = graph.system.generator(s)
     partner = {}
     for w in graph.vertices:
         ws = multiply(w, gen)

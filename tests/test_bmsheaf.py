@@ -302,6 +302,52 @@ def _stalk_image(bm, w, d):
     return out
 
 
+def _gluing_rows(sheaf, edges, d, offsets):
+    """The gluing system of `edges` in degree d, derived row by row: per
+    edge e, one row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per
+    coordinate of B^e, read from each restriction's own columns, over the
+    columns where `offsets` starts each end's stalk.  An end that
+    `offsets` leaves out is taken to be zero.  The reference for
+    `Sheaf.gluing_map`."""
+    rows = []
+    for e in edges:
+        block = [{} for _ in range(sheaf.edge_mod[e].dim(d))]
+        for end, rho, sign in (
+            (e.lower, sheaf.rho_lower, 1),
+            (e.upper, sheaf.rho_upper, -1),
+        ):
+            o = offsets.get(end)
+            if o is None:
+                continue
+            for j, col in enumerate(rho[e].columns(d), o):
+                for r, a in col.items():
+                    block[r][j] = sign * a
+        rows += block
+    ech = Echelon()
+    ech.extend(rows)
+    return ech
+
+
+def _starts(sheaf, verts, d):
+    """({vertex: start}, total) of the stalks of `verts` in degree d, one
+    after the other in the given order."""
+    offsets, n = {}, 0
+    for z in verts:
+        offsets[z] = n
+        n += sheaf.stalks[z].dim(d)
+    return offsets, n
+
+
+def _pair_edges(graph, ys, y):
+    """The edges inside {>= ys} with an end in the pair {ys, y}."""
+    omega = {z for z in graph.vertices if bruhat_leq(ys, z)}
+    return [
+        e
+        for e in graph.edges
+        if {e.lower, e.upper} <= omega and {e.lower, e.upper} & {ys, y}
+    ]
+
+
 def _global_pair_costalk(bm, y, ys, d):
     """Sections over {>= ys} vanishing outside {ys, y}, as vectors on the pair."""
     graph = bm.graph
@@ -399,13 +445,87 @@ def test_pair_costalks_match_the_global_construction(differential_sheaf):
             pairs += 1
             pc = costalk_interval(bm, y, s)
             assert sorted(pc.dims) == list(range(0, bm.caps[ys] + 1, 2))
-            for d, (ech, width) in bmsheaf._pair_systems(bm, y, s)[2].items():
-                basis = ech.kernel(width)
+            edges = _pair_edges(graph, ys, y)
+            for d, (ech, _, width) in bmsheaf._pair_systems(bm, y, s)[2].items():
+                offsets, n = _starts(bm, (ys, y), d)
+                basis = _gluing_rows(bm, edges, d, offsets).kernel(n)
                 ref = _global_pair_costalk(bm, y, ys, d)
-                assert pc.dims[d] == len(basis) == len(ref), (y, s, d)
+                assert pc.dims[d] == width - ech.dim == len(basis) == len(ref)
                 assert _same_span(basis, ref), (y, s, d)
     assert pairs
     bm.clear_caches()
+
+
+def _upper_sets(graph):
+    """Every upper set of the graph's Bruhat order, each a frozenset."""
+    found = {frozenset()}
+    stack = [frozenset()]
+    while stack:
+        upper = stack.pop()
+        for w in graph.vertices:
+            if w not in upper and upper.issuperset(graph.above(w)):
+                grown = upper | {w}
+                if grown not in found:
+                    found.add(grown)
+                    stack.append(grown)
+    return found
+
+
+def _assert_gluing_map_matches_the_rows(sheaf, verts, edges, degrees):
+    """The gluing map's columns, eliminated by `column_echelon`, give the
+    Echelon rows of the row-built system in every degree."""
+    m = sheaf.gluing_map(verts, edges)
+    for d in degrees:
+        offsets, n = _starts(sheaf, verts, d)
+        ref = _gluing_rows(sheaf, edges, d, offsets)
+        assert m.source.dim(d) == n
+        assert column_echelon(m.columns(d), m.target.dim(d)).rows == ref.rows
+
+
+def test_gluing_map_matches_the_row_built_systems(differential_sheaf, monkeypatch):
+    """`Sheaf.gluing_map` against `_gluing_rows`: the sections over every
+    nonempty upper set up to the least cap in it, the costalk at every
+    vertex up to the largest cap and every pair system.  The pair sweeps'
+    kernel vectors at their kept columns are those of the row-built
+    system there (step 3 of the `bmsheaf` docstring)."""
+    bm = differential_sheaf
+    graph = bm.graph
+    for upper in _upper_sets(graph) - {frozenset()}:
+        verts = sorted(upper, key=graph.index)
+        inner = [e for e in graph.edges if {e.lower, e.upper} <= upper]
+        cap = min(bm.caps[z] for z in upper)
+        _assert_gluing_map_matches_the_rows(bm, verts, inner, range(0, cap + 1, 2))
+    degrees = range(0, max(bm.caps.values()) + 1, 2)
+    for w in graph.vertices:
+        _assert_gluing_map_matches_the_rows(bm, [w], graph.up[w], degrees)
+    calls = []
+    gluing_map = bm.gluing_map
+
+    def record(verts, edges):
+        calls.append((verts, edges))
+        return gluing_map(verts, edges)
+
+    monkeypatch.setattr(bm, "gluing_map", record)
+    for y in graph.vertices:
+        for s, gen in enumerate(graph.system.generators):
+            ys = multiply(y, gen)
+            if ys.length > y.length or ys not in graph:
+                continue
+            del calls[:]
+            systems = bmsheaf._pair_systems(bm, y, s)[2]
+            [(verts, edges)] = calls
+            assert verts == [ys, y]
+            assert edges == _pair_edges(graph, ys, y)
+            _assert_gluing_map_matches_the_rows(bm, verts, edges, systems)
+            for d, (ech, positions, width) in systems.items():
+                offsets, n = _starts(bm, verts, d)
+                ref = _gluing_rows(bm, edges, d, offsets)
+                assert width == n and width - ech.dim == n - ref.dim
+                full = {max(vec): vec for vec in ref.kernel(n)}
+                for vec in ech.kernel(len(positions)):
+                    kept = {positions[i]: a for i, a in vec.items()}
+                    assert kept == full[max(kept)], (y, s, d)
+    assert calls
 
 
 def test_local_costalk_solve_matches_the_builder(differential_sheaf):
@@ -422,7 +542,10 @@ def _costalk_dims_by_all_columns(sheaf, w, degrees):
     upward edges at w over every stalk column, and the stalk's dimension
     less their rank."""
     up = sheaf.graph.up[w]
-    return {d: sheaf.stalks[w].dim(d) - sheaf.glue(up, d, {w: 0}).dim for d in degrees}
+    return {
+        d: sheaf.stalks[w].dim(d) - _gluing_rows(sheaf, up, d, {w: 0}).dim
+        for d in degrees
+    }
 
 
 def _assert_costalks_match_the_all_column_solve(sheaf):
@@ -456,7 +579,10 @@ def _all_edge_kernel_dims(bm, w, degrees):
     elimination per degree: the solve that `check_prop_71` replaces by
     the costalk."""
     edges = bm.graph.up[w] + bm.graph.down[w]
-    return {d: bm.stalks[w].dim(d) - bm.glue(edges, d, {w: 0}).dim for d in degrees}
+    return {
+        d: bm.stalks[w].dim(d) - _gluing_rows(bm, edges, d, {w: 0}).dim
+        for d in degrees
+    }
 
 
 def _prop_71_by_local_kernel_refuses(bm, w):
@@ -504,11 +630,11 @@ def _flabby_by_vertex(bm, w):
         for z in above:
             offsets[z] = n
             n += bm.stalks[z].dim(d)
-        dim_gt = n - start - bm.glue(inner, d, offsets).dim
+        dim_gt = n - start - _gluing_rows(bm, inner, d, offsets).dim
         if dim_gt != logged.get(d, 0):
             return False
         # pivots depend only on the row space, not on the insertion order
-        ech = bm.glue(inner + list(graph.up[w]), d, offsets)
+        ech = _gluing_rows(bm, inner + list(graph.up[w]), d, offsets)
         if n - ech.dim != dim_gt + costalk.get(d, 0):
             return False
         # a stored row's pivot is its smallest column, so the rows with a
@@ -605,11 +731,8 @@ def _onto_by_global_elimination(bm):
     costalks = [bm.costalk_dims(z, degrees) for z in graph.vertices]
     onto = {}
     for d in degrees:
-        offsets, n = {}, 0
-        for z in reversed(graph.vertices):
-            offsets[z] = n
-            n += bm.stalks[z].dim(d)
-        glued = n - bm.glue(graph.edges, d, offsets).dim
+        offsets, n = _starts(bm, reversed(graph.vertices), d)
+        glued = n - _gluing_rows(bm, graph.edges, d, offsets).dim
         onto[d] = glued == sum(c[d] for c in costalks)
     return onto
 
@@ -743,11 +866,17 @@ def test_pair_modules_with_scaled_labels_decompose_the_same(a2, monkeypatch):
 def _xi_columns_by_column(bm, y, s):
     """Reference for xi on the pair module of (ys, y): one exact solve per
     basis column of the costalk's embedding in every degree d <= cap - 2,
-    all scaled by the least common denominator of the solves."""
-    ys, cap, systems = bmsheaf._pair_systems(bm, y, s)
+    all scaled by the least common denominator of the solves.  The
+    costalk's generators are picked from its kernel over every column."""
+    ys = multiply(y, bm.graph.system.generators[s])
+    cap = bm.caps[ys]
     alpha = next(e for e in bm.graph.up[ys] if e.upper == y).label.coords
     ambient = DirectSum(bm.ring, [bm.stalks[ys], bm.stalks[y]])
-    bases = {d: ech.kernel(width) for d, (ech, width) in systems.items()}
+    edges = _pair_edges(bm.graph, ys, y)
+    bases = {}
+    for d in range(0, cap + 1, 2):
+        offsets, n = _starts(bm, (ys, y), d)
+        bases[d] = _gluing_rows(bm, edges, d, offsets).kernel(n)
     gens = minimal_generators(bases, ambient, cap)
     free = FreeModule(bm.ring, tuple(d for d, _ in gens))
     emb = ModuleMap(free, ambient, [vec for _, vec in gens])
@@ -805,6 +934,25 @@ def test_pair_module_refuses_a_redundant_generator(a2, a2_w0_sheaf, monkeypatch)
 def test_pair_costalk_requires_a_descent(a2, a2_w0_sheaf):
     with pytest.raises(InputError):
         costalk_interval(a2_w0_sheaf, elt(a2, "12"), 0)
+
+
+@pytest.mark.parametrize("s", [-1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bm, x, s: theta_character(bm, s),
+        lambda bm, x, s: costalk_interval(bm, x, s),
+        lambda bm, x, s: pair_ze_module(bm, x, s),
+    ],
+    ids=["theta_character", "costalk_interval", "pair_ze_module"],
+)
+def test_wall_crossing_refuses_a_generator_index_out_of_range(
+    a2, a2_w0_sheaf, call, s
+):
+    """s = -1 would read the last generator and s = rank none; both are
+    refused before any costalk is solved."""
+    with pytest.raises(InputError, match=f"generator index {s} out of range"):
+        call(a2_w0_sheaf, elt(a2, "121"), s)
 
 
 def test_wall_crossing_matches_multiplication_by_the_generator(a2, a2_alg):

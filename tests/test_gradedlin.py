@@ -488,9 +488,11 @@ def test_minimal_generators_pick_the_same_candidates_as_natural_order(a3, monkey
         return [(d, id(v)) for d, v in gens]
 
     def full_bases(w, cap):
-        """The costalk at w from the gluing rows of its upward edges."""
+        """The costalk at w from every column of the gluing map of its
+        upward edges."""
+        m = bm.gluing_map([w], graph.up[w])
         return {
-            d: bm.glue(graph.up[w], d, {w: 0}).kernel(bm.stalks[w].dim(d))
+            d: column_echelon(m.columns(d), m.target.dim(d)).kernel(m.source.dim(d))
             for d in range(0, cap + 1, 2)
         }
 

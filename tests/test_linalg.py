@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import pytest
 
-from bmsheaves import bmsheaf
+from bmsheaves import linalg
 from bmsheaves.bmsheaf import _pair_systems, bm_construct
 from bmsheaves.coxeter import _differ_by_rank_one, multiply, parse_word
 from bmsheaves.linalg import Echelon, column_echelon, solve_in_span
@@ -317,49 +317,48 @@ def test_row_order_changes_no_output(seed):
 
 
 def test_gluing_systems_change_no_output_under_edge_or_row_order(a3, monkeypatch):
-    """Every costalk and pair costalk system of A3 12321, glued from five
-    shuffled edge orders, has the pivots and kernel of the system in graph
-    order, also with its rows inserted in the order they were given.  The
-    costalk systems are the one-vertex systems of the upward edges at
-    each vertex, up to its cap."""
+    """Every costalk and pair costalk system of A3 12321, its gluing map
+    built from five shuffled edge orders, has the pivots and kernel of the
+    map in graph order in every degree up to the cap, also with its
+    equations inserted in the order they were given.  The costalk systems
+    are the gluing maps of the upward edges at each vertex."""
     bm = bm_construct(build_graph(a3, a3.element(parse_word("12321", 3))))
     graph = bm.graph
-    calls = [
-        (graph.up[w], d, {w: 0})
-        for w in graph.vertices
-        for d in range(0, bm.caps[w] + 1, 2)
-    ]
-    glue = bm.glue
+    calls = [([w], graph.up[w]) for w in graph.vertices]
+    gluing_map = bm.gluing_map
 
-    def record(edges, d, offsets):
-        calls.append((edges, d, offsets))
-        return glue(edges, d, offsets)
+    def record(verts, edges):
+        calls.append((verts, edges))
+        return gluing_map(verts, edges)
 
-    monkeypatch.setattr(bm, "glue", record)
+    monkeypatch.setattr(bm, "gluing_map", record)
     for s, gen in enumerate(a3.generators):
         for y in graph.vertices:
             if multiply(y, gen).length < y.length:
                 _pair_systems(bm, y, s)
     monkeypatch.undo()
-    assert {len(offsets) for _, _, offsets in calls} == {1, 2}
+    assert {len(verts) for verts, _ in calls} == {1, 2}
 
     class Given(Echelon):
         def extend(self, rows):
             self.given = list(rows)
             super().extend(self.given)
 
-    monkeypatch.setattr(bmsheaf, "Echelon", Given)
+    monkeypatch.setattr(linalg, "Echelon", Given)
     rng = random.Random(7)
-    for edges, d, offsets in calls:
-        width = max(o + bm.stalks[z].dim(d) for z, o in offsets.items())
-        ref = glue(edges, d, offsets)
-        pivots, kernel = ref.rows.keys(), ref.kernel(width)
-        for _ in range(5):
-            ech = glue(rng.sample(edges, len(edges)), d, offsets)
-            assert ech.rows.keys() == pivots
-            assert ech.kernel(width) == kernel
-            want = (pivots, kernel, pivots, kernel, kernel)
-            assert order_outputs(ech.given, width) == want
+    for verts, edges in calls:
+        ref = gluing_map(verts, edges)
+        shuffled = [gluing_map(verts, rng.sample(edges, len(edges))) for _ in range(5)]
+        for d in range(0, bm.caps[verts[0]] + 1, 2):
+            width = ref.source.dim(d)
+            ech = column_echelon(ref.columns(d), ref.target.dim(d))
+            pivots, kernel = ech.rows.keys(), ech.kernel(width)
+            for m in shuffled:
+                ech = column_echelon(m.columns(d), m.target.dim(d))
+                assert ech.rows.keys() == pivots
+                assert ech.kernel(width) == kernel
+                want = (pivots, kernel, pivots, kernel, kernel)
+                assert order_outputs(ech.given, width) == want
 
 
 def ref_rank(vectors, ncols):

@@ -162,6 +162,18 @@ def test_invariant_split_on_the_smallest_graph(a1):
         split_invariant(graph, 0, ZTuple(graph, [ONE, ZERO]))
 
 
+@pytest.mark.parametrize("s", [-1, 2])
+def test_invariants_refuse_a_generator_index_out_of_range(a2, s):
+    """s = -1 would read the last simple root and s = rank none."""
+    graph = build_graph(a2, elt(a2, "121"))
+    z = c_invariant(graph, 0)
+    match = f"generator index {s} out of range"
+    with pytest.raises(InputError, match=match):
+        c_invariant(graph, s)
+    with pytest.raises(InputError, match=match):
+        split_invariant(graph, s, z)
+
+
 @pytest.mark.parametrize(
     "coxeter, w0, size",
     [
