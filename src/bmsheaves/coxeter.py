@@ -47,8 +47,9 @@ generator, its tail aw, and its least right descent.  Each system keeps
 a {word: Element} table and hands out one instance per canonical word;
 `normal_form` of a canonical word reads that table.  The system also
 keeps the elements recovered from matrices, keyed by matrix, and
-memoizes Bruhat intervals.  The word table holds every element and so
-every slot, and all three tables live exactly as long as the
+memoizes Bruhat intervals and the pairs of the Bruhat order that
+`bruhat_leq` has decided.  The word table holds every element and so
+every slot, and all four tables live exactly as long as the
 CoxeterSystem that owns them.  `make_system` hands out one system per
 Coxeter and Cartan datum, so equal elements are one object: elements
 and systems compare and hash by identity.
@@ -63,6 +64,7 @@ from __future__ import annotations
 import functools
 import json
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -189,6 +191,11 @@ class CoxeterSystem:
     @functools.cached_property
     def _interval_memo(self):
         """{word: tuple of Elements} of Bruhat intervals below an element."""
+        return {}
+
+    @functools.cached_property
+    def _bruhat_memo(self):
+        """{(y, x): y <= x} of every pair a `bruhat_leq` walk has visited."""
         return {}
 
     @functools.cached_property
@@ -597,22 +604,49 @@ def reflection_root(w: Element) -> Root:
     return Root(tuple(v // g for v in col))
 
 
-@functools.lru_cache(maxsize=None)
 def bruhat_leq(y: Element, x: Element) -> bool:
     """Bruhat order via the lifting property.
 
     With s the smallest right descent of x: y <= x iff min(y, ys) <= xs.
+    The pairs (min(y, ys), xs) are walked in a loop until one is known
+    or settles by length or equality, and the answer is memoized on the
+    system for every pair the walk visited.  `bruhat_leq.cache_info()`
+    gives the number of memo entries over the live systems as
+    `currsize`; it exists for perfbench, which reports that count.
     """
     if y.system is not x.system:
         raise InputError("elements of different systems")
-    if y.length > x.length:
-        return False
-    if y is x:
-        return True
-    s = x.descent
-    xs = _mul_gen(x, s)
-    ys = _mul_gen(y, s)
-    return bruhat_leq(ys if ys.length < y.length else y, xs)
+    memo = x.system._bruhat_memo
+    leq = memo.get((y, x))
+    if leq is not None:
+        return leq
+    walked = []
+    while leq is None:
+        walked.append((y, x))
+        if y.length > x.length or y is x:
+            leq = y is x
+        else:
+            s = x.descent
+            ys = _mul_gen(y, s)
+            if ys.length < y.length:
+                y = ys
+            x = _mul_gen(x, s)
+            leq = memo.get((y, x))
+    for pair in walked:
+        memo[pair] = leq
+    return leq
+
+
+_MemoInfo = namedtuple("MemoInfo", "currsize")
+
+
+def _bruhat_memo_info():
+    """The size of `bruhat_leq`'s memos over the live systems."""
+    systems = list(_SYSTEMS.values())
+    return _MemoInfo(sum(len(s.__dict__.get("_bruhat_memo", ())) for s in systems))
+
+
+bruhat_leq.cache_info = _bruhat_memo_info
 
 
 def bruhat_interval(x: Element):

@@ -65,6 +65,15 @@ Each B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles
 until it fits and the memo is repacked once (`_fit`); a duality solve in
 progress starts over, and a product in progress is repacked with the memo.
 
+Each route decodes a distinct packed value once, into a table of its
+own.  The product route keeps {packed int: LaurentPoly} for its current
+width, replaced whenever the width changes, and every C_x and product
+it returns reads its coefficients from that table, so equal
+coefficients are one shared LaurentPoly (a value type that nothing
+mutates).  A duality solve keeps, for its own length, h_y, the packed
+d(h_y) and |h_y|_1 keyed by the upper digits of the defect and the
+depth l(x) - l(y); its skew check still runs at every element.
+
 The two routes share nothing but the element containers, the digit
 coding (`_unpack`, `_repack`) and the width rule (`_fit`), so agreement
 is a genuine cross-check.
@@ -257,6 +266,9 @@ class HeckeAlgebra:
         self._kl_bits = _START_BITS
         self._kl_cols = {system.identity: {system.identity: 1}}
         self._kl_norms = {system.identity: 1}
+        # {packed int: LaurentPoly} decoded at self._kl_bits, the one
+        # instance of each coefficient the product route returns
+        self._kl_polys = {}
         # packed columns {y: {z: n_{z,y}}} of d(Tt_y), with digits of
         # self._bits bits (see the module docstring)
         self._bits = _START_BITS
@@ -387,17 +399,39 @@ class HeckeAlgebra:
     def kl_basis(self, x: Element) -> HeckeElt:
         """C_x by the product recursion C_xs C_s = C_x + sum_y c_y C_y.
 
-        Filled in the packed memo (see `_kl_column`) and decoded on each
-        call.  No duality is used.  An element of another system is refused
-        (InputError) before the memo is read.
+        Filled in the packed memo (see `_kl_column`) and read through the
+        coefficient table on each call (see `_kl_decode`).  No duality is
+        used.  An element of another system is refused (InputError) before
+        the memo is read.
         """
         if x.system is not self.system:
             raise InputError("elements of different systems")
-        col = self._kl_column(x)
-        bits = self._kl_bits
-        return _decoded(
-            BASIS_TT, {y: _poly(_unpack(n, bits, 0, 1)) for y, n in col.items()}
-        )
+        return _decoded(BASIS_TT, self._kl_decode(self._kl_column(x)))
+
+    def _kl_decode(self, col):
+        """{y: h_y} of a packed column {y: n} at the current width, zero
+        entries skipped.  Each distinct n is decoded once per width: the
+        table `_kl_polys` holds its LaurentPoly, and is replaced when
+        `_kl_width` changes the width."""
+        polys = self._kl_polys
+        out = {}
+        for y, n in col.items():
+            if n:
+                p = polys.get(n)
+                if p is None:
+                    p = polys[n] = _poly(_unpack(n, self._kl_bits, 0, 1))
+                out[y] = p
+        return out
+
+    def _kl_width(self, bound):
+        """Fit the product route's width to bound (`_fit`), with a fresh
+        coefficient table after a widening: a packed int read at another
+        width is another polynomial."""
+        bits = _fit(self._kl_cols.values(), self._kl_bits, bound)
+        if bits != self._kl_bits:
+            self._kl_bits = bits
+            self._kl_polys = {}
+        return bits
 
     def _kl_column(self, x):
         """The packed C_x {y: h_y(2^B)}, memoized with a bound on its norm.
@@ -412,7 +446,9 @@ class HeckeAlgebra:
         so a term (y, n) of C_xs adds n at ys, and n << B at y when ys > y.
         When ys < y it adds n >> B at y, and is refused unless the low
         digit of n is 0 (h_y in v Z[v]).  The product P = C_xs C_s is
-        decoded into `kl_products`; its coefficient at x must be 1 and its
+        decoded into `kl_products` through the coefficient table (see
+        `_kl_decode`), so it shares its coefficients with every C_x
+        returned at that width; its coefficient at x must be 1 and its
         support must lie below x.  Its constant terms are the c_y, and each
         c_y C_y is subtracted with one small-by-large product per term.
 
@@ -423,7 +459,7 @@ class HeckeAlgebra:
         |C_x|_1.  The width is fitted to the first bound before P is
         formed and to the second, after P is decoded and the C_y are
         filled, before the subtraction; a widening repacks the memo, and P
-        with it.
+        with it, and replaces the coefficient table (`_kl_width`).
         """
         col = self._kl_cols.get(x)
         if col is not None:
@@ -440,7 +476,7 @@ class HeckeAlgebra:
         xs = _mul_gen(x, s)
         self._kl_column(xs)
         cols = self._kl_cols
-        bits = self._kl_bits = _fit(cols.values(), self._kl_bits, 2 * norms[xs])
+        bits = self._kl_width(2 * norms[xs])
         mask = (1 << bits) - 1
         acc = {}
         for y, n in cols[xs].items():
@@ -452,7 +488,7 @@ class HeckeAlgebra:
                 raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
             else:
                 acc[y] = acc.get(y, 0) + (n >> bits)
-        prod = {y: _poly(_unpack(n, bits, 0, 1)) for y, n in acc.items() if n}
+        prod = self._kl_decode(acc)
         if acc.get(x) != 1:
             raise InconsistencyError(
                 f"product coefficient at {x} is {prod.get(x, 0)}, expected 1"
@@ -468,8 +504,7 @@ class HeckeAlgebra:
                 lower.append((y, c.constant_term, self._kl_column(y)))
         norm = sum(abs(c) for p in prod.values() for c in p.c.values())
         norm += sum(abs(c) * norms[y] for y, c, _ in lower)
-        self._kl_bits = _fit(cols.values(), self._kl_bits, norm)
-        if self._kl_bits != bits:
+        if self._kl_width(norm) != bits:
             _repack((acc,), bits, self._kl_bits)
             bits = self._kl_bits
             mask = (1 << bits) - 1
@@ -538,6 +573,12 @@ class HeckeAlgebra:
         has no mirror in g_y), so one integer comparison checks it; the
         whole defect is decoded only to word a refusal.  Then push is added
         with one product per entry of y's column.
+
+        h_y, push and |h_y|_1 depend only on the upper digits and on d, so
+        the solve keeps them in a table under that key: `_unpack`, `bar`
+        and the packing run once per distinct key, while the comparison
+        with L, the bound and the pushes run at every y.  The table lives
+        for one call, so a restart after a widening starts a fresh one.
         """
         bits = self._bits
         half = 1 << (bits - 1)
@@ -548,10 +589,12 @@ class HeckeAlgebra:
         # packed defects {z: int} pushed from settled elements
         defect = {}
         bound = 0
+        # {(upper digits, d): (h_y, push, |h_y|_1)}, and x's own entry
+        settled = {None: (LaurentPoly.one(), 1, 1)}
         for y in reversed(interval):
             d = lx - y.length
             if y is x:
-                hy = LaurentPoly.one()
+                key = None
             else:
                 if bound >= half:
                     self._bits = _fit(self._bar_tt.values(), self._bits, bound)
@@ -562,14 +605,18 @@ class HeckeAlgebra:
                 low = n & ((1 << cut) - 1)
                 if low >> (cut - 1):
                     low -= 1 << cut
-                hy = _poly(_unpack((n - low) >> cut, bits, 2 - (d & 1)))
-            push = 0
-            weight = 3**y.length
-            for f, c in hy.bar().c.items():
-                if d + f < 0:
-                    raise _not_skew(y, n, bits, d)
-                push += c << (bits * ((d + f) >> 1))
-                bound += abs(c) * weight
+                key = ((n - low) >> cut, d)
+            entry = settled.get(key)
+            if entry is None:
+                hy = _poly(_unpack(key[0], bits, 2 - (d & 1)))
+                push = 0
+                for f, c in hy.bar().c.items():
+                    if d + f < 0:
+                        raise _not_skew(y, n, bits, d)
+                    push += c << (bits * ((d + f) >> 1))
+                entry = settled[key] = (hy, push, sum(map(abs, hy.c.values())))
+            hy, push, norm = entry
+            bound += norm * 3**y.length
             if y is not x and low != -push:
                 raise _not_skew(y, n, bits, d)
             h[y] = hy

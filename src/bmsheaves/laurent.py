@@ -6,6 +6,10 @@ free modules, and ordinary polynomials in q (the classical normalization
 of the self-dual basis coefficients).  The representation is a dict
 {exponent: coefficient} with no zero values stored.
 
+A LaurentPoly is a hashable value: every operation returns a new one,
+and no code mutates one in place, so one instance may be shared by many
+holders (the Hecke layer hands out one per distinct coefficient).
+
 >>> p = LaurentPoly({1: 1, -1: 1})
 >>> str(p * p)
 'v^-2 + 2 + v^2'

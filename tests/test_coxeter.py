@@ -10,6 +10,8 @@ import gc
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -349,19 +351,20 @@ def test_make_system_interns_each_datum_weakly(tmp_path):
     path.write_text(json.dumps({"rank": 2, "coxeter": [[1, 3], [3, 1]]}))
     assert load_system(path) is a2
 
-    # a datum no other test uses, never passed to bruhat_leq (whose
-    # cache would keep it alive)
+    # a datum no other test uses; its Bruhat memo lives on the system
     coxeter, cartan = [[1, 0], [0, 1]], [[2, -3], [-5, 2]]
     system = make_system(coxeter, cartan)
     bruhat_interval(normal_form(system, (0, 1, 0, 1)))
+    assert bruhat_leq(system.identity, normal_form(system, (0, 1, 0, 1)))
     assert system._elements and system._by_matrix and system._interval_memo
+    assert system._bruhat_memo
     ref = weakref.ref(system)
     del system
     gc.collect()
     assert ref() is None
     fresh = make_system(coxeter, cartan)
     assert not fresh._elements and not fresh._by_matrix
-    assert not fresh._interval_memo
+    assert not fresh._interval_memo and not fresh._bruhat_memo
 
     assert Element.__hash__ is object.__hash__
     assert Element.__eq__ is object.__eq__
@@ -473,6 +476,76 @@ def test_bruhat_order_matches_the_cover_closure(a3):
     for y in ball:
         for x in ball:
             assert bruhat_leq(y, x) == ((y, x) in oracle)
+
+
+def _lifting_chain(y, x):
+    """The pairs (y, x), (min(y, ys), xs), ... down to the pair that the
+    length or equality settles, built with `multiply`."""
+    chain = [(y, x)]
+    while y.length <= x.length and y is not x:
+        gen = x.system.generators[x.descent]
+        ys = multiply(y, gen)
+        y, x = (ys if ys.length < y.length else y), multiply(x, gen)
+        chain.append((y, x))
+    return chain
+
+
+def test_bruhat_leq_walks_long_words_in_a_loop(u2):
+    """Under a recursion limit of 300, `bruhat_leq` answers pairs of U2
+    words of lengths 600 and 200 both ways, and its system's memo then
+    holds every pair of each walk, the settled last one included, with
+    the walk's answer."""
+    long, short = elt(u2, "12" * 300), elt(u2, "12" * 100)
+    other = elt(u2, "21" * 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert bruhat_leq(short, long)
+        assert not bruhat_leq(long, short)
+        assert not bruhat_leq(other, long)
+        assert bruhat_leq(elt(u2, "21" * 100), other)
+    finally:
+        sys.setrecursionlimit(limit)
+    memo = u2._bruhat_memo
+    chain = _lifting_chain(short, long)
+    assert len(chain) == 601 and chain[-1] == (u2.identity, u2.identity)
+    assert all(memo[pair] is True for pair in chain)
+    chain = _lifting_chain(other, long)
+    assert chain[-1][0].length > chain[-1][1].length
+    assert all(memo[pair] is False for pair in chain)
+    assert memo[long, short] is False
+
+
+def test_bruhat_leq_keeps_no_dropped_system_alive():
+    """The Bruhat memo lives on its system: after 60 infinite-bond rank-2
+    systems each ran `kl_basis` on its length-6 ball and were dropped,
+    tracemalloc holds at most 16 KiB, and `cache_info` counts only the
+    memos of live systems."""
+    from bmsheaves.hecke import HeckeAlgebra
+
+    def fill(a, b):
+        system = make_system([[1, 0], [0, 1]], [[2, -a], [-b, 2]])
+        alg = HeckeAlgebra(system)
+        for x in element_ball(system, 6):
+            alg.kl_basis(x)
+        return len(system._bruhat_memo)
+
+    data = [(a, b) for a in range(1, 11) for b in range(14, 20)]
+    fill(*data[0])
+    gc.collect()
+    base = bruhat_leq.cache_info().currsize
+    tracemalloc.start()
+    try:
+        assert all(fill(a, b) for a, b in data)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * 1024
+    assert bruhat_leq.cache_info().currsize == base
+    live = make_system([[1, 0], [0, 1]], [[2, -1], [-23, 2]])
+    assert bruhat_leq(live.identity, live.generators[0])
+    assert bruhat_leq.cache_info().currsize == base + 2
 
 
 def test_interval_ordering_is_by_length_then_word(b2):

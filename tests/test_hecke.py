@@ -327,6 +327,48 @@ def test_a_narrow_start_width_widens_the_product_route_to_the_same_values(
     assert any(in_product) == (name == "affA2" and start == 3)
 
 
+@pytest.mark.parametrize("start", [3, 8])
+@pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
+def test_a_widening_replaces_the_product_routes_coefficient_table(
+    name, start, monkeypatch
+):
+    """From 3- or 8-bit digits, filled up the ball and then down again, or
+    down and then up, `kl_basis` and `kl_products` equal the values of
+    64-bit digits.  Every entry of the coefficient table decodes to its
+    polynomial at the current width, and no coefficient object returned
+    at one width is returned again at another.  3-bit digits widen
+    between the calls filled upwards and inside the first call filled
+    downwards; 8-bit digits do not widen.  Equal coefficients of the
+    outputs and products of one algebra are one object."""
+    coxeter, bound = _DUALITY_SYSTEMS[name]
+    system = make_system(coxeter)
+    ball = element_ball(system, bound)
+    wide = HeckeAlgebra(system)
+    values = {x: wide.kl_basis(x) for x in ball}
+    shared = {}
+    for out in [*values.values(), *(p for _, p in wide.kl_products.values())]:
+        for c in out.coeffs.values():
+            assert shared.setdefault(c, c) is c
+    monkeypatch.setattr(hecke, "_START_BITS", start)
+    for order in (ball, ball[::-1]):
+        narrow = HeckeAlgebra(system)
+        # {id: (coefficient, the width it was returned at)}
+        returned = {}
+        widths = []
+        for x in order + order[::-1]:
+            got = narrow.kl_basis(x)
+            bits = narrow._kl_bits
+            widths.append(bits)
+            assert got == values[x]
+            for c in got.coeffs.values():
+                assert returned.setdefault(id(c), (c, bits))[1] == bits
+            for n, c in narrow._kl_polys.items():
+                assert c.c == hecke._unpack(n, bits, 0, 1)
+        assert narrow.kl_products == wide.kl_products
+        assert (widths[0] != widths[-1]) == (start == 3 and order is ball)
+        assert (widths[-1] > start) == (start == 3)
+
+
 def test_the_product_route_refuses_a_nonzero_lowest_digit(a3):
     """A term (y, n) of the packed C_xs with ys < y is divided by v, so
     its lowest digit must be 0 (h_y in v Z[v]); adding 1 there, for each
@@ -490,6 +532,30 @@ def test_the_duality_solve_refuses_a_defect_of_odd_depth(b2, digit, defect):
     message = re.escape(f"defect at 1 is not skew: {defect};")
     with pytest.raises(InconsistencyError, match=message):
         alg.kl_oracle(elt(b2, "1212"))
+
+
+def test_the_duality_solve_checks_skewness_at_a_repeated_key(a2):
+    """The solve reuses h_y and the packed d(h_y) of a (upper digits,
+    depth) key it has seen, but still compares the lower digits at every
+    element.  Under x = 121, h_21 = h_12 = v at depth 1, and 21 is settled
+    first; adding 1 at the lowest digit of the packed entry at 12 of
+    d(Tt_121) cancels the v^-1 of the defect of 12 and leaves its upper
+    digits as they were, and the solve refuses it."""
+    from bmsheaves.errors import InconsistencyError
+
+    alg = HeckeAlgebra(a2)
+    x = elt(a2, "121")
+    h = alg.kl_oracle(x)
+    assert h.coeff(elt(a2, "21")) == h.coeff(elt(a2, "12")) == v(1)
+    order = list(reversed(bruhat_interval(x)))
+    assert order.index(elt(a2, "21")) < order.index(elt(a2, "12"))
+    # fill the memo first, so the bad entry stays in d(Tt_121)
+    for y in bruhat_interval(x):
+        alg.bar(alg.Tt(y))
+    alg._bar_tt[x][elt(a2, "12")] += 1
+    message = re.escape("duality defect at 12 is not skew: v;")
+    with pytest.raises(InconsistencyError, match=message):
+        alg.kl_oracle(x)
 
 
 def test_expansion_in_the_self_dual_basis_inverts_it(b2, b2_alg):
