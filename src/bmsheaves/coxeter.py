@@ -50,9 +50,10 @@ keeps the elements recovered from matrices, keyed by matrix, and
 memoizes Bruhat intervals and the pairs of the Bruhat order that
 `bruhat_leq` has decided.  The word table holds every element and so
 every slot, and all four tables live exactly as long as the
-CoxeterSystem that owns them.  `make_system` hands out one system per
-Coxeter and Cartan datum, so equal elements are one object: elements
-and systems compare and hash by identity.
+CoxeterSystem that owns them.  So does `ring`, the one PolyRing of the
+modules built on the system, with its memos.  `make_system` hands out
+one system per Coxeter and Cartan datum, so equal elements are one
+object: elements and systems compare and hash by identity.
 
 Words cross the API boundary 0-based as tuples of generator indices and
 are serialized 1-based, as digit strings for rank <= 9 and comma
@@ -69,6 +70,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InputError, RealizationError
+from .gradedlin import PolyRing
 
 __all__ = [
     "INFINITE",
@@ -197,6 +199,13 @@ class CoxeterSystem:
     def _bruhat_memo(self):
         """{(y, x): y <= x} of every pair a `bruhat_leq` walk has visited."""
         return {}
+
+    @functools.cached_property
+    def ring(self):
+        """The one PolyRing of the system: every moment graph on it, the
+        regular one and the quotients, builds its modules over it, so
+        they share its memos, which go when the system goes."""
+        return PolyRing(self.rank)
 
     @functools.cached_property
     def _identity_matrix(self):

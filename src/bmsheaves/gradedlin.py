@@ -19,6 +19,11 @@ S/alpha with its (scaled) monomials in degree-then-lex order, so the
 canonical basis is (generator index, monomial).  The ring enumerates those
 monomials itself; the structure algebra of `momentgraph` keeps its
 polynomials as vectors of S = FreeModule(ring, (0,)) in that basis.
+There is one ring per Coxeter system (`CoxeterSystem.ring`), and it
+keeps its monomials and columns in plain dicts that go with it.  A
+block's size in degree e comes from the Hilbert function, without
+listing its monomials: dim S_e, or for S/alpha the dimension of S_e in
+one variable fewer.
 Multiplication by a variable walks the blocks by offset over sparse
 columns that the PolyRing keeps once per (alpha, variable, degree) for
 every module over it.  A generator's columns in degree d, the images of
@@ -45,7 +50,6 @@ coefficient) exactly.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 from math import comb
@@ -72,47 +76,58 @@ __all__ = [
 
 
 def hilbert_dim(nvars, d):
-    """dim of the degree-d piece of S in nvars variables (deg x_i = 2)."""
+    """dim of the degree-d piece of S in nvars variables (deg x_i = 2);
+    with no variables S is Q, in degree 0 alone."""
     if d < 0 or d % 2:
         return 0
+    if nvars == 0:
+        return int(d == 0)
     return comb(nvars - 1 + d // 2, nvars - 1)
 
 
 class PolyRing:
     """Monomial bookkeeping for S = Q[x_0..x_{n-1}], deg x_i = 2.
 
-    A ring instance also keeps the sparse columns of multiplication by
-    each variable on S and on each S/alpha, shared by every module built
-    over it and living as long as it does.
+    A ring instance also keeps its monomial lists and the sparse columns
+    of multiplication by each variable on S and on each S/alpha, in plain
+    dicts shared by every module built over it and living as long as it
+    does.  A ring compares by identity: modules meet only over the same
+    instance, `CoxeterSystem.ring` for everything built on a system.
     """
 
     def __init__(self, nvars):
         if nvars < 1:
             raise InputError("need at least one variable")
         self.nvars = nvars
+        self._monos = {}
+        self._qmonos = {}
         self._varcols = {}
         self._stepmemo = {}
 
-    @functools.lru_cache(maxsize=None)
     def monomials(self, d):
         """Exponent tuples of the degree-d piece, lex descending: for two
         variables in degree 4, x0^2, x0 x1, x1^2."""
-        if d < 0 or d % 2:
-            return ()
-        n = self.nvars
-        return tuple(
-            tuple(c.count(i) for i in range(n))
-            for c in combinations_with_replacement(range(n), d // 2)
-        )
+        out = self._monos.get(d)
+        if out is None:
+            n = self.nvars
+            out = ()
+            if d >= 0 and not d % 2:
+                out = tuple(
+                    tuple(c.count(i) for i in range(n))
+                    for c in combinations_with_replacement(range(n), d // 2)
+                )
+            self._monos[d] = out
+        return out
 
-    @functools.lru_cache(maxsize=None)
     def quotient_monomials(self, pivot, d):
         """Monomials of degree d omitting the pivot variable."""
-        if d < 0 or d % 2:
-            return ()
-        return tuple(
-            m for m in self.monomials(d) if m[pivot] == 0
-        )
+        key = (pivot, d)
+        out = self._qmonos.get(key)
+        if out is None:
+            out = self._qmonos[key] = tuple(
+                m for m in self.monomials(d) if m[pivot] == 0
+            )
+        return out
 
     def _block_monomials(self, alpha, d):
         """Basis of the degree-d piece of S (alpha None) or of S/alpha."""
@@ -173,12 +188,6 @@ class PolyRing:
     def dim(self, d):
         return hilbert_dim(self.nvars, d)
 
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.nvars == other.nvars
-
-    def __hash__(self):
-        return hash(("PolyRing", self.nvars))
-
 
 def _pivot(alpha):
     return next(i for i, a in enumerate(alpha) if a)
@@ -213,9 +222,11 @@ class _Module:
         """Start of each block in degree d, then the total."""
         out = self._starts.get(d)
         if out is None:
+            n = self.ring.nvars
             out = [0]
             for alpha, g in self._blocks:
-                out.append(out[-1] + len(self.ring._block_monomials(alpha, d - g)))
+                size = hilbert_dim(n if alpha is None else n - 1, d - g)
+                out.append(out[-1] + size)
             out = self._starts[d] = tuple(out)
         return out
 
@@ -325,7 +336,7 @@ class DirectSum(_Module):
 
     def __init__(self, ring, parts):
         self.parts = tuple(parts)
-        if any(p.ring != ring for p in self.parts):
+        if any(p.ring is not ring for p in self.parts):
             raise InputError("direct sum over mixed rings")
         super().__init__(ring, [b for p in self.parts for b in p._blocks])
         # index of each part's first block, then the block count

@@ -95,7 +95,7 @@ class MomentGraph:
         self.edges = tuple(edges)
         self.quotient_gen = quotient_gen
         # S, the stalk of the structure sheaf, in which Z's entries live
-        self.stalk = FreeModule(PolyRing(system.rank), (0,))
+        self.stalk = FreeModule(system.ring, (0,))
         self._index = {w: i for i, w in enumerate(self.vertices)}
         up = {w: [] for w in self.vertices}
         down = {w: [] for w in self.vertices}

@@ -6,6 +6,10 @@ stalk, where the character coefficients stop being pure powers.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from math import lcm
@@ -42,6 +46,7 @@ from bmsheaves.gradedlin import (
     DirectSum,
     FreeModule,
     ModuleMap,
+    PolyRing,
     combine_columns,
     minimal_generators,
     rank_from_dims,
@@ -720,6 +725,61 @@ def test_flabbiness_checks_hold_little_memory_beyond_the_sheaf(a3):
         tracemalloc.stop()
     assert len(bm.graph.vertices) == 24
     assert held - built <= 2**20, (held - built) / 2**20
+
+
+# Builds the regular and every quotient sheaf of A3 121321 on a system of
+# its own and drops them; run in a fresh interpreter, where no fixture
+# holds the A3 system.  The first round is a warm-up.
+_RING_LIFETIME = """
+import gc, json, tracemalloc, weakref
+from bmsheaves.bmsheaf import bm_construct
+from bmsheaves.coxeter import make_system, parse_word
+from bmsheaves.momentgraph import build_graph
+
+def build():
+    system = make_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    x = system.element(parse_word("121321", 3))
+    graphs = [build_graph(system, x)]
+    graphs += [build_graph(system, x, kind="quotient", s=s) for s in range(3)]
+    assert all(bm_construct(g).ring is system.ring for g in graphs)
+    return weakref.ref(system.ring)
+
+first = build()
+gc.collect()
+tracemalloc.start()
+second = build()
+gc.collect()
+held = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+print(json.dumps([first() is None, second() is None, held]))
+"""
+
+
+def test_one_ring_per_system_lives_as_long_as_the_system(a3, b2):
+    """The regular graph and every quotient graph of a system build over
+    `system.ring`; a DirectSum over the rings of two systems of one rank
+    is refused; and once the sheaves, graphs and system of A3 121321 are
+    dropped, the ring is gone and tracemalloc holds at most 16 KiB."""
+    x = elt(a3, "121321")
+    graphs = [build_graph(a3, x)]
+    graphs += [build_graph(a3, x, kind="quotient", s=s) for s in range(3)]
+    assert all(g.stalk.ring is a3.ring for g in graphs)
+    other = make_system([[1, 4], [4, 1]], [[2, -2], [-1, 2]])
+    assert other is not b2 and other.ring is not b2.ring
+    parts = [FreeModule(b2.ring, (0,)), FreeModule(other.ring, (0,))]
+    with pytest.raises(InputError):
+        DirectSum(b2.ring, parts)
+    assert PolyRing.__eq__ is object.__eq__
+    assert PolyRing.__hash__ is object.__hash__
+    src = os.path.dirname(os.path.dirname(bmsheaf.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _RING_LIFETIME],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    first_gone, second_gone, held = json.loads(out.stdout)
+    assert first_gone and second_gone
+    assert held <= 16 * 1024, held
 
 
 def _onto_by_global_elimination(bm):

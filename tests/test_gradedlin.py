@@ -207,6 +207,7 @@ def test_hilbert_dimensions():
     assert [hilbert_dim(3, d) for d in range(0, 8, 2)] == [1, 3, 6, 10]
     assert hilbert_dim(2, 3) == 0
     assert hilbert_dim(2, -2) == 0
+    assert [hilbert_dim(0, d) for d in range(-2, 8, 2)] == [0, 1, 0, 0, 0]
 
 
 def test_monomial_basis_is_ordered_and_complete():
@@ -217,6 +218,32 @@ def test_monomial_basis_is_ordered_and_complete():
     assert set(deg4) == {(2, 0), (1, 1), (0, 2)}
     assert ring.monomials(4) == deg4  # cached and stable
     assert ring.monomials(3) == ()
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_block_sizes_are_the_hilbert_function(nvars):
+    """A block's size, read from the Hilbert function, is the number of
+    its monomials in every degree from -2 to 12, odd ones too, for S and
+    for S/alpha.  With one variable this is the S/(x_0) of the ZE module
+    in test_momentgraph: 1 in degree 0 and 0 above."""
+    ring = PolyRing(nvars)
+    rng = random.Random(30 + nvars)
+    alphas = [(1,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (-3,)]
+    alphas += [tuple(rng.randint(-2, 2) for _ in range(nvars - 1)) + (2,)]
+    gens = (0, 2, 6)
+    for alpha in [None, *alphas]:
+        if alpha is None:
+            mod = FreeModule(ring, gens)
+        else:
+            mod = QuotientModule(ring, gens, alpha)
+        for e in range(-2, 13):
+            sizes = [len(ring._block_monomials(alpha, e - g)) for g in gens]
+            starts = mod.block_starts(e)
+            assert [b - a for a, b in zip(starts, starts[1:])] == sizes, (alpha, e)
+            assert mod.dim(e) == len(mod.basis(e))
+    if nvars == 1:
+        quotient = QuotientModule(ring, (0,), (1,))
+        assert [quotient.dim(e) for e in range(-2, 13)] == [0, 0, 1] + [0] * 12
 
 
 def test_quotient_basis_skips_the_pivot_variable():

@@ -13,6 +13,7 @@ because no output depends on the order of the rows; the order tests pin
 that on random systems and on the gluing systems of a real sheaf.
 """
 
+import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -171,6 +172,86 @@ def test_insert_takes_int_rows_only():
     assert ech.insert({0: -3, 1: 2}) is None
     assert ech.kernel(2) == [{0: 2, 1: 3}]
     assert column_echelon([{0: 2}, {0: 4}], 1).kernel(2) == [{0: -2, 1: 1}]
+
+
+def plain_insert(rows, vec):
+    """`Echelon.insert` without the unit-row rule: every pivot of the
+    incoming row, a unit row's too, is cleared by `_eliminate`."""
+    r = {c: v for c, v in vec.items() if v}
+    heap = sorted(c for c in r if c in rows)
+    while heap:
+        p = heapq.heappop(heap)
+        if p in r:
+            linalg._eliminate(r, rows[p], p, rows, heap)
+    if not r:
+        return None
+    linalg._primitive(r)
+    p = min(r)
+    if r[p] < 0:
+        for c in r:
+            r[c] = -r[c]
+    rows[p] = r
+    return p
+
+
+def unit_row_outputs(sequence, ncols):
+    """Insert the sequence one by one into an Echelon and by
+    `plain_insert`: the same pivots, the same rows key for key and the
+    same kernel.  Returns the Echelon, kernel taken."""
+    ech, plain = Echelon(), {}
+    assert [ech.insert(vec) for vec in sequence] == [
+        plain_insert(plain, vec) for vec in sequence
+    ]
+    assert ech.rows == plain
+    ref = Echelon()
+    ref.rows = plain
+    assert ech.kernel(ncols) == ref.kernel(ncols)
+    return ech
+
+
+def test_unit_rows_are_cleared_by_deletion(monkeypatch):
+    """A unit row {2: 1} stored after a longer row that holds column 2:
+    eliminating the longer row from a later one brings column 2 back by
+    fill-in, and it is deleted without a call to `_eliminate`."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(row, prow, p, rows, heap):
+        calls.append(dict(prow))
+        return eliminate(row, prow, p, rows, heap)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    sequence = [{0: 1, 2: 3}, {2: -2}, {0: 1, 1: 1, 2: 1}]
+    ech, plain = Echelon(), {}
+    for vec in sequence:
+        ech.insert(vec)
+    by_echelon = calls[:]
+    calls.clear()
+    for vec in sequence:
+        plain_insert(plain, vec)
+    assert ech.rows == plain == {0: {0: 1, 2: 3}, 1: {1: 1}, 2: {2: 1}}
+    assert ech._units == {1, 2}
+    assert by_echelon == [{0: 1, 2: 3}]
+    assert calls == [{0: 1, 2: 3}, {2: 1}]
+    unit_row_outputs(sequence, 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_rows_store_the_rows_of_plain_elimination(seed):
+    """Seeded integer systems with singleton equations mixed in, inserted
+    one by one: the same pivots, the same rows key for key and the same
+    kernel as the plain elimination."""
+    rng = random.Random(700 + seed)
+    units = 0
+    for _ in range(60):
+        rows, ncols = random_matrix(rng, ENTRIES)
+        sequence = [sparse(row) for row in rows]
+        for _ in range(rng.randint(1, 4)):
+            single = {rng.randrange(ncols): rng.choice((1, -1, 2, -3))}
+            sequence.insert(rng.randrange(len(sequence) + 1), single)
+        ech = unit_row_outputs(sequence, ncols)
+        units += len(ech._units)
+    assert units
 
 
 @pytest.mark.parametrize("seed", range(4))
