@@ -16,14 +16,11 @@ primitive integer vectors, {column: int} dicts without zeros like every
 other vector in the package, one per free column, in increasing
 free-column order, which keeps all downstream output deterministic.
 
-A unit row {p: 1} clears column p by deletion alone, so `insert` keeps
-the set of pivots whose row is a unit row: it leaves their columns out
-when it copies the incoming row, and it deletes such a column when
-fill-in brings it back, instead of calling `_eliminate`.  The stored
-rows are those of the plain elimination: both clear the same other
-pivots in the same order, each such step keeps the two rows positive
-multiples of each other off the unit columns, which both delete, and a
-row is stored primitive with a positive lead.
+A stored row with one entry is the unit row {p: 1}, since it is
+primitive with a positive lead, and it clears column p by deletion
+alone: `insert` runs `del r[p]` for such a pivot instead of calling
+`_eliminate`, which with b = 1 would do exactly that deletion and push
+nothing.  So the stored rows are those of the plain elimination.
 
 The pivot columns are the least columns of the vectors in the row
 space, and `kernel` returns the primitive null-space basis of the
@@ -89,11 +86,10 @@ def _eliminate(row, prow, p, rows, heap):
 class Echelon:
     """Incrementally maintained, lazily reduced integer row-echelon basis."""
 
-    __slots__ = ("rows", "_units")
+    __slots__ = ("rows",)
 
     def __init__(self):
         self.rows = {}  # pivot column -> primitive integer sparse row
-        self._units = set()  # pivots whose row is the unit row {p: 1}
 
     @property
     def dim(self):
@@ -102,9 +98,8 @@ class Echelon:
     def insert(self, vec):
         """Add vec, a {column: int} dict, to the row space; return its
         pivot column, or None if vec was already in the span."""
+        r = {c: v for c, v in vec.items() if v}
         rows = self.rows
-        units = self._units
-        r = {c: v for c, v in vec.items() if v and c not in units}
         heap = [c for c in r if c in rows]
         heapify(heap)
         # pivot rows hold no earlier columns, so eliminating pivots in
@@ -112,10 +107,11 @@ class Echelon:
         while heap:
             p = heappop(heap)
             if p in r:
-                if p in units:
+                prow = rows[p]
+                if len(prow) == 1:
                     del r[p]
                 else:
-                    _eliminate(r, rows[p], p, rows, heap)
+                    _eliminate(r, prow, p, rows, heap)
         if not r:
             return None
         _primitive(r)
@@ -124,8 +120,6 @@ class Echelon:
             for c in r:
                 r[c] = -r[c]
         rows[p] = r
-        if len(r) == 1:
-            units.add(p)
         return p
 
     def extend(self, rows):

@@ -18,10 +18,22 @@ WORKLOADS = [w["name"] for w in bench_record.benchmark()["workloads"]]
 COUNTS = {"vertices": 24, "edges": 72}
 
 
+@pytest.fixture
+def dirs(tmp_path, monkeypatch):
+    """perfbench/out/ and the directory of the BENCH files, both under
+    tmp_path."""
+    out = tmp_path / "out"
+    monkeypatch.setattr(bench_record, "RECORDS", out)
+    monkeypatch.setattr(bench_record, "DEST", tmp_path)
+    return out, tmp_path
+
+
 def write_records(out, metrics_by_seed, traced):
     """One --trace 0 record per seed with the given end-to-end metrics,
-    and one --trace 1 record, for every workload."""
-    env = {"python": "3.11.7", "commit": None, "src_lines": 10, "src_sha256": "0"}
+    and one --trace 1 record, for every workload, all taken on the
+    current src/."""
+    env = {"python": "3.11.7", "src_lines": 10,
+           "src_sha256": bench_record.src_sha256()}
     out.mkdir(exist_ok=True)
     for workload in WORKLOADS:
         runs = [(seed, 0, m) for seed, m in metrics_by_seed.items()]
@@ -42,8 +54,8 @@ def metrics(wall, rss, ok, growth):
             "growth_exp": growth, "peak_rss_mib": rss, "ok_rate": ok}
 
 
-def test_two_canned_records_give_the_expected_compare_block(tmp_path):
-    out = tmp_path / "out"
+def test_two_canned_records_give_the_expected_compare_block(dirs):
+    out, dest = dirs
     walls = (0.30, 0.28, 0.33, 0.31, 0.29)
     write_records(
         out,
@@ -51,11 +63,10 @@ def test_two_canned_records_give_the_expected_compare_block(tmp_path):
         {"bmsheaf.bm_construct_s": 0.07},
     )
     # an older record and a later one, which the comparison must skip
-    (tmp_path / "BENCH_3.json").write_text(json.dumps({"workloads": {}}))
-    (tmp_path / "BENCH_12.json").write_text(json.dumps({"workloads": {}}))
-    args = ["--no-run", "--records", str(out), "--dest", str(tmp_path)]
-    assert bench_record.main(["--pr", "7", *args]) == 0
-    before = json.loads((tmp_path / "BENCH_7.json").read_text())
+    (dest / "BENCH_3.json").write_text(json.dumps({"workloads": {}}))
+    (dest / "BENCH_12.json").write_text(json.dumps({"workloads": {}}))
+    assert bench_record.main(["--pr", "7", "--no-run"]) == 0
+    before = json.loads((dest / "BENCH_7.json").read_text())
     entry = before["workloads"][WORKLOADS[0]]
     assert entry["end_to_end"]["wall_s"] == pytest.approx(
         {"median": 0.30, "q1": 0.29, "q3": 0.31, "values": list(walls)}
@@ -63,6 +74,8 @@ def test_two_canned_records_give_the_expected_compare_block(tmp_path):
     assert entry["per_layer"] == {"bmsheaf.bm_construct_s": 0.07}
     assert entry["counts"] == COUNTS and entry["counts_agree"]
     assert before["compare"] == {"against": "BENCH_3.json", "workloads": {}}
+    assert before["environment"]["src_sha256"] == bench_record.src_sha256()
+    assert "commit" not in before["environment"]
 
     # faster, 15% more memory, one case in a hundred failing, growth from 0
     write_records(
@@ -70,8 +83,8 @@ def test_two_canned_records_give_the_expected_compare_block(tmp_path):
         {s: metrics(0.25, 19.0 * 1.15, 0.99, 0.5) for s in bench_record.SEEDS},
         {},
     )
-    assert bench_record.main(["--pr", "8", *args]) == 0
-    after = json.loads((tmp_path / "BENCH_8.json").read_text())
+    assert bench_record.main(["--pr", "8", "--no-run"]) == 0
+    after = json.loads((dest / "BENCH_8.json").read_text())
     block = after["compare"]
     assert block["against"] == "BENCH_7.json"
     assert sorted(block["workloads"]) == sorted(WORKLOADS)
@@ -84,8 +97,23 @@ def test_two_canned_records_give_the_expected_compare_block(tmp_path):
     assert outside == {"peak_rss_mib", "ok_rate", "growth_exp"}
 
 
-def test_smoke_records_are_refused(tmp_path):
-    path = tmp_path / "result-local-checks-seed1-trace0.json"
+def test_records_of_another_tree_are_refused(dirs):
+    """One stale record among current ones: no BENCH file is written."""
+    out, dest = dirs
+    write_records(out, {s: metrics(0.3, 19.0, 1.0, 0.0) for s in bench_record.SEEDS}, {})
+    path = out / f"result-{WORKLOADS[-1]}-seed{bench_record.SEEDS[-1]}-trace0.json"
+    record = json.loads(path.read_text())
+    record["environment"] = dict(record["environment"], src_sha256="0" * 64)
+    path.write_text(json.dumps(record))
+    with pytest.raises(SystemExit, match="another src/"):
+        bench_record.main(["--pr", "7", "--no-run"])
+    assert not (dest / "BENCH_7.json").exists()
+
+
+def test_smoke_records_are_refused(dirs):
+    out, _ = dirs
+    out.mkdir()
+    path = out / "result-local-checks-seed1-trace0.json"
     path.write_text(json.dumps({"smoke": True}))
     with pytest.raises(SystemExit):
-        bench_record.load_record(tmp_path, "local-checks", 1, 0)
+        bench_record.load_record("local-checks", 1, 0)

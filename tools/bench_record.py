@@ -1,13 +1,19 @@
 """Write the performance record BENCH_<pr>.json from perfbench runs.
 
 For each workload in BENCHMARK.json it runs perfbench/run.py as it
-stands, with --trace 0 at the seeds SEEDS and with --trace 1 at
-TRACE_SEED, and reads the records that run.py writes to perfbench/out/.
+stands, for SECONDS each, with --trace 0 at the seeds SEEDS and with
+--trace 1 at TRACE_SEED, and reads the records that run.py writes to
+perfbench/out/.  It refuses to write a record unless every run it reads
+was taken on the current src/, as the SHA-256 that run.py records of
+src/ shows.
+
 The record it writes at the repository root holds, per workload, the
 median and quartiles of every end-to-end metric over the seeds, the
 per-layer split of the traced run, the exact counts, and any warning or
 problem a run reported; and, for the tree, the line count and SHA-256 of
-src/, its count of code lines and the Python version.
+src/, its count of code lines and the Python version.  The SHA-256 names
+the tree; a commit id is left out, since the record is committed with
+the tree it describes.
 
 When an earlier BENCH_*.json lies next to it, a "compare" block gives the
 ratio of each end-to-end median to the earlier one and whether it is
@@ -22,6 +28,7 @@ integer arithmetic.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import re
@@ -32,8 +39,11 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RECORDS = ROOT / "perfbench" / "out"  # where perfbench/run.py writes
+DEST = ROOT  # where the BENCH_<n>.json records lie
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = 1
+SECONDS = 6  # perfbench --seconds of every run
 
 
 def benchmark():
@@ -41,15 +51,24 @@ def benchmark():
         return json.load(fh)
 
 
-def run_perfbench(workload, seed, trace, seconds):
+def src_sha256():
+    """The SHA-256 of src/ as perfbench/run.py records it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.environment()["src_sha256"]
+
+
+def run_perfbench(workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", str(trace), "--seconds", str(seconds)]
+           "--seed", str(seed), "--trace", str(trace), "--seconds", str(SECONDS)]
     print("+", " ".join(cmd[1:]), flush=True)
     subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
 
 
-def load_record(records, workload, seed, trace):
-    path = Path(records) / f"result-{workload}-seed{seed}-trace{trace}.json"
+def load_record(workload, seed, trace):
+    path = RECORDS / f"result-{workload}-seed{seed}-trace{trace}.json"
     with open(path) as fh:
         record = json.load(fh)
     if record.get("smoke"):
@@ -126,10 +145,10 @@ def compare(new, old, name, bounds):
     return out
 
 
-def previous(dest, pr):
-    """(name, record) of the BENCH_<n>.json in dest with the largest n < pr."""
+def previous(pr):
+    """(name, record) of the BENCH_<n>.json in DEST with the largest n < pr."""
     found = []
-    for path in Path(dest).glob("BENCH_*.json"):
+    for path in DEST.glob("BENCH_*.json"):
         m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
         if m and int(m.group(1)) < pr:
             found.append((int(m.group(1)), path))
@@ -143,11 +162,8 @@ def previous(dest, pr):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="number of the record")
-    ap.add_argument("--seconds", type=float, default=6, help="perfbench --seconds")
     ap.add_argument("--no-run", action="store_true",
-                    help="read the records already in --records")
-    ap.add_argument("--records", default=ROOT / "perfbench" / "out")
-    ap.add_argument("--dest", default=ROOT, help="directory of the BENCH files")
+                    help="read the records already in perfbench/out/")
     args = ap.parse_args(argv)
 
     spec = benchmark()
@@ -157,26 +173,32 @@ def main(argv=None):
     if not args.no_run:
         for workload in workloads:
             for seed in SEEDS:
-                run_perfbench(workload, seed, 0, args.seconds)
-            run_perfbench(workload, TRACE_SEED, 1, args.seconds)
+                run_perfbench(workload, seed, 0)
+            run_perfbench(workload, TRACE_SEED, 1)
 
     record = {"pr": args.pr, "workloads": {}}
+    envs = []
     for workload in workloads:
-        plain = [load_record(args.records, workload, s, 0) for s in SEEDS]
-        traced = load_record(args.records, workload, TRACE_SEED, 1)
+        plain = [load_record(workload, s, 0) for s in SEEDS]
+        traced = load_record(workload, TRACE_SEED, 1)
         record["workloads"][workload] = summarize(plain, traced, names)
-    env = plain[0]["environment"]  # every record of one tree has the same
+        envs += [r["environment"] for r in plain + [traced]]
+    current = src_sha256()
+    stale = {e["src_sha256"] for e in envs} - {current}
+    if stale:
+        raise SystemExit(f"records of another src/ ({', '.join(sorted(stale))}), "
+                         f"not of the current one ({current}); run without --no-run")
+    env = envs[0]
     record["environment"] = {
         "python": env["python"],
-        "commit": env.get("commit"),
         "src_lines": env["src_lines"],
         "src_sha256": env["src_sha256"],
         "code_lines": code_lines(ROOT / "src"),
     }
-    before = previous(args.dest, args.pr)
+    before = previous(args.pr)
     if before is not None:
         record["compare"] = compare(record, before[1], before[0], bounds)
-    path = Path(args.dest) / f"BENCH_{args.pr}.json"
+    path = DEST / f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
