@@ -42,10 +42,15 @@ The builder, `Sheaf.costalk_dims` and the pair costalks solve the kernel
 of an S-linear map out of free stalks, degree by degree, and none of
 them eliminates a column that the kernel one degree down has settled
 (`gradedlin.KernelSweep`); `Sheaf.sections` eliminates every column.
+The builder (`_solve_vertex`) and `pair_ze_module` read kernel vectors
+and build each degree's column system (`KernelSweep.step`).
+`Sheaf.costalk_dims`, behind prop 7.1, the flabbiness certificate and
+`lifted_character`, and `costalk_interval`, behind the wall-crossing
+character, read only dimensions, and take ranks (`KernelSweep.rank`).
 This is the leading-term criterion of the Macaulay-matrix Groebner
 methods (Faugere's F4).  A column is dropped when it is x_k mu for a
 free column mu of the degree below, and the proof that this changes no
-output has five steps.
+output has six steps.
 
 1. A stored row's pivot is its least column, so each kernel basis
    vector's largest column is its own free column.
@@ -69,6 +74,17 @@ output has five steps.
    whose column one x_k-step carries to its own, is one of them, so it
    is always resident: a sweep holds only the last degree's pivot
    columns.
+6. A rank-only sweep inserts the kept columns, in source order, as rows
+   of a span over the target coordinates, and reduces each only until
+   its least coordinate leads no stored row (`linalg.insert_lead`).  A
+   kept column c is a pivot exactly when its row is new, and it is held
+   as its stored row: lambda col_c, lambda != 0, plus columns of its
+   degree before c.  x_k keeps the source order, so x_k times that row
+   is lambda x_k col_c plus columns before x_k c, dropped ones among
+   them, which step 3 puts in the span of the columns before them.  So
+   the span of the rows up to each kept position is the full system's
+   span of the columns up to it, and every pivot, rank and dimension is
+   the full system's.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -209,22 +225,23 @@ class Sheaf:
         """Dimensions of the sections supported only at w, the kernel of
         the gluing map of the upward edges at w, in the given degrees.
 
-        A `KernelSweep` steps that map through every even degree up to
-        the last one asked for.  It drops the stalk columns x_k mu for mu
-        a free column one degree down, where a kernel vector ends (step 1
-        of the module docstring).  Each is a combination of smaller
-        columns (step 2), so the rank is the one over every column, and
-        the dimension is the stalk's minus that rank, the number of
-        dropped columns plus the number of kept free ones (step 3).  Only
-        the last degree's pivot columns are held (step 5), and no
-        restriction map's column memo is filled.
+        A `KernelSweep` takes the rank of that map in every even degree
+        up to the last one asked for.  It drops the stalk columns x_k mu
+        for mu a free column one degree down, where a kernel vector ends
+        (step 1 of the module docstring).  Each is a combination of
+        smaller columns (step 2), so the rank is the one over every
+        column, and the dimension is the stalk's minus that rank, the
+        number of dropped columns plus the number of kept free ones (step
+        3).  Only the last degree's pivots are held, as rows of the span
+        of the kept columns (steps 5 and 6), and no restriction map's
+        column memo is filled.
         """
         degrees = tuple(degrees)
         m = self.gluing_map([w], self.graph.up[w])
         sweep = KernelSweep(m.target, m.source.gens, m.images)
         dims = {}
         for d in range(0, max(degrees, default=-2) + 1, 2):
-            dims[d] = m.source.dim(d) - sweep.step(d)[0].dim
+            dims[d] = m.source.dim(d) - sweep.rank(d)
         return {d: dims.get(d, 0) for d in degrees}
 
 
@@ -449,14 +466,10 @@ class PairCostalk:
     dims: dict
 
 
-def _pair_systems(bm: BMSheaf, y: Element, s: int):
-    """(ys, cap, {d: (echelon, positions, width)}) for every even d up to
-    cap = caps[ys]: one `KernelSweep` of the gluing map of the pair
-    {ys, y} inside {>= ys}, whose kernel is the pair costalk.  The
-    echelon's columns are the kept source columns, at the stalk
-    positions `positions` (lower stalk first); the costalk's dimension
-    is the width, the source's dimension, minus the rank (step 3 of the
-    module docstring)."""
+def _pair_sweep(bm: BMSheaf, y: Element, s: int):
+    """(ys, source, sweep): a `KernelSweep` of the gluing map of the pair
+    {ys, y} inside {>= ys}, whose kernel is the pair costalk, and the
+    map's source, the two stalks, lower one first."""
     graph = bm.graph
     gen = graph.system.generator(s)
     ys = multiply(y, gen)
@@ -473,18 +486,31 @@ def _pair_systems(bm: BMSheaf, y: Element, s: int):
         if e.lower in omega and e.upper in omega and {e.lower, e.upper} & {ys, y}
     ]
     m = bm.gluing_map([ys, y], edges)
-    sweep = KernelSweep(m.target, m.source.gens, m.images)
+    return ys, m.source, KernelSweep(m.target, m.source.gens, m.images)
+
+
+def _pair_systems(bm: BMSheaf, y: Element, s: int):
+    """(ys, cap, {d: (echelon, positions, width)}) for every even d up to
+    cap = caps[ys], stepped by the pair's sweep (`_pair_sweep`).  The
+    echelon's columns are the kept source columns, at the stalk positions
+    `positions` (lower stalk first); the costalk's dimension is the
+    width, the source's dimension, minus the rank (step 3 of the module
+    docstring)."""
+    ys, source, sweep = _pair_sweep(bm, y, s)
     systems = {}
     for d in range(0, bm.caps[ys] + 1, 2):
         ech, positions = sweep.step(d)
-        systems[d] = ech, positions, m.source.dim(d)
+        systems[d] = ech, positions, source.dim(d)
     return ys, bm.caps[ys], systems
 
 
 def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
-    """The pair costalk's dimensions (width minus rank per degree) and rank."""
-    ys, cap, systems = _pair_systems(bm, y, s)
-    dims = {d: width - ech.dim for d, (ech, _, width) in systems.items()}
+    """The pair costalk's dimensions, width minus rank per degree up to
+    caps[ys], and its graded rank.  The ranks come from the pair's sweep
+    (`KernelSweep.rank`, step 6 of the module docstring)."""
+    ys, source, sweep = _pair_sweep(bm, y, s)
+    cap = bm.caps[ys]
+    dims = {d: source.dim(d) - sweep.rank(d) for d in range(0, cap + 1, 2)}
     return PairCostalk(ys, y, rank_from_dims(dims, bm.ring.nvars, cap), dims)
 
 

@@ -56,7 +56,7 @@ from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
-from .linalg import Echelon, column_echelon
+from .linalg import Echelon, column_echelon, insert_lead
 
 __all__ = [
     "PolyRing",
@@ -167,8 +167,8 @@ class PolyRing:
     def _steps(self, d):
         """(k, j, divisors) per monomial m of degree d: m is x_k times
         monomial j of degree d-2, with x_k its first variable, and
-        `divisors` holds the index in degree d-2 of m / x_i for every
-        variable x_i of m, j first."""
+        `divisors` is the frozenset of the indices in degree d-2 of
+        m / x_i for every variable x_i of m, j among them."""
         out = self._stepmemo.get(d)
         if out is None:
             pindex = {m: j for j, m in enumerate(self.monomials(d - 2))}
@@ -181,7 +181,7 @@ class PolyRing:
                         mm[i] -= 1
                         divisors.append(pindex[tuple(mm)])
                 k = next(i for i, e in enumerate(m) if e)
-                out.append((k, divisors[0], tuple(divisors)))
+                out.append((k, divisors[0], frozenset(divisors)))
             self._stepmemo[d] = out
         return out
 
@@ -419,9 +419,15 @@ class KernelSweep:
 
     The map is given by generator images in `target`, as a ModuleMap is,
     and its degree-d columns are the source positions (generator,
-    monomial) in the source's basis order.  `step(d)`, for d = 0, 2, 4,
-    ... in turn, builds the column system (`column_echelon`) of the kept
-    columns, then of the caller's `extra` columns.
+    monomial) in the source's basis order.  A sweep goes up d = 0, 2, 4,
+    ... in turn by one of two steps.  `step(d)` builds the
+    column system (`column_echelon`) of the kept columns, then of the
+    caller's `extra` columns, for callers that read kernel vectors: the
+    sheaf builder and the Z(E)-module of a pair costalk.  `rank(d)` gives
+    only the rank, for callers that read costalk dimensions alone: it
+    inserts the kept columns themselves, in source order, as rows of a
+    span over the target coordinates (`linalg.insert_lead`).  A `step`
+    may not follow a `rank`, and raises InputError if asked to.
 
     The criterion.  A stored row's pivot is its least column, so the
     kernel basis vector at a free column f holds f and pivots below it:
@@ -441,6 +447,13 @@ class KernelSweep:
     sweep holds per generator only the pivot columns of the last degree.
     The `extra` columns come after every source column, so they change
     none of this.
+
+    `rank` holds each pivot column as its stored row in the span, which
+    is lambda col_c (lambda != 0) plus columns of its degree before c.
+    Multiplication by x_k keeps the source order, so x_k times that row
+    is lambda x_k col_c plus columns before x_k c, and the span of the
+    rows inserted up to each kept position is that of all the columns up
+    to it: the same pivots and ranks as `step`.
     """
 
     def __init__(self, target, gens=(), images=()):
@@ -448,7 +461,8 @@ class KernelSweep:
         self.gens = []
         self.images = []
         self._degree = -2  # the degree stepped last
-        self._held = []  # per generator, {monomial index: column} at its pivots
+        self._held = []  # per generator, {monomial index: column or row} at its pivots
+        self._rows = False  # True once `rank` holds rows, not columns
         for g, image in zip(gens, images):
             self.add(g, image)
 
@@ -467,38 +481,59 @@ class KernelSweep:
         nvars = self.target.ring.nvars
         return sum(hilbert_dim(nvars, d - g) for g in self.gens)
 
+    def _kept(self, d):
+        """The kept columns of degree d, the degree after the last step,
+        in source order: (generator, monomial index, column), the column
+        x_k times the held one of its predecessor."""
+        if d != self._degree + 2:
+            raise InputError(f"step to degree {d} after degree {self._degree}")
+        steps = self.target.ring._steps
+        mul = self.target.mul_var
+        for i, g in enumerate(self.gens):
+            if g == d:
+                yield i, 0, self.images[i]
+            elif g < d:
+                held = self._held[i]
+                for j, (k, p, divisors) in enumerate(steps(d - g)):
+                    if held.keys() >= divisors:
+                        yield i, j, mul(held[p], k, d - 2)
+
     def step(self, d, extra=()):
         """(Echelon, positions) of degree d, the degree after the last
         step.  The Echelon's columns are the kept source columns, at the
         source positions `positions` in order, then the columns `extra`."""
-        if d != self._degree + 2:
-            raise InputError(f"step to degree {d} after degree {self._degree}")
-        ring = self.target.ring
-        mul = self.target.mul_var
-        positions, cols, owners = [], [], []
-        start = 0
-        for i, g in enumerate(self.gens):
-            if g > d:
-                continue
-            if g == d:
-                positions.append(start)
-                cols.append(self.images[i])
-                owners.append((i, 0))
-            else:
-                held = self._held[i]
-                for j, (k, p, divisors) in enumerate(ring._steps(d - g)):
-                    if all(q in held for q in divisors):
-                        positions.append(start + j)
-                        cols.append(mul(held[p], k, d - 2))
-                        owners.append((i, j))
-            start += hilbert_dim(ring.nvars, d - g)
+        if self._rows:
+            raise InputError("step after rank: the pivots are held as rows")
+        nvars = self.target.ring.nvars
+        starts = [0]
+        for g in self.gens:
+            starts.append(starts[-1] + hilbert_dim(nvars, d - g))
+        owners, cols = [], []
+        for i, j, col in self._kept(d):
+            owners.append((i, j))
+            cols.append(col)
         ech = column_echelon(cols + list(extra), self.target.dim(d))
         self._held = [{} for _ in self.gens]
         for c, (i, j) in enumerate(owners):
             if c in ech.rows:
                 self._held[i][j] = cols[c]
         self._degree = d
-        return ech, positions
+        return ech, [starts[i] + j for i, j in owners]
+
+    def rank(self, d):
+        """The rank of the map in degree d, the degree after the last
+        step.  The pivots are held as rows of the span, not as columns,
+        so no `step` may follow."""
+        self._rows = True
+        span = {}
+        held = [{} for _ in self.gens]
+        for i, j, col in self._kept(d):
+            row = insert_lead(span, col)
+            if row is not None:
+                held[i][j] = row
+        self._held = held
+        self._degree = d
+        return len(span)
 
 
 def check_generator_cap(degrees, cap):

@@ -32,10 +32,17 @@ first, and every system in the package is eliminated that way.
 Most systems arrive as columns, one sparse vector per unknown, and
 `column_echelon` is their one entry: it transposes the columns into
 equations and extends an Echelon by them.  `solve_in_span`, the
-builder's per-vertex system, the gluing map of a sheaf (its sections,
-costalks and pair costalks) and the Z(E)-module kernels all go through
-it.  Only a span of vectors stays row-built, since its rows are the
-vectors themselves.
+builder's per-vertex system, the gluing map of a sheaf where kernel
+vectors are read (its sections and the pair costalks' Z(E)-modules) and
+the Z(E)-module kernels all go through it.  Only a span of vectors
+stays row-built, since its rows are the vectors themselves.
+
+A span that is only asked its rank needs no reduced form: `insert_lead`
+reduces an incoming row only until its least column leads no stored
+row, so the stored rows have distinct leads and nothing more.  Which
+rows are new, and so the rank, are those of `Echelon.insert`.  The
+rank-only costalk sweeps take the span of their columns this way
+(`gradedlin.KernelSweep.rank`).
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-__all__ = ["Echelon", "column_echelon", "solve_in_span"]
+__all__ = ["Echelon", "column_echelon", "insert_lead", "solve_in_span"]
 
 
 def _primitive(row):
@@ -176,6 +183,29 @@ def column_echelon(columns, nrows):
     ech = Echelon()
     ech.extend(rows)
     return ech
+
+
+def insert_lead(rows, vec):
+    """Add vec, a {column: int} dict, to the span of `rows`, a dict that
+    maps the least column of each of its rows to the row; return the
+    stored row, or None if vec was already in the span.
+
+    Only the least column is cleared, until it leads no row: the stored
+    rows keep distinct leads, which makes them independent, and are not
+    reduced further."""
+    r = {c: v for c, v in vec.items() if v}
+    while r:
+        p = min(r)
+        prow = rows.get(p)
+        if prow is None:
+            _primitive(r)
+            rows[p] = r
+            return r
+        if len(prow) == 1:  # a multiple of {p: 1}, as in `insert`
+            del r[p]
+        else:
+            _eliminate(r, prow, p, rows, [])
+    return None
 
 
 def solve_in_span(columns, target):

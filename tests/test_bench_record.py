@@ -3,6 +3,7 @@ from canned perfbench records, with no benchmark run."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,8 @@ def test_two_canned_records_give_the_expected_compare_block(dirs):
     )
     assert entry["per_layer"] == {"bmsheaf.bm_construct_s": 0.07}
     assert entry["counts"] == COUNTS and entry["counts_agree"]
-    assert before["compare"] == {"against": "BENCH_3.json", "workloads": {}}
+    assert before["compare"] == {"against": "BENCH_3.json", "workloads": {}, "suites": {}}
+    assert "suites" not in before  # --no-run times no suite
     assert before["environment"]["src_sha256"] == bench_record.src_sha256()
     assert "commit" not in before["environment"]
 
@@ -117,3 +119,35 @@ def test_smoke_records_are_refused(dirs):
     path.write_text(json.dumps({"smoke": True}))
     with pytest.raises(SystemExit):
         bench_record.load_record("local-checks", 1, 0)
+
+
+def test_suites_are_timed_and_compared(dirs, monkeypatch):
+    """Canned suites in place of the tier-1 run and `bmsheaves verify`:
+    each one's wall time, exit code and last line go in the record, run
+    on this tree's src/, and the next record compares the wall times."""
+    out, dest = dirs
+    write_records(out, {s: metrics(0.3, 19.0, 1.0, 0.0) for s in bench_record.SEEDS}, {})
+    monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: None)
+    monkeypatch.setattr(bench_record, "SUITES", {
+        "tier1": [sys.executable, "-c", "print('.....'); print('5 passed in 0.01s')"],
+        "verify": [sys.executable, "-c",
+                   "import sys, bmsheaves; print(bmsheaves.__file__); sys.exit(1)"],
+    })
+    assert bench_record.main(["--pr", "7"]) == 0
+    first = json.loads((dest / "BENCH_7.json").read_text())["suites"]
+    assert sorted(first) == ["tier1", "verify"]
+    assert first["tier1"]["returncode"] == 0
+    assert first["tier1"]["summary"] == "5 passed in 0.01s"
+    assert first["verify"]["returncode"] == 1
+    assert first["verify"]["summary"].startswith(str(ROOT / "src"))
+    assert all(entry["wall_s"] > 0 for entry in first.values())
+
+    assert bench_record.main(["--pr", "8"]) == 0
+    second = json.loads((dest / "BENCH_8.json").read_text())
+    block = second["compare"]["suites"]
+    for name, entry in second["suites"].items():
+        before = first[name]["wall_s"]
+        assert block[name] == pytest.approx({
+            "before": before, "after": entry["wall_s"],
+            "ratio": entry["wall_s"] / before,
+        })

@@ -12,7 +12,7 @@ import pytest
 
 from bmsheaves import bmsheaf
 from bmsheaves.bmsheaf import bm_construct
-from bmsheaves.coxeter import parse_word
+from bmsheaves.coxeter import multiply, parse_word
 from bmsheaves.errors import CapError, InputError, NotGradedFreeError
 from bmsheaves.gradedlin import (
     DirectSum,
@@ -357,13 +357,23 @@ def test_rank_nullity_per_degree():
         assert k + i == mmap.source.dim(d)
 
 
+def _assert_rank_matches_step(ranked, stepped, ech, d):
+    """`ranked` just took the rank of degree d and `stepped` just stepped
+    to it, giving `ech`: the same rank and the same held pivot positions."""
+    assert ranked.rank(d) == ech.dim, d
+    assert [h.keys() for h in ranked._held] == [h.keys() for h in stepped._held], d
+
+
 def _sweep_against_all_columns(mmap, top):
     """Step a KernelSweep of the map through every even degree up to top
     and compare each degree with the column system over every column:
     the same pivots and rank, and at each kept free column the same
-    kernel vector.  Returns the number of columns the sweep dropped."""
+    kernel vector.  A second sweep takes the ranks (`KernelSweep.rank`)
+    and holds the same pivots.  Returns the number of columns the sweep
+    dropped."""
     source = mmap.source
     sweep = KernelSweep(mmap.target, source.gens, mmap.images)
+    ranked = KernelSweep(mmap.target, source.gens, mmap.images)
     dropped = 0
     pivots = set()  # the full system's pivots one degree down, as (i, m)
     for d in range(0, top + 1, 2):
@@ -394,6 +404,7 @@ def _sweep_against_all_columns(mmap, top):
         assert pruned == kept, d
         # only the pivot columns are held for the next degree
         assert sum(map(len, sweep._held)) == ech.dim
+        _assert_rank_matches_step(ranked, sweep, ech, d)
         dropped += width - len(positions)
     return dropped
 
@@ -435,6 +446,36 @@ def test_kernel_sweep_matches_all_columns_on_random_maps(seed):
     assert _sweep_against_all_columns(ModuleMap(source, target, images), 10) > 0
 
 
+@pytest.mark.parametrize(
+    "name, word", [("a3", "121321"), ("b2", "1212"), ("g2", "121212")]
+)
+def test_rank_sweeps_match_step_sweeps_on_sheaf_gluing_maps(name, word, request):
+    """The costalk gluing map at every vertex, up to the largest cap, and
+    every pair gluing map, up to the lower vertex's cap: in each degree
+    `rank` gives the rank of `step` and holds the same pivots."""
+    system = request.getfixturevalue(name)
+    bm = bm_construct(build_graph(system, system.element(parse_word(word, system.rank))))
+    graph = bm.graph
+    sweeps = []  # (step sweep, rank sweep, top degree)
+    for w in graph.vertices:
+        m = bm.gluing_map([w], graph.up[w])
+        stepped = KernelSweep(m.target, m.source.gens, m.images)
+        ranked = KernelSweep(m.target, m.source.gens, m.images)
+        sweeps.append((stepped, ranked, max(bm.caps.values())))
+    for s, gen in enumerate(system.generators):
+        for y in graph.vertices:
+            ys = multiply(y, gen)
+            if ys.length < y.length:
+                stepped = bmsheaf._pair_sweep(bm, y, s)[2]
+                ranked = bmsheaf._pair_sweep(bm, y, s)[2]
+                sweeps.append((stepped, ranked, bm.caps[ys]))
+    assert len(sweeps) > len(graph.vertices)
+    for stepped, ranked, top in sweeps:
+        for d in range(0, top + 1, 2):
+            ech, _ = stepped.step(d)
+            _assert_rank_matches_step(ranked, stepped, ech, d)
+
+
 def test_kernel_sweep_steps_one_degree_at_a_time():
     ring = PolyRing(2)
     sweep = KernelSweep(FreeModule(ring, (0,)), (0,), [{0: 1}])
@@ -443,6 +484,26 @@ def test_kernel_sweep_steps_one_degree_at_a_time():
     sweep.step(0)
     with pytest.raises(InputError):
         sweep.add(-2, {})
+    ranked = KernelSweep(FreeModule(ring, (0,)), (0,), [{0: 1}])
+    with pytest.raises(InputError):
+        ranked.rank(2)
+    assert [ranked.rank(0), ranked.rank(2)] == [1, 2]
+
+
+def test_a_step_may_not_follow_a_rank():
+    # a rank holds each pivot as a row of its span, whose column system
+    # a step would misread; a step holds columns, which a rank reads
+    ring = PolyRing(2)
+    target = FreeModule(ring, (0,))
+    ranked = KernelSweep(target, (0, 0), [{0: 1}, {0: 2}])
+    assert ranked.rank(0) == 1
+    with pytest.raises(InputError):
+        ranked.step(2)
+    assert ranked.rank(2) == 2
+    stepped = KernelSweep(target, (0, 0), [{0: 1}, {0: 2}])
+    ech, positions = stepped.step(0)
+    assert (len(ech.rows), positions) == (1, [0, 1])
+    assert stepped.rank(2) == 2
 
 
 def test_minimal_generators_of_an_edge_image():

@@ -23,7 +23,7 @@ import pytest
 from bmsheaves import linalg
 from bmsheaves.bmsheaf import _pair_systems, bm_construct
 from bmsheaves.coxeter import _differ_by_rank_one, multiply, parse_word
-from bmsheaves.linalg import Echelon, column_echelon, solve_in_span
+from bmsheaves.linalg import Echelon, column_echelon, insert_lead, solve_in_span
 from bmsheaves.momentgraph import build_graph
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5)
@@ -152,6 +152,25 @@ def test_insert_reports_exactly_the_new_directions(seed):
                 assert gcd(*stored.values()) == 1
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lead_only_insert_finds_the_new_rows_of_insert(seed):
+    """The seeded random rows, zero entries and zero rows included, go
+    one by one into an Echelon and into a lead-only span: the same rows
+    are new, the span has the rank, and its rows have distinct least
+    columns, each the key it is stored under."""
+    rng = random.Random(100 + seed)
+    for _ in range(60):
+        rows, ncols = random_matrix(rng, ENTRIES)
+        ech, span = Echelon(), {}
+        for row in rows:
+            vec = dict(enumerate(row))  # explicit zeros kept
+            new = insert_lead(span, vec)
+            assert (new is not None) == (ech.insert(vec) is not None)
+            assert new is None or span[min(new)] is new
+        assert len(span) == ech.dim == len(rref(rows, ncols)[0])
+        assert all(min(r) == p and all(r.values()) for p, r in span.items())
+
+
 def test_zero_and_empty_rows():
     ech = Echelon()
     assert ech.insert({}) is None
@@ -250,6 +269,13 @@ def test_unit_rows_store_the_rows_of_plain_elimination(seed):
             sequence.insert(rng.randrange(len(sequence) + 1), single)
         ech = unit_row_outputs(sequence, ncols)
         units += sum(len(row) == 1 for row in ech.rows.values())
+        # a batch, inserted sparsest first, stores the rows of the plain
+        # elimination of the batch in that order
+        batch, plain = Echelon(), {}
+        batch.extend(sequence)
+        for vec in sorted(sequence, key=len):
+            plain_insert(plain, vec)
+        assert batch.rows == plain
     assert units
 
 

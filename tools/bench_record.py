@@ -7,22 +7,27 @@ perfbench/out/.  It refuses to write a record unless every run it reads
 was taken on the current src/, as the SHA-256 that run.py records of
 src/ shows.
 
+It also times, once each and wall clock, the tier-1 test run and
+`bmsheaves verify` (SUITES), on src/ through PYTHONPATH.
+
 The record it writes at the repository root holds, per workload, the
 median and quartiles of every end-to-end metric over the seeds, the
 per-layer split of the traced run, the exact counts, and any warning or
-problem a run reported; and, for the tree, the line count and SHA-256 of
-src/, its count of code lines and the Python version.  The SHA-256 names
+problem a run reported; per suite, its wall time, exit code and the last
+line it printed; and, for the tree, the line count and SHA-256 of src/,
+its count of code lines and the Python version.  The SHA-256 names
 the tree; a commit id is left out, since the record is committed with
 the tree it describes.
 
 When an earlier BENCH_*.json lies next to it, a "compare" block gives the
 ratio of each end-to-end median to the earlier one and whether it is
-worse than the bound that BENCHMARK.json sets for the metric.  Times are
+worse than the bound that BENCHMARK.json sets for the metric, and the
+ratio of each suite's wall time, which has no bound.  Times are
 those of perfbench: seconds at its reference speed, with pure-Python
 integer arithmetic.
 
     python tools/bench_record.py --pr 31
-    python tools/bench_record.py --pr 31 --no-run   # records already there
+    python tools/bench_record.py --pr 31 --no-run   # records already there, no suite
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ import argparse
 import importlib.util
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -44,6 +51,11 @@ DEST = ROOT  # where the BENCH_<n>.json records lie
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = 1
 SECONDS = 6  # perfbench --seconds of every run
+SUITES = {  # the tier-1 run as ROADMAP.md gives it, and `bmsheaves verify`
+    "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+    "verify": [sys.executable, "-c",
+               "import sys; from bmsheaves.cli import main; sys.exit(main(['verify']))"],
+}
 
 
 def benchmark():
@@ -65,6 +77,20 @@ def run_perfbench(workload, seed, trace):
            "--seed", str(seed), "--trace", str(trace), "--seconds", str(SECONDS)]
     print("+", " ".join(cmd[1:]), flush=True)
     subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+
+
+def time_suite(cmd):
+    """Wall time, exit code and last printed line of one suite run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    print("+", " ".join(cmd[1:]), flush=True)
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": done.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def load_record(workload, seed, trace):
@@ -142,6 +168,12 @@ def compare(new, old, name, bounds):
                 worse = ratio < 1 - bound
             rows[metric] = {"before": a, "after": b, "ratio": ratio,
                             "outside_bound": worse}
+    suites = out["suites"] = {}
+    for suite, entry in new.get("suites", {}).items():
+        before = old.get("suites", {}).get(suite)
+        if before is not None:
+            a, b = before["wall_s"], entry["wall_s"]
+            suites[suite] = {"before": a, "after": b, "ratio": b / a}
     return out
 
 
@@ -163,7 +195,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="number of the record")
     ap.add_argument("--no-run", action="store_true",
-                    help="read the records already in perfbench/out/")
+                    help="read the records already in perfbench/out/ and time no suite")
     args = ap.parse_args(argv)
 
     spec = benchmark()
@@ -177,6 +209,8 @@ def main(argv=None):
             run_perfbench(workload, TRACE_SEED, 1)
 
     record = {"pr": args.pr, "workloads": {}}
+    if not args.no_run:
+        record["suites"] = {name: time_suite(cmd) for name, cmd in SUITES.items()}
     envs = []
     for workload in workloads:
         plain = [load_record(workload, s, 0) for s in SEEDS]
