@@ -47,6 +47,8 @@ and build each degree's column system (`KernelSweep.step`).
 `Sheaf.costalk_dims`, behind prop 7.1, the flabbiness certificate and
 `lifted_character`, and `costalk_interval`, behind the wall-crossing
 character, read only dimensions, and take ranks (`KernelSweep.rank`).
+So do the certificate's covers, and `minimal_generators` reads which
+candidates are new from a sweep's span (`KernelSweep.span`).
 This is the leading-term criterion of the Macaulay-matrix Groebner
 methods (Faugere's F4).  A column is dropped when it is x_k mu for a
 free column mu of the degree below, and the proof that this changes no
@@ -66,9 +68,11 @@ output has six steps.
 4. The costalk vector at a dropped column x_k mu is x_k times the one
    at mu, less vectors at smaller free columns, up to a scalar.  So it
    lies in the S-multiples of lower degrees plus the span of the vectors
-   before it, and `minimal_generators` never picks it.  The builder
-   and `pair_ze_module` pass it only the kept vectors and take the
-   costalk's dimension as #dropped + #kept-free.
+   before it, and `minimal_generators`, which tests candidates in order
+   against the span of its own sweep (step 6) and adds only the new
+   ones, never picks it.  The builder and `pair_ze_module` pass it only
+   the kept vectors and take the costalk's dimension as #dropped +
+   #kept-free.
 5. A column is kept only when every x_k-divisor of its monomial is a
    pivot one degree down.  Its predecessor under the ring's `_steps`,
    whose column one x_k-step carries to its own, is one of them, so it
@@ -84,7 +88,10 @@ output has six steps.
    them, which step 3 puts in the span of the columns before them.  So
    the span of the rows up to each kept position is the full system's
    span of the columns up to it, and every pivot, rank and dimension is
-   the full system's.
+   the full system's.  A generator added to a sweep after its span in
+   its own degree, as `minimal_generators` adds a new candidate, is
+   independent of that span and is held as its column, lambda = 1 with
+   no columns before it, which the same argument covers.
 
 The graded character collects the costalk ranks into the rescaled basis
 of the Hecke algebra:  h = sum_y v^(l(y) - l(x)) q_y Tt_y, normalized so
@@ -118,7 +125,7 @@ from .gradedlin import (
 )
 from .hecke import BASIS_TT, HeckeElt
 from .laurent import LaurentPoly
-from .linalg import Echelon, column_echelon, solve_in_span
+from .linalg import column_echelon, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
 
 __all__ = [
@@ -237,12 +244,16 @@ class Sheaf:
         column memo is filled.
         """
         degrees = tuple(degrees)
-        m = self.gluing_map([w], self.graph.up[w])
-        sweep = KernelSweep(m.target, m.source.gens, m.images)
-        dims = {}
-        for d in range(0, max(degrees, default=-2) + 1, 2):
-            dims[d] = m.source.dim(d) - sweep.rank(d)
+        dims = self._kernel_dims([w], self.graph.up[w], max(degrees, default=-2))
         return {d: dims.get(d, 0) for d in degrees}
+
+    def _kernel_dims(self, verts, edges, top):
+        """{d: dim of the kernel of `gluing_map(verts, edges)` in degree
+        d} for every even d up to top: the source's dimension minus the
+        rank that a `KernelSweep` takes of the map."""
+        m = self.gluing_map(verts, edges)
+        sweep = KernelSweep(m.target, m.source.gens, m.images)
+        return {d: m.source.dim(d) - sweep.rank(d) for d in range(0, top + 1, 2)}
 
 
 class BMSheaf(Sheaf):
@@ -466,10 +477,9 @@ class PairCostalk:
     dims: dict
 
 
-def _pair_sweep(bm: BMSheaf, y: Element, s: int):
-    """(ys, source, sweep): a `KernelSweep` of the gluing map of the pair
-    {ys, y} inside {>= ys}, whose kernel is the pair costalk, and the
-    map's source, the two stalks, lower one first."""
+def _pair_edges(bm: BMSheaf, y: Element, s: int):
+    """(ys, edges): the edges whose gluing map on the pair {ys, y}, lower
+    vertex first, has the pair costalk as its kernel."""
     graph = bm.graph
     gen = graph.system.generator(s)
     ys = multiply(y, gen)
@@ -485,32 +495,34 @@ def _pair_sweep(bm: BMSheaf, y: Element, s: int):
         for e in graph.edges
         if e.lower in omega and e.upper in omega and {e.lower, e.upper} & {ys, y}
     ]
-    m = bm.gluing_map([ys, y], edges)
-    return ys, m.source, KernelSweep(m.target, m.source.gens, m.images)
+    return ys, edges
 
 
 def _pair_systems(bm: BMSheaf, y: Element, s: int):
     """(ys, cap, {d: (echelon, positions, width)}) for every even d up to
-    cap = caps[ys], stepped by the pair's sweep (`_pair_sweep`).  The
-    echelon's columns are the kept source columns, at the stalk positions
-    `positions` (lower stalk first); the costalk's dimension is the
-    width, the source's dimension, minus the rank (step 3 of the module
-    docstring)."""
-    ys, source, sweep = _pair_sweep(bm, y, s)
+    cap = caps[ys], stepped by a `KernelSweep` of the pair's gluing map
+    (`_pair_edges`).  The echelon's columns are the kept source columns,
+    at the stalk positions `positions` (lower stalk first); the costalk's
+    dimension is the width, the source's dimension, minus the rank (step
+    3 of the module docstring)."""
+    ys, edges = _pair_edges(bm, y, s)
+    m = bm.gluing_map([ys, y], edges)
+    sweep = KernelSweep(m.target, m.source.gens, m.images)
     systems = {}
     for d in range(0, bm.caps[ys] + 1, 2):
         ech, positions = sweep.step(d)
-        systems[d] = ech, positions, source.dim(d)
+        systems[d] = ech, positions, m.source.dim(d)
     return ys, bm.caps[ys], systems
 
 
 def costalk_interval(bm: BMSheaf, y: Element, s: int) -> PairCostalk:
     """The pair costalk's dimensions, width minus rank per degree up to
-    caps[ys], and its graded rank.  The ranks come from the pair's sweep
-    (`KernelSweep.rank`, step 6 of the module docstring)."""
-    ys, source, sweep = _pair_sweep(bm, y, s)
+    caps[ys], and its graded rank.  The ranks come from a sweep of the
+    pair's gluing map (`KernelSweep.rank`, step 6 of the module
+    docstring)."""
+    ys, edges = _pair_edges(bm, y, s)
     cap = bm.caps[ys]
-    dims = {d: source.dim(d) - sweep.rank(d) for d in range(0, cap + 1, 2)}
+    dims = bm._kernel_dims([ys, y], edges, cap)
     return PairCostalk(ys, y, rank_from_dims(dims, bm.ring.nvars, cap), dims)
 
 
@@ -835,13 +847,12 @@ def _flabby_certificate(bm: BMSheaf):
             )
         onto = dict.fromkeys(degrees, glued)
         for z, gens in born.items():
-            # the degree-d columns of the cover are the S-multiples in degree d
-            free = FreeModule(bm.ring, [g for g, _ in gens])
-            cover = ModuleMap(free, bm.stalks[z], [vec for _, vec in gens])
+            # the cover's span in degree d is that of the S-multiples there;
+            # one cover at a time, so only one holds its pivots
+            degrees_z = [g for g, _ in gens]
+            cover = KernelSweep(bm.stalks[z], degrees_z, [v for _, v in gens])
             for d in degrees:
-                ech = Echelon()
-                ech.extend(cover.columns(d))
-                if ech.dim != costalks[z][d]:
+                if cover.rank(d) != costalks[z][d]:
                     onto[d] = False
         bm._flabby = onto, costalks
     return bm._flabby

@@ -13,10 +13,10 @@ Three module shapes cover everything downstream:
   DirectSum       a finite concatenation of the above.
 
 Elements of a degree piece are sparse {position: coefficient} dicts with
-no zero entries; they go into `linalg.Echelon` as they are.  A module
-is a row of blocks, one per generator, each a shifted copy of S or of
-S/alpha with its (scaled) monomials in degree-then-lex order, so the
-canonical basis is (generator index, monomial).  The ring enumerates those
+no zero entries; they go into `linalg` as they are.  A module is a row
+of blocks, one per generator, each a shifted copy of S or of S/alpha
+with its (scaled) monomials in degree-then-lex order, so the canonical
+basis is (generator index, monomial).  The ring enumerates those
 monomials itself; the structure algebra of `momentgraph` keeps its
 polynomials as vectors of S = FreeModule(ring, (0,)) in that basis.
 There is one ring per Coxeter system (`CoxeterSystem.ring`), and it
@@ -28,14 +28,14 @@ Multiplication by a variable walks the blocks by offset over sparse
 columns that the PolyRing keeps once per (alpha, variable, degree) for
 every module over it.  A generator's columns in degree d, the images of
 its monomial multiples, come from its columns in degree d - 2 by one
-x_k-step, `step_columns`.  Maps out of a FreeModule are stored by
-generator images and their per-degree columns are materialized lazily
-by that step, so a map built under some cap extends to any degree on
-demand; the minimal-generator loop here grows the span of the
-generators it has picked by the same step.  A `KernelSweep` steps a
-map's columns too, but only those that the kernel one degree down has
-not settled, and holds one degree of them; the sheaf builder and the
-costalk solves eliminate through it.  The edge action xi of a
+x_k-step each.  Maps out of a FreeModule are stored by generator images
+and their per-degree columns are materialized lazily by that step, so a
+map built under some cap extends to any degree on demand.  A
+`KernelSweep` steps a map's columns too, but only those that the kernel
+one degree down has not settled, and holds one degree of them.  It is
+what steps an S-span: the sheaf builder and the pair costalks read its
+kernel vectors, and the costalk ranks, the flabbiness certificate's
+cover and `minimal_generators` read its spans.  The edge action xi of a
 momentgraph.ZEModule is a ModuleMap, from the module shifted up by 2
 into itself.  A map applies its columns through `combine_columns`.
 `quotient_map` is the one canonical map F -> F/alpha F of a free
@@ -56,7 +56,7 @@ from math import comb
 
 from .errors import CapError, InputError, NotGradedFreeError
 from .laurent import LaurentPoly
-from .linalg import Echelon, column_echelon, insert_lead
+from .linalg import column_echelon, insert_lead
 
 __all__ = [
     "PolyRing",
@@ -66,7 +66,6 @@ __all__ = [
     "ModuleMap",
     "quotient_map",
     "combine_columns",
-    "step_columns",
     "KernelSweep",
     "check_generator_cap",
     "minimal_generators",
@@ -375,16 +374,22 @@ class ModuleMap:
         self._cols = {}
 
     def columns(self, d):
+        """The degree-d columns.  A generator's columns in degree d are
+        the images of m g for the monomials m of degree d - g, in the
+        ring's order, and the column of x_k m g is x_k times that of m g
+        in degree d - 2."""
         cols = self._cols.get(d)
         if cols is None:
             cols = []
             start = self.source.block_starts(d - 2)
+            steps = self.target.ring._steps
+            mul = self.target.mul_var
             for i, g in enumerate(self.source.gens):
                 if d == g:
                     cols.append(self.images[i])
                 elif d > g:
                     block = self.columns(d - 2)[start[i] : start[i + 1]]
-                    cols += step_columns(self.target, block, g, d)
+                    cols += [mul(block[j], k, d - 2) for k, j, _ in steps(d - g)]
             self._cols[d] = cols
         return cols
 
@@ -400,34 +405,22 @@ def quotient_map(module, alpha):
     return q, ModuleMap(module, q, images)
 
 
-def step_columns(ambient, block, g, d):
-    """The degree-d columns of a generator of degree g < d, from its
-    columns `block` in degree d - 2.
-
-    A generator's columns in degree d are the images of m g for the
-    monomials m of degree d - g, in the ring's order, and the column of
-    x_k m g is x_k times that of m g in degree d - 2.  Every map's
-    columns and every S-span of generators grow one degree by this step.
-    """
-    mul = ambient.mul_var
-    return [mul(block[j], k, d - 2) for k, j, _ in ambient.ring._steps(d - g)]
-
-
 class KernelSweep:
     """An S-linear map out of a free module, eliminated one degree at a
     time over the columns that the degree below leaves open.
 
     The map is given by generator images in `target`, as a ModuleMap is,
     and its degree-d columns are the source positions (generator,
-    monomial) in the source's basis order.  A sweep goes up d = 0, 2, 4,
-    ... in turn by one of two steps.  `step(d)` builds the
-    column system (`column_echelon`) of the kept columns, then of the
-    caller's `extra` columns, for callers that read kernel vectors: the
-    sheaf builder and the Z(E)-module of a pair costalk.  `rank(d)` gives
-    only the rank, for callers that read costalk dimensions alone: it
-    inserts the kept columns themselves, in source order, as rows of a
-    span over the target coordinates (`linalg.insert_lead`).  A `step`
-    may not follow a `rank`, and raises InputError if asked to.
+    monomial) in the source's basis order; the generators need not come
+    in degree order.  A sweep goes up d = 0, 2, 4, ... in turn by one of
+    two steps.  `step(d)` builds the column system (`column_echelon`) of
+    the kept columns, then of the caller's `extra` columns, for callers
+    that read kernel vectors: the sheaf builder and the Z(E)-module of a
+    pair costalk.  `span(d)` gives only the span, for callers that read
+    ranks or which vectors are new: it inserts the kept columns
+    themselves, in source order, as rows of a span over the target
+    coordinates (`linalg.insert_lead`), and `rank(d)` is its size.  A
+    `step` may not follow a `span`, and raises InputError if asked to.
 
     The criterion.  A stored row's pivot is its least column, so the
     kernel basis vector at a free column f holds f and pivots below it:
@@ -448,7 +441,7 @@ class KernelSweep:
     The `extra` columns come after every source column, so they change
     none of this.
 
-    `rank` holds each pivot column as its stored row in the span, which
+    `span` holds each pivot column as its stored row in the span, which
     is lambda col_c (lambda != 0) plus columns of its degree before c.
     Multiplication by x_k keeps the source order, so x_k times that row
     is lambda x_k col_c plus columns before x_k c, and the span of the
@@ -462,14 +455,15 @@ class KernelSweep:
         self.images = []
         self._degree = -2  # the degree stepped last
         self._held = []  # per generator, {monomial index: column or row} at its pivots
-        self._rows = False  # True once `rank` holds rows, not columns
+        self._rows = False  # True once `span` holds rows, not columns
         for g, image in zip(gens, images):
             self.add(g, image)
 
     def add(self, g, image):
         """Append a generator of degree g.  One added right after
-        `step(g)` must be independent of that degree's columns, as a new
-        minimal generator is, and is held as a pivot."""
+        `step(g)` or `span(g)` must be independent of that degree's
+        columns, as a new minimal generator is, and is held as a pivot by
+        its column; a span may hold a pivot by its column or its row."""
         if g < self._degree:
             raise InputError(f"generator of degree {g} after step {self._degree}")
         self.gens.append(g)
@@ -503,7 +497,7 @@ class KernelSweep:
         step.  The Echelon's columns are the kept source columns, at the
         source positions `positions` in order, then the columns `extra`."""
         if self._rows:
-            raise InputError("step after rank: the pivots are held as rows")
+            raise InputError("step after span: the pivots are held as rows")
         nvars = self.target.ring.nvars
         starts = [0]
         for g in self.gens:
@@ -520,10 +514,11 @@ class KernelSweep:
         self._degree = d
         return ech, [starts[i] + j for i, j in owners]
 
-    def rank(self, d):
-        """The rank of the map in degree d, the degree after the last
-        step.  The pivots are held as rows of the span, not as columns,
-        so no `step` may follow."""
+    def span(self, d):
+        """The span of the map's columns in degree d, the degree after
+        the last step, as `insert_lead` keeps it: a dict of rows by their
+        least column.  The pivots are held as rows of the span, not as
+        columns, so no `step` may follow."""
         self._rows = True
         span = {}
         held = [{} for _ in self.gens]
@@ -533,7 +528,11 @@ class KernelSweep:
                 held[i][j] = row
         self._held = held
         self._degree = d
-        return len(span)
+        return span
+
+    def rank(self, d):
+        """The rank of the map in degree d (`span`)."""
+        return len(self.span(d))
 
 
 def check_generator_cap(degrees, cap):
@@ -555,36 +554,31 @@ def minimal_generators(candidates, ambient, cap):
     `candidates` maps even degrees to lists of sparse vectors in the
     ambient module's coordinates; the submodule is their S-span, and the
     vectors need not be closed under multiplication by the variables.
-    One loop walks the degrees up to the last one with a candidate.  In
-    degree d it spans the monomial multiples of the generators picked
-    so far (`step_columns`), which span the submodule generated below d,
-    then adds the candidates of degree d that are still new.  By the
-    graded Nakayama lemma those candidates are minimal generators, and
-    they are returned, the same dict objects, as (degree, vector) pairs
-    in that order.  When the candidates of each degree are already a
-    basis of a submodule's degree piece, the picks depend only on that
-    submodule.
+    One `KernelSweep` into the ambient module walks the degrees up to
+    the last one with a candidate.  In degree d its span is that of the
+    monomial multiples of the generators picked so far, the submodule
+    generated below d.  The candidates of degree d go into it one by one,
+    in order (`insert_lead`), and each one that is new joins the sweep as
+    a generator.  By the graded Nakayama lemma those candidates are
+    minimal generators, and they are returned, the same dict objects, as
+    (degree, vector) pairs in that order.  When the candidates of each
+    degree are already a basis of a submodule's degree piece, the picks
+    depend only on that submodule.
 
     Raises CapError when generators appear in the top two even degrees
     (`check_generator_cap`).
     """
     cap -= cap % 2
     last = max((d for d, vs in candidates.items() if vs and d <= cap), default=-2)
-    gens = []
-    blocks = []  # per generator, its columns in the previous degree
+    sweep = KernelSweep(ambient)
     for d in range(0, last + 1, 2):
-        blocks = [
-            step_columns(ambient, b, g, d) for (g, _), b in zip(gens, blocks)
-        ]
-        ech = Echelon()
-        ech.extend(v for block in blocks for v in block)
+        span = sweep.span(d)
         # one by one and in order: which candidates are new depends on it
         for v in candidates.get(d, ()):
-            if ech.insert(v) is not None:
-                gens.append((d, v))
-                blocks.append([v])
-    check_generator_cap([d for d, _ in gens], cap)
-    return gens
+            if insert_lead(span, v) is not None:
+                sweep.add(d, v)
+    check_generator_cap(sweep.gens, cap)
+    return list(zip(sweep.gens, sweep.images))
 
 
 def rank_from_dims(dims, nvars, cap):

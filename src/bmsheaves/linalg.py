@@ -1,48 +1,41 @@
 """Sparse exact linear algebra by fraction-free integer elimination.
 
-Everything here goes through one data structure: a row-echelon basis
-whose rows are {column: int} dicts.  The section systems this package
-solves are block sparse (each constraint couples the stalk variables of
-just two vertices), so sparse rows beat dense elimination by a wide
-margin while staying exact.
+Everything here works on sparse rows, {column: int} dicts, held by
+their least column.  The section systems this package solves are block
+sparse (each constraint couples the stalk variables of just two
+vertices), so sparse rows beat dense elimination by a wide margin while
+staying exact.
 
 Every scalar is an int, and an input row is made primitive on entry.  A
-stored row is primitive, its pivot is its smallest column and its lead
-(the entry there) is positive.  Rows are reduced as in Bareiss'
-fraction-free elimination: scale by the pivot's lead, subtract, divide
-by the content.  The form is lazy: `insert` reduces only the incoming
-row, and `kernel` back-substitutes once.  Kernel bases are sparse
-primitive integer vectors, {column: int} dicts without zeros like every
-other vector in the package, one per free column, in increasing
-free-column order, which keeps all downstream output deterministic.
+row stored in an Echelon is primitive, its pivot is its least column
+and its lead (the entry there) is positive.  Rows are reduced as in
+Bareiss' fraction-free elimination, by one step, `_eliminate`: scale by
+the pivot's lead, subtract, divide by the content.  A pivot row of one
+entry, +-{p: 1}, clears column p by deletion alone, which is the general
+step's result up to a scalar, and exactly so for an Echelon's unit row
+{p: 1}.  The form is lazy: `insert` reduces only the incoming row, and
+`kernel` back-substitutes once.  Kernel bases are sparse primitive
+integer vectors, dicts without zeros like every other vector in the
+package, one per free column, in increasing free-column order, which
+keeps all downstream output deterministic.
 
-A stored row with one entry is the unit row {p: 1}, since it is
-primitive with a positive lead, and it clears column p by deletion
-alone: `insert` runs `del r[p]` for such a pivot instead of calling
-`_eliminate`, which with b = 1 would do exactly that deletion and push
-nothing.  So the stored rows are those of the plain elimination.
+The package has three linear-algebra jobs, and one tool for each.
 
-The pivot columns are the least columns of the vectors in the row
-space, and `kernel` returns the primitive null-space basis of the
-reduced form, so both depend only on the row space, never on the order
-the rows came in.  Only the work does: fill-in grows with the rows
-already stored.  So a batch of rows goes in through `extend`, sparsest
-first, and every system in the package is eliminated that way.
-
-Most systems arrive as columns, one sparse vector per unknown, and
-`column_echelon` is their one entry: it transposes the columns into
-equations and extends an Echelon by them.  `solve_in_span`, the
-builder's per-vertex system, the gluing map of a sheaf where kernel
-vectors are read (its sections and the pair costalks' Z(E)-modules) and
-the Z(E)-module kernels all go through it.  Only a span of vectors
-stays row-built, since its rows are the vectors themselves.
-
-A span that is only asked its rank needs no reduced form: `insert_lead`
-reduces an incoming row only until its least column leads no stored
-row, so the stored rows have distinct leads and nothing more.  Which
-rows are new, and so the rank, are those of `Echelon.insert`.  The
-rank-only costalk sweeps take the span of their columns this way
-(`gradedlin.KernelSweep.rank`).
+- Kernel vectors.  A system arrives as columns, one per unknown, and
+  `column_echelon` transposes them into equations and extends an
+  Echelon by them, sparsest first.  The pivots and the kernel depend
+  only on the row space, never on the order of the rows; only the work
+  (fill-in) does.  `solve_in_span`, the builder, a sheaf's sections, the
+  pair costalks and the Z(E)-module kernels go through it, and nothing
+  outside this module builds an Echelon.
+- The rank of a span, or which of its vectors are new.  `insert_lead`
+  reduces an incoming row only until its least column leads no stored
+  row, so the stored rows, in a plain dict, have distinct leads and
+  nothing more; which rows are new, and so the rank, are those of
+  `Echelon.insert`.  It never changes a stored row, so a copy of the
+  dict is a copy of the span.
+- The rank of an S-span, degree by degree: `gradedlin.KernelSweep`
+  takes each degree's span by `insert_lead`.
 """
 
 from __future__ import annotations
@@ -64,7 +57,11 @@ def _primitive(row):
 def _eliminate(row, prow, p, rows, heap):
     """Clear row[p] with the pivot row prow: row <- b row - a prow for
     a, b proportional to row[p], prow[p].  Pivot columns of `rows` that
-    enter row are pushed on `heap`."""
+    enter row are pushed on `heap`.  A pivot row of one entry clears
+    row[p] by deletion alone."""
+    if len(prow) == 1:
+        del row[p]
+        return
     a = row[p]
     b = prow[p]
     g = gcd(a, b)
@@ -114,11 +111,7 @@ class Echelon:
         while heap:
             p = heappop(heap)
             if p in r:
-                prow = rows[p]
-                if len(prow) == 1:
-                    del r[p]
-                else:
-                    _eliminate(r, prow, p, rows, heap)
+                _eliminate(r, rows[p], p, rows, heap)
         if not r:
             return None
         _primitive(r)
@@ -201,10 +194,7 @@ def insert_lead(rows, vec):
             _primitive(r)
             rows[p] = r
             return r
-        if len(prow) == 1:  # a multiple of {p: 1}, as in `insert`
-            del r[p]
-        else:
-            _eliminate(r, prow, p, rows, [])
+        _eliminate(r, prow, p, rows, [])
     return None
 
 

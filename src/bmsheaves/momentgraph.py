@@ -30,7 +30,6 @@ xi = (alpha_t, 0).
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
 
 from .coxeter import (
@@ -52,7 +51,7 @@ from .gradedlin import (
     hilbert_dim,
     quotient_map,
 )
-from .linalg import Echelon, column_echelon, solve_in_span
+from .linalg import column_echelon, insert_lead, solve_in_span
 
 __all__ = [
     "Edge",
@@ -433,11 +432,10 @@ def decompose_ze_module(zem: ZEModule, cap):
         # span of Z(E) * (everything in degree d-2) inside degree d; the
         # degree-(d-2) piece was absorbed entirely at the previous step.
         # S_2 times it is spanned by the basis vectors m g with deg m > 0.
-        span = Echelon()
-        span.extend(
-            [{pos: 1} for pos, (i, _) in enumerate(mod.basis(d)) if mod.gens[i] < d]
-            + zem.xi.columns(d)
-        )
+        units = [{pos: 1} for pos, (i, _) in enumerate(mod.basis(d)) if mod.gens[i] < d]
+        span = {}
+        for vec in units + zem.xi.columns(d):
+            insert_lead(span, vec)
         cols = zem.xi.columns(d + 2)
         tdim = mod.dim(d + 2)
         # the columns of xi - alpha
@@ -449,11 +447,10 @@ def decompose_ze_module(zem: ZEModule, cap):
         my = column_echelon(cols, tdim).kernel(dim)  # xi m = 0
         counts = []
         for vecs in (mx, my, mx + my):
-            ech = deepcopy(span)
-            ech.extend(vecs)
-            counts.append(ech.dim - span.dim)
+            grown = dict(span)  # insert_lead never changes a stored row
+            counts.append(sum(insert_lead(grown, vec) is not None for vec in vecs))
         a_count, b_count, ab_count = counts
-        c_count = dim - span.dim - ab_count
+        c_count = dim - len(span) - ab_count
         summands.extend([LocalSummand("M_lower", d)] * a_count)
         summands.extend([LocalSummand("M_upper", d)] * b_count)
         summands.extend([LocalSummand("P", d)] * c_count)

@@ -25,7 +25,6 @@ from bmsheaves.gradedlin import (
     minimal_generators,
     quotient_map,
     rank_from_dims,
-    step_columns,
 )
 from bmsheaves.laurent import LaurentPoly
 from bmsheaves.linalg import Echelon, column_echelon
@@ -466,14 +465,50 @@ def test_rank_sweeps_match_step_sweeps_on_sheaf_gluing_maps(name, word, request)
         for y in graph.vertices:
             ys = multiply(y, gen)
             if ys.length < y.length:
-                stepped = bmsheaf._pair_sweep(bm, y, s)[2]
-                ranked = bmsheaf._pair_sweep(bm, y, s)[2]
+                m = bm.gluing_map([ys, y], bmsheaf._pair_edges(bm, y, s)[1])
+                stepped = KernelSweep(m.target, m.source.gens, m.images)
+                ranked = KernelSweep(m.target, m.source.gens, m.images)
                 sweeps.append((stepped, ranked, bm.caps[ys]))
     assert len(sweeps) > len(graph.vertices)
     for stepped, ranked, top in sweeps:
         for d in range(0, top + 1, 2):
             ech, _ = stepped.step(d)
             _assert_rank_matches_step(ranked, stepped, ech, d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_sweeps_take_generators_in_any_degree_order(seed):
+    """Seeded random images of generators whose degrees are not sorted,
+    as the flabbiness certificate's born generators are not, in a small
+    free module and in a sum of a free and two quotient modules: in
+    every degree the sweep's rank is the rank over all the columns."""
+    rng = random.Random(40 + seed)
+    ring = PolyRing(2)
+    targets = [
+        FreeModule(ring, (0, 2)),
+        DirectSum(
+            ring,
+            [
+                FreeModule(ring, (0,)),
+                QuotientModule(ring, (0, 2), (1, 1)),
+                QuotientModule(ring, (2,), (2, -3)),
+            ],
+        ),
+    ]
+    for target in targets:
+        for _ in range(6):
+            gens = [rng.choice((0, 2, 2, 4)) for _ in range(rng.randint(2, 5))]
+            if gens == sorted(gens):
+                gens.reverse()
+            images = [
+                {t: a for t in range(target.dim(g)) if (a := rng.choice((0, 0, 1, -1, 2)))}
+                for g in gens
+            ]
+            mmap = ModuleMap(FreeModule(ring, gens), target, images)
+            sweep = KernelSweep(target, gens, images)
+            for d in range(0, 12, 2):
+                full = column_echelon(mmap.columns(d), target.dim(d))
+                assert sweep.rank(d) == full.dim, (gens, d)
 
 
 def test_kernel_sweep_steps_one_degree_at_a_time():
@@ -533,20 +568,20 @@ def test_minimal_generators_refuse_a_tight_cap():
 
 
 def _natural_order_generators(candidates, ambient, cap):
-    """`minimal_generators` with the multiples inserted one by one in
-    their natural order, generator by generator."""
+    """`minimal_generators` by an independent route: in each degree, every
+    monomial multiple of the generators picked so far, the columns of the
+    map from the free module on them (`ModuleMap.columns`), goes into an
+    Echelon one by one in its natural order, then the candidates."""
     last = max((d for d, vs in candidates.items() if vs), default=-2)
-    gens, blocks = [], []
+    gens = []
     for d in range(0, last + 1, 2):
-        blocks = [step_columns(ambient, b, g, d) for (g, _), b in zip(gens, blocks)]
+        free = FreeModule(ambient.ring, [g for g, _ in gens])
         ech = Echelon()
-        for block in blocks:
-            for v in block:
-                ech.insert(v)
+        for v in ModuleMap(free, ambient, [v for _, v in gens]).columns(d):
+            ech.insert(v)
         for v in candidates.get(d, ()):
             if ech.insert(v) is not None:
                 gens.append((d, v))
-                blocks.append([v])
     return gens
 
 

@@ -193,15 +193,38 @@ def test_insert_takes_int_rows_only():
     assert column_echelon([{0: 2}, {0: 4}], 1).kernel(2) == [{0: -2, 1: 1}]
 
 
+def plain_eliminate(row, prow, p, rows, heap):
+    """`linalg._eliminate` without the unit-row rule: the general step
+    row <- b row - a prow, whatever the length of the pivot row."""
+    a, b = row[p], prow[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for c in row:
+            row[c] *= b
+    for c, v in prow.items():
+        old = row.get(c)
+        if old is None:
+            row[c] = -a * v
+            if c in rows:
+                heapq.heappush(heap, c)
+        elif old - a * v:
+            row[c] = old - a * v
+        else:
+            del row[c]
+    if b != 1:
+        linalg._primitive(row)
+
+
 def plain_insert(rows, vec):
-    """`Echelon.insert` without the unit-row rule: every pivot of the
-    incoming row, a unit row's too, is cleared by `_eliminate`."""
+    """`Echelon.insert` by the general step alone: every pivot of the
+    incoming row, a unit row's too, is cleared by `plain_eliminate`."""
     r = {c: v for c, v in vec.items() if v}
     heap = sorted(c for c in r if c in rows)
     while heap:
         p = heapq.heappop(heap)
         if p in r:
-            linalg._eliminate(r, rows[p], p, rows, heap)
+            plain_eliminate(r, rows[p], p, rows, heap)
     if not r:
         return None
     linalg._primitive(r)
@@ -216,7 +239,8 @@ def plain_insert(rows, vec):
 def unit_row_outputs(sequence, ncols):
     """Insert the sequence one by one into an Echelon and by
     `plain_insert`: the same pivots, the same rows key for key and the
-    same kernel.  Returns the Echelon, kernel taken."""
+    same kernel as back-substitution by the general step.  Returns the
+    Echelon, kernel taken."""
     ech, plain = Echelon(), {}
     assert [ech.insert(vec) for vec in sequence] == [
         plain_insert(plain, vec) for vec in sequence
@@ -224,34 +248,45 @@ def unit_row_outputs(sequence, ncols):
     assert ech.rows == plain
     ref = Echelon()
     ref.rows = plain
-    assert ech.kernel(ncols) == ref.kernel(ncols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", plain_eliminate)
+        want = ref.kernel(ncols)
+    assert ech.kernel(ncols) == want
     return ech
 
 
-def test_unit_rows_are_cleared_by_deletion(monkeypatch):
-    """A unit row {2: 1} stored after a longer row that holds column 2:
-    eliminating the longer row from a later one without column 2 brings
-    it in by fill-in, and it is deleted without a call to `_eliminate`."""
-    calls = []
-    eliminate = linalg._eliminate
-
-    def counting(row, prow, p, rows, heap):
-        calls.append(dict(prow))
-        return eliminate(row, prow, p, rows, heap)
-
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+def test_unit_rows_are_cleared_by_deletion():
+    """`_eliminate` with a one-entry pivot row deletes the row's entry
+    there, changes no other entry and pushes nothing.  With the unit row
+    {2: 1}, an Echelon's, that is the general step's result; with
+    {2: -1}, which a lead-only span may hold, the general step's result
+    is a multiple of it."""
+    rows = {0: {0: 1, 2: 3}, 2: {2: 1}, 5: {5: 1, 6: 1}}
+    for vec in ({0: 4, 2: -6, 5: 2}, {2: 1}, {2: 7, 3: -2}, {2: -2, 6: 4}):
+        for unit in ({2: 1}, {2: -1}):
+            row, heap = dict(vec), []
+            linalg._eliminate(row, unit, 2, rows, heap)
+            assert row == {c: v for c, v in vec.items() if c != 2}
+            assert heap == []
+            plain, plain_heap = dict(vec), []
+            plain_eliminate(plain, unit, 2, rows, plain_heap)
+            assert plain_heap == []
+            if unit[2] == 1:
+                assert plain == row
+            else:
+                assert plain.keys() == row.keys()
+                c0 = min(row, default=None)
+                assert all(plain[c] * row[c0] == row[c] * plain[c0] for c in row)
+    # a unit row {2: 1} stored after a longer row that holds column 2:
+    # eliminating the longer row from a later one without column 2
+    # brings column 2 in by fill-in, and the unit row deletes it; the
+    # kernel's back-substitution deletes it from the longer row
     sequence = [{0: 1, 2: 3}, {2: -2}, {0: 1, 1: 1}]
-    ech, plain = Echelon(), {}
+    ech = Echelon()
     for vec in sequence:
         ech.insert(vec)
-    by_echelon = calls[:]
-    calls.clear()
-    for vec in sequence:
-        plain_insert(plain, vec)
-    assert ech.rows == plain == {0: {0: 1, 2: 3}, 1: {1: 1}, 2: {2: 1}}
-    assert by_echelon == [{0: 1, 2: 3}]
-    assert calls == [{0: 1, 2: 3}, {2: 1}]
-    unit_row_outputs(sequence, 3)
+    assert ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1}, 2: {2: 1}}
+    assert unit_row_outputs(sequence, 3).rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
 @pytest.mark.parametrize("seed", range(4))
