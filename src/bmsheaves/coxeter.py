@@ -18,15 +18,15 @@ than silently accepted (RealizationError).
 Arithmetic goes one generator at a time.  The matrix of s differs from
 the identity in row s only, so G_s A changes row s of A and A G_s adds a
 multiple of column s to each column: O(n^2) integer operations, never a
-full matrix product.  Normal forms, word extraction (stripping left
-descents) and inversion roots are built from these two steps; a full
-product is left only for `multiply` by an element of length > 1.
+full matrix product.  Every element is made by the right product with a
+generator below: `normal_form`, `multiply` and `Element.inverse` fold it
+over a word, and each partial product of the fold is kept as an element.
 
 A right product ws by a generator takes one step for its matrices and
-reads its word from w's, with no extraction.  Let a be the first letter
-of w's word and t the least left descent of ws (from ws's inverse
-matrix).  The exchange lemma says: if l(tw) > l(w) and l(ws) > l(w),
-then tws = w or l(tws) = l(w) + 2 (Bjorner-Brenti, ch. 1-2).  Then:
+reads its word from w's.  Let a be the first letter of w's word and t
+the least left descent of ws (from ws's inverse matrix).  The exchange
+lemma says: if l(tw) > l(w) and l(ws) > l(w), then tws = w or
+l(tws) = l(w) + 2 (Bjorner-Brenti, ch. 1-2).  Then:
 
   t < a   word(ws) = t word(w).  t is no left descent of w, as a is the
           least.  Were ws < w, t would be a left descent of ws and then
@@ -46,10 +46,9 @@ RealizationError.  Each element keeps its right products in one slot per
 generator, its tail aw, and its least right descent.  Each system keeps
 a {word: Element} table and hands out one instance per canonical word;
 `normal_form` of a canonical word reads that table.  The system also
-keeps the elements recovered from matrices, keyed by matrix, and
 memoizes Bruhat intervals and the pairs of the Bruhat order that
 `bruhat_leq` has decided.  The word table holds every element and so
-every slot, and all four tables live exactly as long as the
+every slot, and all three tables live exactly as long as the
 CoxeterSystem that owns them.  So does `ring`, the one PolyRing of the
 modules built on the system, with its memos.  `make_system` hands out
 one system per Coxeter and Cartan datum, so equal elements are one
@@ -115,14 +114,6 @@ def _tupmat(rows, name):
     return tuple(tuple(r) for r in rows)
 
 
-def _matmul(a, b):
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng
-    )
-
-
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -183,11 +174,6 @@ class CoxeterSystem:
     @functools.cached_property
     def _elements(self):
         """{word: Element}: the one instance of each canonical word."""
-        return {}
-
-    @functools.cached_property
-    def _by_matrix(self):
-        """{matrix: Element} of the results of `_from_matrices`."""
         return {}
 
     @functools.cached_property
@@ -355,7 +341,8 @@ class Element:
         return multiply(self, other)
 
     def inverse(self):
-        return _from_matrices(self.system, self.inv_matrix, self.matrix)
+        """The product of the generators of the word, read backwards."""
+        return functools.reduce(_mul_gen, reversed(self.word), self.system.identity)
 
     def apply(self, coords):
         """Image of the covector with the given simple-root coordinates."""
@@ -388,9 +375,6 @@ def _least_descent(mat):
     return None
 
 
-_MAX_EXTRACT = 10_000
-
-
 def _intern(system, word, mat, inv) -> Element:
     """The system's Element with this canonical word, built on first use."""
     table = system._elements
@@ -400,44 +384,14 @@ def _intern(system, word, mat, inv) -> Element:
     return w
 
 
-def _from_matrices(system, mat, inv) -> Element:
-    """Recover the canonical word of the element with the given matrices.
-
-    Repeatedly strips the smallest left descent (the first letter of every
-    reduced word is a left descent, so taking the minimum at each step
-    yields the ShortLex-least reduced word).  The element is a function of
-    its matrix, so each result is kept on the system, keyed by matrix, and
-    a matrix met before costs one lookup.
-    """
-    memo = system._by_matrix
-    w = memo.get(mat)
-    if w is not None:
-        return w
-    ident = system._identity_matrix
-    word = []
-    a, ainv = mat, inv
-    for _ in range(_MAX_EXTRACT):
-        if a == ident:
-            w = _intern(system, tuple(word), mat, inv)
-            memo[w.matrix] = w
-            return w
-        s = _least_descent(ainv)
-        if s is None:
-            raise RealizationError(
-                "non-identity matrix with no left descent; the realization "
-                "is not reflection faithful"
-            )
-        word.append(s)
-        a = _gen_left(system, s, a)
-        ainv = _gen_right(system, s, ainv)
-    raise RealizationError("reduced-word extraction did not terminate")
-
-
 def normal_form(system: CoxeterSystem, word) -> Element:
     """Canonical Element of an arbitrary word in the generators.
 
     The system's table is keyed by canonical words, so a word found there
-    is answered by its entry; any other word goes through its matrices.
+    is answered by its entry; any other word is the fold of the generator
+    steps over it from the identity.  The fold keeps each prefix's element
+    in the table, so a new word of length L holds up to L new elements,
+    each with its word.
     """
     if isinstance(word, str):
         raise InputError(
@@ -449,25 +403,18 @@ def normal_form(system: CoxeterSystem, word) -> Element:
         if not (0 <= s < system.rank):
             raise InputError(f"generator index {s} out of range")
     w = system._elements.get(word)
-    if w is not None:
-        return w
-    mat = inv = system._identity_matrix
-    for s in word:
-        mat = _gen_right(system, s, mat)
-        inv = _gen_left(system, s, inv)
-    return _from_matrices(system, mat, inv)
+    if w is None:
+        w = functools.reduce(_mul_gen, word, system.identity)
+    return w
 
 
 def multiply(a: Element, b: Element) -> Element:
+    """a b, the fold of the generator steps over b's word from a."""
     if a.system is not b.system:
         raise InputError("elements of different systems")
-    if b.length == 0:
-        return a
-    if b.length == 1:
+    if b.length == 1:  # the hot path of HeckeAlgebra._column
         return _mul_gen(a, b.word[0])
-    return _from_matrices(
-        a.system, _matmul(a.matrix, b.matrix), _matmul(b.inv_matrix, a.inv_matrix)
-    )
+    return functools.reduce(_mul_gen, b.word, a)
 
 
 def _tail(w: Element) -> Element:

@@ -1,4 +1,7 @@
-"""Shared fixtures: the built-in Coxeter systems and their Hecke algebras."""
+"""Shared fixtures: the built-in Coxeter systems and their Hecke algebras,
+and a plain matrix reference for normal forms."""
+
+import functools
 
 import pytest
 
@@ -114,3 +117,38 @@ PRODUCT_SYSTEMS = {
 def product_case(request):
     """(name, Coxeter matrix, Cartan matrix or None, largest length)."""
     return (request.param, *PRODUCT_SYSTEMS[request.param])
+
+
+# -- normal forms from plain matrix products -----------------------------------
+
+
+def _ref_product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _ref_normal_form(system, word):
+    """(word, matrix, inverse) from full products of generator matrices,
+    stripping the smallest left descent until the identity remains."""
+    n = system.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [
+        tuple(
+            tuple(int(i == j) - (system.cartan[i][j] if i == s else 0)
+                  for j in range(n))
+            for i in range(n)
+        )
+        for s in range(n)
+    ]
+    mat = functools.reduce(_ref_product, (gens[s] for s in word), ident)
+    inv = functools.reduce(_ref_product, (gens[s] for s in reversed(word)), ident)
+    out, a, ainv = [], mat, inv
+    while a != ident:
+        s = min(t for t in range(n) if all(row[t] <= 0 for row in ainv))
+        out.append(s)
+        a = _ref_product(gens[s], a)
+        ainv = _ref_product(ainv, gens[s])
+    return tuple(out), mat, inv

@@ -3,6 +3,7 @@ from canned perfbench records, with no benchmark run."""
 
 import importlib.util
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -123,24 +124,47 @@ def test_smoke_records_are_refused(dirs):
 
 def test_suites_are_timed_and_compared(dirs, monkeypatch):
     """Canned suites in place of the tier-1 run and `bmsheaves verify`:
-    each one's wall time, exit code and last line go in the record, run
-    on this tree's src/, and the next record compares the wall times."""
+    each one runs SUITE_RUNS times on this tree's src/; its median and
+    every wall time, its first nonzero exit code and the last line of its
+    last run go in the record, and the next record compares the medians.
+    A record from before suites were timed more than once, with one wall
+    time and no `values`, still compares."""
     out, dest = dirs
     write_records(out, {s: metrics(0.3, 19.0, 1.0, 0.0) for s in bench_record.SEEDS}, {})
     monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: None)
+    # both suites count their runs in one file: tier-1 prints the count,
+    # and verify fails only on its own second run
+    runs = dest / "runs"
+    count = (f"import pathlib; p = pathlib.Path({str(runs)!r}); "
+             "n = len(p.read_text()) + 1 if p.exists() else 1; p.write_text('.' * n)")
+    second_verify = bench_record.SUITE_RUNS + 2
     monkeypatch.setattr(bench_record, "SUITES", {
-        "tier1": [sys.executable, "-c", "print('.....'); print('5 passed in 0.01s')"],
+        "tier1": [sys.executable, "-c",
+                  f"{count}; print('.....'); print(n, 'passed in 0.01s')"],
         "verify": [sys.executable, "-c",
-                   "import sys, bmsheaves; print(bmsheaves.__file__); sys.exit(1)"],
+                   "import sys, bmsheaves; print(bmsheaves.__file__); "
+                   f"{count}; sys.exit(2 if n == {second_verify} else 0)"],
     })
+    (dest / "BENCH_6.json").write_text(json.dumps({
+        "workloads": {},
+        "suites": {"tier1": {"wall_s": 2.0, "returncode": 0, "summary": ""}},
+    }))
     assert bench_record.main(["--pr", "7"]) == 0
-    first = json.loads((dest / "BENCH_7.json").read_text())["suites"]
+    record = json.loads((dest / "BENCH_7.json").read_text())
+    first = record["suites"]
     assert sorted(first) == ["tier1", "verify"]
     assert first["tier1"]["returncode"] == 0
-    assert first["tier1"]["summary"] == "5 passed in 0.01s"
-    assert first["verify"]["returncode"] == 1
+    assert first["tier1"]["summary"] == f"{bench_record.SUITE_RUNS} passed in 0.01s"
+    assert first["verify"]["returncode"] == 2
     assert first["verify"]["summary"].startswith(str(ROOT / "src"))
-    assert all(entry["wall_s"] > 0 for entry in first.values())
+    for entry in first.values():
+        assert len(entry["values"]) == bench_record.SUITE_RUNS
+        assert all(wall > 0 for wall in entry["values"])
+        assert entry["wall_s"] == statistics.median(entry["values"])
+    assert record["compare"]["suites"] == {"tier1": pytest.approx({
+        "before": 2.0, "after": first["tier1"]["wall_s"],
+        "ratio": first["tier1"]["wall_s"] / 2.0,
+    })}
 
     assert bench_record.main(["--pr", "8"]) == 0
     second = json.loads((dest / "BENCH_8.json").read_text())

@@ -16,12 +16,11 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
+from conftest import _ref_normal_form
 
 from bmsheaves.coxeter import (
     CoxeterSystem,
     Element,
-    _from_matrices,
-    _matmul,
     _mul_gen,
     _reflection_deviation,
     bruhat_interval,
@@ -134,39 +133,8 @@ def test_identity_spellings_and_word_roundtrip(a2):
 
 # -- generator steps against plain matrix products -----------------------------
 #
-# `step_system` (conftest.py) runs each test on every system of STEP_SYSTEMS.
-
-
-def _ref_product(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _ref_normal_form(system, word):
-    """(word, matrix, inverse) from full products of generator matrices,
-    stripping the smallest left descent until the identity remains."""
-    n = system.rank
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    gens = [
-        tuple(
-            tuple(int(i == j) - (system.cartan[i][j] if i == s else 0)
-                  for j in range(n))
-            for i in range(n)
-        )
-        for s in range(n)
-    ]
-    mat = functools.reduce(_ref_product, (gens[s] for s in word), ident)
-    inv = functools.reduce(_ref_product, (gens[s] for s in reversed(word)), ident)
-    out, a, ainv = [], mat, inv
-    while a != ident:
-        s = min(t for t in range(n) if all(row[t] <= 0 for row in ainv))
-        out.append(s)
-        a = _ref_product(gens[s], a)
-        ainv = _ref_product(ainv, gens[s])
-    return tuple(out), mat, inv
+# `step_system` (conftest.py) runs each test on every system of STEP_SYSTEMS,
+# and `_ref_normal_form` (conftest.py) is the plain matrix reference.
 
 
 def test_normal_forms_match_full_matrix_products(step_system):
@@ -190,9 +158,10 @@ def test_intervals_match_subword_enumeration(step_system):
 
 
 def test_generator_products_match_the_general_path(product_case):
-    """w s from the step rule against word extraction from the product
-    matrices, which shares no word logic with it: the word, both
-    matrices and the instance agree.  First on normal forms of random
+    """w s from the step rule against word extraction from full products
+    of generator matrices, which shares no word logic with it: the word
+    and both matrices agree, and the normal form of the word of w
+    followed by s is the same instance.  First on normal forms of random
     words, whose tails and products are not yet known, then on a ball.
     The reference system is built outside `make_system`'s registry, so
     it shares no element table or slot with the system under test."""
@@ -204,13 +173,10 @@ def test_generator_products_match_the_general_path(product_case):
     def check(w, s):
         g = system.generators[s]
         ws = multiply(w, g)
-        mat = _matmul(w.matrix, g.matrix)
-        inv = _matmul(g.inv_matrix, w.inv_matrix)
-        general = _from_matrices(ref, mat, inv)
-        assert (ws.word, ws.matrix, ws.inv_matrix) == (
-            general.word, general.matrix, general.inv_matrix
+        assert (ws.word, ws.matrix, ws.inv_matrix) == _ref_normal_form(
+            ref, w.word + (s,)
         )
-        assert _from_matrices(system, mat, inv) is ws
+        assert normal_form(system, w.word + (s,)) is ws
         assert multiply(w, g) is ws
 
     rng = random.Random(f"steps:{name}")
@@ -224,9 +190,8 @@ def test_generator_products_match_the_general_path(product_case):
 
 def test_known_elements_are_read_from_the_system_tables(product_case):
     """Every word of an element, canonical or not, and its inverse's
-    inverse give the one instance; a general product is the fold of the
-    generator steps of its right factor's word; and every element kept by
-    matrix carries that matrix."""
+    inverse give the one instance; and a general product is the fold of
+    the generator steps of its right factor's word."""
     name, coxeter, cartan, bound = product_case
     system = make_system(coxeter, cartan)
     ball = element_ball(system, bound)
@@ -240,9 +205,6 @@ def test_known_elements_are_read_from_the_system_tables(product_case):
     for _ in range(60):
         a, b = rng.choice(ball), rng.choice(ball)
         assert multiply(a, b) is functools.reduce(_mul_gen, b.word, a)
-    assert system._by_matrix
-    for mat, w in system._by_matrix.items():
-        assert w.system is system and w.matrix == mat
 
 
 def test_a_word_out_of_range_is_refused_before_any_lookup():
@@ -260,7 +222,6 @@ def test_a_word_out_of_range_is_refused_before_any_lookup():
     system = make_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
     ref = CoxeterSystem(system.rank, system.coxeter, system.cartan)
     ref.__dict__["_elements"] = Watched()
-    ref.__dict__["_by_matrix"] = Watched()
     for word in ((0, 7), (7,), (-1, 0)):
         with pytest.raises(InputError, match="out of range"):
             normal_form(ref, word)
@@ -356,14 +317,14 @@ def test_make_system_interns_each_datum_weakly(tmp_path):
     system = make_system(coxeter, cartan)
     bruhat_interval(normal_form(system, (0, 1, 0, 1)))
     assert bruhat_leq(system.identity, normal_form(system, (0, 1, 0, 1)))
-    assert system._elements and system._by_matrix and system._interval_memo
+    assert system._elements and system._interval_memo
     assert system._bruhat_memo
     ref = weakref.ref(system)
     del system
     gc.collect()
     assert ref() is None
     fresh = make_system(coxeter, cartan)
-    assert not fresh._elements and not fresh._by_matrix
+    assert not fresh._elements
     assert not fresh._interval_memo and not fresh._bruhat_memo
 
     assert Element.__hash__ is object.__hash__

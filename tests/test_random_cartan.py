@@ -13,8 +13,12 @@ pass its checks or end in one of the package's typed errors.
   canonical sheaf on [e, x] has the character of both routes, passes the
   flabbiness and local rank checks at every vertex, and has every
   subleading character coefficient in v Z[v].
+  Word half (`check_word_draw`): on random words, every way to reach an
+  element (`normal_form`, `inverse`, `multiply`, and the normal form of a
+  concatenation, reduced or not) gives the word and matrices of the plain
+  matrix reference `_ref_normal_form` (conftest.py).
 
-Both are also run over more seeds as separate CI steps:
+All three are also run over more seeds as separate CI steps:
 
     cd tests && python -c 'from test_random_cartan import check_draw; ...'
 """
@@ -22,6 +26,7 @@ Both are also run over more seeds as separate CI steps:
 import random
 
 import pytest
+from conftest import _ref_normal_form
 
 from bmsheaves.bmsheaf import (
     bm_construct,
@@ -30,7 +35,13 @@ from bmsheaves.bmsheaf import (
     check_flabby_additive,
     check_prop_71,
 )
-from bmsheaves.coxeter import INFINITE, element_ball, make_system, normal_form
+from bmsheaves.coxeter import (
+    INFINITE,
+    element_ball,
+    make_system,
+    multiply,
+    normal_form,
+)
 from bmsheaves.errors import (
     CapError,
     InconsistencyError,
@@ -58,6 +69,9 @@ _FINITE_PAIRS = {
     6: [(-1, -3), (-3, -1)],
 }
 MAX_LENGTH = 5
+# the longest random word of check_word_draw, and the word pairs per draw
+WORD_LENGTH = 30
+WORD_PAIRS = 20
 # the report of check_prop_71 at a vertex where both identities hold
 _LOCAL_OK = {"kernel_rank": True, "mirror": True}
 
@@ -122,6 +136,43 @@ def check_sheaf_draw(seed, length):
     return "ok"
 
 
+def check_word_draw(seed):
+    """"ok" when, in the seed's system, `normal_form`, `inverse` and
+    `multiply` give the word and matrices of `_ref_normal_form` on random
+    words u, v of length at most WORD_LENGTH and on their concatenations,
+    and a times its inverse, either way round, is the identity; else the
+    name of the typed error that ended the draw.  Anything else fails."""
+    coxeter, cartan = draw(seed)
+    rng = random.Random(f"words:{seed}")
+
+    def word():
+        return tuple(rng.randrange(3) for _ in range(rng.randint(0, WORD_LENGTH)))
+
+    def made(w):
+        return w.word, w.matrix, w.inv_matrix
+
+    try:
+        system = make_system(coxeter, cartan)
+        identity = system.identity
+        for _ in range(WORD_PAIRS):
+            u, v = word(), word()
+            where = (seed, u, v)
+            a, b = normal_form(system, u), normal_form(system, v)
+            inv = a.inverse()
+            ab = multiply(a, b)
+            assert made(a) == _ref_normal_form(system, u), where
+            assert made(inv) == _ref_normal_form(system, u[::-1]), where
+            assert made(ab) == _ref_normal_form(system, u + v), where
+            assert normal_form(system, u + v) is ab, where
+            assert normal_form(system, a.word + b.word) is ab, where
+            assert multiply(a, inv) is identity, where
+            assert multiply(inv, a) is identity, where
+            assert normal_form(system, u + u[::-1]) is identity, where
+    except TYPED_ERRORS as exc:
+        return type(exc).__name__
+    return "ok"
+
+
 def test_draws_are_admissible():
     """Every draw passes `make_system`'s checks, and the draws reach every
     bond order and a non-symmetric pair."""
@@ -146,3 +197,8 @@ def test_random_rank3_sheaves_match_both_routes_or_raise_a_typed_error(seed):
     assert check_sheaf_draw(seed, 4) in ("ok",) + tuple(
         e.__name__ for e in TYPED_ERRORS
     )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_rank3_words_match_the_matrix_reference_or_raise_a_typed_error(seed):
+    assert check_word_draw(seed) in ("ok",) + tuple(e.__name__ for e in TYPED_ERRORS)

@@ -7,24 +7,26 @@ perfbench/out/.  It refuses to write a record unless every run it reads
 was taken on the current src/, as the SHA-256 that run.py records of
 src/ shows.
 
-It also times, once each and wall clock, the tier-1 test run and
-`bmsheaves verify` (SUITES), on src/ through PYTHONPATH.
+It also times, SUITE_RUNS times each and wall clock, the tier-1 test
+run and `bmsheaves verify` (SUITES), on src/ through PYTHONPATH.
 
 The record it writes at the repository root holds, per workload, the
 median and quartiles of every end-to-end metric over the seeds, the
 per-layer split of the traced run, the exact counts, and any warning or
-problem a run reported; per suite, its wall time, exit code and the last
-line it printed; and, for the tree, the line count and SHA-256 of src/,
-its count of code lines and the Python version.  The SHA-256 names
-the tree; a commit id is left out, since the record is committed with
-the tree it describes.
+problem a run reported; per suite, the median and every one of its wall
+times, the first nonzero exit code of its runs (else 0) and the last
+line its last run printed; and, for the tree, the line count and
+SHA-256 of src/, its count of code lines and the Python version.  The
+SHA-256 names the tree; a commit id is left out, since the record is
+committed with the tree it describes.
 
 When an earlier BENCH_*.json lies next to it, a "compare" block gives the
 ratio of each end-to-end median to the earlier one and whether it is
 worse than the bound that BENCHMARK.json sets for the metric, and the
-ratio of each suite's wall time, which has no bound.  Times are
-those of perfbench: seconds at its reference speed, with pure-Python
-integer arithmetic.
+ratio of each suite's median wall time, which has no bound (a record
+written before suites were timed more than once holds its one time).
+Times are those of perfbench: seconds at its reference speed, with
+pure-Python integer arithmetic.
 
     python tools/bench_record.py --pr 31
     python tools/bench_record.py --pr 31 --no-run   # records already there, no suite
@@ -51,6 +53,7 @@ DEST = ROOT  # where the BENCH_<n>.json records lie
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = 1
 SECONDS = 6  # perfbench --seconds of every run
+SUITE_RUNS = 3  # timed runs of each suite
 SUITES = {  # the tier-1 run as ROADMAP.md gives it, and `bmsheaves verify`
     "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
     "verify": [sys.executable, "-c",
@@ -80,16 +83,21 @@ def run_perfbench(workload, seed, trace):
 
 
 def time_suite(cmd):
-    """Wall time, exit code and last printed line of one suite run."""
+    """Median and every wall time of SUITE_RUNS runs of one suite, their
+    first nonzero exit code (else 0) and the last line of the last run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    print("+", " ".join(cmd[1:]), flush=True)
-    start = time.perf_counter()
-    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    walls, codes = [], []
+    for _ in range(SUITE_RUNS):
+        print("+", " ".join(cmd[1:]), flush=True)
+        start = time.perf_counter()
+        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+        walls.append(time.perf_counter() - start)
+        codes.append(done.returncode)
     lines = done.stdout.strip().splitlines()
-    return {"wall_s": wall, "returncode": done.returncode,
+    return {"wall_s": statistics.median(walls), "values": walls,
+            "returncode": next((c for c in codes if c), 0),
             "summary": lines[-1] if lines else ""}
 
 
