@@ -20,7 +20,8 @@ the identity in row s only, so G_s A changes row s of A and A G_s adds a
 multiple of column s to each column: O(n^2) integer operations, never a
 full matrix product.  Every element is made by the right product with a
 generator below: `normal_form`, `multiply` and `Element.inverse` fold it
-over a word, and each partial product of the fold is kept as an element.
+over a word, each partial product of the fold is kept as an element, and
+the generators are the identity's products.
 
 A right product ws by a generator takes one step for its matrices and
 reads its word from w's.  Let a be the first letter of w's word and t
@@ -42,9 +43,14 @@ At w = e the rule reads as t < a, and ws = e (w = s) has no t.  A
 suffix of a ShortLex-least word is ShortLex least, so aw has the word of
 w without its first letter.  Each case is checked on the matrices
 (t ws = w; ws = aw; a ws = (aw)s), and a disagreement raises
-RealizationError.  Each element keeps its right products in one slot per
-generator, its tail aw, and its least right descent.  Each system keeps
-a {word: Element} table and hands out one instance per canonical word;
+RealizationError.  Only the cases t < a and t = a give a new word, t or
+a before the word of a known element, and one function (`_prepend`)
+builds each such element with its tail aw, that known element: so every
+element but the identity is born with its tail, and a tail always
+exists.  Each element also keeps its right products in one slot per
+generator and its least right descent.  Each system keeps a
+{word: Element} table and hands out one instance per canonical word;
+`_prepend` builds an element only when its word is missing there, and
 `normal_form` of a canonical word reads that table.  The system also
 memoizes Bruhat intervals and the pairs of the Bruhat order that
 `bruhat_leq` has decided.  The word table holds every element and so
@@ -200,15 +206,12 @@ class CoxeterSystem:
     @functools.cached_property
     def identity(self):
         m = self._identity_matrix
-        return _intern(self, (), m, m)
+        e = self._elements[()] = Element(self, (), m, m, None)
+        return e
 
     @functools.cached_property
     def generators(self):
-        out = []
-        for i in range(self.rank):
-            m = _gen_right(self, i, self._identity_matrix)
-            out.append(_intern(self, (i,), m, m))
-        return tuple(out)
+        return tuple(_mul_gen(self.identity, i) for i in range(self.rank))
 
     def generator(self, s):
         """The generator of 0-based index s; InputError for any other s."""
@@ -324,13 +327,13 @@ class Element:
     word: tuple
     matrix: tuple
     inv_matrix: tuple = field(repr=False)
+    # a w for a the first letter of the word, None at the identity
+    _tail: Element = field(repr=False)
     length: int = field(init=False, repr=False)
     # the least right descent, None at the identity
     descent: int = field(init=False, repr=False)
     # [w s for each generator s], filled by _mul_gen
     _right: list = field(init=False, repr=False)
-    # a w for a the first letter of the word, filled by _tail and _prepend
-    _tail: Element = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "length", len(self.word))
@@ -375,15 +378,6 @@ def _least_descent(mat):
     return None
 
 
-def _intern(system, word, mat, inv) -> Element:
-    """The system's Element with this canonical word, built on first use."""
-    table = system._elements
-    w = table.get(word)
-    if w is None:
-        w = table[word] = Element(system, word, mat, inv)
-    return w
-
-
 def normal_form(system: CoxeterSystem, word) -> Element:
     """Canonical Element of an arbitrary word in the generators.
 
@@ -417,32 +411,19 @@ def multiply(a: Element, b: Element) -> Element:
     return functools.reduce(_mul_gen, b.word, a)
 
 
-def _tail(w: Element) -> Element:
-    """a w, for a the first letter of w's word: w's word without a."""
-    tail = w._tail
-    if tail is None:
-        system, a = w.system, w.word[0]
-        tail = _intern(
-            system,
-            w.word[1:],
-            _gen_left(system, a, w.matrix),
-            _gen_right(system, a, w.inv_matrix),
-        )
-        object.__setattr__(w, "_tail", tail)
-    return tail
-
-
 def _prepend(system, t, mat, inv, below) -> Element:
     """The element t below, whose matrices are mat and inv, with the word
-    t word(below); refused unless G_t mat is below's matrix."""
+    t word(below) and the tail below; refused unless G_t mat is below's
+    matrix.  The system's table is read first, so an element is built
+    only once."""
+    word = (t,) + below.word
     if _gen_left(system, t, mat) != below.matrix:
         raise RealizationError(
-            f"the generator step to {word_str((t,) + below.word)} disagrees "
-            "with its matrices"
+            f"the generator step to {word_str(word)} disagrees with its matrices"
         )
-    w = _intern(system, (t,) + below.word, mat, inv)
-    if w._tail is None:
-        object.__setattr__(w, "_tail", below)
+    w = system._elements.get(word)
+    if w is None:
+        w = system._elements[word] = Element(system, word, mat, inv, below)
     return w
 
 
@@ -474,7 +455,7 @@ def _mul_gen(w: Element, s: int) -> Element:
         elif a is None or t < a:
             ws = _prepend(system, t, mat, inv, w)
         elif t > a:
-            ws = _tail(w)
+            ws = w._tail
             if ws.matrix != mat:
                 raise RealizationError(
                     f"{w} s{s + 1} is not s{a + 1} {w}, against the exchange "
@@ -482,7 +463,7 @@ def _mul_gen(w: Element, s: int) -> Element:
                 )
         else:
             waiting.append((w, mat, inv))
-            w = _tail(w)
+            w = w._tail
             ws = w._right[s]
             continue
         w._right[s] = ws

@@ -586,7 +586,7 @@ def rank_from_dims(dims, nvars, cap):
 
     Greedily deconvolves against the Hilbert series of S.  A negative
     residual means the module is not graded free at this cap; generators
-    in the top two degrees mean the cap is too small to be conclusive.
+    in the top two degrees are refused by `check_generator_cap`.
     """
     cap -= cap % 2
     gens = {}
@@ -603,9 +603,5 @@ def rank_from_dims(dims, nvars, cap):
             )
         if residual:
             gens[d] = residual
-    if any(d >= cap - 2 for d in gens):
-        raise CapError(
-            f"graded-rank generators at the top of the range (cap {cap}); "
-            "raise the cap to trust this computation"
-        )
+    check_generator_cap(gens, cap)
     return LaurentPoly(gens)

@@ -63,7 +63,7 @@ memo holds its value at v^2 = 2^B.  Its bounds are:
 
 Each B starts at `_START_BITS`.  When a bound reaches 2^(B-1), B doubles
 until it fits and the memo is repacked once (`_fit`); a duality solve in
-progress starts over, and a product in progress is repacked with the memo.
+progress starts over, and a product in progress is formed again.
 
 Each route decodes a distinct packed value once, into a table of its
 own.  The product route keeps {packed int: LaurentPoly} for its current
@@ -443,43 +443,81 @@ class HeckeAlgebra:
             Tt_y C_s = Tt_ys + v Tt_y          if l(ys) > l(y)
             Tt_y C_s = Tt_ys + v^-1 Tt_y       otherwise,
 
-        so a term (y, n) of C_xs adds n at ys, and n << B at y when ys > y.
-        When ys < y it adds n >> B at y, and is refused unless the low
-        digit of n is 0 (h_y in v Z[v]).  The product P = C_xs C_s is
-        decoded into `kl_products` through the coefficient table (see
-        `_kl_decode`), so it shares its coefficients with every C_x
-        returned at that width; its coefficient at x must be 1 and its
-        support must lie below x.  Its constant terms are the c_y, and each
-        c_y C_y is subtracted with one small-by-large product per term.
+        so a term (y, n) of C_xs adds n at ys, and n << B at y when ys > y
+        (see `_kl_product`).  The constant terms of P = C_xs C_s are the
+        c_y, and each c_y C_y is subtracted with one small-by-large product
+        per term.  P, decoded through the coefficient table (see
+        `_kl_decode`), goes into `kl_products` when the column is written,
+        so it shares its coefficients with every C_x returned at that width.
+
+        The memo is filled by a work list, not by recursion, so a long word
+        costs no stack.  The list starts as [x], and each pass looks at its
+        last element w: a known column is popped; else a missing C_ws is
+        pushed; else P is formed and the lower y with c_y != 0 and C_y
+        missing are pushed; else the column of w is finished and written.
 
         Packing is evaluation at v = 2^B, a ring map, so the integers are
         exact, and a value decodes exactly once every coefficient is below
         2^(B-1).  Each coefficient of P is at most 2 |C_xs|_1, and each of
         C_x at most |P|_1 + sum |c_y| |C_y|_1, the bound recorded for
         |C_x|_1.  The width is fitted to the first bound before P is
-        formed and to the second, after P is decoded and the C_y are
-        filled, before the subtraction; a widening repacks the memo, and P
-        with it, and replaces the coefficient table (`_kl_width`).
+        formed and to the second once the C_y are filled, before the
+        subtraction; a widening repacks the memo, replaces the coefficient
+        table (`_kl_width`), and P is formed again at the new width.
         """
-        col = self._kl_cols.get(x)
-        if col is not None:
-            return col
-        norms = self._kl_norms
-        if x.length == 1:
-            # C_s = Tt_s + v Tt_e; only lengths >= 2 record a product
-            identity = self.system.identity
-            col = {x: 1, identity: 1 << self._kl_bits}
-            norms[x] = 2
-            self._kl_cols[x] = col
-            return col
-        s = x.descent
-        xs = _mul_gen(x, s)
-        self._kl_column(xs)
-        cols = self._kl_cols
-        bits = self._kl_width(2 * norms[xs])
+        cols, norms = self._kl_cols, self._kl_norms
+        todo = [x]
+        while todo:
+            w = todo[-1]
+            if w in cols:
+                todo.pop()
+                continue
+            if w.length == 1:
+                # C_s = Tt_s + v Tt_e; only lengths >= 2 record a product
+                cols[w] = {w: 1, self.system.identity: 1 << self._kl_bits}
+                norms[w] = 2
+                continue
+            s = w.descent
+            ws = _mul_gen(w, s)
+            if ws not in cols:
+                todo.append(ws)
+                continue
+            acc, prod = self._kl_product(w, s, ws)
+            lower = [
+                (y, c.constant_term)
+                for y, c in prod.items()
+                if y is not w and c.constant_term
+            ]
+            missing = [y for y, _ in lower if y not in cols]
+            if missing:
+                todo += missing
+                continue
+            norm = sum(abs(c) for p in prod.values() for c in p.c.values())
+            norm += sum(abs(c) * norms[y] for y, c in lower)
+            bits = self._kl_bits
+            if self._kl_width(norm) != bits:
+                acc, prod = self._kl_product(w, s, ws)
+            for y, c in lower:
+                for z, m in cols[y].items():
+                    acc[z] = acc.get(z, 0) - c * m
+            mask = (1 << self._kl_bits) - 1
+            for y, n in acc.items():
+                if n & mask and y is not w:
+                    raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
+            cols[w] = {y: n for y, n in acc.items() if n}
+            norms[w] = norm
+            self.kl_products[w] = (s, _decoded(BASIS_TT, prod))
+        return cols[x]
+
+    def _kl_product(self, x, s, xs):
+        """The packed P = C_xs C_s {y: n} and its decoded {y: p}, at the
+        width fitted to 2 |C_xs|_1.  A term (y, n) of C_xs with ys < y adds
+        n >> B at y, and is refused unless the low digit of n is 0 (h_y in
+        v Z[v]); P must have the coefficient 1 at x and lie below x."""
+        bits = self._kl_width(2 * self._kl_norms[xs])
         mask = (1 << bits) - 1
         acc = {}
-        for y, n in cols[xs].items():
+        for y, n in self._kl_cols[xs].items():
             ys = _mul_gen(y, s)
             acc[ys] = acc.get(ys, 0) + n
             if ys.length > y.length:
@@ -493,30 +531,10 @@ class HeckeAlgebra:
             raise InconsistencyError(
                 f"product coefficient at {x} is {prod.get(x, 0)}, expected 1"
             )
-        self.kl_products[x] = (s, _decoded(BASIS_TT, prod))
-        lower = []
-        for y, c in prod.items():
-            if y is x:
-                continue
-            if not bruhat_leq(y, x):
+        for y in prod:
+            if y is not x and not bruhat_leq(y, x):
                 raise InconsistencyError(f"product support {y} not below {x}")
-            if c.constant_term:
-                lower.append((y, c.constant_term, self._kl_column(y)))
-        norm = sum(abs(c) for p in prod.values() for c in p.c.values())
-        norm += sum(abs(c) * norms[y] for y, c, _ in lower)
-        if self._kl_width(norm) != bits:
-            _repack((acc,), bits, self._kl_bits)
-            bits = self._kl_bits
-            mask = (1 << bits) - 1
-        for _, c, lcol in lower:
-            for z, m in lcol.items():
-                acc[z] = acc.get(z, 0) - c * m
-        for y, n in acc.items():
-            if n & mask and y is not x:
-                raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
-        col = cols[x] = {y: n for y, n in acc.items() if n}
-        norms[x] = norm
-        return col
+        return acc, prod
 
     # -- self-dual basis, route 2: duality solve ---------------------------
 

@@ -80,7 +80,10 @@ def test_two_canned_records_give_the_expected_compare_block(dirs):
     assert before["environment"]["src_sha256"] == bench_record.src_sha256()
     assert "commit" not in before["environment"]
 
-    # faster, 15% more memory, one case in a hundred failing, growth from 0
+    # faster, 15% more memory, one case in a hundred failing, growth from 0,
+    # on a tree that has shrunk since BENCH_7
+    before["environment"].update(src_lines=12, code_lines=9)
+    (dest / "BENCH_7.json").write_text(json.dumps(before))
     write_records(
         out,
         {s: metrics(0.25, 19.0 * 1.15, 0.99, 0.5) for s in bench_record.SEEDS},
@@ -98,6 +101,9 @@ def test_two_canned_records_give_the_expected_compare_block(dirs):
     assert rows["growth_exp"]["ratio"] is None
     outside = {m for m, row in rows.items() if row["outside_bound"]}
     assert outside == {"peak_rss_mib", "ok_rate", "growth_exp"}
+    assert block["src_lines"] == {"before": 12, "after": 10}
+    code = bench_record.code_lines(ROOT / "src")
+    assert block["code_lines"] == {"before": 9, "after": code}
 
 
 def test_records_of_another_tree_are_refused(dirs):

@@ -207,6 +207,20 @@ def test_known_elements_are_read_from_the_system_tables(product_case):
         assert multiply(a, b) is functools.reduce(_mul_gen, b.word, a)
 
 
+def test_generators_are_born_as_the_identitys_products():
+    """On a fresh system, the generators read before any product are the
+    one-generator steps from the identity: each has the identity as its
+    tail and is the instance of its one-letter word."""
+    # a datum no other test uses, so its element table starts empty
+    coxeter = [[1, 0, 2], [0, 1, 3], [2, 3, 1]]
+    cartan = [[2, -1, 0], [-5, 2, -1], [0, -1, 2]]
+    system = make_system(coxeter, cartan)
+    assert not system._elements
+    for i, g in enumerate(system.generators):
+        assert g.word == (i,) and g._tail is system.identity
+        assert g is normal_form(system, (i,)) is _mul_gen(system.identity, i)
+
+
 def test_a_word_out_of_range_is_refused_before_any_lookup():
     """`normal_form` checks the generator indices before it reads the
     element table: a rank-3 system refuses (0, 7), (7,) and (-1, 0) with

@@ -7,6 +7,7 @@ Small cases are pinned against hand-computed values.
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -230,6 +231,23 @@ def test_a_long_dihedral_word_widens_the_packing(u2):
     assert alg.bar(alg.Tt(x)) == ref.scale(v(-x.length))
 
 
+def test_kl_basis_fills_a_long_word_without_recursion(u2):
+    """Under a recursion limit of 100, `kl_basis` answers the U2 word of
+    length 200, whose fill reaches down to length 1, and equals the
+    duality route; the product memo then holds a column of every length
+    up to 200."""
+    x = elt(u2, "12" * 100)
+    alg = HeckeAlgebra(u2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        got = alg.kl_basis(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == alg.kl_oracle(x)
+    assert {y.length for y in alg._kl_cols} == set(range(x.length + 1))
+
+
 @pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
 def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
     """With 8-bit digits at the start, the memo widens while a column of
@@ -302,7 +320,8 @@ def test_a_narrow_start_width_widens_the_product_route_to_the_same_values(
     from its top.  The norm bound of some C_x passes 2^2 on every system
     and stays below 2^7, so 3-bit digits widen and 8-bit ones stay.  On
     affA2, filled upwards from 3 bits, a widening falls between the two
-    fits of one product, which is then repacked with the memo."""
+    fits of one product, which is then formed again: only the memo is
+    ever repacked, never a product in progress."""
     coxeter, cartan, bound, _ = _ROUTE_SYSTEMS[name]
     system = make_system(coxeter, cartan)
     ball = element_ball(system, bound)
@@ -317,14 +336,27 @@ def test_a_narrow_start_width_widens_the_product_route_to_the_same_values(
         repack(cols, old, bits)
 
     monkeypatch.setattr(hecke, "_repack", watched)
+    product = HeckeAlgebra._kl_product
+    formed = []
+
+    def counted(self, x, s, xs):
+        formed.append(x)
+        return product(self, x, s, xs)
+
+    monkeypatch.setattr(HeckeAlgebra, "_kl_product", counted)
     for order in (ball, ball[::-1]):
+        formed.clear()
         narrow = HeckeAlgebra(system)
         got = {x: narrow.kl_basis(x) for x in order}
         assert [got[x] for x in ball] == values
         assert narrow.kl_products == wide.kl_products
         assert (narrow._kl_bits > 8) == (start == 3 and name != "B2")
         assert (narrow._kl_bits > start) == (start == 3)
-    assert any(in_product) == (name == "affA2" and start == 3)
+        if order is ball:
+            # filled upwards, a product is formed twice only after a widening
+            again = len(formed) > len(narrow.kl_products)
+            assert again == (name == "affA2" and start == 3)
+    assert not any(in_product)
 
 
 @pytest.mark.parametrize("start", [3, 8])

@@ -37,6 +37,7 @@ from bmsheaves.bmsheaf import (
 )
 from bmsheaves.coxeter import (
     INFINITE,
+    _gen_left,
     element_ball,
     make_system,
     multiply,
@@ -168,6 +169,12 @@ def check_word_draw(seed):
             assert multiply(a, inv) is identity, where
             assert multiply(inv, a) is identity, where
             assert normal_form(system, u + u[::-1]) is identity, where
+        table = system._elements
+        for w in table.values():
+            if w is not identity:
+                where = (seed, w.word)
+                assert w._tail is table[w.word[1:]], where
+                assert _gen_left(system, w.word[0], w.matrix) == w._tail.matrix, where
     except TYPED_ERRORS as exc:
         return type(exc).__name__
     return "ok"

@@ -24,7 +24,9 @@ When an earlier BENCH_*.json lies next to it, a "compare" block gives the
 ratio of each end-to-end median to the earlier one and whether it is
 worse than the bound that BENCHMARK.json sets for the metric, and the
 ratio of each suite's median wall time, which has no bound (a record
-written before suites were timed more than once holds its one time).
+written before suites were timed more than once holds its one time),
+and the line and code-line counts of src/ in both records, when both
+hold them.
 Times are those of perfbench: seconds at its reference speed, with
 pure-Python integer arithmetic.
 
@@ -155,7 +157,9 @@ def code_lines(src):
 
 def compare(new, old, name, bounds):
     """Per workload and end-to-end metric, the ratio of the medians
-    new/old and whether it is worse than the metric's bound."""
+    new/old and whether it is worse than the metric's bound; per suite,
+    the ratio of the median wall times; and the line count and code-line
+    count of src/ before and after, when both records hold them."""
     out = {"against": name, "workloads": {}}
     for workload, entry in new["workloads"].items():
         before = old["workloads"].get(workload)
@@ -182,6 +186,11 @@ def compare(new, old, name, bounds):
         if before is not None:
             a, b = before["wall_s"], entry["wall_s"]
             suites[suite] = {"before": a, "after": b, "ratio": b / a}
+    for key in ("src_lines", "code_lines"):
+        a = old.get("environment", {}).get(key)
+        b = new.get("environment", {}).get(key)
+        if a is not None and b is not None:
+            out[key] = {"before": a, "after": b}
     return out
 
 
