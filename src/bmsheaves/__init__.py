@@ -32,7 +32,7 @@ from .errors import (
     NotGradedFreeError,
     RealizationError,
 )
-from .hecke import BASIS_T, BASIS_TT, HeckeAlgebra, HeckeElt
+from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import LaurentPoly
 from .momentgraph import (
     Edge,

@@ -123,7 +123,7 @@ from .gradedlin import (
     quotient_map,
     rank_from_dims,
 )
-from .hecke import BASIS_TT, HeckeElt
+from .hecke import HeckeElt
 from .laurent import LaurentPoly
 from .linalg import column_echelon, solve_in_span
 from .momentgraph import MomentGraph, ZEModule
@@ -458,7 +458,7 @@ def character(bm: BMSheaf) -> HeckeElt:
         if not q:
             raise InconsistencyError(f"empty costalk at {w}")
         coeffs[w] = q.shift(w.length - big_l)
-    out = HeckeElt(BASIS_TT, coeffs)
+    out = HeckeElt(coeffs)
     if out.coeff(bm.top) != LaurentPoly.one():
         raise InconsistencyError("character is not normalized at the top")
     return out
@@ -593,7 +593,7 @@ def theta_character(bm: BMSheaf, s: int) -> HeckeElt:
             q_pair = bm.costalk_ranks[w]
         coeffs[ws] = coeffs.get(ws, 0) + q_pair.shift(ws.length - big_l - 1)
         coeffs[w] = coeffs.get(w, 0) + q_pair.shift(w.length - big_l + 1)
-    return HeckeElt(BASIS_TT, coeffs)
+    return HeckeElt(coeffs)
 
 
 # -- lifting sheaves from a quotient graph ----------------------------------
@@ -661,7 +661,7 @@ def lifted_character(sheaf: Sheaf, quotient_top_length: int) -> HeckeElt:
         dims = sheaf.costalk_dims(w, range(0, cap + 1, 2))
         q = rank_from_dims(dims, sheaf.ring.nvars, cap)
         coeffs[w] = q.shift(w.length - quotient_top_length - 1)
-    return HeckeElt(BASIS_TT, coeffs)
+    return HeckeElt(coeffs)
 
 
 # -- checks -----------------------------------------------------------------
@@ -717,8 +717,9 @@ def check_prop_71(bm: BMSheaf, w: Element):
     generators in the top two degrees (CapError) as the builder's does.
     The hypotheses are checked, not assumed, and a failed one makes
     "kernel_rank" False.  K_w is solved here from the stored maps,
-    independently of the builder's tables and of the flabbiness
-    certificate.
+    independently of the builder's tables.  The flabbiness certificate
+    solves the same K_w, by the same `Sheaf.costalk_dims` on the same
+    maps, only up to a higher degree, so it does not check this solve.
 
     >>> from bmsheaves.coxeter import make_system, parse_word
     >>> from bmsheaves.momentgraph import build_graph

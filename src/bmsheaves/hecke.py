@@ -1,7 +1,8 @@
 """Hecke algebra of a Coxeter system over Z[v, v^-1].
 
-Two bases are carried: the natural basis T_x and its rescaling
-Tt_x = v^(l(x)) T_x.  Right multiplication by a generator:
+Elements are held in one basis, the rescaling Tt_x = v^(l(x)) T_x of
+the natural basis T_x; T_x appears only in the definitions.  Right
+multiplication by a generator:
 
     T_x  T_s  = T_xs                               if l(xs) > l(x)
     T_x  T_s  = v^-2 T_xs + (v^-2 - 1) T_x         otherwise
@@ -11,8 +12,18 @@ Tt_x = v^(l(x)) T_x.  Right multiplication by a generator:
 The duality d is the ring involution with d(v) = v^-1 and
 d(T_x) = (T_{x^-1})^-1, where T_s^-1 = v^2 T_s + (v^2 - 1).  Its values
 on the Tt basis are memoized once per element, each one step from the
-value at the word's prefix (see `HeckeAlgebra._column`); `bar` works in
-the Tt basis and reads them from that memo.
+value at the word's prefix (see `HeckeAlgebra._column`); `bar` reads
+them from that memo.  On A2, with s the first generator:
+
+    >>> from bmsheaves.coxeter import make_system
+    >>> alg = HeckeAlgebra(make_system([[1, 3], [3, 1]]))
+    >>> s = alg.system.generators[0]
+    >>> alg.mult(alg.Tt(s), alg.Tt(s))
+    1*Tt(e) + (v^-1 - v)*Tt(1)
+    >>> alg.bar(alg.Tt(s))
+    (-v^-1 + v)*Tt(e) + 1*Tt(1)
+    >>> alg.kl_basis(s)
+    v*Tt(e) + 1*Tt(1)
 
 The self-dual basis element C_x = sum_y h_y Tt_y is the unique d-fixed
 element with h_x = 1 and h_y in v Z[v] for y < x.  Two independent
@@ -94,10 +105,7 @@ from .coxeter import (
 from .errors import InconsistencyError, InputError
 from .laurent import LaurentPoly
 
-__all__ = ["BASIS_T", "BASIS_TT", "HeckeElt", "HeckeAlgebra"]
-
-BASIS_T = "T"
-BASIS_TT = "Tt"
+__all__ = ["HeckeElt", "HeckeAlgebra"]
 
 # the factor of Tt_x in Tt_x Tt_s when l(xs) < l(x)
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
@@ -161,35 +169,21 @@ def _not_skew(y, n, bits, d):
     )
 
 
-def _decoded(basis, coeffs):
-    """HeckeElt(basis, coeffs) for nonzero coeffs, built without filtering
-    them again."""
+def _decoded(coeffs):
+    """HeckeElt(coeffs) for nonzero coeffs, built without filtering them
+    again."""
     a = HeckeElt.__new__(HeckeElt)
-    a.basis = basis
     a.coeffs = coeffs
     return a
 
 
 class HeckeElt:
-    """Finite Z[v,v^-1]-combination of basis elements, tagged by basis."""
+    """Finite Z[v,v^-1]-combination {x: c} of the Tt_x."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, basis, coeffs=None):
-        if basis not in (BASIS_T, BASIS_TT):
-            raise InputError(f"unknown basis tag {basis!r}")
-        self.basis = basis
+    def __init__(self, coeffs=None):
         self.coeffs = {x: c for x, c in (coeffs or {}).items() if c}
-
-    def convert(self, basis):
-        """Change basis using Tt_x = v^(l(x)) T_x."""
-        if basis == self.basis:
-            return self
-        sign = -1 if basis == BASIS_TT else 1
-        return HeckeElt(
-            basis,
-            {x: c.shift(sign * x.length) for x, c in self.coeffs.items()},
-        )
 
     def coeff(self, x):
         return self.coeffs.get(x, LaurentPoly.zero())
@@ -199,7 +193,6 @@ class HeckeElt:
         return set(self.coeffs)
 
     def __add__(self, other):
-        other = other.convert(self.basis)
         out = dict(self.coeffs)
         for x, c in other.coeffs.items():
             nv = out.get(x, LaurentPoly.zero()) + c
@@ -207,10 +200,10 @@ class HeckeElt:
                 out[x] = nv
             else:
                 out.pop(x, None)
-        return HeckeElt(self.basis, out)
+        return HeckeElt(out)
 
     def __neg__(self):
-        return HeckeElt(self.basis, {x: -c for x, c in self.coeffs.items()})
+        return HeckeElt({x: -c for x, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -219,19 +212,19 @@ class HeckeElt:
         """Multiply by a scalar Laurent polynomial (or int)."""
         if isinstance(poly, int):
             poly = LaurentPoly({0: poly})
-        return HeckeElt(self.basis, {x: c * poly for x, c in self.coeffs.items()})
+        return HeckeElt({x: c * poly for x, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        return self.coeffs == other.convert(self.basis).coeffs
+        return self.coeffs == other.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def to_json(self):
         return {
-            "basis": self.basis,
+            "basis": "Tt",
             "terms": [
                 {"word": str(x), "coeff": c.to_json()}
                 for x, c in sorted(self.coeffs.items(), key=lambda t: sort_key(t[0]))
@@ -247,7 +240,7 @@ class HeckeElt:
             body = c.format()
             if "+" in body or "-" in body[1:]:
                 body = f"({body})"
-            parts.append(f"{body}*{self.basis}({x})")
+            parts.append(f"{body}*Tt({x})")
         return " + ".join(parts)
 
     def __str__(self):
@@ -278,22 +271,18 @@ class HeckeAlgebra:
 
     # -- element constructors ------------------------------------------
 
-    def T(self, x: Element, coeff=None):
-        return HeckeElt(BASIS_T, {x: coeff or LaurentPoly.one()})
-
     def Tt(self, x: Element, coeff=None):
-        return HeckeElt(BASIS_TT, {x: coeff or LaurentPoly.one()})
+        return HeckeElt({x: coeff or LaurentPoly.one()})
 
     # -- multiplication --------------------------------------------------
 
     def mult(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        """Product, computed in the Tt basis: a times each term c Tt_y of
-        b is a multiplied by Tt_s along the reduced word of y, then by c."""
+        """Product: a times each term c Tt_y of b is a multiplied by Tt_s
+        along the reduced word of y, then by c."""
         gens = self.system.generators
-        start = a.convert(BASIS_TT).coeffs
         acc = {}
-        for y, c in b.convert(BASIS_TT).coeffs.items():
-            term = start
+        for y, c in b.coeffs.items():
+            term = a.coeffs
             for s in y.word:
                 step = {}
                 for x, r in term.items():
@@ -304,13 +293,12 @@ class HeckeAlgebra:
                 term = step
             for x, r in term.items():
                 acc[x] = acc.get(x, 0) + r * c
-        return HeckeElt(BASIS_TT, acc).convert(a.basis)
+        return HeckeElt(acc)
 
     # -- duality -----------------------------------------------------------
 
     def bar(self, a: HeckeElt) -> HeckeElt:
-        """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1, computed in the
-        Tt basis and returned in the basis of a.
+        """The duality d: v -> v^-1, T_x -> (T_{x^-1})^-1.
 
         Each term c Tt_x adds d(c) d(Tt_x), and d(Tt_x) = sum_z r_{z,x} Tt_z
         with r_{z,x} = v^(l(z)-l(x)) N(v^2), N the packed entry.  So a term
@@ -323,8 +311,7 @@ class HeckeAlgebra:
         bounded by the sum of |c|_1 3^l(x) over the terms, and the width
         is fitted to it first.
         """
-        a_tt = a.convert(BASIS_TT)
-        terms = [(x, c.c, self._column(x)) for x, c in a_tt.coeffs.items()]
+        terms = [(x, c.c, self._column(x)) for x, c in a.coeffs.items()]
         bound = sum(sum(map(abs, c.values())) * 3**x.length for x, c, _ in terms)
         bits = self._bits = _fit(self._bar_tt.values(), self._bits, bound)
         offset = max((e + x.length for x, c, _ in terms for e in c), default=0)
@@ -345,8 +332,7 @@ class HeckeAlgebra:
                 got = _unpack(n, bits, p - offset + z.length)
                 if got:
                     out.setdefault(z, {}).update(got)
-        tt = _decoded(BASIS_TT, {z: _poly(c) for z, c in out.items()})
-        return tt.convert(a.basis)
+        return _decoded({z: _poly(c) for z, c in out.items()})
 
     def _column(self, x: Element):
         """The packed column {z: n_{z,x}} of d(Tt_x), memoized.
@@ -406,7 +392,7 @@ class HeckeAlgebra:
         """
         if x.system is not self.system:
             raise InputError("elements of different systems")
-        return _decoded(BASIS_TT, self._kl_decode(self._kl_column(x)))
+        return _decoded(self._kl_decode(self._kl_column(x)))
 
     def _kl_decode(self, col):
         """{y: h_y} of a packed column {y: n} at the current width, zero
@@ -506,7 +492,7 @@ class HeckeAlgebra:
                     raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
             cols[w] = {y: n for y, n in acc.items() if n}
             norms[w] = norm
-            self.kl_products[w] = (s, _decoded(BASIS_TT, prod))
+            self.kl_products[w] = (s, _decoded(prod))
         return cols[x]
 
     def _kl_product(self, x, s, xs):
@@ -574,7 +560,7 @@ class HeckeAlgebra:
         h = None
         while h is None:
             h = self._solve(x, interval)
-        return _decoded(BASIS_TT, h)
+        return _decoded(h)
 
     def _solve(self, x, interval):
         """The coefficients h_y of `kl_oracle`, or None after a widening.
@@ -683,7 +669,7 @@ class HeckeAlgebra:
 
     def expand_kl(self, a: HeckeElt):
         """Coefficients of a in the self-dual basis (downward elimination)."""
-        rem = a.convert(BASIS_TT)
+        rem = a
         out = {}
         while rem:
             y = max(rem.coeffs, key=sort_key)

@@ -224,12 +224,10 @@ def crit_explicit(ctx: SuiteContext):
             checked += 3
             if alg.kl_basis(gen) != alg.Tt(gen) + alg.Tt(system.identity, v):
                 bad.append(f"{name} s={s + 1}: basis element at s")
-            ts = alg.T(gen)
-            expect = alg.T(system.identity, LaurentPoly({-2: 1})) + alg.T(
-                gen, LaurentPoly({-2: 1, 0: -1})
-            )
+            ts = alg.Tt(gen)
+            expect = alg.Tt(system.identity) + alg.Tt(gen, LaurentPoly({-1: 1, 1: -1}))
             if alg.mult(ts, ts) != expect:
-                bad.append(f"{name} s={s + 1}: T_s^2 relation")
+                bad.append(f"{name} s={s + 1}: Tt_s^2 relation")
             cs = alg.kl_basis(gen)
             if alg.mult(cs, cs) != cs.scale(LaurentPoly({1: 1, -1: 1})):
                 bad.append(f"{name} s={s + 1}: square of the s basis element")

@@ -1,8 +1,10 @@
 """tools/bench_record.py: the summary and the "compare" block it writes
 from canned perfbench records, with no benchmark run."""
 
+import hashlib
 import importlib.util
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -138,6 +140,7 @@ def test_suites_are_timed_and_compared(dirs, monkeypatch):
     out, dest = dirs
     write_records(out, {s: metrics(0.3, 19.0, 1.0, 0.0) for s in bench_record.SEEDS}, {})
     monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: None)
+    monkeypatch.setattr(bench_record, "OUTPUTS", {})
     # both suites count their runs in one file: tier-1 prints the count,
     # and verify fails only on its own second run
     runs = dest / "runs"
@@ -181,3 +184,75 @@ def test_suites_are_timed_and_compared(dirs, monkeypatch):
             "before": before, "after": entry["wall_s"],
             "ratio": entry["wall_s"] / before,
         })
+
+
+def test_output_digests_are_recorded_and_compared(dirs, monkeypatch):
+    """A canned `bmsheaves` in place of the real one, run where a4.json
+    lies: each output's digest is the SHA-256 of its stdout with the
+    timings cut, then of the files it writes, so a timing that changes
+    between runs leaves it as it was; the next record finds it identical,
+    and one whose written file changed is not.  --no-run runs no output."""
+    out, dest = dirs
+    write_records(out, {s: metrics(0.3, 19.0, 1.0, 0.0) for s in bench_record.SEEDS}, {})
+    monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: None)
+    monkeypatch.setattr(bench_record, "SUITES", {})
+    table = dest / "table"
+    table.write_text("h v^2\n")
+    # prints its arguments with a fresh timing; `echo F` then prints F,
+    # and `file F` copies table to F
+    monkeypatch.setattr(bench_record, "CLI", [sys.executable, "-c", (
+        "import pathlib, shutil, sys, time; args = sys.argv[1:]; "
+        "print(*args, f'({time.perf_counter():.2f}s)', "
+        "f'passed in {time.perf_counter():.1f}s'); "
+        "args[0] == 'echo' and print(pathlib.Path(args[1]).read_text(), end=''); "
+        f"args[0] == 'file' and shutil.copy({str(table)!r}, args[1])"
+    )])
+    monkeypatch.setattr(bench_record, "OUTPUTS", {
+        "echo": (["echo", "a4.json"], ()),
+        "file": (["file", "out.txt"], ("out.txt",)),
+    })
+    assert bench_record.main(["--pr", "7"]) == 0
+    first = json.loads((dest / "BENCH_7.json").read_text())["outputs"]
+    echo = b"echo a4.json  passed \n" + bench_record.A4_JSON.encode()
+    assert first == {
+        "echo": hashlib.sha256(echo).hexdigest(),
+        "file": hashlib.sha256(b"file out.txt  passed \nh v^2\n").hexdigest(),
+    }
+
+    assert bench_record.main(["--pr", "8"]) == 0
+    second = json.loads((dest / "BENCH_8.json").read_text())
+    assert second["outputs"] == first
+    assert second["compare"]["outputs"] == {"echo": True, "file": True}
+
+    table.write_text("h v^3\n")
+    assert bench_record.main(["--pr", "9"]) == 0
+    third = json.loads((dest / "BENCH_9.json").read_text())
+    assert third["outputs"]["echo"] == first["echo"]
+    assert third["compare"]["outputs"] == {"echo": True, "file": False}
+
+    assert bench_record.main(["--pr", "10", "--no-run"]) == 0
+    fourth = json.loads((dest / "BENCH_10.json").read_text())
+    assert "outputs" not in fourth and "outputs" not in fourth["compare"]
+
+
+def test_two_canned_records_compare_their_output_digests():
+    """Equal digests are identical, a changed one is not, and a name that
+    only one record holds is left out."""
+    old = {"workloads": {}, "outputs": {"kl-A3": "a" * 64, "verify": "b" * 64}}
+    same = {"workloads": {}, "outputs": dict(old["outputs"])}
+    changed = {"workloads": {}, "outputs": {"kl-A3": "a" * 64, "verify": "c" * 64,
+                                            "bm-A3": "d" * 64}}
+    assert bench_record.compare(same, old, "BENCH_1.json", {})["outputs"] == {
+        "kl-A3": True, "verify": True}
+    assert bench_record.compare(changed, old, "BENCH_1.json", {})["outputs"] == {
+        "kl-A3": True, "verify": False}
+    assert "outputs" not in bench_record.compare(same, {"workloads": {}}, "x", {})
+
+
+def test_the_output_list_holds_the_ci_hecke_cross_checks():
+    """Every `bmsheaves kl ... --oracle` run of the CI workflow is an
+    output, so the digests cover the tables CI prints."""
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    runs = re.findall(r"bmsheaves (kl .*--oracle)$", ci, re.M)
+    listed = {" ".join(args) for args, _ in bench_record.OUTPUTS.values()}
+    assert len(runs) == 5 and set(runs) <= listed

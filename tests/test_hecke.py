@@ -20,7 +20,7 @@ from bmsheaves.coxeter import (
     parse_word,
 )
 from bmsheaves.errors import InputError
-from bmsheaves.hecke import BASIS_T, BASIS_TT, HeckeAlgebra, HeckeElt
+from bmsheaves.hecke import HeckeAlgebra, HeckeElt
 from bmsheaves.laurent import LaurentPoly
 
 
@@ -32,13 +32,19 @@ def v(exp, coeff=1):
     return LaurentPoly.v(exp, coeff)
 
 
+def T(alg, x, coeff=None):
+    """coeff T_x = coeff v^-l(x) Tt_x, the natural basis the definitions
+    are stated in."""
+    return alg.Tt(x, (coeff or LaurentPoly.one()).shift(-x.length))
+
+
 # -- generator relations -------------------------------------------------------
 
 
 def test_quadratic_relation_in_the_t_basis(a2, a2_alg):
     s = a2.generators[0]
-    sq = a2_alg.mult(a2_alg.T(s), a2_alg.T(s))
-    expected = a2_alg.T(a2.identity, v(-2)) + a2_alg.T(s, v(-2) - v(0))
+    sq = a2_alg.mult(T(a2_alg, s), T(a2_alg, s))
+    expected = T(a2_alg, a2.identity, v(-2)) + T(a2_alg, s, v(-2) - v(0))
     assert sq == expected
 
 
@@ -70,14 +76,6 @@ def test_multiplication_is_associative_on_random_elements(b2, b2_alg):
         assert left == right
 
 
-def test_basis_conversion_roundtrip(b2, b2_alg):
-    a = b2_alg.Tt(elt(b2, "121"), v(2)) + b2_alg.Tt(elt(b2, "2"), v(0, 3))
-    assert a.convert(BASIS_T).convert(BASIS_TT) == a
-    assert b2_alg.T(elt(b2, "12")).convert(BASIS_TT) == b2_alg.Tt(
-        elt(b2, "12"), v(-2)
-    )
-
-
 # -- the self-dual basis: pinned small values -----------------------------------
 
 
@@ -92,10 +90,7 @@ def test_self_dual_element_at_the_identity_and_generators(a2, a2_alg):
 def test_longest_a2_element_has_all_trivial_polynomials(a2, a2_alg):
     w0 = elt(a2, "121")
     c = a2_alg.kl_basis(w0)
-    expected = HeckeElt(
-        BASIS_TT,
-        {y: v(3 - y.length) for y in bruhat_interval(w0)},
-    )
+    expected = HeckeElt({y: v(3 - y.length) for y in bruhat_interval(w0)})
     assert c == expected
     for y in bruhat_interval(w0):
         assert a2_alg.kl_polynomial(y, w0) == LaurentPoly.one()
@@ -186,15 +181,15 @@ _DUALITY_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
 def test_the_duality_matches_products_of_inverse_generators(name):
     """d(Tt_x) = v^-l(x) T_{s1}^-1 ... T_{sk}^-1 for x = s1...sk, with
-    T_s^-1 = v^2 T_s + (v^2 - 1) multiplied out by `mult` in the T basis;
-    and d is multiplicative on random pairs."""
+    T_s^-1 = v^2 T_s + (v^2 - 1) multiplied out by `mult`; and d is
+    multiplicative on random pairs of sums of T and Tt terms."""
     coxeter, bound = _DUALITY_SYSTEMS[name]
     system = make_system(coxeter)
     alg = HeckeAlgebra(system)
     ball = element_ball(system, bound)
-    one = alg.T(system.identity)
+    one = T(alg, system.identity)
     inverse = [
-        alg.T(s, v(2)) + alg.T(system.identity, v(2) - v(0))
+        T(alg, s, v(2)) + T(alg, system.identity, v(2) - v(0))
         for s in system.generators
     ]
     for x in ball:
@@ -205,11 +200,11 @@ def test_the_duality_matches_products_of_inverse_generators(name):
     rng = random.Random(name)
 
     def draw():
-        out = HeckeElt(BASIS_T)
+        out = HeckeElt()
         for _ in range(3):
             coeff = v(rng.randrange(-3, 4), rng.choice((-2, -1, 1, 3)))
-            basis = rng.choice((BASIS_T, BASIS_TT))
-            out = out + HeckeElt(basis, {rng.choice(ball): coeff})
+            make = rng.choice((T, HeckeAlgebra.Tt))
+            out = out + make(alg, rng.choice(ball), coeff)
         return out
 
     for _ in range(10):
@@ -224,9 +219,9 @@ def test_a_long_dihedral_word_widens_the_packing(u2):
     alg = HeckeAlgebra(u2)
     assert alg.kl_oracle(x) == alg.kl_basis(x)
     assert alg._bits > hecke._START_BITS
-    ref = alg.T(u2.identity)
+    ref = T(alg, u2.identity)
     for s in x.word:
-        inverse = alg.T(u2.generators[s], v(2)) + alg.T(u2.identity, v(2) - v(0))
+        inverse = T(alg, u2.generators[s], v(2)) + T(alg, u2.identity, v(2) - v(0))
         ref = alg.mult(ref, inverse)
     assert alg.bar(alg.Tt(x)) == ref.scale(v(-x.length))
 
@@ -284,29 +279,29 @@ def test_a_narrow_start_width_widens_to_the_same_values(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
 def test_bar_at_a_narrow_start_width_gives_the_same_values(name, monkeypatch):
-    """With 8-bit digits at the start, `bar` of 50 random mixed-basis
-    elements, each in both bases, equals the values of 64-bit digits.  Its
-    bound |c|_1 3^l(x) passes 2^7, so `bar` widens the memo itself, also on
-    B2, whose columns fit 8 bits."""
+    """With 8-bit digits at the start, `bar` of 50 random sums of T and Tt
+    terms equals the values of 64-bit digits.  Its bound |c|_1 3^l(x)
+    passes 2^7, so `bar` widens the memo itself, also on B2, whose columns
+    fit 8 bits."""
     coxeter, bound = _DUALITY_SYSTEMS[name]
     system = make_system(coxeter)
     ball = element_ball(system, bound)
     rng = random.Random(name)
+    wide = HeckeAlgebra(system)
     elements = []
     for _ in range(50):
-        a = HeckeElt(BASIS_T)
+        a = HeckeElt()
         for _ in range(3):
             coeff = LaurentPoly(
                 {rng.randrange(-3, 4): rng.choice((-2, -1, 1, 3)) for _ in range(2)}
             )
-            basis = rng.choice((BASIS_T, BASIS_TT))
-            a = a + HeckeElt(basis, {rng.choice(ball): coeff})
-        elements += [a.convert(BASIS_T), a.convert(BASIS_TT)]
-    wide = HeckeAlgebra(system)
-    want = [(b.basis, b.coeffs) for b in map(wide.bar, elements)]
+            make = rng.choice((T, HeckeAlgebra.Tt))
+            a = a + make(wide, rng.choice(ball), coeff)
+        elements.append(a)
+    want = [b.coeffs for b in map(wide.bar, elements)]
     monkeypatch.setattr(hecke, "_START_BITS", 8)
     narrow = HeckeAlgebra(system)
-    assert [(b.basis, b.coeffs) for b in map(narrow.bar, elements)] == want
+    assert [b.coeffs for b in map(narrow.bar, elements)] == want
     assert narrow._bits > 8
 
 
@@ -436,9 +431,9 @@ def test_an_element_of_another_system_is_refused(a2, b2):
             alg.kl_oracle(x)
         with pytest.raises(InputError, match="different systems"):
             alg.bar(alg.Tt(x))
-        for basis in (BASIS_T, BASIS_TT):
+        for make in (T, HeckeAlgebra.Tt):
             with pytest.raises(InputError, match="different systems"):
-                alg.bar(HeckeElt(basis, {x: v(1)}))
+                alg.bar(make(alg, x, v(1)))
 
 
 def test_the_product_route_refuses_an_element_of_another_system(a2, b2):
@@ -594,7 +589,7 @@ def test_expansion_in_the_self_dual_basis_inverts_it(b2, b2_alg):
     x = elt(b2, "1212")
     assert b2_alg.expand_kl(b2_alg.kl_basis(x)) == {x: LaurentPoly.one()}
     mixed = b2_alg.Tt(x) + b2_alg.Tt(elt(b2, "12"), v(-3, 5))
-    back = HeckeElt(BASIS_TT)
+    back = HeckeElt()
     for y, c in b2_alg.expand_kl(mixed).items():
         back = back + b2_alg.kl_basis(y).scale(c)
     assert back == mixed

@@ -6,9 +6,10 @@ infinity} and an integer Cartan matrix realizing it: the pair
 least 4 for infinity, and need not be symmetric.  Every draw must either
 pass its checks or end in one of the package's typed errors.
 
-  Hecke half (`check_draw`): on every element of length at most 5 the two
-  routes to the self-dual basis agree, and the normal form of the
-  element's own word is the element.
+  Hecke half (`check_draw`): on every element x of length at most 5 the
+  two routes to the self-dual basis agree, the product route at x^-1 is
+  its value at x with every y relabelled y^-1 (P_{y,x} = P_{y^-1,x^-1}),
+  and the normal form of the element's own word is the element.
   Sheaf half (`check_sheaf_draw`): at every element x of one length, the
   canonical sheaf on [e, x] has the character of both routes, passes the
   flabbiness and local rank checks at every vertex, and has every
@@ -50,7 +51,7 @@ from bmsheaves.errors import (
     NotGradedFreeError,
     RealizationError,
 )
-from bmsheaves.hecke import HeckeAlgebra
+from bmsheaves.hecke import HeckeAlgebra, HeckeElt
 from bmsheaves.momentgraph import build_graph
 
 TYPED_ERRORS = (
@@ -96,16 +97,21 @@ def draw(seed):
 
 
 def check_draw(seed):
-    """"ok" when both Hecke routes agree and every normal form is its
-    element on the ball of the seed's system, else the name of the typed
-    error that ended the draw.  Anything else fails."""
+    """"ok" when both Hecke routes agree, the product route commutes with
+    inversion, and every normal form is its element on the ball of the
+    seed's system, else the name of the typed error that ended the draw.
+    Anything else fails."""
     coxeter, cartan = draw(seed)
     try:
         system = make_system(coxeter, cartan)
         alg = HeckeAlgebra(system)
         for x in element_ball(system, MAX_LENGTH):
-            assert normal_form(system, x.word) is x, (seed, str(x))
-            assert alg.kl_basis(x) == alg.kl_oracle(x), (seed, str(x))
+            where = (seed, str(x))
+            assert normal_form(system, x.word) is x, where
+            c = alg.kl_basis(x)
+            assert c == alg.kl_oracle(x), where
+            flipped = HeckeElt({y.inverse(): h for y, h in c.coeffs.items()})
+            assert alg.kl_basis(x.inverse()) == flipped, where
     except TYPED_ERRORS as exc:
         return type(exc).__name__
     return "ok"

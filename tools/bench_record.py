@@ -8,35 +8,43 @@ was taken on the current src/, as the SHA-256 that run.py records of
 src/ shows.
 
 It also times, SUITE_RUNS times each and wall clock, the tier-1 test
-run and `bmsheaves verify` (SUITES), on src/ through PYTHONPATH.
+run and `bmsheaves verify` (SUITES), on src/ through PYTHONPATH.  And it
+runs each command of OUTPUTS once, on the same src/, in a fresh
+temporary directory that holds a4.json as CI writes it (the `kl` header
+prints the --cartan path): the CI `kl ... --oracle` tables, two `bm`
+runs that write --json and --csv files, and `bmsheaves verify`.  Each
+one's digest is the SHA-256 of its stdout with the timings of `verify`,
+"(0.46s)" and "in 1.5s", cut, followed by the files it writes.
 
 The record it writes at the repository root holds, per workload, the
 median and quartiles of every end-to-end metric over the seeds, the
 per-layer split of the traced run, the exact counts, and any warning or
 problem a run reported; per suite, the median and every one of its wall
 times, the first nonzero exit code of its runs (else 0) and the last
-line its last run printed; and, for the tree, the line count and
-SHA-256 of src/, its count of code lines and the Python version.  The
-SHA-256 names the tree; a commit id is left out, since the record is
-committed with the tree it describes.
+line its last run printed; per output, its digest; and, for the tree,
+the line count and SHA-256 of src/, its count of code lines and the
+Python version.  The SHA-256 names the tree; a commit id is left out,
+since the record is committed with the tree it describes.
 
 When an earlier BENCH_*.json lies next to it, a "compare" block gives the
 ratio of each end-to-end median to the earlier one and whether it is
 worse than the bound that BENCHMARK.json sets for the metric, and the
 ratio of each suite's median wall time, which has no bound (a record
 written before suites were timed more than once holds its one time),
-and the line and code-line counts of src/ in both records, when both
-hold them.
+and the line and code-line counts of src/ in both records, and whether
+each output digest is identical to the earlier one, when both hold them.
 Times are those of perfbench: seconds at its reference speed, with
 pure-Python integer arithmetic.
 
     python tools/bench_record.py --pr 31
     python tools/bench_record.py --pr 31 --no-run   # records already there, no suite
+                                                    # and no output digest
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import io
 import json
@@ -45,6 +53,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tokenize
 from pathlib import Path
@@ -61,6 +70,24 @@ SUITES = {  # the tier-1 run as ROADMAP.md gives it, and `bmsheaves verify`
     "verify": [sys.executable, "-c",
                "import sys; from bmsheaves.cli import main; sys.exit(main(['verify']))"],
 }
+CLI = [sys.executable, "-m", "bmsheaves.cli"]  # `bmsheaves` on src/
+OUTPUTS = {  # name: (arguments of `bmsheaves`, the files it writes)
+    "kl-A3": (["kl", "--preset", "A3", "--x", "121321", "--oracle"], ()),
+    "kl-G2": (["kl", "--preset", "G2", "--x", "121212", "--oracle"], ()),
+    "kl-U3": (["kl", "--preset", "U3", "--x", "1231231231231", "--max-length", "13",
+               "--oracle"], ()),
+    "kl-U2": (["kl", "--preset", "U2", "--x", "12" * 30, "--max-length", "60",
+               "--oracle"], ()),
+    "kl-A4": (["kl", "--cartan", "a4.json", "--x", "1213214321", "--oracle"], ()),
+    "bm-U3": (["bm", "--preset", "U3", "--x", "1231231", "--max-length", "7",
+               "--json", "bm.json"], ("bm.json",)),
+    "bm-A3": (["bm", "--preset", "A3", "--x", "121321", "--json", "bm.json",
+               "--csv", "bm.csv"], ("bm.json", "bm.csv")),
+    "verify": (["verify"], ()),
+}
+A4_JSON = ('{"rank": 4, "coxeter": [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], '
+           '[2, 2, 3, 1]]}\n')
+TIMING = re.compile(r"\(\d+(?:\.\d+)?s\)|in \d+(?:\.\d+)?s")
 
 
 def benchmark():
@@ -84,12 +111,18 @@ def run_perfbench(workload, seed, trace):
     subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
 
 
-def time_suite(cmd):
-    """Median and every wall time of SUITE_RUNS runs of one suite, their
-    first nonzero exit code (else 0) and the last line of the last run."""
+def src_env():
+    """The environment with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def time_suite(cmd):
+    """Median and every wall time of SUITE_RUNS runs of one suite, their
+    first nonzero exit code (else 0) and the last line of the last run."""
+    env = src_env()
     walls, codes = [], []
     for _ in range(SUITE_RUNS):
         print("+", " ".join(cmd[1:]), flush=True)
@@ -101,6 +134,27 @@ def time_suite(cmd):
     return {"wall_s": statistics.median(walls), "values": walls,
             "returncode": next((c for c in codes if c), 0),
             "summary": lines[-1] if lines else ""}
+
+
+def output_digests():
+    """{name: SHA-256} of each command of OUTPUTS: of its stdout with the
+    timings cut, then of each file it writes.  A command that fails stops
+    the record."""
+    env = src_env()
+    digests = {}
+    for name, (args, files) in OUTPUTS.items():
+        print("+ bmsheaves", " ".join(args), flush=True)
+        with tempfile.TemporaryDirectory() as cwd:
+            (Path(cwd) / "a4.json").write_text(A4_JSON)
+            done = subprocess.run(CLI + args, cwd=cwd, env=env,
+                                  capture_output=True, text=True)
+            if done.returncode:
+                raise SystemExit(f"output {name} failed:\n{done.stderr}")
+            digest = hashlib.sha256(TIMING.sub("", done.stdout).encode())
+            for file in files:
+                digest.update((Path(cwd) / file).read_bytes())
+        digests[name] = digest.hexdigest()
+    return digests
 
 
 def load_record(workload, seed, trace):
@@ -158,8 +212,9 @@ def code_lines(src):
 def compare(new, old, name, bounds):
     """Per workload and end-to-end metric, the ratio of the medians
     new/old and whether it is worse than the metric's bound; per suite,
-    the ratio of the median wall times; and the line count and code-line
-    count of src/ before and after, when both records hold them."""
+    the ratio of the median wall times; the line count and code-line
+    count of src/ before and after; and per output, whether its digests
+    are identical; each when both records hold it."""
     out = {"against": name, "workloads": {}}
     for workload, entry in new["workloads"].items():
         before = old["workloads"].get(workload)
@@ -191,6 +246,9 @@ def compare(new, old, name, bounds):
         b = new.get("environment", {}).get(key)
         if a is not None and b is not None:
             out[key] = {"before": a, "after": b}
+    a, b = old.get("outputs"), new.get("outputs")
+    if a is not None and b is not None:
+        out["outputs"] = {n: b[n] == a[n] for n in b if n in a}
     return out
 
 
@@ -212,7 +270,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="number of the record")
     ap.add_argument("--no-run", action="store_true",
-                    help="read the records already in perfbench/out/ and time no suite")
+                    help="read the records already in perfbench/out/, time no suite "
+                         "and run no output")
     args = ap.parse_args(argv)
 
     spec = benchmark()
@@ -228,6 +287,7 @@ def main(argv=None):
     record = {"pr": args.pr, "workloads": {}}
     if not args.no_run:
         record["suites"] = {name: time_suite(cmd) for name, cmd in SUITES.items()}
+        record["outputs"] = output_digests()
     envs = []
     for workload in workloads:
         plain = [load_record(workload, s, 0) for s in SEEDS]
@@ -249,6 +309,10 @@ def main(argv=None):
     before = previous(args.pr)
     if before is not None:
         record["compare"] = compare(record, before[1], before[0], bounds)
+        changed = [n for n, same in record["compare"].get("outputs", {}).items()
+                   if not same]
+        if changed:
+            print(f"outputs changed since {before[0]}: {', '.join(changed)}")
     path = DEST / f"BENCH_{args.pr}.json"
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
