@@ -7,13 +7,14 @@ when 4 cos^2(pi/m_st) is an integer, which restricts finite orders to
 {1, 2, 3, 4, 6}; m_st = 5 is rejected.  Infinite bond order is recorded
 as the integer 0 and requires a_st * a_ts >= 4.
 
-Group elements are stored as the pair (canonical reduced word, matrix),
-where the canonical word is the ShortLex-least reduced expression.  The
-matrix is the element's action on V* in the simple-root basis and is an
-integer matrix throughout.  All descent, reflection and Bruhat-order
-computations are driven by root signs, so that a violation of the
-expected total negativity or positivity of a column is detected rather
-than silently accepted (RealizationError).
+A group element is stored as the first letter of its canonical reduced
+word, the ShortLex-least reduced expression, with its tail (the element
+of the rest of the word) and its matrix; the word is read off the chain
+of tails.  The matrix is the element's action on V* in the simple-root
+basis and is an integer matrix throughout.  All descent, reflection and
+Bruhat-order computations are driven by root signs, so that a violation
+of the expected total negativity or positivity of a column is detected
+rather than silently accepted (RealizationError).
 
 Arithmetic goes one generator at a time.  The matrix of s differs from
 the identity in row s only, so G_s A changes row s of A and A G_s adds a
@@ -47,18 +48,30 @@ RealizationError.  Only the cases t < a and t = a give a new word, t or
 a before the word of a known element, and one function (`_prepend`)
 builds each such element with its tail aw, that known element: so every
 element but the identity is born with its tail, and a tail always
-exists.  Each element also keeps its right products in one slot per
-generator and its least right descent.  Each system keeps a
-{word: Element} table and hands out one instance per canonical word;
-`_prepend` builds an element only when its word is missing there, and
-`normal_form` of a canonical word reads that table.  The system also
-memoizes Bruhat intervals and the pairs of the Bruhat order that
-`bruhat_leq` has decided.  The word table holds every element and so
-every slot, and all three tables live exactly as long as the
-CoxeterSystem that owns them.  So does `ring`, the one PolyRing of the
-modules built on the system, with its memos.  `make_system` hands out
-one system per Coxeter and Cartan datum, so equal elements are one
-object: elements and systems compare and hash by identity.
+exists.  Each element also keeps its least right descent, its right
+products in one `_right` slot per generator, and in one `_left` slot
+per generator t the element whose word is t before its own.  The
+`_left` slot of the tail is the one record of each word: `_prepend`
+reads it and builds an element only when it is empty, so the system
+hands out one instance per canonical word.  Every element is reached
+from the identity through `_left` slots, so every element and every
+slot lives exactly as long as the CoxeterSystem that owns the
+identity.  So do the system's two tables, the memo of Bruhat intervals
+and the pairs of the Bruhat order that `bruhat_leq` has decided, and
+`ring`, the one PolyRing of the modules built on the system, with its
+memos.  `make_system` hands out one system per Coxeter and Cartan datum,
+so equal elements are one object: elements and systems compare and hash
+by identity.  On A2 the word 101 has the canonical word 010, and its
+element is the product of the elements of 01 and 0:
+
+    >>> a2 = make_system([[1, 3], [3, 1]])
+    >>> w = normal_form(a2, (1, 0, 1))
+    >>> w.word
+    (0, 1, 0)
+    >>> w is multiply(normal_form(a2, (0, 1)), normal_form(a2, (0,)))
+    True
+    >>> w._tail.word, w.first
+    ((1, 0), 0)
 
 Words cross the API boundary 0-based as tuples of generator indices and
 are serialized 1-based, as digit strings for rank <= 9 and comma
@@ -178,13 +191,8 @@ class CoxeterSystem:
         )
 
     @functools.cached_property
-    def _elements(self):
-        """{word: Element}: the one instance of each canonical word."""
-        return {}
-
-    @functools.cached_property
     def _interval_memo(self):
-        """{word: tuple of Elements} of Bruhat intervals below an element."""
+        """{Element: tuple of Elements} of Bruhat intervals below it."""
         return {}
 
     @functools.cached_property
@@ -206,8 +214,7 @@ class CoxeterSystem:
     @functools.cached_property
     def identity(self):
         m = self._identity_matrix
-        e = self._elements[()] = Element(self, (), m, m, None)
-        return e
+        return Element(self, None, m, m, None)
 
     @functools.cached_property
     def generators(self):
@@ -239,7 +246,7 @@ def make_system(coxeter, cartan=None) -> CoxeterSystem:
 
     Equal data give one instance while it is alive: the registry holds
     each system weakly, so a system that nothing else holds is collected
-    with its element table and memos, and a later call builds it anew.
+    with its elements and memos, and a later call builds it anew.
     """
     cox = _tupmat(coxeter, "Coxeter")
     n = len(cox)
@@ -315,30 +322,47 @@ def load_system(path) -> CoxeterSystem:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """Group element: canonical reduced word plus its action on V*.
+    """Group element: the first letter of its canonical reduced word, its
+    tail (the element of the rest of the word) and its action on V*.
 
     Build elements with `CoxeterSystem.element` or the arithmetic below,
-    never directly: each system hands out one instance per canonical word,
-    and there is one system per datum, so equal elements are the same
-    object and compare and hash by identity.
+    never directly: the tail's `_left` slot for the first letter holds
+    the one instance of each canonical word, and there is one system per
+    datum, so equal elements are the same object and compare and hash by
+    identity.
     """
 
     system: CoxeterSystem
-    word: tuple
+    # the first letter of the word, None at the identity
+    first: int
     matrix: tuple
     inv_matrix: tuple = field(repr=False)
-    # a w for a the first letter of the word, None at the identity
+    # a w for a the first letter, None at the identity
     _tail: Element = field(repr=False)
     length: int = field(init=False, repr=False)
     # the least right descent, None at the identity
     descent: int = field(init=False, repr=False)
     # [w s for each generator s], filled by _mul_gen
     _right: list = field(init=False, repr=False)
+    # [t w for each generator t whose word is t word(w)], filled by _prepend
+    _left: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "length", len(self.word))
+        length = 0 if self._tail is None else self._tail.length + 1
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "descent", _least_descent(self.matrix))
         object.__setattr__(self, "_right", [None] * self.system.rank)
+        object.__setattr__(self, "_left", [None] * self.system.rank)
+
+    @property
+    def word(self):
+        """The canonical word, read off the chain of tails."""
+        out = []
+        w = self
+        while w._tail is not None:
+            out.append(w.first)
+            w = w._tail
+        return tuple(out)
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -363,7 +387,7 @@ class Element:
 
 def sort_key(w: Element):
     """Sort elements by (length, ShortLex word)."""
-    return (len(w.word), w.word)
+    return (w.length, w.word)
 
 
 def _least_descent(mat):
@@ -381,11 +405,11 @@ def _least_descent(mat):
 def normal_form(system: CoxeterSystem, word) -> Element:
     """Canonical Element of an arbitrary word in the generators.
 
-    The system's table is keyed by canonical words, so a word found there
-    is answered by its entry; any other word is the fold of the generator
-    steps over it from the identity.  The fold keeps each prefix's element
-    in the table, so a new word of length L holds up to L new elements,
-    each with its word.
+    The indices are checked first; then the generator steps are folded
+    over the word from the identity.  Each step of a known product is one
+    slot read, and each new prefix is kept as an element of one letter
+    and a tail, so a new word of length L holds up to L new elements of
+    constant size each.
     """
     if isinstance(word, str):
         raise InputError(
@@ -396,34 +420,29 @@ def normal_form(system: CoxeterSystem, word) -> Element:
     for s in word:
         if not (0 <= s < system.rank):
             raise InputError(f"generator index {s} out of range")
-    w = system._elements.get(word)
-    if w is None:
-        w = functools.reduce(_mul_gen, word, system.identity)
-    return w
+    return functools.reduce(_mul_gen, word, system.identity)
 
 
 def multiply(a: Element, b: Element) -> Element:
     """a b, the fold of the generator steps over b's word from a."""
     if a.system is not b.system:
         raise InputError("elements of different systems")
-    if b.length == 1:  # the hot path of HeckeAlgebra._column
-        return _mul_gen(a, b.word[0])
     return functools.reduce(_mul_gen, b.word, a)
 
 
 def _prepend(system, t, mat, inv, below) -> Element:
     """The element t below, whose matrices are mat and inv, with the word
     t word(below) and the tail below; refused unless G_t mat is below's
-    matrix.  The system's table is read first, so an element is built
-    only once."""
-    word = (t,) + below.word
+    matrix.  below's `_left` slot for t is read first, so an element is
+    built only once."""
     if _gen_left(system, t, mat) != below.matrix:
         raise RealizationError(
-            f"the generator step to {word_str(word)} disagrees with its matrices"
+            f"the generator step to {word_str((t,) + below.word)} disagrees "
+            "with its matrices"
         )
-    w = system._elements.get(word)
+    w = below._left[t]
     if w is None:
-        w = system._elements[word] = Element(system, word, mat, inv, below)
+        w = below._left[t] = Element(system, t, mat, inv, below)
     return w
 
 
@@ -444,7 +463,7 @@ def _mul_gen(w: Element, s: int) -> Element:
         mat = _gen_right(system, s, w.matrix)
         inv = _gen_left(system, s, w.inv_matrix)
         t = _least_descent(inv)
-        a = w.word[0] if w.word else None
+        a = w.first
         if t is None:
             if mat != system._identity_matrix:
                 raise RealizationError(
@@ -468,7 +487,7 @@ def _mul_gen(w: Element, s: int) -> Element:
             continue
         w._right[s] = ws
     for w, mat, inv in reversed(waiting):
-        ws = w._right[s] = _prepend(system, w.word[0], mat, inv, ws)
+        ws = w._right[s] = _prepend(system, w.first, mat, inv, ws)
     return ws
 
 
@@ -597,12 +616,12 @@ def bruhat_interval(x: Element):
     memoized per system.
     """
     memo = x.system._interval_memo
-    out = memo.get(x.word)
+    out = memo.get(x)
     if out is None:
         seen = {x.system.identity}
         for s in x.word:
             seen.update([_mul_gen(w, s) for w in seen])
-        out = memo[x.word] = tuple(sorted(seen, key=sort_key))
+        out = memo[x] = tuple(sorted(seen, key=sort_key))
     return out
 
 

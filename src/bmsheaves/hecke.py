@@ -12,8 +12,9 @@ multiplication by a generator:
 The duality d is the ring involution with d(v) = v^-1 and
 d(T_x) = (T_{x^-1})^-1, where T_s^-1 = v^2 T_s + (v^2 - 1).  Its values
 on the Tt basis are memoized once per element, each one step from the
-value at the word's prefix (see `HeckeAlgebra._column`); `bar` reads
-them from that memo.  On A2, with s the first generator:
+value at xs, for s the least right descent of x (see
+`HeckeAlgebra._column`); `bar` reads them from that memo.  On A2, with
+s the first generator:
 
     >>> from bmsheaves.coxeter import make_system
     >>> alg = HeckeAlgebra(make_system([[1, 3], [3, 1]]))
@@ -62,8 +63,8 @@ exponents of r_{z,y} have the parity of l(y) - l(z) and lie in
 +-(l(y) - l(z)), so v^(l(y)-l(z)) r_{z,y} is a polynomial in v^2; the
 memo holds its value at v^2 = 2^B.  Its bounds are:
 
-  * each prefix step at most triples the L1 norm of a column, so
-    |r_{z,y}|_1 <= 3^l(y);
+  * each step by a least right descent at most triples the L1 norm of a
+    column, so |r_{z,y}|_1 <= 3^l(y);
   * a defect of the duality solve is bounded by the sum of
     |d(h_y)|_1 3^l(y) over the elements y settled so far.  Packing d(h_y)
     first and pushing it with one product per entry gives the same
@@ -99,7 +100,6 @@ from .coxeter import (
     _mul_gen,
     bruhat_interval,
     bruhat_leq,
-    multiply,
     sort_key,
 )
 from .errors import InconsistencyError, InputError
@@ -279,14 +279,13 @@ class HeckeAlgebra:
     def mult(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         """Product: a times each term c Tt_y of b is a multiplied by Tt_s
         along the reduced word of y, then by c."""
-        gens = self.system.generators
         acc = {}
         for y, c in b.coeffs.items():
             term = a.coeffs
             for s in y.word:
                 step = {}
                 for x, r in term.items():
-                    xs = multiply(x, gens[s])
+                    xs = _mul_gen(x, s)
                     step[xs] = step.get(xs, 0) + r
                     if xs.length < x.length:
                         step[x] = step.get(x, 0) + r * _VINV_MINUS_V
@@ -337,9 +336,9 @@ class HeckeAlgebra:
     def _column(self, x: Element):
         """The packed column {z: n_{z,x}} of d(Tt_x), memoized.
 
-        With s the last letter of x's ShortLex word, x = zs with z shorter
-        and z's word the prefix, so (T_{x^-1})^-1 = (T_{z^-1})^-1 T_s^-1
-        and d(Tt_x) = v^-1 d(Tt_z) T_s^-1.  From T_s^-1 = v^2 T_s +
+        With s the least right descent of x, x = zs with z shorter, so
+        (T_{x^-1})^-1 = (T_{z^-1})^-1 T_s^-1 and
+        d(Tt_x) = v^-1 d(Tt_z) T_s^-1.  From T_s^-1 = v^2 T_s +
         (v^2 - 1) and the multiplication rule,
 
             T_y T_s^-1 = T_ys                          if l(ys) < l(y)
@@ -348,9 +347,9 @@ class HeckeAlgebra:
         so in Tt coordinates a term r Tt_y of d(Tt_z) goes to r Tt_ys,
         plus (v - v^-1) r Tt_y when l(ys) > l(y).  Packed, a term (y, n)
         adds n << B at ys when ys < y, and otherwise n at ys and
-        (n << B) - n at y.  The memo is filled along the prefixes of x,
-        one such step each, after the width is fitted to 3^l(x); it calls
-        no product.
+        (n << B) - n at y.  The memo is filled down the chain of least
+        right descents from x, one such step each, after the width is
+        fitted to 3^l(x); it calls no product.
         """
         memo = self._bar_tt
         col = memo.get(x)
@@ -358,18 +357,17 @@ class HeckeAlgebra:
             return col
         if x.system is not self.system:
             raise InputError("elements of different systems")
-        gens = self.system.generators
         chain = []
         while x not in memo:
             chain.append(x)
-            x = multiply(x, gens[x.word[-1]])
+            x = _mul_gen(x, x.descent)
         bits = self._bits = _fit(memo.values(), self._bits, 3 ** chain[0].length)
         col = memo[x]
         for x in reversed(chain):
-            gen = gens[x.word[-1]]
+            s = x.descent
             acc = {}
             for y, n in col.items():
-                ys = multiply(y, gen)
+                ys = _mul_gen(y, s)
                 if ys.length < y.length:
                     acc[ys] = acc.get(ys, 0) + (n << bits)
                 else:

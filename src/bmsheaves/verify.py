@@ -157,22 +157,19 @@ class SuiteContext:
         ]
 
     def graph(self, name, x):
-        key = (name, x.word)
-        if key not in self._graphs:
-            self._graphs[key] = build_graph(self.system(name), x)
-        return self._graphs[key]
+        if x not in self._graphs:
+            self._graphs[x] = build_graph(self.system(name), x)
+        return self._graphs[x]
 
     def sheaf(self, name, x) -> BMSheaf:
-        key = (name, x.word)
-        if key not in self._sheaves:
-            self._sheaves[key] = bm_construct(self.graph(name, x))
-        return self._sheaves[key]
+        if x not in self._sheaves:
+            self._sheaves[x] = bm_construct(self.graph(name, x))
+        return self._sheaves[x]
 
     def bm_character(self, name, x):
-        key = (name, x.word)
-        if key not in self._characters:
-            self._characters[key] = character(self.sheaf(name, x))
-        return self._characters[key]
+        if x not in self._characters:
+            self._characters[x] = character(self.sheaf(name, x))
+        return self._characters[x]
 
 
 def _failures(bad, checked, unit="cases"):

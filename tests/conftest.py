@@ -152,3 +152,14 @@ def _ref_normal_form(system, word):
         a = _ref_product(gens[s], a)
         ainv = _ref_product(ainv, gens[s])
     return tuple(out), mat, inv
+
+
+def _built_elements(system):
+    """Every element of the system built so far: the identity and, walked
+    through the `_left` slots, each element under its tail."""
+    out, todo = [], [system.identity]
+    while todo:
+        w = todo.pop()
+        out.append(w)
+        todo.extend(u for u in w._left if u is not None)
+    return out

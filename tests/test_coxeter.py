@@ -16,7 +16,7 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
-from conftest import _ref_normal_form
+from conftest import _built_elements, _ref_normal_form
 
 from bmsheaves.coxeter import (
     CoxeterSystem,
@@ -164,7 +164,7 @@ def test_generator_products_match_the_general_path(product_case):
     followed by s is the same instance.  First on normal forms of random
     words, whose tails and products are not yet known, then on a ball.
     The reference system is built outside `make_system`'s registry, so
-    it shares no element table or slot with the system under test."""
+    it shares no element or slot with the system under test."""
     name, coxeter, cartan, bound = product_case
     system = make_system(coxeter, cartan)
     ref = CoxeterSystem(system.rank, system.coxeter, system.cartan)
@@ -211,31 +211,32 @@ def test_generators_are_born_as_the_identitys_products():
     """On a fresh system, the generators read before any product are the
     one-generator steps from the identity: each has the identity as its
     tail and is the instance of its one-letter word."""
-    # a datum no other test uses, so its element table starts empty
+    # a datum no other test uses, so no element is built under the identity
     coxeter = [[1, 0, 2], [0, 1, 3], [2, 3, 1]]
     cartan = [[2, -1, 0], [-5, 2, -1], [0, -1, 2]]
     system = make_system(coxeter, cartan)
-    assert not system._elements
+    assert not any(system.identity._left)
     for i, g in enumerate(system.generators):
         assert g.word == (i,) and g._tail is system.identity
         assert g is normal_form(system, (i,)) is _mul_gen(system.identity, i)
 
 
 def test_a_word_out_of_range_is_refused_before_any_lookup():
-    """`normal_form` checks the generator indices before it reads the
-    element table: a rank-3 system refuses (0, 7), (7,) and (-1, 0) with
-    InputError, also a copy outside the registry whose tables raise when
-    read."""
+    """`normal_form` checks the generator indices before it reads a
+    product slot: a rank-3 system refuses (0, 7), (7,) and (-1, 0) with
+    InputError, also a copy outside the registry whose identity's slots
+    raise when read (a slot read at index -1 would answer silently)."""
 
-    class Watched(dict):
-        def get(self, *args):
-            raise AssertionError("the table was read")
-
-        __getitem__ = get
+    class Watched(list):
+        def __getitem__(self, s):
+            raise AssertionError("a slot was read")
 
     system = make_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
     ref = CoxeterSystem(system.rank, system.coxeter, system.cartan)
-    ref.__dict__["_elements"] = Watched()
+    for slots in ("_right", "_left"):
+        object.__setattr__(ref.identity, slots, Watched([None] * ref.rank))
+    with pytest.raises(AssertionError, match="a slot was read"):
+        normal_form(ref, (0,))
     for word in ((0, 7), (7,), (-1, 0)):
         with pytest.raises(InputError, match="out of range"):
             normal_form(ref, word)
@@ -250,10 +251,11 @@ def test_memos_belong_to_their_system():
     first = make_system([[1, 3], [3, 1]])
     interval = bruhat_interval(normal_form(first, (0, 1, 0)))
     assert first._interval_memo
-    own = {id(w) for w in first._elements.values()}
+    built = _built_elements(first)
+    own = {id(w) for w in built}
     assert {id(w) for w in interval} <= own
-    assert all(w.system is first for w in first._elements.values())
-    products = [ws for w in first._elements.values() for ws in w._right if ws]
+    assert all(w.system is first for w in built)
+    products = [ws for w in built for ws in w._right if ws]
     assert products and {id(ws) for ws in products} <= own
     second = make_system([[1, 3], [3, 1]])
     assert second is first
@@ -331,14 +333,14 @@ def test_make_system_interns_each_datum_weakly(tmp_path):
     system = make_system(coxeter, cartan)
     bruhat_interval(normal_form(system, (0, 1, 0, 1)))
     assert bruhat_leq(system.identity, normal_form(system, (0, 1, 0, 1)))
-    assert system._elements and system._interval_memo
+    assert len(_built_elements(system)) > 1 and system._interval_memo
     assert system._bruhat_memo
     ref = weakref.ref(system)
     del system
     gc.collect()
     assert ref() is None
     fresh = make_system(coxeter, cartan)
-    assert not fresh._elements
+    assert _built_elements(fresh) == [fresh.identity]
     assert not fresh._interval_memo and not fresh._bruhat_memo
 
     assert Element.__hash__ is object.__hash__
@@ -489,6 +491,24 @@ def test_bruhat_leq_walks_long_words_in_a_loop(u2):
     assert chain[-1][0].length > chain[-1][1].length
     assert all(memo[pair] is False for pair in chain)
     assert memo[long, short] is False
+
+
+def test_a_long_word_is_held_in_memory_linear_in_its_length():
+    """An element holds its first letter and its tail, not its word, so
+    the 2000 elements the fold of (1, 0) * 1000 builds on an infinite
+    bond hold at most 8 MiB under tracemalloc (about 3 MiB on Python
+    3.11), a bound a word tuple per element would exceed about fourfold."""
+    # a datum no other test keeps, so the fold builds every prefix
+    system = make_system([[1, 0], [0, 1]], [[2, -4], [-1, 2]])
+    assert len(system.generators) == 2
+    tracemalloc.start()
+    try:
+        w = normal_form(system, (1, 0) * 1000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.length == 2000
+    assert held <= 8 * 1024 * 1024
 
 
 def test_bruhat_leq_keeps_no_dropped_system_alive():

@@ -27,7 +27,7 @@ All three are also run over more seeds as separate CI steps:
 import random
 
 import pytest
-from conftest import _ref_normal_form
+from conftest import _built_elements, _ref_normal_form
 
 from bmsheaves.bmsheaf import (
     bm_construct,
@@ -175,12 +175,12 @@ def check_word_draw(seed):
             assert multiply(a, inv) is identity, where
             assert multiply(inv, a) is identity, where
             assert normal_form(system, u + u[::-1]) is identity, where
-        table = system._elements
-        for w in table.values():
+        for w in _built_elements(system):
             if w is not identity:
                 where = (seed, w.word)
-                assert w._tail is table[w.word[1:]], where
-                assert _gen_left(system, w.word[0], w.matrix) == w._tail.matrix, where
+                assert w._tail._left[w.first] is w, where
+                assert w._tail is normal_form(system, w.word[1:]), where
+                assert _gen_left(system, w.first, w.matrix) == w._tail.matrix, where
     except TYPED_ERRORS as exc:
         return type(exc).__name__
     return "ok"
