@@ -147,6 +147,12 @@ __all__ = [
 DEFAULT_MARGIN = 4
 
 
+def _default_cap(top, w):
+    """2 (l(top) - l(w)) + DEFAULT_MARGIN, the degree cap at a vertex w
+    below top when none is given."""
+    return 2 * (top.length - w.length) + DEFAULT_MARGIN
+
+
 class SectionSpace:
     """Basis of the degree-d sections over an ordered set of vertices."""
 
@@ -302,7 +308,6 @@ def bm_construct(graph: MomentGraph, cap_override=None):
     top = graph.top
     if order[0] != top:
         raise InconsistencyError("top vertex is not the unique longest")
-    big_l = top.length
     for e in graph.edges:
         if e.lower.length == e.upper.length:
             raise RealizationError("edge joins vertices of equal length")
@@ -315,7 +320,7 @@ def bm_construct(graph: MomentGraph, cap_override=None):
             capw = int(cap_override)
             capw -= capw % 2
         else:
-            capw = 2 * (big_l - w.length) + DEFAULT_MARGIN
+            capw = _default_cap(top, w)
         if capw < 0:
             raise CapError(f"degree cap {capw} at {w} leaves no degree to compute")
         sheaf.caps[w] = capw
@@ -618,13 +623,12 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
         ws = multiply(w, gen)
         return w if ws.length > w.length else ws
 
-    big_l = target_graph.top.length
     for w in target_graph.vertices:
         wbar = _bar(w)
         if wbar not in qgraph:
             raise InputError(f"coset of {w} is missing from the quotient graph")
         out.stalks[w] = nbm.stalks[wbar]
-        out.caps[w] = 2 * (big_l - w.length) + DEFAULT_MARGIN
+        out.caps[w] = _default_cap(target_graph.top, w)
     by_pair = {(e.lower, e.upper): e for e in qgraph.edges}
     for e in target_graph.edges:
         u, w = e.lower, e.upper

@@ -50,8 +50,10 @@ sum of integers.  Packing is a ring map, so the integers are exact; a
 value is decoded only when a bound puts every coefficient below 2^(B-1)
 in absolute value, and then the digits are exact too.
 
-The product route packs h_y at v = 2^B: h_x = 1 and h_y is in v Z[v]
-below x.  A term of C_xs C_s is a shift up or down by B bits (see
+The product route packs the classical polynomial P_{y,x}(q), q = v^-2,
+of Kazhdan and Lusztig's own recursion at q = 2^B: with d = l(x) - l(y),
+h_y = v^d P_{y,x}(v^-2), so a monomial costs one digit whatever d is.
+A term of C_xs C_s is kept or shifted up by B bits (see
 `HeckeAlgebra._kl_column`), and exactness follows from
 
   * each coefficient of P = C_xs C_s is at most 2 |C_xs|_1, and
@@ -78,9 +80,9 @@ until it fits and the memo is repacked once (`_fit`); a duality solve in
 progress starts over, and a product in progress is formed again.
 
 Each route decodes a distinct packed value once, into a table of its
-own.  The product route keeps {packed int: LaurentPoly} for its current
-width, replaced whenever the width changes, and every C_x and product
-it returns reads its coefficients from that table, so equal
+own.  The product route keeps {(packed int, d): LaurentPoly} for its
+current width, replaced whenever the width changes, and every C_x and
+product it returns reads its coefficients from that table, so equal
 coefficients are one shared LaurentPoly (a value type that nothing
 mutates).  A duality solve keeps, for its own length, h_y, the packed
 d(h_y) and |h_y|_1 keyed by the upper digits of the defect and the
@@ -88,9 +90,8 @@ depth l(x) - l(y); its skew check still runs at every element.
 
 The two routes share nothing but the element containers, the digit
 coding (`_unpack`, `_repack`) and the width rule (`_fit`), so agreement
-is a genuine cross-check.
-The classical polynomial normalization is recovered by
-P_{y,x}(v^-2) = v^(l(y)-l(x)) h_{y,x}(v).
+is a genuine cross-check.  `kl_polynomial` reads P_{y,x}(q) from the
+product route's digits as they are.
 """
 
 from __future__ import annotations
@@ -254,13 +255,14 @@ class HeckeAlgebra:
 
     def __init__(self, system):
         self.system = system
-        # packed C_x {x: {y: h_y(2^B)}} with digits of self._kl_bits bits,
-        # and a bound on each one's L1 norm (see `_kl_column`)
+        # packed C_x {x: {y: P_{y,x}(2^B)}} with digits of self._kl_bits
+        # bits, and a bound on each one's L1 norm (see `_kl_column`)
         self._kl_bits = _START_BITS
         self._kl_cols = {system.identity: {system.identity: 1}}
         self._kl_norms = {system.identity: 1}
-        # {packed int: LaurentPoly} decoded at self._kl_bits, the one
-        # instance of each coefficient the product route returns
+        # {(packed int, l(x) - l(y)): LaurentPoly} decoded at
+        # self._kl_bits, the one instance of each coefficient the product
+        # route returns
         self._kl_polys = {}
         # packed columns {y: {z: n_{z,y}}} of d(Tt_y), with digits of
         # self._bits bits (see the module docstring)
@@ -390,20 +392,23 @@ class HeckeAlgebra:
         """
         if x.system is not self.system:
             raise InputError("elements of different systems")
-        return _decoded(self._kl_decode(self._kl_column(x)))
+        return _decoded(self._kl_decode(self._kl_column(x), x.length))
 
-    def _kl_decode(self, col):
-        """{y: h_y} of a packed column {y: n} at the current width, zero
-        entries skipped.  Each distinct n is decoded once per width: the
-        table `_kl_polys` holds its LaurentPoly, and is replaced when
-        `_kl_width` changes the width."""
+    def _kl_decode(self, col, length):
+        """{y: h_y} of a packed column {y: n} of an element of the given
+        length at the current width, zero entries skipped.  With
+        d = length - l(y), n is P_y(2^B) and h_y = v^d P_y(v^-2), so digit
+        k is the coefficient of v^(d - 2k).  Each distinct (n, d) is
+        decoded once per width: the table `_kl_polys` holds its
+        LaurentPoly, and is replaced when `_kl_width` changes the width."""
         polys = self._kl_polys
         out = {}
         for y, n in col.items():
             if n:
-                p = polys.get(n)
+                d = length - y.length
+                p = polys.get((n, d))
                 if p is None:
-                    p = polys[n] = _poly(_unpack(n, self._kl_bits, 0, 1))
+                    p = polys[n, d] = _poly(_unpack(n, self._kl_bits, d, -2))
                 out[y] = p
         return out
 
@@ -418,21 +423,24 @@ class HeckeAlgebra:
         return bits
 
     def _kl_column(self, x):
-        """The packed C_x {y: h_y(2^B)}, memoized with a bound on its norm.
+        """The packed C_x {y: P_y(2^B)}, memoized with a bound on its norm.
 
-        h_x = 1 and h_y is in v Z[v] for y < x, so h_y(2^B) holds one
-        balanced B-bit digit per power of v.  With s the least right
-        descent of x, C_s = Tt_s + v and the multiplication rule give
+        With d = l(x) - l(y), h_y = v^d P_y(v^-2): h_x = 1, and h_y is in
+        v Z[v] for y < x exactly when P_y has degree below d/2, that is
+        when |P_y(2^B)| < 2^(B ceil(d/2) - 1), one shift.  With s the least
+        right descent of x, C_s = Tt_s + v and the multiplication rule give
 
             Tt_y C_s = Tt_ys + v Tt_y          if l(ys) > l(y)
-            Tt_y C_s = Tt_ys + v^-1 Tt_y       otherwise,
+            Tt_y C_s = Tt_ys + v^-1 Tt_y       otherwise.
 
-        so a term (y, n) of C_xs adds n at ys, and n << B at y when ys > y
+        One step up from xs adds 1 to every d, so a term (y, n) of C_xs
+        adds n at ys and at y when ys > y, and n << B at both otherwise
         (see `_kl_product`).  The constant terms of P = C_xs C_s are the
-        c_y, and each c_y C_y is subtracted with one small-by-large product
-        per term.  P, decoded through the coefficient table (see
-        `_kl_decode`), goes into `kl_products` when the column is written,
-        so it shares its coefficients with every C_x returned at that width.
+        c_y, nonzero only at even d, and each c_y C_y is subtracted as
+        c_y m << B d/2 per term (z, m) of C_y.  P, decoded through the
+        coefficient table (see `_kl_decode`), goes into `kl_products` when
+        the column is written, so it shares its coefficients with every
+        C_x returned at that width.
 
         The memo is filled by a work list, not by recursion, so a long word
         costs no stack.  The list starts as [x], and each pass looks at its
@@ -440,7 +448,7 @@ class HeckeAlgebra:
         pushed; else P is formed and the lower y with c_y != 0 and C_y
         missing are pushed; else the column of w is finished and written.
 
-        Packing is evaluation at v = 2^B, a ring map, so the integers are
+        Packing is evaluation at q = 2^B, a ring map, so the integers are
         exact, and a value decodes exactly once every coefficient is below
         2^(B-1).  Each coefficient of P is at most 2 |C_xs|_1, and each of
         C_x at most |P|_1 + sum |c_y| |C_y|_1, the bound recorded for
@@ -458,7 +466,7 @@ class HeckeAlgebra:
                 continue
             if w.length == 1:
                 # C_s = Tt_s + v Tt_e; only lengths >= 2 record a product
-                cols[w] = {w: 1, self.system.identity: 1 << self._kl_bits}
+                cols[w] = {w: 1, self.system.identity: 1}
                 norms[w] = 2
                 continue
             s = w.descent
@@ -478,15 +486,17 @@ class HeckeAlgebra:
                 continue
             norm = sum(abs(c) for p in prod.values() for c in p.c.values())
             norm += sum(abs(c) * norms[y] for y, c in lower)
-            bits = self._kl_bits
-            if self._kl_width(norm) != bits:
+            old = self._kl_bits
+            bits = self._kl_width(norm)
+            if bits != old:
                 acc, prod = self._kl_product(w, s, ws)
+            lw = w.length
             for y, c in lower:
+                shift = bits * ((lw - y.length) // 2)
                 for z, m in cols[y].items():
-                    acc[z] = acc.get(z, 0) - c * m
-            mask = (1 << self._kl_bits) - 1
+                    acc[z] = acc.get(z, 0) - (c * m << shift)
             for y, n in acc.items():
-                if n & mask and y is not w:
+                if y is not w and abs(n) >> (bits * ((lw - y.length + 1) // 2) - 1):
                     raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
             cols[w] = {y: n for y, n in acc.items() if n}
             norms[w] = norm
@@ -496,21 +506,21 @@ class HeckeAlgebra:
     def _kl_product(self, x, s, xs):
         """The packed P = C_xs C_s {y: n} and its decoded {y: p}, at the
         width fitted to 2 |C_xs|_1.  A term (y, n) of C_xs with ys < y adds
-        n >> B at y, and is refused unless the low digit of n is 0 (h_y in
-        v Z[v]); P must have the coefficient 1 at x and lie below x."""
+        n << B at ys and y, and is refused unless h_y is in v Z[v] (one
+        shift, see `_kl_column`); P must have the coefficient 1 at x and
+        lie below x."""
         bits = self._kl_width(2 * self._kl_norms[xs])
-        mask = (1 << bits) - 1
+        lxs = xs.length
         acc = {}
         for y, n in self._kl_cols[xs].items():
             ys = _mul_gen(y, s)
+            if ys.length < y.length:
+                if abs(n) >> (bits * ((lxs - y.length + 1) // 2) - 1):
+                    raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
+                n <<= bits
             acc[ys] = acc.get(ys, 0) + n
-            if ys.length > y.length:
-                acc[y] = acc.get(y, 0) + (n << bits)
-            elif n & mask:
-                raise InconsistencyError(f"coefficient at {y} not in vZ[v]")
-            else:
-                acc[y] = acc.get(y, 0) + (n >> bits)
-        prod = self._kl_decode(acc)
+            acc[y] = acc.get(y, 0) + n
+        prod = self._kl_decode(acc, x.length)
         if acc.get(x) != 1:
             raise InconsistencyError(
                 f"product coefficient at {x} is {prod.get(x, 0)}, expected 1"
@@ -646,22 +656,11 @@ class HeckeAlgebra:
     # -- classical polynomial normalization -------------------------------
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
-        """P_{y,x} as a polynomial in q, via P(v^-2) = v^(l(y)-l(x)) h_{y,x}."""
+        """P_{y,x} as a polynomial in q: the digits of the packed entry at y
+        of C_x, which has no entry off [e, x]."""
         if x.system is not self.system or y.system is not self.system:
             raise InputError("elements of different systems")
-        # decode only the entry at y of the packed C_x, which has no entry
-        # off [e, x]
-        n = self._kl_column(x).get(y, 0)
-        h = LaurentPoly(_unpack(n, self._kl_bits, 0, 1))
-        shifted = h.shift(y.length - x.length)
-        out = {}
-        for e, c in shifted.c.items():
-            if e > 0 or e % 2:
-                raise InconsistencyError(
-                    f"h_({y},{x}) = {h} does not normalize to a polynomial in q"
-                )
-            out[-e // 2] = c
-        return LaurentPoly(out)
+        return _poly(_unpack(self._kl_column(x).get(y, 0), self._kl_bits, 0, 1))
 
     # -- expansion in the self-dual basis ----------------------------------
 

@@ -230,7 +230,8 @@ def test_kl_basis_fills_a_long_word_without_recursion(u2):
     """Under a recursion limit of 100, `kl_basis` answers the U2 word of
     length 200, whose fill reaches down to length 1, and equals the
     duality route; the product memo then holds a column of every length
-    up to 200."""
+    up to 200.  Each packed entry is P_{y,x} at q = 2^B, here a single
+    digit 1, so the memo holds at most 64 bits per entry."""
     x = elt(u2, "12" * 100)
     alg = HeckeAlgebra(u2)
     limit = sys.getrecursionlimit()
@@ -241,6 +242,8 @@ def test_kl_basis_fills_a_long_word_without_recursion(u2):
         sys.setrecursionlimit(limit)
     assert got == alg.kl_oracle(x)
     assert {y.length for y in alg._kl_cols} == set(range(x.length + 1))
+    entries = [n for col in alg._kl_cols.values() for n in col.values()]
+    assert sum(abs(n).bit_length() for n in entries) <= 64 * len(entries)
 
 
 @pytest.mark.parametrize("name", sorted(_DUALITY_SYSTEMS))
@@ -389,17 +392,19 @@ def test_a_widening_replaces_the_product_routes_coefficient_table(
             assert got == values[x]
             for c in got.coeffs.values():
                 assert returned.setdefault(id(c), (c, bits))[1] == bits
-            for n, c in narrow._kl_polys.items():
-                assert c.c == hecke._unpack(n, bits, 0, 1)
+            for (n, d), c in narrow._kl_polys.items():
+                assert c.c == hecke._unpack(n, bits, d, -2)
         assert narrow.kl_products == wide.kl_products
         assert (widths[0] != widths[-1]) == (start == 3 and order is ball)
         assert (widths[-1] > start) == (start == 3)
 
 
 def test_the_product_route_refuses_a_nonzero_lowest_digit(a3):
-    """A term (y, n) of the packed C_xs with ys < y is divided by v, so
-    its lowest digit must be 0 (h_y in v Z[v]); adding 1 there, for each
-    such y below each x of A3, is refused rather than shifted away."""
+    """A term (y, n) of the packed C_xs with ys < y, n = P_y(2^B) and
+    h_y = v^d P_y(v^-2), d = l(xs) - l(y), must have h_y in v Z[v], so
+    q-digit ceil(d/2) of n, the v^0 or v^-1 term of h_y, must be 0;
+    adding 1 there, for each such y below each x of A3, is refused at y
+    by the product step, before it reaches the product."""
     from bmsheaves.errors import InconsistencyError
 
     refused = 0
@@ -414,7 +419,8 @@ def test_the_product_route_refuses_a_nonzero_lowest_digit(a3):
                 continue
             alg = HeckeAlgebra(a3)
             alg.kl_basis(xs)
-            alg._kl_cols[xs][y] += 1
+            d = xs.length - y.length
+            alg._kl_cols[xs][y] += 1 << alg._kl_bits * ((d + 1) // 2)
             with pytest.raises(InconsistencyError, match=f"at {y} not in vZ"):
                 alg.kl_basis(x)
             assert x not in alg._kl_cols
