@@ -2,11 +2,13 @@
 
 A sheaf here assigns a graded free S-module to every vertex (the stalk),
 the quotient B^E = B^upper / alpha B^upper to every edge, and restriction
-maps rho from both endpoint stalks into B^E; the upper restriction is
-always the canonical quotient.  Sections over a vertex subset are tuples
-of stalk elements agreeing in B^E along every internal edge: the kernel
-of the S-linear map rho_lower - rho_upper from the stalks there into the
-edge modules, `Sheaf.gluing_map`.  The sections, the costalk at a vertex
+maps from both endpoint stalks into B^E.  The upper restriction is the
+canonical quotient, which the edge module holds as its `projection`
+(`gradedlin.quotient_map`), and the lower one is stored as rho_lower.
+Sections over a vertex subset are tuples of stalk elements agreeing in
+B^E along every internal edge: the kernel of the S-linear map rho_lower
+- projection from the stalks there into the edge modules,
+`Sheaf.gluing_map`.  The sections, the costalk at a vertex
 and the pair costalks behind wall crossing are all kernels of that one
 map, over different vertices and edges.
 
@@ -115,7 +117,6 @@ from .gradedlin import (
     FreeModule,
     KernelSweep,
     ModuleMap,
-    PolyRing,
     QuotientModule,
     check_generator_cap,
     hilbert_dim,
@@ -165,15 +166,17 @@ class SectionSpace:
 
 
 class Sheaf:
-    """Stalks, edge modules and restriction maps over a moment graph."""
+    """Stalks, edge modules and lower restrictions over a moment graph,
+    over the system's ring.  Each edge module is made by `quotient_map`
+    from its upper stalk and holds the upper restriction, the canonical
+    quotient, as its `projection`."""
 
-    def __init__(self, graph: MomentGraph, ring: PolyRing):
+    def __init__(self, graph: MomentGraph):
         self.graph = graph
-        self.ring = ring
+        self.ring = graph.system.ring
         self.stalks = {}
         self.edge_mod = {}
         self.rho_lower = {}
-        self.rho_upper = {}
         self.caps = {}
         self._section_cache = {}
 
@@ -185,7 +188,8 @@ class Sheaf:
     def gluing_map(self, verts, edges) -> ModuleMap:
         """The map from the stalks at `verts`, in order, into the direct
         sum of the edge modules of `edges`: on each edge, rho_lower of the
-        lower end's component minus rho_upper of the upper end's, with an
+        lower end's component minus the edge module's `projection` of the
+        upper end's, with an
         end outside `verts` taken as zero.  Its kernel is the sections
         over `verts` that vanish at those outside ends.  Its source
         columns in degree d are the stalks' own, one stalk after the
@@ -196,7 +200,7 @@ class Sheaf:
             if e.lower in ends:
                 ends[e.lower].append((idx, self.rho_lower[e].images, 1))
             if e.upper in ends:
-                ends[e.upper].append((idx, self.rho_upper[e].images, -1))
+                ends[e.upper].append((idx, self.edge_mod[e].projection.images, -1))
         gens, images = [], []
         for w in verts:
             gens += self.stalks[w].gens
@@ -265,8 +269,8 @@ class Sheaf:
 class BMSheaf(Sheaf):
     """The canonical sheaf of an interval, with construction provenance."""
 
-    def __init__(self, graph, ring):
-        super().__init__(graph, ring)
+    def __init__(self, graph):
+        super().__init__(graph)
         self.top = graph.top
         self.costalk_ranks = {}
         self.costalk_dim_table = {}
@@ -281,20 +285,21 @@ def bm_construct(graph: MomentGraph, cap_override=None):
     Vertices are processed by decreasing length (ShortLex within a
     length), so the processed set P is an upper set.  The builder keeps
     generators of the sections over P, each a degree and its nonzero
-    stalk components in that degree.  At a vertex w below the top,
-    rho_upper of their components at the upper ends of the edges at w
-    spans the image of the sections over {> w}; `_solve_vertex` takes
-    its minimal generators as the stalk, their components as the
-    downward restrictions, and in the same elimination per degree lifts
-    every generator to w and finds the costalk at w.  Extending P to
-    P + w is onto with the costalk as its kernel, so the lifts and the
-    minimal generators of the costalk generate the sections over P + w.
-    `section_log[w][d]` is the dimension of the sections over {> w} that
-    this predicts from the costalk ranks above w; `check_flabby_additive`
-    compares it with the measured costalk dimensions above w, whose sum
-    its flabbiness certificate proves to be that dimension.  The final
-    generators, sections over every vertex, stay on the sheaf as
-    `_witness`; the certificate verifies them and solves no sections.
+    stalk components in that degree.  At a vertex w below the top, the
+    canonical quotients of their components at the upper ends of the
+    edges at w span the image of the sections over {> w};
+    `_solve_vertex` takes its minimal generators as the stalk, their
+    components as the downward restrictions, and in the same elimination
+    per degree lifts every generator to w and finds the costalk at w.
+    Extending P to P + w is onto with the costalk as its kernel, so the
+    lifts and the minimal generators of the costalk generate the
+    sections over P + w.  `section_log[w][d]` is the dimension of the
+    sections over {> w} that this predicts from the costalk ranks above
+    w; `check_flabby_additive` compares it with the measured costalk
+    dimensions above w, whose sum its flabbiness certificate proves to
+    be that dimension.  The final generators, sections over every
+    vertex, stay on the sheaf as `_witness`; the certificate verifies
+    them and solves no sections.
 
     The per-vertex degree cap is 2 (l(top) - l(y)) + DEFAULT_MARGIN unless
     overridden, and a cap below 0 is refused (CapError).  Every
@@ -302,8 +307,8 @@ def bm_construct(graph: MomentGraph, cap_override=None):
     graded-rank deconvolution refuses to answer when generators appear
     in the top two even degrees of its range (CapError).
     """
-    ring = graph.stalk.ring
-    sheaf = BMSheaf(graph, ring)
+    sheaf = BMSheaf(graph)
+    ring = sheaf.ring
     order = sorted(graph.vertices, key=lambda w: (-w.length, w.word))
     top = graph.top
     if order[0] != top:
@@ -341,11 +346,9 @@ def bm_construct(graph: MomentGraph, cap_override=None):
                 for d in range(0, capw + 1, 2)
             }
         # this vertex is the upper endpoint of its down-edges; their edge
-        # modules and canonical quotients exist from now on
+        # modules, with their canonical quotients, exist from now on
         for e in graph.down[w]:
-            sheaf.edge_mod[e], sheaf.rho_upper[e] = quotient_map(
-                sheaf.stalks[w], e.label.coords
-            )
+            sheaf.edge_mod[e] = quotient_map(sheaf.stalks[w], e.label.coords)
         sheaf.costalk_dim_table[w] = dims
         rank = rank_from_dims(dims, ring.nvars, capw)
         sheaf.costalk_ranks[w] = rank
@@ -367,9 +370,10 @@ def _solve_vertex(sheaf, w, sections, cap):
     cover's, the images of the monomial multiples of the stalk
     generators of degree below d, in the stalk's basis order.  Then come
     the candidates, one per section generator g of degree d, holding
-    -rho_upper(g) on the edges above w.  A candidate column with a pivot
-    is not in the image so far: it is a new minimal generator and stands
-    for its own stalk column, with the opposite sign.  The kernel vectors
+    minus the canonical quotient (the edge module's `projection`) of g on
+    each edge above w.  A candidate column with a pivot is not in the
+    image so far: it is a new minimal generator and stands for its own
+    stalk column, with the opposite sign.  The kernel vectors
     at free cover columns span the costalk, and the one at a free
     candidate column, with c > 0 there, lifts c g, which stays integral.
     The restriction to an edge above w sends each stalk generator to its
@@ -390,6 +394,7 @@ def _solve_vertex(sheaf, w, sections, cap):
     ring = sheaf.ring
     delta = sheaf.graph.up[w]
     target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
+    uppers = [sheaf.edge_mod[e].projection for e in delta]
     sweep = KernelSweep(target)
     dims, costalk = {}, {}
     for d in range(0, cap + 1, 2):
@@ -398,9 +403,9 @@ def _solve_vertex(sheaf, w, sections, cap):
         candidates = [
             {
                 o + t: -a
-                for o, e in zip(off, delta)
+                for o, e, upper in zip(off, delta, uppers)
                 if e.upper in comps
-                for t, a in sheaf.rho_upper[e].apply(comps[e.upper], d).items()
+                for t, a in upper.apply(comps[e.upper], d).items()
             }
             for comps in here
         ]
@@ -608,8 +613,9 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     """Lift a sheaf on the quotient graph by <s> to the regular graph.
 
     Stalks are copied coset-wise; an edge inside an s-orbit gets the
-    quotient of the shared stalk by its label with both restrictions
-    canonical; every other edge reuses the image edge's module and maps.
+    quotient of the shared stalk by its label, with its canonical
+    quotient as the lower restriction too; every other edge reuses the
+    image edge's module and lower restriction.
     """
     qgraph = nbm.graph
     if qgraph.kind != "quotient" or target_graph.kind != "regular":
@@ -617,7 +623,7 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     s = qgraph.quotient_gen
     system = target_graph.system
     gen = system.generators[s]
-    out = Sheaf(target_graph, nbm.ring)
+    out = Sheaf(target_graph)
 
     def _bar(w):
         ws = multiply(w, gen)
@@ -633,8 +639,8 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     for e in target_graph.edges:
         u, w = e.lower, e.upper
         if multiply(u, gen) == w:
-            out.edge_mod[e], qmap = quotient_map(out.stalks[u], e.label.coords)
-            out.rho_lower[e] = out.rho_upper[e] = qmap
+            q = out.edge_mod[e] = quotient_map(out.stalks[u], e.label.coords)
+            out.rho_lower[e] = q.projection
         else:
             ubar, wbar = _bar(u), _bar(w)
             image = by_pair.get((ubar, wbar))
@@ -652,7 +658,6 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
                 )
             out.edge_mod[e] = nbm.edge_mod[image]
             out.rho_lower[e] = nbm.rho_lower[image]
-            out.rho_upper[e] = nbm.rho_upper[image]
     return out
 
 
@@ -705,25 +710,28 @@ def check_prop_71(bm: BMSheaf, w: Element):
 
     - the labels of all edges at w are pairwise non-proportional, and
     - each edge module is the quotient of its upper stalk by the edge's
-      label, and each restriction from w down an edge of D is the
-      canonical quotient F -> F/alpha_E F.
+      label.
 
-    Then the labels of D are pairwise coprime primes of S and F is free,
-    so the kernel of F -> sum over D of F/alpha_E F is P F.  Each upward
-    edge module is free over the domain S/alpha_E, and alpha_E divides no
-    factor of P, so P is a nonzerodivisor on it: P g restricts to zero
-    upward exactly when g does.  Hence the local kernel is P K_w, and its
-    dimension in degree d is the costalk's in degree d - 2|D|.  On [e, x]
-    |D| = l(w), so the kernel up to the bottom vertex's cap 2 l(top) +
-    DEFAULT_MARGIN is the costalk up to 2 (l(top) - l(w)) + DEFAULT_MARGIN
-    = caps[w], the cap the builder solved it under.  Solving K_w up to
-    caps[w] therefore decides (2), and its rank deconvolution refuses
-    generators in the top two degrees (CapError) as the builder's does.
-    The hypotheses are checked, not assumed, and a failed one makes
-    "kernel_rank" False.  K_w is solved here from the stored maps,
-    independently of the builder's tables.  The flabbiness certificate
-    solves the same K_w, by the same `Sheaf.costalk_dims` on the same
-    maps, only up to a higher degree, so it does not check this solve.
+    Each restriction from w down an edge of D is then the canonical
+    quotient F -> F/alpha_E F by construction: it is the edge module's
+    `projection`, which `quotient_map` builds with the module out of the
+    upper stalk F.  Then the labels of D are pairwise coprime primes of
+    S and F is free, so the kernel of F -> sum over D of F/alpha_E F is
+    P F.  Each upward edge module is free over the domain S/alpha_E, and
+    alpha_E divides no factor of P, so P is a nonzerodivisor on it: P g
+    restricts to zero upward exactly when g does.  Hence the local
+    kernel is P K_w, and its dimension in degree d is the costalk's in
+    degree d - 2|D|.  On [e, x] |D| = l(w), so the kernel up to the
+    bottom vertex's cap 2 l(top) + DEFAULT_MARGIN is the costalk up to
+    2 (l(top) - l(w)) + DEFAULT_MARGIN = caps[w], the cap the builder
+    solved it under.  Solving K_w up to caps[w] therefore decides (2),
+    and its rank deconvolution refuses generators in the top two degrees
+    (CapError) as the builder's does.  The two hypotheses are checked,
+    not assumed, and a failed one makes "kernel_rank" False.  K_w is
+    solved here from the stored maps, independently of the builder's
+    tables.  The flabbiness certificate solves the same K_w, by the same
+    `Sheaf.costalk_dims` on the same maps, only up to a higher degree,
+    so it does not check this solve.
 
     >>> from bmsheaves.coxeter import make_system, parse_word
     >>> from bmsheaves.momentgraph import build_graph
@@ -758,7 +766,6 @@ def _proportional(a, b):
 def _local_kernel_is_shifted_costalk(bm: BMSheaf, w: Element):
     """The hypotheses of the lemma in `check_prop_71` at w."""
     graph = bm.graph
-    stalk = bm.stalks[w]
     edges = graph.up[w] + graph.down[w]
     labels = [e.label.coords for e in edges]
     if any(_proportional(a, b) for a, b in combinations(labels, 2)):
@@ -769,15 +776,6 @@ def _local_kernel_is_shifted_costalk(bm: BMSheaf, w: Element):
             isinstance(mod, QuotientModule)
             and mod.alpha == e.label.coords
             and mod.gens == bm.stalks[e.upper].gens
-        ):
-            return False
-    for e in graph.down[w]:
-        rho = bm.rho_upper[e]
-        _, canonical = quotient_map(stalk, e.label.coords)
-        if (
-            rho.source is not stalk
-            or rho.target is not bm.edge_mod[e]
-            or rho.images != canonical.images
         ):
             return False
     return True
@@ -846,7 +844,7 @@ def _flabby_certificate(bm: BMSheaf):
             born[z].append((g, comps[z]))
             glued = glued and all(
                 _restrict(bm.rho_lower[e], comps.get(e.lower), g)
-                == _restrict(bm.rho_upper[e], comps.get(e.upper), g)
+                == _restrict(bm.edge_mod[e].projection, comps.get(e.upper), g)
                 for e in graph.edges
                 if e.lower in comps or e.upper in comps
             )

@@ -38,8 +38,9 @@ kernel vectors, and the costalk ranks, the flabbiness certificate's
 cover and `minimal_generators` read its spans.  The edge action xi of a
 momentgraph.ZEModule is a ModuleMap, from the module shifted up by 2
 into itself.  A map applies its columns through `combine_columns`.
-`quotient_map` is the one canonical map F -> F/alpha F of a free
-module, for every edge.
+`quotient_map` makes every edge module F/alpha F of a free module F,
+and the module holds the one canonical map F -> F/alpha F as its
+`projection`.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -184,9 +185,6 @@ class PolyRing:
             self._stepmemo[d] = out
         return out
 
-    def dim(self, d):
-        return hilbert_dim(self.nvars, d)
-
 
 def _pivot(alpha):
     return next(i for i, a in enumerate(alpha) if a)
@@ -319,6 +317,8 @@ class QuotientModule(_Shifted):
     The pivot x_p is the first variable with a nonzero coefficient; the
     basis is x^m / |a_p|^|m| over the pivot-free monomials x^m, so every
     column is an integer, and it is x^m itself when |a_p| = 1.
+    `projection` is the canonical map from the free module it is the
+    quotient of, set by `quotient_map` and None on a module built here.
     """
 
     def __init__(self, ring, gens, alpha):
@@ -328,6 +328,7 @@ class QuotientModule(_Shifted):
         if not any(self.alpha):
             raise InputError("cannot quotient by the zero linear form")
         super().__init__(ring, gens, self.alpha)
+        self.projection = None
 
 
 class DirectSum(_Module):
@@ -398,11 +399,14 @@ class ModuleMap:
 
 
 def quotient_map(module, alpha):
-    """(F/alpha F, the quotient map) of a free module F: each generator
-    goes to the unit of its block, the block's first position."""
+    """F/alpha F of a free module F, holding the canonical map F ->
+    F/alpha F as its `projection`: each generator goes to the unit of its
+    block, the block's first position.  The map's source is F itself, so
+    it steps its columns over F's own block starts."""
     q = QuotientModule(module.ring, module.gens, alpha)
     images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(module.gens)]
-    return q, ModuleMap(module, q, images)
+    q.projection = ModuleMap(module, q, images)
+    return q
 
 
 class KernelSweep:

@@ -584,7 +584,8 @@ class HeckeAlgebra:
         constant term exactly when L == -push (an exponent of h_y above d
         has no mirror in g_y), so one integer comparison checks it; the
         whole defect is decoded only to word a refusal.  Then push is added
-        with one product per entry of y's column.
+        with one product per entry of y's column.  A zero h_y is refused:
+        P_{y,x}(0) = 1 for every y <= x, so only a wrong memo gives one.
 
         h_y, push and |h_y|_1 depend only on the upper digits and on d, so
         the solve keeps them in a table under that key: `_unpack`, `bar`
@@ -596,8 +597,6 @@ class HeckeAlgebra:
         half = 1 << (bits - 1)
         lx = x.length
         h = {}
-        # settled elements whose h_y is 0, dropped from h at the end
-        empty = []
         # packed defects {z: int} pushed from settled elements
         defect = {}
         bound = 0
@@ -631,10 +630,9 @@ class HeckeAlgebra:
             bound += norm * 3**y.length
             if y is not x and low != -push:
                 raise _not_skew(y, n, bits, d)
-            h[y] = hy
             if not hy:
-                empty.append(y)
-                continue
+                raise InconsistencyError(f"duality solve gives h = 0 at {y}")
+            h[y] = hy
             for z, m in self._column(y).items():
                 if z is y:
                     continue
@@ -649,8 +647,6 @@ class HeckeAlgebra:
         if defect:
             z = next(iter(defect))
             raise InconsistencyError(f"a d(Tt_y) term at {z} lies outside [e, {x}]")
-        for y in empty:
-            del h[y]
         return h
 
     # -- classical polynomial normalization -------------------------------

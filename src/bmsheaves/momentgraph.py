@@ -291,7 +291,7 @@ def z_contains(graph: MomentGraph, z: ZTuple) -> bool:
         diff = _add(z[e.lower], _scale(z[e.upper], -1))
         alpha = e.label.coords
         if diff and alpha not in maps:
-            maps[alpha] = quotient_map(stalk, alpha)[1]
+            maps[alpha] = quotient_map(stalk, alpha).projection
         if any(maps[alpha].apply(vec, d) for d, vec in diff.items()):
             return False
     return True

@@ -366,14 +366,15 @@ def crit_local(ctx: SuiteContext):
 
 def structure_sheaf(graph) -> Sheaf:
     """The sheaf with stalk S = graph.stalk everywhere and the quotient map
-    S -> S/alpha as both restrictions of each edge; its sections are
-    Z^Omega, in the basis of `ZTuple` entries."""
-    sh = Sheaf(graph, graph.stalk.ring)
+    S -> S/alpha as both restrictions of each edge, the edge module's
+    `projection`; its sections are Z^Omega, in the basis of `ZTuple`
+    entries."""
+    sh = Sheaf(graph)
     for w in graph.vertices:
         sh.stalks[w] = graph.stalk
     for e in graph.edges:
-        sh.edge_mod[e], qmap = quotient_map(graph.stalk, e.label.coords)
-        sh.rho_lower[e] = sh.rho_upper[e] = qmap
+        q = sh.edge_mod[e] = quotient_map(graph.stalk, e.label.coords)
+        sh.rho_lower[e] = q.projection
     return sh
 
 

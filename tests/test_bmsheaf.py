@@ -49,12 +49,14 @@ from bmsheaves.gradedlin import (
     PolyRing,
     combine_columns,
     minimal_generators,
+    quotient_map,
     rank_from_dims,
 )
 from bmsheaves.hecke import HeckeAlgebra
 from bmsheaves.laurent import LaurentPoly
 from bmsheaves.linalg import Echelon, column_echelon, solve_in_span
 from bmsheaves.momentgraph import LocalSummand, build_graph, decompose_ze_module
+from bmsheaves.verify import structure_sheaf
 
 
 def elt(system, text):
@@ -155,46 +157,86 @@ def _prop_71_refuses(bm, w):
         return True
 
 
-@pytest.mark.parametrize("name, word, nedges", [("a2", "121", 9), ("b2", "1212", 16)])
-@pytest.mark.parametrize("side", ["rho_lower", "rho_upper"])
-def test_local_rank_check_refuses_a_zeroed_restriction(
-    request, name, word, nedges, side
-):
-    """Zeroing one restriction of one edge breaks (2) somewhere, for the
-    check from the lemma and for the all-edge kernel solve alike."""
+@pytest.mark.parametrize(
+    "name, word, nedges",
+    [
+        # the ids name the map that is zeroed
+        pytest.param("a2", "121", 9, id="rho_lower-a2-121-9"),
+        pytest.param("b2", "1212", 16, id="rho_lower-b2-1212-16"),
+    ],
+)
+def test_local_rank_check_refuses_a_zeroed_restriction(request, name, word, nedges):
+    """Zeroing the lower restriction of one edge breaks (2) somewhere, for
+    the check from the lemma and for the all-edge kernel solve alike.  The
+    upper restriction is the edge module's own `projection`."""
     system = request.getfixturevalue(name)
     bm = bm_construct(build_graph(system, elt(system, word)))
     graph = bm.graph
     assert len(graph.edges) == nedges
-    maps = getattr(bm, side)
     for e in graph.edges:
-        end = e.lower if side == "rho_lower" else e.upper
-        kept = maps[e]
-        zero = [{} for _ in bm.stalks[end].gens]
-        maps[e] = ModuleMap(bm.stalks[end], bm.edge_mod[e], zero)
+        kept = bm.rho_lower[e]
+        zero = [{} for _ in bm.stalks[e.lower].gens]
+        bm.rho_lower[e] = ModuleMap(bm.stalks[e.lower], bm.edge_mod[e], zero)
         try:
             for refuses in (_prop_71_refuses, _prop_71_by_local_kernel_refuses):
                 assert any(refuses(bm, w) for w in graph.vertices), (refuses, e)
         finally:
-            maps[e] = kept
+            bm.rho_lower[e] = kept
     assert not any(_prop_71_refuses(bm, w) for w in graph.vertices)
 
 
-def test_local_rank_check_refuses_a_non_canonical_quotient(a2_w0_sheaf):
-    """A downward restriction with its images doubled is an isomorphism
-    onto the same edge module, so the local kernel keeps its rank, but
-    it is not the canonical quotient the lemma needs."""
+def test_local_rank_hypothesis_refuses_a_wrong_edge_module(a2_w0_sheaf):
+    """Swapping an edge's module for the quotient by another label, or for
+    the quotient of a stalk with one generator more, fails the lemma's
+    edge-module hypothesis at both ends of the edge; with the module
+    restored, every vertex passes again."""
     bm = a2_w0_sheaf
-    for e in bm.graph.edges:
-        kept = bm.rho_upper[e]
-        doubled = [{t: 2 * a for t, a in img.items()} for img in kept.images]
-        bm.rho_upper[e] = ModuleMap(kept.source, kept.target, doubled)
-        try:
-            assert not check_prop_71(bm, e.upper)["kernel_rank"], e
-            assert check_prop_71(bm, e.lower)["kernel_rank"], e
-        finally:
-            bm.rho_upper[e] = kept
-    assert all(check_prop_71(bm, w)["kernel_rank"] for w in bm.graph.vertices)
+    graph = bm.graph
+    holds = bmsheaf._local_kernel_is_shifted_costalk
+    for e in graph.edges:
+        alpha = e.label.coords
+        other = next(f.label.coords for f in graph.edges if f.label.coords != alpha)
+        upper = bm.stalks[e.upper]
+        wrong = (
+            quotient_map(upper, other),
+            quotient_map(FreeModule(bm.ring, upper.gens + (2,)), alpha),
+        )
+        kept = bm.edge_mod[e]
+        for mod in wrong:
+            bm.edge_mod[e] = mod
+            try:
+                assert not holds(bm, e.lower) and not holds(bm, e.upper), (e, mod)
+            finally:
+                bm.edge_mod[e] = kept
+    assert all(holds(bm, w) for w in graph.vertices)
+
+
+def _sheaf_of_kind(a2, a3, kind):
+    """The A3 121321 sheaf, its lift from the quotient graph by s1, or
+    the structure sheaf of A2 121."""
+    x = elt(a3, "121321")
+    if kind == "built":
+        return bm_construct(build_graph(a3, x))
+    if kind == "lifted":
+        quotient = build_graph(a3, x, kind="quotient", s=0)
+        return translate_out(bm_construct(quotient), build_graph(a3, x))
+    return structure_sheaf(build_graph(a2, elt(a2, "121")))
+
+
+@pytest.mark.parametrize("kind", ["built", "lifted", "structure"])
+def test_every_upper_restriction_is_the_canonical_quotient(a2, a3, kind):
+    """Every edge module holds the upper restriction as its `projection`:
+    out of the upper stalk itself, into the module, with each generator
+    going to the unit of its block.  No sheaf stores it a second time, so
+    the canonical quotient holds by construction."""
+    sheaf = _sheaf_of_kind(a2, a3, kind)
+    for e, mod in sheaf.edge_mod.items():
+        upper = sheaf.stalks[e.upper]
+        rho = mod.projection
+        assert rho.source is upper and rho.target is mod, e
+        units = [{mod.block_starts(g)[i]: 1} for i, g in enumerate(upper.gens)]
+        assert rho.images == units, e
+    assert len(sheaf.edge_mod) == len(sheaf.graph.edges)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +323,8 @@ def _same_span(a, b):
 
 
 def _project_to_edges(bm, w, ss, d):
-    """rho_upper of every section of {> w} into the sum of the B^e at w."""
+    """The canonical quotient of every section of {> w} into the sum of the
+    B^e at w."""
     out = []
     for vec in ss.vectors:
         image = {}
@@ -289,7 +332,8 @@ def _project_to_edges(bm, w, ss, d):
         for e in bm.graph.up[w]:
             lo, hi = ss.offsets[e.upper]
             comp = {i - lo: a for i, a in vec.items() if lo <= i < hi}
-            image.update((o + t, a) for t, a in bm.rho_upper[e].apply(comp, d).items())
+            upper = bm.edge_mod[e].projection
+            image.update((o + t, a) for t, a in upper.apply(comp, d).items())
             o += bm.edge_mod[e].dim(d)
         out.append(image)
     return out
@@ -309,7 +353,7 @@ def _stalk_image(bm, w, d):
 
 def _gluing_rows(sheaf, edges, d, offsets):
     """The gluing system of `edges` in degree d, derived row by row: per
-    edge e, one row of rho_lower(x_lower) - rho_upper(x_upper) = 0 per
+    edge e, one row of rho_lower(x_lower) - projection(x_upper) = 0 per
     coordinate of B^e, read from each restriction's own columns, over the
     columns where `offsets` starts each end's stalk.  An end that
     `offsets` leaves out is taken to be zero.  The reference for
@@ -318,13 +362,13 @@ def _gluing_rows(sheaf, edges, d, offsets):
     for e in edges:
         block = [{} for _ in range(sheaf.edge_mod[e].dim(d))]
         for end, rho, sign in (
-            (e.lower, sheaf.rho_lower, 1),
-            (e.upper, sheaf.rho_upper, -1),
+            (e.lower, sheaf.rho_lower[e], 1),
+            (e.upper, sheaf.edge_mod[e].projection, -1),
         ):
             o = offsets.get(end)
             if o is None:
                 continue
-            for j, col in enumerate(rho[e].columns(d), o):
+            for j, col in enumerate(rho.columns(d), o):
                 for r, a in col.items():
                     block[r][j] = sign * a
         rows += block
@@ -1121,7 +1165,7 @@ def test_gluing_systems_are_integral(name):
     for e in bm.graph.edges:
         assert all(_all_ints(img) for img in bm.rho_lower[e].images), e
         for d in range(0, bm.caps[e.lower] + 1, 2):
-            for rho in (bm.rho_lower[e], bm.rho_upper[e]):
+            for rho in (bm.rho_lower[e], bm.edge_mod[e].projection):
                 assert all(_all_ints(col) for col in rho.columns(d)), (e, d)
     assert bm.ring._varcols
     for key, cols in bm.ring._varcols.items():

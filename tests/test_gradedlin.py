@@ -309,8 +309,12 @@ def test_quotient_module_kills_exactly_the_form():
     cases = [((0,), (1, 1)), ((0,), (2, 3)), ((0,), (-2, 3)), ((0, 2), (1, 1))]
     for gens, alpha in cases:
         free = FreeModule(ring, gens)
-        q, qmap = quotient_map(free, alpha)
+        q = quotient_map(free, alpha)
+        qmap = q.projection
         assert q.gens == free.gens and q.alpha == alpha
+        # the module holds its canonical map, out of F itself
+        assert qmap.source is free and qmap.target is q
+        assert QuotientModule(ring, gens, alpha).projection is None
         assert [q.dim(d) for d in range(0, 8, 2)] == [
             sum(d >= g for g in gens) for d in range(0, 8, 2)
         ]

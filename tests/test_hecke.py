@@ -567,6 +567,22 @@ def test_the_duality_solve_refuses_a_defect_of_odd_depth(b2, digit, defect):
         alg.kl_oracle(elt(b2, "1212"))
 
 
+def test_the_duality_solve_refuses_a_zero_coefficient(a2):
+    """P_{y,x}(0) = 1 for every y <= x, so no h_y is 0.  Zeroing the entry
+    at e of the packed d(Tt_1) empties the defect of e under x = 1, which
+    is still skew; the solve must refuse it rather than drop the term
+    v Tt_e and return Tt_1 alone."""
+    from bmsheaves.errors import InconsistencyError
+
+    alg = HeckeAlgebra(a2)
+    s = elt(a2, "1")
+    alg._column(s)
+    alg._bar_tt[s][a2.identity] = 0
+    message = re.escape(f"duality solve gives h = 0 at {a2.identity}")
+    with pytest.raises(InconsistencyError, match=message):
+        alg.kl_oracle(s)
+
+
 def test_the_duality_solve_checks_skewness_at_a_repeated_key(a2):
     """The solve reuses h_y and the packed d(h_y) of a (upper digits,
     depth) key it has seen, but still compares the lower digits at every
