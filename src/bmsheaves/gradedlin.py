@@ -540,10 +540,12 @@ class KernelSweep:
 
 
 def check_generator_cap(degrees, cap):
-    """Refuse (CapError) generators in the top two even degrees up to
-    cap, since further generators above the cap could then not be
-    ruled out."""
+    """Refuse (CapError) a cap below 0, which leaves no degree to
+    compute, and generators in the top two even degrees up to cap, since
+    further generators above the cap could then not be ruled out."""
     cap -= cap % 2
+    if cap < 0:
+        raise CapError(f"degree cap {cap} leaves no degree to compute")
     unstable = [d for d in degrees if d >= cap - 2]
     if unstable:
         raise CapError(
@@ -569,8 +571,8 @@ def minimal_generators(candidates, ambient, cap):
     degree are already a basis of a submodule's degree piece, the picks
     depend only on that submodule.
 
-    Raises CapError when generators appear in the top two even degrees
-    (`check_generator_cap`).
+    Raises CapError on a cap below 0 and when generators appear in the
+    top two even degrees (`check_generator_cap`).
     """
     cap -= cap % 2
     last = max((d for d, vs in candidates.items() if vs and d <= cap), default=-2)
@@ -589,8 +591,9 @@ def rank_from_dims(dims, nvars, cap):
     """Graded rank (sum of v^degree over generators) from a dimension table.
 
     Greedily deconvolves against the Hilbert series of S.  A negative
-    residual means the module is not graded free at this cap; generators
-    in the top two degrees are refused by `check_generator_cap`.
+    residual means the module is not graded free at this cap; a cap below
+    0 and generators in the top two degrees are refused by
+    `check_generator_cap`.
     """
     cap -= cap % 2
     gens = {}

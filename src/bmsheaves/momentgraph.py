@@ -47,6 +47,7 @@ from .gradedlin import (
     FreeModule,
     ModuleMap,
     PolyRing,
+    check_generator_cap,
     combine_columns,
     hilbert_dim,
     quotient_map,
@@ -419,8 +420,10 @@ def decompose_ze_module(zem: ZEModule, cap):
     not already generated below (together with those) must start new P
     summands.  The resulting multiset must reproduce the dimension table
     exactly (rank conservation), otherwise the module is not a direct sum
-    of these shapes and we abort.
+    of these shapes and we abort.  A cap below 0 is refused (CapError,
+    `check_generator_cap`).
     """
+    check_generator_cap((), cap)
     mod = zem.module
     nvars = mod.ring.nvars
     cap -= cap % 2

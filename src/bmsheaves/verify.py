@@ -13,13 +13,17 @@ length 4 by default and in full in the extended suite; the universal
 rank-2 system through length 6 and rank-3 through length 4.  Randomized
 checks use a fixed seed, so the suite is deterministic end to end.
 
-Every check returns a CheckResult with its wall-clock time; a crash
-inside a check is reported as a failure of that check, never as a crash
-of the suite.
+Each check is a generator that yields once per identity it tests: None
+when it holds, else its failure text (`_tally`).  The number a check
+prints is the count of identities it yielded, whatever its unit word
+says: local-ranks-and-flabbiness yields three per vertex.  Every check
+returns a CheckResult with its wall-clock time; a crash inside a check
+is reported as a failure of that check, never as a crash of the suite.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -77,6 +81,12 @@ SUITE_SEED = 20260815
 
 _FULL_LENGTH = {"A2": 3, "B2": 4, "G2": 6, "A3": 6}
 
+# the scope of the two self-dual basis routes' check, and of the pair checks
+_KL_SCOPE = (
+    ("A2", None), ("B2", None), ("A3", None), ("G2", None), ("U2", 6), ("U3", 4)
+)
+_DIHEDRAL = (("A2", None), ("B2", None))
+
 
 @dataclass
 class CheckResult:
@@ -94,26 +104,24 @@ class CheckResult:
 
 
 class SuiteContext:
-    """Systems, algebras, graphs and sheaves shared across the checks."""
+    """Algebras and element balls by preset name; graphs, sheaves and
+    characters by element, built in the element's own system."""
 
     def __init__(self, extended=False):
         self.extended = extended
-        self._systems = {}
         self._algebras = {}
         self._elements = {}
         self._graphs = {}
         self._sheaves = {}
         self._characters = {}
 
-    def system(self, name):
-        if name not in self._systems:
-            self._systems[name] = preset_system(name)
-        return self._systems[name]
-
     def algebra(self, name) -> HeckeAlgebra:
         if name not in self._algebras:
-            self._algebras[name] = HeckeAlgebra(self.system(name))
+            self._algebras[name] = HeckeAlgebra(preset_system(name))
         return self._algebras[name]
+
+    def system(self, name):
+        return self.algebra(name).system
 
     def elements(self, name, max_length):
         key = (name, max_length)
@@ -121,16 +129,6 @@ class SuiteContext:
             bound = _FULL_LENGTH[name] if max_length is None else max_length
             self._elements[key] = element_ball(self.system(name), bound)
         return self._elements[key]
-
-    def kl_scope(self):
-        return [
-            ("A2", None),
-            ("B2", None),
-            ("A3", None),
-            ("G2", None),
-            ("U2", 6),
-            ("U3", 4),
-        ]
 
     def bm_scope(self):
         return [
@@ -142,33 +140,23 @@ class SuiteContext:
             ("U3", 4),
         ]
 
-    def kl_cases(self):
-        return [
-            (name, x)
-            for name, bound in self.kl_scope()
-            for x in self.elements(name, bound)
-        ]
+    def cases(self, scope):
+        """(preset name, element) over a scope's (name, length bound) pairs."""
+        return [(name, x) for name, bound in scope for x in self.elements(name, bound)]
 
-    def bm_cases(self):
-        return [
-            (name, x)
-            for name, bound in self.bm_scope()
-            for x in self.elements(name, bound)
-        ]
-
-    def graph(self, name, x):
+    def graph(self, x):
         if x not in self._graphs:
-            self._graphs[x] = build_graph(self.system(name), x)
+            self._graphs[x] = build_graph(x.system, x)
         return self._graphs[x]
 
-    def sheaf(self, name, x) -> BMSheaf:
+    def sheaf(self, x) -> BMSheaf:
         if x not in self._sheaves:
-            self._sheaves[x] = bm_construct(self.graph(name, x))
+            self._sheaves[x] = bm_construct(self.graph(x))
         return self._sheaves[x]
 
-    def bm_character(self, name, x):
+    def bm_character(self, x):
         if x not in self._characters:
-            self._characters[x] = character(self.sheaf(name, x))
+            self._characters[x] = character(self.sheaf(x))
         return self._characters[x]
 
 
@@ -179,91 +167,96 @@ def _failures(bad, checked, unit="cases"):
     return False, f"{len(bad)}/{checked} failed: {shown}"
 
 
+def _tally(unit):
+    """Make a check from a generator that yields once per identity it
+    tests: None when the identity holds, else its failure text.  The
+    check returns `_failures` of the yields, counted in `unit`."""
+
+    def wrap(gen):
+        @functools.wraps(gen)
+        def check(ctx: SuiteContext):
+            bad, checked = [], 0
+            for failure in gen(ctx):
+                checked += 1
+                if failure is not None:
+                    bad.append(failure)
+            return _failures(bad, checked, unit)
+
+        return check
+
+    return wrap
+
+
 # -- the two self-dual basis routes agree -----------------------------------
 
 
+@_tally("cases")
 def crit_kl_oracle(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name, x in ctx.kl_cases():
+    for name, x in ctx.cases(_KL_SCOPE):
         alg = ctx.algebra(name)
-        checked += 1
-        if alg.kl_basis(x) != alg.kl_oracle(x):
-            bad.append(f"{name} x={x}")
-    return _failures(bad, checked)
+        yield None if alg.kl_basis(x) == alg.kl_oracle(x) else f"{name} x={x}"
 
 
 # -- sheaf characters equal the self-dual basis -----------------------------
 
 
+@_tally("cases")
 def crit_characters(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name, x in ctx.bm_cases():
-        alg = ctx.algebra(name)
-        checked += 1
-        if ctx.bm_character(name, x) != alg.kl_basis(x):
-            bad.append(f"{name} x={x}")
-    return _failures(bad, checked)
+    for name, x in ctx.cases(ctx.bm_scope()):
+        same = ctx.bm_character(x) == ctx.algebra(name).kl_basis(x)
+        yield None if same else f"{name} x={x}"
 
 
 # -- pinned explicit values -------------------------------------------------
 
 
+@_tally("identities")
 def crit_explicit(ctx: SuiteContext):
-    bad, checked = [], 0
     v = LaurentPoly.v()
     for name, _ in ctx.bm_scope():
         alg = ctx.algebra(name)
-        system = alg.system
-        checked += 1
-        if alg.kl_basis(system.identity) != alg.Tt(system.identity):
-            bad.append(f"{name}: basis element at e is not Tt_e")
-        for s, gen in enumerate(system.generators):
-            checked += 3
-            if alg.kl_basis(gen) != alg.Tt(gen) + alg.Tt(system.identity, v):
-                bad.append(f"{name} s={s + 1}: basis element at s")
+        e = alg.system.identity
+        ok = alg.kl_basis(e) == alg.Tt(e)
+        yield None if ok else f"{name}: basis element at e is not Tt_e"
+        for s, gen in enumerate(alg.system.generators):
+            ok = alg.kl_basis(gen) == alg.Tt(gen) + alg.Tt(e, v)
+            yield None if ok else f"{name} s={s + 1}: basis element at s"
             ts = alg.Tt(gen)
-            expect = alg.Tt(system.identity) + alg.Tt(gen, LaurentPoly({-1: 1, 1: -1}))
-            if alg.mult(ts, ts) != expect:
-                bad.append(f"{name} s={s + 1}: Tt_s^2 relation")
+            expect = alg.Tt(e) + alg.Tt(gen, LaurentPoly({-1: 1, 1: -1}))
+            ok = alg.mult(ts, ts) == expect
+            yield None if ok else f"{name} s={s + 1}: Tt_s^2 relation"
             cs = alg.kl_basis(gen)
-            if alg.mult(cs, cs) != cs.scale(LaurentPoly({1: 1, -1: 1})):
-                bad.append(f"{name} s={s + 1}: square of the s basis element")
+            ok = alg.mult(cs, cs) == cs.scale(LaurentPoly({1: 1, -1: 1}))
+            yield None if ok else f"{name} s={s + 1}: square of the s basis element"
     alg = ctx.algebra("U3")
     for x in ctx.elements("U3", 4):
         if x.length < 2:
             continue
-        checked += 2
         c = alg.kl_basis(x)
         xs = multiply(x, alg.system.generators[x.word[-1]])
         xst = multiply(xs, alg.system.generators[x.word[-2]])
-        if c.coeff(xs) != v:
-            bad.append(f"U3 x={x}: h at xs is {c.coeff(xs)}")
-        if c.coeff(xst) != v * v:
-            bad.append(f"U3 x={x}: h at xst is {c.coeff(xst)}")
-    return _failures(bad, checked, "identities")
+        yield None if c.coeff(xs) == v else f"U3 x={x}: h at xs is {c.coeff(xs)}"
+        yield None if c.coeff(xst) == v * v else f"U3 x={x}: h at xst is {c.coeff(xst)}"
 
 
 # -- costalk positivity and the forbidden pattern ---------------------------
 
 
+@_tally("vertices")
 def crit_costalk_positivity(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name, x in ctx.bm_cases():
-        bm = ctx.sheaf(name, x)
-        for y, (positive, pattern_free, f) in check_conjecture_72(bm).items():
-            checked += 1
+    for name, x in ctx.cases(ctx.bm_scope()):
+        for y, (positive, pattern_free, f) in check_conjecture_72(ctx.sheaf(x)).items():
             if not positive:
-                bad.append(f"{name} x={x} y={y}: f={f.format()}")
-            elif not pattern_free:
-                bad.append(f"{name} x={x} y={y}: forbidden pattern")
-    return _failures(bad, checked, "vertices")
+                yield f"{name} x={x} y={y}: f={f.format()}"
+            else:
+                yield None if pattern_free else f"{name} x={x} y={y}: forbidden pattern"
 
 
 # -- product recursion identities -------------------------------------------
 
 
+@_tally("identities")
 def crit_product_recursion(ctx: SuiteContext):
-    bad, checked = [], 0
     for name, bound in ctx.bm_scope():
         alg = ctx.algebra(name)
         for x in ctx.elements(name, bound):
@@ -271,8 +264,10 @@ def crit_product_recursion(ctx: SuiteContext):
         for x, (s, prod) in sorted(
             alg.kl_products.items(), key=lambda kv: sort_key(kv[0])
         ):
+            # counted only when it fails, so a passing count is that of the
+            # coefficient identities below
             if s != min(right_descents(x)):
-                bad.append(f"{name} x={x}: s={s + 1} is not its least right descent")
+                yield f"{name} x={x}: s={s + 1} is not its least right descent"
             gen = alg.system.generators[s]
             base = alg.kl_basis(multiply(x, gen))
             full = alg.kl_basis(x)
@@ -280,85 +275,72 @@ def crit_product_recursion(ctx: SuiteContext):
                 ys = multiply(y, gen)
                 if ys.length > y.length:
                     continue
-                checked += 2
-                b_y = prod.coeff(y)
                 b_ys = prod.coeff(ys)
-                if b_ys != b_y.shift(1):
-                    bad.append(f"{name} x={x} y={y}: v*b_y != b_ys")
-                if b_ys != base.coeff(ys).shift(1) + base.coeff(y):
-                    bad.append(f"{name} x={x} y={y}: b_ys via h fails")
+                ok = b_ys == prod.coeff(y).shift(1)
+                yield None if ok else f"{name} x={x} y={y}: v*b_y != b_ys"
+                ok = b_ys == base.coeff(ys).shift(1) + base.coeff(y)
+                yield None if ok else f"{name} x={x} y={y}: b_ys via h fails"
             for y in sorted(full.support, key=sort_key):
                 ys = multiply(y, gen)
                 if ys.length > y.length:
                     continue
-                checked += 1
-                if full.coeff(ys) != full.coeff(y).shift(1):
-                    bad.append(f"{name} x={x} y={y}: h_ys != v*h_y")
-    return _failures(bad, checked, "identities")
+                ok = full.coeff(ys) == full.coeff(y).shift(1)
+                yield None if ok else f"{name} x={x} y={y}: h_ys != v*h_y"
 
 
 # -- self-duality and support -----------------------------------------------
 
 
+@_tally("characters")
 def crit_selfdual_support(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name, x in ctx.bm_cases():
-        alg = ctx.algebra(name)
-        ch = ctx.bm_character(name, x)
-        graph = ctx.graph(name, x)
-        checked += 2
-        if alg.bar(ch) != ch:
-            bad.append(f"{name} x={x}: character not self-dual")
-        if ch.support != set(graph.vertices):
-            bad.append(f"{name} x={x}: support differs from [e, x]")
-    return _failures(bad, checked, "characters")
+    for name, x in ctx.cases(ctx.bm_scope()):
+        ch = ctx.bm_character(x)
+        ok = ctx.algebra(name).bar(ch) == ch
+        yield None if ok else f"{name} x={x}: character not self-dual"
+        ok = ch.support == set(ctx.graph(x).vertices)
+        yield None if ok else f"{name} x={x}: support differs from [e, x]"
 
 
 # -- wall crossing at the character level -----------------------------------
 
 
+def _pairs(graph, s):
+    """The pairs (ws, w) of vertices of the graph with ws below w."""
+    gen = graph.system.generators[s]
+    for w in graph.vertices:
+        ws = multiply(w, gen)
+        if ws in graph and ws.length < w.length:
+            yield ws, w
+
+
+@_tally("pairs")
 def crit_theta(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name in ("A2", "B2"):
+    for name, x in ctx.cases(_DIHEDRAL):
         alg = ctx.algebra(name)
-        system = alg.system
-        for x in ctx.elements(name, None):
-            bm = ctx.sheaf(name, x)
-            graph = ctx.graph(name, x)
-            for s, gen in enumerate(system.generators):
-                checked += 1
-                want = alg.mult(ctx.bm_character(name, x), alg.kl_basis(gen))
-                if theta_character(bm, s) != want:
-                    bad.append(f"{name} x={x} s={s + 1}: theta")
-                for w in graph.vertices:
-                    ws = multiply(w, gen)
-                    if ws not in graph or ws.length > w.length:
-                        continue
-                    checked += 1
-                    pc = costalk_interval(bm, w, s)
-                    total = bm.costalk_ranks[ws] + bm.costalk_ranks[w]
-                    if pc.rank != total:
-                        bad.append(f"{name} x={x} pair ({ws},{w}): additivity")
-    return _failures(bad, checked, "pairs")
+        bm = ctx.sheaf(x)
+        for s, gen in enumerate(alg.system.generators):
+            want = alg.mult(ctx.bm_character(x), alg.kl_basis(gen))
+            ok = theta_character(bm, s) == want
+            yield None if ok else f"{name} x={x} s={s + 1}: theta"
+            for ws, w in _pairs(bm.graph, s):
+                pc = costalk_interval(bm, w, s)
+                ok = pc.rank == bm.costalk_ranks[ws] + bm.costalk_ranks[w]
+                yield None if ok else f"{name} x={x} pair ({ws},{w}): additivity"
 
 
 # -- local rank relations and flabbiness ------------------------------------
 
 
+@_tally("vertices")
 def crit_local(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name, x in ctx.bm_cases():
-        bm = ctx.sheaf(name, x)
+    for name, x in ctx.cases(ctx.bm_scope()):
+        bm = ctx.sheaf(x)
         for w in bm.graph.vertices:
-            checked += 3
             rep = check_prop_71(bm, w)
-            if not rep["kernel_rank"]:
-                bad.append(f"{name} x={x} y={w}: kernel rank")
-            if not rep["mirror"]:
-                bad.append(f"{name} x={x} y={w}: degree mirror")
-            if not check_flabby_additive(bm, w):
-                bad.append(f"{name} x={x} y={w}: flabbiness")
-    return _failures(bad, checked, "vertices")
+            yield None if rep["kernel_rank"] else f"{name} x={x} y={w}: kernel rank"
+            yield None if rep["mirror"] else f"{name} x={x} y={w}: degree mirror"
+            ok = check_flabby_additive(bm, w)
+            yield None if ok else f"{name} x={x} y={w}: flabbiness"
 
 
 # -- randomized structure-algebra suites ------------------------------------
@@ -493,43 +475,37 @@ def scramble_ze_module(zem: ZEModule, rng) -> ZEModule:
     return ZEModule(mod, zem.alpha, xi)
 
 
+@_tally("trials")
 def crit_structure(ctx: SuiteContext):
     rng = random.Random(SUITE_SEED)
-    bad, checked = [], 0
     # sigma images are always in Z, on the largest graph of each preset
     for name, bound in ctx.bm_scope():
-        x = ctx.elements(name, bound)[-1]
-        graph = ctx.graph(name, x)
-        n = graph.system.rank
+        graph = ctx.graph(ctx.elements(name, bound)[-1])
         for _ in range(20):
-            checked += 1
-            alpha = _random_alpha(rng, n)
-            if not z_contains(graph, sigma(graph, alpha)):
-                bad.append(f"{name}: sigma({alpha}) escapes Z")
+            alpha = _random_alpha(rng, graph.system.rank)
+            ok = z_contains(graph, sigma(graph, alpha))
+            yield None if ok else f"{name}: sigma({alpha}) escapes Z"
     # invariant splitting round-trips on the full finite groups
     for name in ("A2", "B2", "G2"):
-        x = ctx.elements(name, None)[-1]
-        graph = ctx.graph(name, x)
+        graph = ctx.graph(ctx.elements(name, None)[-1])
         sh = structure_sheaf(graph)
         for s in range(graph.system.rank):
             c_s = c_invariant(graph, s)
             for _ in range(20):
-                checked += 1
                 z = _random_z(graph, sh, rng)
                 if not z_contains(graph, z):
-                    bad.append(f"{name} s={s + 1}: random element escapes Z")
+                    yield f"{name} s={s + 1}: random element escapes Z"
                     continue
                 plus, quot = split_invariant(graph, s, z)
-                if (
-                    plus + c_s * quot != z * 2
-                    or not z_contains(graph, plus)
-                    or not z_contains(graph, quot)
-                ):
-                    bad.append(f"{name} s={s + 1}: split round-trip")
+                ok = (
+                    plus + c_s * quot == z * 2
+                    and z_contains(graph, plus)
+                    and z_contains(graph, quot)
+                )
+                yield None if ok else f"{name} s={s + 1}: split round-trip"
     # decomposition round-trips on randomized modules
     ring = PolyRing(2)
     for trial in range(20):
-        checked += 1
         summands = random_ze_summands(rng)
         alpha = _random_alpha(rng, 2)
         cap = max(sm.shift for sm in summands) + 6
@@ -539,78 +515,60 @@ def crit_structure(ctx: SuiteContext):
             scrambled.check_square()
             got = decompose_ze_module(scrambled, cap - 2)
         except InconsistencyError as exc:
-            bad.append(f"module {trial}: {exc}")
+            yield f"module {trial}: {exc}"
             continue
         want = sorted(summands, key=lambda sm: (sm.kind, sm.shift))
-        if got != want:
-            bad.append(f"module {trial}: {got} != {want}")
-    return _failures(bad, checked, "trials")
+        yield None if got == want else f"module {trial}: {got} != {want}"
 
 
 # -- graph invariants -------------------------------------------------------
 
 
+@_tally("graphs")
 def crit_graph_sanity(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name, x in ctx.bm_cases():
-        graph = ctx.graph(name, x)
-        checked += 2
+    for name, x in ctx.cases(ctx.bm_scope()):
+        graph = ctx.graph(x)
         try:
             check_sanity(graph)
+            yield None
         except Exception as exc:
-            bad.append(f"{name} x={x}: {exc}")
-        if not check_deodhar(graph):
-            bad.append(f"{name} x={x}: up-edge count bound")
-    return _failures(bad, checked, "graphs")
+            yield f"{name} x={x}: {exc}"
+        yield None if check_deodhar(graph) else f"{name} x={x}: up-edge count bound"
 
 
 # -- pair modules contain no upper-vertex line summand ----------------------
 
 
+@_tally("pairs")
 def crit_pair_decomposition(ctx: SuiteContext):
-    bad, checked = [], 0
-    for name in ("A2", "B2"):
-        system = ctx.system(name)
-        for x in ctx.elements(name, None):
-            bm = ctx.sheaf(name, x)
-            graph = ctx.graph(name, x)
-            for s, gen in enumerate(system.generators):
-                for w in graph.vertices:
-                    ws = multiply(w, gen)
-                    if ws not in graph or ws.length > w.length:
-                        continue
-                    checked += 1
-                    zem = pair_ze_module(bm, w, s)
-                    cap = bm.caps[ws] - 2
-                    summands = decompose_ze_module(zem, cap)
-                    if any(sm.kind == "M_upper" for sm in summands):
-                        bad.append(f"{name} x={x} pair ({ws},{w}): upper-line summand")
-    return _failures(bad, checked, "pairs")
+    for name, x in ctx.cases(_DIHEDRAL):
+        bm = ctx.sheaf(x)
+        for s in range(x.system.rank):
+            for ws, w in _pairs(bm.graph, s):
+                zem = pair_ze_module(bm, w, s)
+                summands = decompose_ze_module(zem, bm.caps[ws] - 2)
+                ok = all(sm.kind != "M_upper" for sm in summands)
+                yield None if ok else f"{name} x={x} pair ({ws},{w}): upper-line summand"
 
 
 # -- lifted quotient sheaves have positive characters -----------------------
 
 
+@_tally("lifts")
 def crit_lift(ctx: SuiteContext):
-    bad, checked = [], 0
     for name in ("A2", "B2"):
-        system = ctx.system(name)
         alg = ctx.algebra(name)
         w0 = ctx.elements(name, None)[-1]
-        regular = ctx.graph(name, w0)
-        for s in range(system.rank):
-            checked += 1
-            quotient = build_graph(system, w0, kind="quotient", s=s)
-            nbm = bm_construct(quotient)
-            lifted = translate_out(nbm, regular)
+        regular = ctx.graph(w0)
+        for s in range(alg.system.rank):
+            quotient = build_graph(alg.system, w0, kind="quotient", s=s)
+            lifted = translate_out(bm_construct(quotient), regular)
             ch = lifted_character(lifted, quotient.top.length)
             if alg.bar(ch) != ch:
-                bad.append(f"{name} s={s + 1}: lifted character not self-dual")
+                yield f"{name} s={s + 1}: lifted character not self-dual"
                 continue
-            expansion = alg.expand_kl(ch)
-            if not all(c.is_nonnegative() for c in expansion.values()):
-                bad.append(f"{name} s={s + 1}: negative self-dual coefficient")
-    return _failures(bad, checked, "lifts")
+            ok = all(c.is_nonnegative() for c in alg.expand_kl(ch).values())
+            yield None if ok else f"{name} s={s + 1}: negative self-dual coefficient"
 
 
 CRITERIA = [

@@ -3,8 +3,8 @@
 The suite runs in exact rational arithmetic with zero tolerance; each
 test below asserts one named check and surfaces its failure detail.
 Scopes (full finite groups, length-bounded universal systems, the
-default rank-3 bound) live in `bmsheaves.verify.SuiteContext`; the
-randomized trials are seeded and reproducible.
+default rank-3 bound) live in `bmsheaves.verify` (`SuiteContext.bm_scope`
+and `_KL_SCOPE`); the randomized trials are seeded and reproducible.
 """
 
 import pytest

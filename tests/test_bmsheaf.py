@@ -148,6 +148,35 @@ def test_local_rank_identities_at_every_vertex(a2_w0_sheaf, a3_singular_sheaf):
             assert flags == {"kernel_rank": True, "mirror": True}
 
 
+@pytest.mark.parametrize(
+    "system, sigma, bound, moved",
+    [
+        ("a3", (2, 1, 0), 6, 16),  # s1 <-> s3, the whole group
+        ("u3", (1, 2, 0), 4, 45),  # the cycle 1 -> 2 -> 3
+        ("u3", (1, 0, 2), 4, 44),  # s1 <-> s2
+    ],
+)
+def test_diagram_automorphisms_carry_sheaves_to_sheaves(request, system, sigma, bound, moved):
+    """A permutation sigma of the generators with a_{sigma s, sigma t} =
+    a_st: B(sigma x) at sigma y has the stalk generator degrees and costalk
+    ranks of B(x) at y.  sigma reorders ShortLex, so the two builds
+    eliminate in different orders."""
+    system = request.getfixturevalue(system)
+    rank = range(system.rank)
+    assert all(system.cartan[sigma[s]][sigma[t]] == system.cartan[s][t] for s in rank for t in rank)
+
+    def image(x):
+        return system.element(tuple(sigma[s] for s in x.word))
+
+    sheaves = {x: bm_construct(build_graph(system, x)) for x in element_ball(system, bound)}
+    assert sum(image(x) is not x for x in sheaves) == moved
+    for x, bm in sheaves.items():
+        other = sheaves[image(x)]
+        for y in bm.graph.vertices:
+            assert bm.stalks[y].gens == other.stalks[image(y)].gens, (str(x), str(y))
+            assert bm.costalk_ranks[y] == other.costalk_ranks[image(y)], (str(x), str(y))
+
+
 def _prop_71_refuses(bm, w):
     """check_prop_71 denies the kernel rank at w, or refuses the costalk
     as not graded free."""

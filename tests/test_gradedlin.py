@@ -571,6 +571,12 @@ def test_minimal_generators_refuse_a_tight_cap():
     assert minimal_generators({0: [{0: 1}]}, ambient, 10) == [(0, {0: 1})]
 
 
+def test_minimal_generators_refuse_a_negative_cap():
+    ambient = FreeModule(PolyRing(2), (0,))
+    with pytest.raises(CapError, match="leaves no degree"):
+        minimal_generators({0: [{0: 1}]}, ambient, -2)
+
+
 def _natural_order_generators(candidates, ambient, cap):
     """`minimal_generators` by an independent route: in each degree, every
     monomial multiple of the generators picked so far, the columns of the
@@ -659,6 +665,11 @@ def test_rank_deconvolution_flags_generators_at_the_cap():
     dims = {0: 1, 2: 1, 4: 2}
     with pytest.raises(CapError):
         rank_from_dims(dims, 1, 4)
+
+
+def test_rank_deconvolution_refuses_a_negative_cap():
+    with pytest.raises(CapError, match="leaves no degree"):
+        rank_from_dims({0: 1, 2: 2}, 2, -2)
 
 
 def test_graded_kernel_of_multiplication_into_a_quotient():

@@ -15,7 +15,7 @@ from bmsheaves.coxeter import (
     reflection_root,
     sort_key,
 )
-from bmsheaves.errors import InconsistencyError, InputError, RealizationError
+from bmsheaves.errors import CapError, InconsistencyError, InputError, RealizationError
 from bmsheaves.gradedlin import FreeModule, PolyRing
 from bmsheaves.momentgraph import (
     Edge,
@@ -256,6 +256,13 @@ def test_canonical_summands_decompose_to_themselves():
     zem.check_square()
     got = decompose_ze_module(zem, 8)
     assert got == sorted(summands, key=lambda sm: (sm.kind, sm.shift))
+
+
+def test_decomposition_refuses_a_negative_cap():
+    zem = summand_ze_module(PolyRing(2), (1, 1), [LocalSummand("P", 0)])
+    assert decompose_ze_module(zem, 4) == [LocalSummand("P", 0)]
+    with pytest.raises(CapError, match="leaves no degree"):
+        decompose_ze_module(zem, -2)
 
 
 def test_single_upper_line_is_recognized():

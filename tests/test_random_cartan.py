@@ -13,7 +13,10 @@ pass its checks or end in one of the package's typed errors.
   Sheaf half (`check_sheaf_draw`): at every element x of one length, the
   canonical sheaf on [e, x] has the character of both routes, passes the
   flabbiness and local rank checks at every vertex, and has every
-  subleading character coefficient in v Z[v].
+  subleading character coefficient in v Z[v].  And when x != x^-1, B(x)
+  at y has the stalk generator degrees and costalk ranks of B(x^-1) at
+  y^-1 (P_{y,x} = P_{y^-1,x^-1}); the two graphs carry different labels,
+  y^-1(alpha_t) against alpha_t, so the two builds share no solve.
   Word half (`check_word_draw`): on random words, every way to reach an
   element (`normal_form`, `inverse`, `multiply`, and the normal form of a
   concatenation, reduced or not) gives the word and matrices of the plain
@@ -121,13 +124,16 @@ def check_sheaf_draw(seed, length):
     """"ok" when, at every element x of the given length in the seed's
     system, the canonical sheaf on [e, x] has the character kl_basis(x) =
     kl_oracle(x), check_flabby_additive and check_prop_71 hold at every
-    vertex, and every subleading character coefficient is in v Z[v]; else
-    the name of the typed error that ended the draw.  Anything else
-    fails."""
+    vertex, every subleading character coefficient is in v Z[v], and at
+    every vertex y its stalk generator degrees and costalk ranks are those
+    of the sheaf on [e, x^-1] at y^-1; else the name of the typed error
+    that ended the draw.  Anything else fails."""
     coxeter, cartan = draw(seed)
     try:
         system = make_system(coxeter, cartan)
         alg = HeckeAlgebra(system)
+        # {x: {y: (stalk generator degrees, costalk rank) of B(x) at y}}
+        local = {}
         for x in element_ball(system, length):
             if x.length < length:
                 continue
@@ -138,6 +144,14 @@ def check_sheaf_draw(seed, length):
                 assert check_flabby_additive(bm, w), where + (str(w),)
                 assert check_prop_71(bm, w) == _LOCAL_OK, where + (str(w),)
             assert all(pos for pos, _, _ in check_conjecture_72(bm).values()), where
+            local[x] = {
+                y: (bm.stalks[y].gens, bm.costalk_ranks[y]) for y in bm.graph.vertices
+            }
+        for x, here in local.items():
+            if x.inverse() is not x:
+                there = local[x.inverse()]
+                for y, seen in here.items():
+                    assert seen == there[y.inverse()], (seed, str(x), str(y))
     except TYPED_ERRORS as exc:
         return type(exc).__name__
     return "ok"
