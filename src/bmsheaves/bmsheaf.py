@@ -154,22 +154,12 @@ def _default_cap(top, w):
     return 2 * (top.length - w.length) + DEFAULT_MARGIN
 
 
-class SectionSpace:
-    """Basis of the degree-d sections over an ordered set of vertices."""
-
-    __slots__ = ("degree", "offsets", "vectors")
-
-    def __init__(self, degree, offsets, vectors):
-        self.degree = degree
-        self.offsets = offsets  # vertex -> (start, end)
-        self.vectors = vectors  # sparse kernel vectors over the offsets
-
-
 class Sheaf:
     """Stalks, edge modules and lower restrictions over a moment graph,
     over the system's ring.  Each edge module is made by `quotient_map`
     from its upper stalk and holds the upper restriction, the canonical
-    quotient, as its `projection`."""
+    quotient, as its `projection`.  It holds no cache: `sections` solves
+    on every call."""
 
     def __init__(self, graph: MomentGraph):
         self.graph = graph
@@ -178,10 +168,11 @@ class Sheaf:
         self.edge_mod = {}
         self.rho_lower = {}
         self.caps = {}
-        self._section_cache = {}
 
     def clear_caches(self):
-        self._section_cache.clear()
+        """Nothing: the sheaf holds no cache.  The method stays only
+        because perfbench's `sections_replay` probe calls it, and goes
+        with that probe."""
 
     # -- sections -----------------------------------------------------------
 
@@ -212,16 +203,13 @@ class Sheaf:
                 images.append(image)
         return ModuleMap(FreeModule(self.ring, gens), target, images)
 
-    def sections(self, vset, d) -> SectionSpace:
-        """The degree-d sections over the vertex set `vset`, cached per
-        set and degree: the kernel of the gluing map of its internal
-        edges, over every column.  `offsets` places each vertex's stalk,
-        in graph order, in the kernel vectors."""
-        verts = tuple(sorted(vset, key=self.graph.index))
-        key = (verts, d)
-        cached = self._section_cache.get(key)
-        if cached is not None:
-            return cached
+    def sections(self, vset, d):
+        """The degree-d sections over the vertex set `vset`, solved on
+        each call: the kernel of the gluing map of its internal edges,
+        over every column.  Returns `(offsets, vectors)`: `offsets` maps
+        each vertex to the (start, end) of its stalk, in graph order, in
+        the sparse kernel `vectors`."""
+        verts = sorted(vset, key=self.graph.index)
         inside = set(verts)
         offsets = {}
         total = 0
@@ -231,10 +219,7 @@ class Sheaf:
             total += dim
         edges = [e for e in self.graph.edges if {e.lower, e.upper} <= inside]
         m = self.gluing_map(verts, edges)
-        ech = column_echelon(m.columns(d), m.target.dim(d))
-        space = SectionSpace(d, offsets, ech.kernel(total))
-        self._section_cache[key] = space
-        return space
+        return offsets, column_echelon(m.columns(d), m.target.dim(d)).kernel(total)
 
     # -- costalks -----------------------------------------------------------
 

@@ -360,30 +360,34 @@ def structure_sheaf(graph) -> Sheaf:
     return sh
 
 
-def section_to_ztuple(graph, space, vec) -> ZTuple:
-    """Convert a sparse structure-sheaf section vector into a vertex tuple."""
+def section_to_ztuple(graph, offsets, d, vec) -> ZTuple:
+    """The vertex tuple of a sparse degree-d structure-sheaf section
+    vector, its stalks placed by `offsets` as `Sheaf.sections` returns
+    them."""
     entries = []
     for w in graph.vertices:
-        lo, hi = space.offsets[w]
+        lo, hi = offsets[w]
         part = {i - lo: a for i, a in vec.items() if lo <= i < hi}
-        entries.append({space.degree: part} if part else {})
+        entries.append({d: part} if part else {})
     return ZTuple(graph, entries)
 
 
-def lift_edge_generator(graph, sh: Sheaf, edge):
+def lift_edge_generator(graph, space, edge):
     """An integer global section restricting to den * (alpha_t, 0) on one
     edge, den > 0 the least such multiple, if there is one.
 
-    Realizes the surjectivity of Z onto the two-vertex edge algebra in
-    degree 2, up to that scalar; returns None when the degree-2 sections
-    do not reach it.
+    `space` is the structure sheaf's degree-2 sections over every vertex,
+    `structure_sheaf(graph).sections(graph.vertices, 2)`, solved once by
+    the caller for all its lifts.  Realizes the surjectivity of Z onto the
+    two-vertex edge algebra in degree 2, up to that scalar; returns None
+    when the degree-2 sections do not reach it.
     """
-    space = sh.sections(graph.vertices, 2)
-    lo, hi = space.offsets[edge.lower]
-    ulo, uhi = space.offsets[edge.upper]
+    offsets, vectors = space
+    lo, hi = offsets[edge.lower]
+    ulo, uhi = offsets[edge.upper]
     # each section's two stalk blocks, the lower one first, as one column
     cols = []
-    for vec in space.vectors:
+    for vec in vectors:
         col = {i - lo: a for i, a in vec.items() if lo <= i < hi}
         col.update((i - ulo + hi - lo, a) for i, a in vec.items() if ulo <= i < uhi)
         cols.append(col)
@@ -392,7 +396,7 @@ def lift_edge_generator(graph, sh: Sheaf, edge):
     sol = solve_in_span(cols, target)
     if sol is None:
         return None
-    return section_to_ztuple(graph, space, combine_columns(sol[0], space.vectors))
+    return section_to_ztuple(graph, offsets, 2, combine_columns(sol[0], vectors))
 
 
 def _random_alpha(rng, n):
@@ -402,9 +406,10 @@ def _random_alpha(rng, n):
             return alpha
 
 
-def _random_z(graph, sh, rng) -> ZTuple:
+def _random_z(graph, space, rng) -> ZTuple:
     """A random structure-algebra element: integer polynomial combination
-    of sigma images, their products, and edge-generator lifts."""
+    of sigma images, their products, and edge-generator lifts from the
+    degree-2 sections `space` (see `lift_edge_generator`)."""
     n = graph.system.rank
     total = ZTuple(graph, [{}] * len(graph.vertices))
     for _ in range(rng.randint(1, 3)):
@@ -414,7 +419,7 @@ def _random_z(graph, sh, rng) -> ZTuple:
         total = total + term * rng.randint(-3, 3)
     if rng.random() < 0.5:
         edge = graph.edges[rng.randrange(len(graph.edges))]
-        lift = lift_edge_generator(graph, sh, edge)
+        lift = lift_edge_generator(graph, space, edge)
         if lift is None:
             raise InconsistencyError(
                 f"no degree-2 lift of the edge generator at {edge}"
@@ -488,11 +493,11 @@ def crit_structure(ctx: SuiteContext):
     # invariant splitting round-trips on the full finite groups
     for name in ("A2", "B2", "G2"):
         graph = ctx.graph(ctx.elements(name, None)[-1])
-        sh = structure_sheaf(graph)
+        space = structure_sheaf(graph).sections(graph.vertices, 2)
         for s in range(graph.system.rank):
             c_s = c_invariant(graph, s)
             for _ in range(20):
-                z = _random_z(graph, sh, rng)
+                z = _random_z(graph, space, rng)
                 if not z_contains(graph, z):
                     yield f"{name} s={s + 1}: random element escapes Z"
                     continue

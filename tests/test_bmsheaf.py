@@ -5,6 +5,7 @@ The singular rank-3 case (top word 2132) pins the first two-generator
 stalk, where the character coefficients stop being pure powers.
 """
 
+import copy
 import gc
 import json
 import os
@@ -351,15 +352,15 @@ def _same_span(a, b):
     return _rank(a) == _rank(b) == _rank(a + b)
 
 
-def _project_to_edges(bm, w, ss, d):
+def _project_to_edges(bm, w, offsets, vectors, d):
     """The canonical quotient of every section of {> w} into the sum of the
     B^e at w."""
     out = []
-    for vec in ss.vectors:
+    for vec in vectors:
         image = {}
         o = 0
         for e in bm.graph.up[w]:
-            lo, hi = ss.offsets[e.upper]
+            lo, hi = offsets[e.upper]
             comp = {i - lo: a for i, a in vec.items() if lo <= i < hi}
             upper = bm.edge_mod[e].projection
             image.update((o + t, a) for t, a in upper.apply(comp, d).items())
@@ -430,16 +431,14 @@ def _global_pair_costalk(bm, y, ys, d):
     """Sections over {>= ys} vanishing outside {ys, y}, as vectors on the pair."""
     graph = bm.graph
     omega = [z for z in graph.vertices if z == ys or bruhat_leq(ys, z)]
-    ss = bm.sections(omega, d)
-    outside = {
-        r for z in omega if z not in (ys, y) for r in range(*ss.offsets[z])
-    }
-    parts = [{r: a for r, a in vec.items() if r in outside} for vec in ss.vectors]
-    (lo, hi), (ulo, uhi) = ss.offsets[ys], ss.offsets[y]
+    offsets, vectors = bm.sections(omega, d)
+    outside = {r for z in omega if z not in (ys, y) for r in range(*offsets[z])}
+    parts = [{r: a for r, a in vec.items() if r in outside} for vec in vectors]
+    (lo, hi), (ulo, uhi) = offsets[ys], offsets[y]
     out = []
-    nrows = max(hi for _, hi in ss.offsets.values())
-    for coeffs in column_echelon(parts, nrows).kernel(len(ss.vectors)):
-        total = combine_columns(coeffs, ss.vectors)
+    nrows = max(hi for _, hi in offsets.values())
+    for coeffs in column_echelon(parts, nrows).kernel(len(vectors)):
+        total = combine_columns(coeffs, vectors)
         # nothing outside the pair; ys precedes y, and its stalk comes first
         assert all(lo <= r < hi or ulo <= r < uhi for r in total)
         out.append({r - (lo if r < hi else ulo - hi + lo): a for r, a in total.items()})
@@ -505,10 +504,34 @@ def test_builder_matches_the_global_sections_above_each_vertex(differential_shea
             continue
         above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
         for d in range(0, bm.caps[w] + 1, 2):
-            ss = bm.sections(above, d)
-            assert bm.section_log[w][d] == len(ss.vectors), (w, d)
-            assert _same_span(_stalk_image(bm, w, d), _project_to_edges(bm, w, ss, d))
-    bm.clear_caches()
+            offsets, vectors = bm.sections(above, d)
+            assert bm.section_log[w][d] == len(vectors), (w, d)
+            projected = _project_to_edges(bm, w, offsets, vectors, d)
+            assert _same_span(_stalk_image(bm, w, d), projected)
+
+
+def test_sections_keep_no_state(a3_singular_sheaf):
+    """`Sheaf.sections` solves on every call: two calls on the same set and
+    degree give equal, separately solved answers, and no attribute of the
+    sheaf, nor any dict or list it holds, changes."""
+    bm = a3_singular_sheaf
+    graph = bm.graph
+    w = graph.vertices[0]
+    above = [z for z in graph.vertices if z != w and bruhat_leq(w, z)]
+
+    def state():
+        # each attribute, with a copy of each container it holds
+        return {
+            k: copy.copy(a) if isinstance(a, (dict, list)) else a
+            for k, a in vars(bm).items()
+        }
+
+    before = state()
+    first = bm.sections(above, 2)
+    second = bm.sections(above, 2)
+    assert first == second and first[1]
+    assert first[1] is not second[1]
+    assert state() == before
 
 
 def test_pair_costalks_match_the_global_construction(differential_sheaf):
@@ -531,7 +554,6 @@ def test_pair_costalks_match_the_global_construction(differential_sheaf):
                 assert pc.dims[d] == width - ech.dim == len(basis) == len(ref)
                 assert _same_span(basis, ref), (y, s, d)
     assert pairs
-    bm.clear_caches()
 
 
 def _upper_sets(graph):

@@ -209,7 +209,7 @@ def test_structure_algebra_on_the_longest_dihedral_elements(a2, b2, g2):
     for system, m in ((a2, 3), (b2, 4), (g2, 6)):
         graph = build_graph(system, system.element(tuple([0, 1] * m)[:m]))
         stalk = FreeModule(PolyRing(2), (0,))
-        sh = structure_sheaf(graph)
+        space = structure_sheaf(graph).sections(graph.vertices, 2)
         for _ in range(4):
             a = (rng.randint(-3, 3), rng.randint(1, 3))
             b = (rng.randint(1, 3), rng.randint(-3, 3))
@@ -217,7 +217,7 @@ def test_structure_algebra_on_the_longest_dihedral_elements(a2, b2, g2):
             # sigma((1, 1)), doubled so that every coefficient is an int
             z = sigma(graph, a) * sigma(graph, b) * (2 * rng.randint(1, 3))
             z = z + sigma(graph, (1, 1)) * rng.randint(-3, 3)
-            z = z + lift_edge_generator(graph, sh, rng.choice(graph.edges)) * 2
+            z = z + lift_edge_generator(graph, space, rng.choice(graph.edges)) * 2
             const = {0: {0: 2 * rng.randint(1, 3)}}
             z = z + ZTuple(graph, [const] * len(graph.vertices))
             assert z_contains(graph, z)
