@@ -2,9 +2,12 @@
 
 A sheaf here assigns a graded free S-module to every vertex (the stalk),
 the quotient B^E = B^upper / alpha B^upper to every edge, and restriction
-maps from both endpoint stalks into B^E.  The upper restriction is the
-canonical quotient, which the edge module holds as its `projection`
-(`gradedlin.quotient_map`), and the lower one is stored as rho_lower.
+maps from both endpoint stalks into B^E.  The edge module is a function
+of the upper stalk and the label, `Sheaf.edge_module`: the one quotient
+that `gradedlin.quotient_map` keeps per stalk and label, shared by every
+edge with both.  The upper restriction is the canonical quotient, which
+the edge module holds as its `projection`, and the lower one is stored
+as rho_lower.
 Sections over a vertex subset are tuples of stalk elements agreeing in
 B^E along every internal edge: the kernel of the S-linear map rho_lower
 - projection from the stalks there into the edge modules,
@@ -117,7 +120,6 @@ from .gradedlin import (
     FreeModule,
     KernelSweep,
     ModuleMap,
-    QuotientModule,
     check_generator_cap,
     hilbert_dim,
     minimal_generators,
@@ -155,19 +157,23 @@ def _default_cap(top, w):
 
 
 class Sheaf:
-    """Stalks, edge modules and lower restrictions over a moment graph,
-    over the system's ring.  Each edge module is made by `quotient_map`
-    from its upper stalk and holds the upper restriction, the canonical
-    quotient, as its `projection`.  It holds no cache: `sections` solves
-    on every call."""
+    """Stalks and lower restrictions over a moment graph, over the
+    system's ring.  An edge's module is not stored: `edge_module` reads it
+    from the upper stalk and the label, and it holds the upper
+    restriction, the canonical quotient, as its `projection`.  The sheaf
+    holds no cache: `sections` solves on every call."""
 
     def __init__(self, graph: MomentGraph):
         self.graph = graph
         self.ring = graph.system.ring
         self.stalks = {}
-        self.edge_mod = {}
         self.rho_lower = {}
         self.caps = {}
+
+    def edge_module(self, e):
+        """B^E = F/alpha_E F for F the stalk at the upper end of e, the one
+        module that `quotient_map` keeps for F and the label."""
+        return quotient_map(self.stalks[e.upper], e.label.coords)
 
     def clear_caches(self):
         """Nothing: the sheaf holds no cache.  The method stays only
@@ -185,13 +191,14 @@ class Sheaf:
         over `verts` that vanish at those outside ends.  Its source
         columns in degree d are the stalks' own, one stalk after the
         other."""
-        target = DirectSum(self.ring, [self.edge_mod[e] for e in edges])
+        mods = [self.edge_module(e) for e in edges]
+        target = DirectSum(self.ring, mods)
         ends = {w: [] for w in verts}  # (edge index, generator images, sign)
-        for idx, e in enumerate(edges):
+        for idx, (e, mod) in enumerate(zip(edges, mods)):
             if e.lower in ends:
                 ends[e.lower].append((idx, self.rho_lower[e].images, 1))
             if e.upper in ends:
-                ends[e.upper].append((idx, self.edge_mod[e].projection.images, -1))
+                ends[e.upper].append((idx, mod.projection.images, -1))
         gens, images = [], []
         for w in verts:
             gens += self.stalks[w].gens
@@ -330,10 +337,6 @@ def bm_construct(graph: MomentGraph, cap_override=None):
                 )
                 for d in range(0, capw + 1, 2)
             }
-        # this vertex is the upper endpoint of its down-edges; their edge
-        # modules, with their canonical quotients, exist from now on
-        for e in graph.down[w]:
-            sheaf.edge_mod[e] = quotient_map(sheaf.stalks[w], e.label.coords)
         sheaf.costalk_dim_table[w] = dims
         rank = rank_from_dims(dims, ring.nvars, capw)
         sheaf.costalk_ranks[w] = rank
@@ -378,8 +381,9 @@ def _solve_vertex(sheaf, w, sections, cap):
     """
     ring = sheaf.ring
     delta = sheaf.graph.up[w]
-    target = DirectSum(ring, [sheaf.edge_mod[e] for e in delta])
-    uppers = [sheaf.edge_mod[e].projection for e in delta]
+    mods = [sheaf.edge_module(e) for e in delta]
+    target = DirectSum(ring, mods)
+    uppers = [mod.projection for mod in mods]
     sweep = KernelSweep(target)
     dims, costalk = {}, {}
     for d in range(0, cap + 1, 2):
@@ -419,11 +423,11 @@ def _solve_vertex(sheaf, w, sections, cap):
             here[t][w] = {i: 1}
     check_generator_cap(sweep.gens, cap)
     stalk = sheaf.stalks[w] = FreeModule(ring, sweep.gens)
-    for idx, e in enumerate(delta):
+    for idx, (e, mod) in enumerate(zip(delta, mods)):
         images = [
             target.component(vec, idx, g) for g, vec in zip(sweep.gens, sweep.images)
         ]
-        sheaf.rho_lower[e] = ModuleMap(stalk, sheaf.edge_mod[e], images)
+        sheaf.rho_lower[e] = ModuleMap(stalk, mod, images)
     return dims, costalk
 
 
@@ -597,10 +601,11 @@ def theta_character(bm: BMSheaf, s: int) -> HeckeElt:
 def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     """Lift a sheaf on the quotient graph by <s> to the regular graph.
 
-    Stalks are copied coset-wise; an edge inside an s-orbit gets the
-    quotient of the shared stalk by its label, with its canonical
-    quotient as the lower restriction too; every other edge reuses the
-    image edge's module and lower restriction.
+    Stalks are copied coset-wise, so both ends of an edge inside an
+    s-orbit hold one stalk, and its canonical quotient by the label is
+    the lower restriction too.  Every other edge has the image edge's
+    upper stalk and label, so its module is the image edge's, and it
+    reuses the image edge's lower restriction.
     """
     qgraph = nbm.graph
     if qgraph.kind != "quotient" or target_graph.kind != "regular":
@@ -624,8 +629,7 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     for e in target_graph.edges:
         u, w = e.lower, e.upper
         if multiply(u, gen) == w:
-            q = out.edge_mod[e] = quotient_map(out.stalks[u], e.label.coords)
-            out.rho_lower[e] = q.projection
+            out.rho_lower[e] = out.edge_module(e).projection
         else:
             ubar, wbar = _bar(u), _bar(w)
             image = by_pair.get((ubar, wbar))
@@ -641,7 +645,6 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
                 raise RealizationError(
                     f"edge {u} -> {w} and its image disagree on the label"
                 )
-            out.edge_mod[e] = nbm.edge_mod[image]
             out.rho_lower[e] = nbm.rho_lower[image]
     return out
 
@@ -691,16 +694,12 @@ def check_prop_71(bm: BMSheaf, w: Element):
 
     (2) is checked from its proof.  Let F be the stalk at w, D the
     down-edges at w, P the product of their labels and K_w the costalk,
-    the kernel of the upward restrictions.  Suppose that
-
-    - the labels of all edges at w are pairwise non-proportional, and
-    - each edge module is the quotient of its upper stalk by the edge's
-      label.
-
-    Each restriction from w down an edge of D is then the canonical
-    quotient F -> F/alpha_E F by construction: it is the edge module's
-    `projection`, which `quotient_map` builds with the module out of the
-    upper stalk F.  Then the labels of D are pairwise coprime primes of
+    the kernel of the upward restrictions.  Each edge module is the
+    quotient of its upper stalk by the edge's label (`Sheaf.edge_module`),
+    so each restriction from w down an edge of D is the canonical quotient
+    F -> F/alpha_E F by construction: the module's `projection`, out of
+    F itself.  Suppose that the labels of all edges at w are pairwise
+    non-proportional.  Then the labels of D are pairwise coprime primes of
     S and F is free, so the kernel of F -> sum over D of F/alpha_E F is
     P F.  Each upward edge module is free over the domain S/alpha_E, and
     alpha_E divides no factor of P, so P is a nonzerodivisor on it: P g
@@ -711,8 +710,8 @@ def check_prop_71(bm: BMSheaf, w: Element):
     2 (l(top) - l(w)) + DEFAULT_MARGIN = caps[w], the cap the builder
     solved it under.  Solving K_w up to caps[w] therefore decides (2),
     and its rank deconvolution refuses generators in the top two degrees
-    (CapError) as the builder's does.  The two hypotheses are checked,
-    not assumed, and a failed one makes "kernel_rank" False.  K_w is
+    (CapError) as the builder's does.  The one hypothesis is checked, not
+    assumed, and a failed one makes "kernel_rank" False.  K_w is
     solved here from the stored maps, independently of the builder's
     tables.  The flabbiness certificate solves the same K_w, by the same
     `Sheaf.costalk_dims` on the same maps, only up to a higher degree,
@@ -749,21 +748,11 @@ def _proportional(a, b):
 
 
 def _local_kernel_is_shifted_costalk(bm: BMSheaf, w: Element):
-    """The hypotheses of the lemma in `check_prop_71` at w."""
+    """The hypothesis of the lemma in `check_prop_71` at w: the labels of
+    the edges at w are pairwise non-proportional."""
     graph = bm.graph
-    edges = graph.up[w] + graph.down[w]
-    labels = [e.label.coords for e in edges]
-    if any(_proportional(a, b) for a, b in combinations(labels, 2)):
-        return False
-    for e in edges:
-        mod = bm.edge_mod[e]
-        if not (
-            isinstance(mod, QuotientModule)
-            and mod.alpha == e.label.coords
-            and mod.gens == bm.stalks[e.upper].gens
-        ):
-            return False
-    return True
+    labels = [e.label.coords for e in graph.up[w] + graph.down[w]]
+    return not any(_proportional(a, b) for a, b in combinations(labels, 2))
 
 
 def check_flabby_additive(bm: BMSheaf, w: Element):
@@ -823,14 +812,15 @@ def _flabby_certificate(bm: BMSheaf):
         degrees = range(0, max(bm.caps.values()) + 1, 2)
         costalks = {z: bm.costalk_dims(z, degrees) for z in graph.vertices}
         born = {z: [] for z in graph.vertices}  # (degree, z-component)
+        maps = [(e, bm.rho_lower[e], bm.edge_module(e).projection) for e in graph.edges]
         glued = True
         for g, comps in bm._witness:
             z = max(comps, key=graph.index)
             born[z].append((g, comps[z]))
             glued = glued and all(
-                _restrict(bm.rho_lower[e], comps.get(e.lower), g)
-                == _restrict(bm.edge_mod[e].projection, comps.get(e.upper), g)
-                for e in graph.edges
+                _restrict(lower, comps.get(e.lower), g)
+                == _restrict(upper, comps.get(e.upper), g)
+                for e, lower, upper in maps
                 if e.lower in comps or e.upper in comps
             )
         onto = dict.fromkeys(degrees, glued)

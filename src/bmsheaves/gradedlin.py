@@ -39,8 +39,8 @@ cover and `minimal_generators` read its spans.  The edge action xi of a
 momentgraph.ZEModule is a ModuleMap, from the module shifted up by 2
 into itself.  A map applies its columns through `combine_columns`.
 `quotient_map` makes every edge module F/alpha F of a free module F,
-and the module holds the one canonical map F -> F/alpha F as its
-`projection`.
+once per (F, alpha): F keeps it by alpha, and the module holds the one
+canonical map F -> F/alpha F as its `projection`.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -298,10 +298,13 @@ class _Shifted(_Module):
 
 
 class FreeModule(_Shifted):
-    """Direct sum of S{-d_i}, presented by the generator degree tuple."""
+    """Direct sum of S{-d_i}, presented by the generator degree tuple.
+    It keeps each quotient F/alpha F that `quotient_map` makes of it, by
+    alpha."""
 
     def __init__(self, ring, gens):
         super().__init__(ring, gens, None)
+        self._quotients = {}
 
     @property
     def rank_poly(self):
@@ -399,13 +402,21 @@ class ModuleMap:
 
 
 def quotient_map(module, alpha):
-    """F/alpha F of a free module F, holding the canonical map F ->
-    F/alpha F as its `projection`: each generator goes to the unit of its
-    block, the block's first position.  The map's source is F itself, so
-    it steps its columns over F's own block starts."""
-    q = QuotientModule(module.ring, module.gens, alpha)
-    images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(module.gens)]
-    q.projection = ModuleMap(module, q, images)
+    """The one F/alpha F of a free module F and a linear form alpha,
+    holding the canonical map F -> F/alpha F as its `projection`: each
+    generator goes to the unit of its block, the block's first position.
+    The map's source is F itself, so it steps its columns over F's own
+    block starts.  The first call for (F, alpha) builds the module, which
+    refuses a bad alpha, and keeps it in a dict on F by alpha; every later
+    call returns that module, so the edges that share an upper stalk and
+    a label share one module and one column memo."""
+    alpha = tuple(alpha)
+    q = module._quotients.get(alpha)
+    if q is None:
+        q = QuotientModule(module.ring, module.gens, alpha)
+        images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(module.gens)]
+        q.projection = ModuleMap(module, q, images)
+        module._quotients[alpha] = q
     return q
 
 

@@ -274,7 +274,13 @@ class HeckeAlgebra:
     # -- element constructors ------------------------------------------
 
     def Tt(self, x: Element, coeff=None):
-        return HeckeElt({x: coeff or LaurentPoly.one()})
+        """coeff Tt_x: coeff is 1 when omitted, and an int is a constant;
+        a zero coeff gives the zero element."""
+        if coeff is None:
+            coeff = LaurentPoly.one()
+        elif isinstance(coeff, int):
+            coeff = LaurentPoly({0: coeff})
+        return HeckeElt({x: coeff})
 
     # -- multiplication --------------------------------------------------
 

@@ -285,15 +285,12 @@ class ZTuple:
 
 def z_contains(graph: MomentGraph, z: ZTuple) -> bool:
     """Edge congruences: z_lower = z_upper mod alpha along every edge,
-    through the canonical quotient map S -> S/alpha in each degree."""
-    stalk = graph.stalk
-    maps = {}  # label -> quotient map, shared by the edges it labels
+    through the canonical quotient map S -> S/alpha in each degree, the
+    one that `quotient_map` keeps on the stalk per label."""
     for e in graph.edges:
         diff = _add(z[e.lower], _scale(z[e.upper], -1))
-        alpha = e.label.coords
-        if diff and alpha not in maps:
-            maps[alpha] = quotient_map(stalk, alpha).projection
-        if any(maps[alpha].apply(vec, d) for d, vec in diff.items()):
+        upper = quotient_map(graph.stalk, e.label.coords).projection
+        if any(upper.apply(vec, d) for d, vec in diff.items()):
             return False
     return True
 

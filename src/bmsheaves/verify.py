@@ -44,7 +44,7 @@ from .bmsheaf import (
 )
 from .coxeter import element_ball, multiply, right_descents, sort_key
 from .errors import InconsistencyError
-from .gradedlin import ModuleMap, PolyRing, combine_columns, quotient_map
+from .gradedlin import ModuleMap, PolyRing, combine_columns
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .linalg import solve_in_span
@@ -349,14 +349,13 @@ def crit_local(ctx: SuiteContext):
 def structure_sheaf(graph) -> Sheaf:
     """The sheaf with stalk S = graph.stalk everywhere and the quotient map
     S -> S/alpha as both restrictions of each edge, the edge module's
-    `projection`; its sections are Z^Omega, in the basis of `ZTuple`
-    entries."""
+    `projection`; the edges with one label share one module.  Its
+    sections are Z^Omega, in the basis of `ZTuple` entries."""
     sh = Sheaf(graph)
     for w in graph.vertices:
         sh.stalks[w] = graph.stalk
     for e in graph.edges:
-        q = sh.edge_mod[e] = quotient_map(graph.stalk, e.label.coords)
-        sh.rho_lower[e] = q.projection
+        sh.rho_lower[e] = sh.edge_module(e).projection
     return sh
 
 

@@ -206,39 +206,13 @@ def test_local_rank_check_refuses_a_zeroed_restriction(request, name, word, nedg
     for e in graph.edges:
         kept = bm.rho_lower[e]
         zero = [{} for _ in bm.stalks[e.lower].gens]
-        bm.rho_lower[e] = ModuleMap(bm.stalks[e.lower], bm.edge_mod[e], zero)
+        bm.rho_lower[e] = ModuleMap(bm.stalks[e.lower], bm.edge_module(e), zero)
         try:
             for refuses in (_prop_71_refuses, _prop_71_by_local_kernel_refuses):
                 assert any(refuses(bm, w) for w in graph.vertices), (refuses, e)
         finally:
             bm.rho_lower[e] = kept
     assert not any(_prop_71_refuses(bm, w) for w in graph.vertices)
-
-
-def test_local_rank_hypothesis_refuses_a_wrong_edge_module(a2_w0_sheaf):
-    """Swapping an edge's module for the quotient by another label, or for
-    the quotient of a stalk with one generator more, fails the lemma's
-    edge-module hypothesis at both ends of the edge; with the module
-    restored, every vertex passes again."""
-    bm = a2_w0_sheaf
-    graph = bm.graph
-    holds = bmsheaf._local_kernel_is_shifted_costalk
-    for e in graph.edges:
-        alpha = e.label.coords
-        other = next(f.label.coords for f in graph.edges if f.label.coords != alpha)
-        upper = bm.stalks[e.upper]
-        wrong = (
-            quotient_map(upper, other),
-            quotient_map(FreeModule(bm.ring, upper.gens + (2,)), alpha),
-        )
-        kept = bm.edge_mod[e]
-        for mod in wrong:
-            bm.edge_mod[e] = mod
-            try:
-                assert not holds(bm, e.lower) and not holds(bm, e.upper), (e, mod)
-            finally:
-                bm.edge_mod[e] = kept
-    assert all(holds(bm, w) for w in graph.vertices)
 
 
 def _sheaf_of_kind(a2, a3, kind):
@@ -260,13 +234,68 @@ def test_every_upper_restriction_is_the_canonical_quotient(a2, a3, kind):
     going to the unit of its block.  No sheaf stores it a second time, so
     the canonical quotient holds by construction."""
     sheaf = _sheaf_of_kind(a2, a3, kind)
-    for e, mod in sheaf.edge_mod.items():
+    for e in sheaf.graph.edges:
+        mod = sheaf.edge_module(e)
         upper = sheaf.stalks[e.upper]
         rho = mod.projection
         assert rho.source is upper and rho.target is mod, e
+        assert mod.alpha == e.label.coords and mod.gens == upper.gens, e
         units = [{mod.block_starts(g)[i]: 1} for i, g in enumerate(upper.gens)]
         assert rho.images == units, e
-    assert len(sheaf.edge_mod) == len(sheaf.graph.edges)
+
+
+@pytest.mark.parametrize("kind", ["built", "lifted", "structure"])
+def test_each_edge_module_is_one_shared_object(a2, a3, kind):
+    """An edge's module is the same object on every read, and the lower
+    restriction maps into that very object."""
+    sheaf = _sheaf_of_kind(a2, a3, kind)
+    for e in sheaf.graph.edges:
+        mod = sheaf.edge_module(e)
+        assert sheaf.edge_module(e) is mod, e
+        assert sheaf.rho_lower[e].target is mod, e
+
+
+def test_a_lifted_edge_reads_its_image_edges_module(a3):
+    """Off the s-orbits, a lifted edge's upper stalk is the quotient
+    sheaf's stalk at the image edge's upper end and the labels agree, so
+    the two edges read one module.  Both ends of an orbit edge hold one
+    stalk, and the module's canonical quotient is both restrictions."""
+    x = elt(a3, "121321")
+    nbm = bm_construct(build_graph(a3, x, kind="quotient", s=0))
+    graph = build_graph(a3, x)
+    lifted = translate_out(nbm, graph)
+    gen = a3.generators[0]
+    by_pair = {(e.lower, e.upper): e for e in nbm.graph.edges}
+
+    def bar(w):
+        ws = multiply(w, gen)
+        return w if ws.length > w.length else ws
+
+    orbit = 0
+    for e in graph.edges:
+        mod = lifted.edge_module(e)
+        if multiply(e.lower, gen) == e.upper:
+            orbit += 1
+            assert lifted.stalks[e.lower] is lifted.stalks[e.upper], e
+            assert lifted.rho_lower[e] is mod.projection, e
+        else:
+            image = by_pair[(bar(e.lower), bar(e.upper))]
+            assert mod is nbm.edge_module(image), e
+            assert lifted.rho_lower[e] is nbm.rho_lower[image], e
+    assert 0 < orbit < len(graph.edges)
+
+
+def test_the_structure_sheaf_holds_one_module_per_label(a2):
+    """Every stalk of the structure sheaf is S, so the edges that share a
+    label share one module: 9 edges on 3 labels hold 3 modules."""
+    graph = build_graph(a2, elt(a2, "121"))
+    sheaf = structure_sheaf(graph)
+    by_label = {e.label.coords: sheaf.edge_module(e) for e in graph.edges}
+    assert len(graph.edges) == 9 and len(by_label) == 3
+    for e in graph.edges:
+        mod = sheaf.edge_module(e)
+        assert mod is by_label[e.label.coords], e
+        assert mod is quotient_map(graph.stalk, e.label.coords), e
 
 
 @pytest.mark.parametrize(
@@ -327,7 +356,7 @@ def test_flabbiness_check_refuses_a_zeroed_lower_restriction(a2):
         bm = bm_construct(graph)
         e = graph.up[m][0]
         zero = [{} for _ in bm.stalks[m].gens]
-        bm.rho_lower[e] = ModuleMap(bm.stalks[m], bm.edge_mod[e], zero)
+        bm.rho_lower[e] = ModuleMap(bm.stalks[m], bm.edge_module(e), zero)
         refused = {w for w in graph.vertices if not _flabby_by_vertex(bm, w)}
         assert refused == {w for w in graph.vertices if bruhat_leq(w, m)}, m
         assert not any(check_flabby_additive(bm, w) for w in graph.vertices), m
@@ -362,9 +391,9 @@ def _project_to_edges(bm, w, offsets, vectors, d):
         for e in bm.graph.up[w]:
             lo, hi = offsets[e.upper]
             comp = {i - lo: a for i, a in vec.items() if lo <= i < hi}
-            upper = bm.edge_mod[e].projection
+            upper = bm.edge_module(e).projection
             image.update((o + t, a) for t, a in upper.apply(comp, d).items())
-            o += bm.edge_mod[e].dim(d)
+            o += bm.edge_module(e).dim(d)
         out.append(image)
     return out
 
@@ -377,7 +406,7 @@ def _stalk_image(bm, w, d):
     for e in bm.graph.up[w]:
         for vec, col in zip(out, bm.rho_lower[e].columns(d)):
             vec.update((o + t, a) for t, a in col.items())
-        o += bm.edge_mod[e].dim(d)
+        o += bm.edge_module(e).dim(d)
     return out
 
 
@@ -390,10 +419,10 @@ def _gluing_rows(sheaf, edges, d, offsets):
     `Sheaf.gluing_map`."""
     rows = []
     for e in edges:
-        block = [{} for _ in range(sheaf.edge_mod[e].dim(d))]
+        block = [{} for _ in range(sheaf.edge_module(e).dim(d))]
         for end, rho, sign in (
             (e.lower, sheaf.rho_lower[e], 1),
-            (e.upper, sheaf.edge_mod[e].projection, -1),
+            (e.upper, sheaf.edge_module(e).projection, -1),
         ):
             o = offsets.get(end)
             if o is None:
@@ -1216,7 +1245,7 @@ def test_gluing_systems_are_integral(name):
     for e in bm.graph.edges:
         assert all(_all_ints(img) for img in bm.rho_lower[e].images), e
         for d in range(0, bm.caps[e.lower] + 1, 2):
-            for rho in (bm.rho_lower[e], bm.edge_mod[e].projection):
+            for rho in (bm.rho_lower[e], bm.edge_module(e).projection):
                 assert all(_all_ints(col) for col in rho.columns(d)), (e, d)
     assert bm.ring._varcols
     for key, cols in bm.ring._varcols.items():

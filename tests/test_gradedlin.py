@@ -302,6 +302,26 @@ def test_multiplication_by_a_linear_form_matches_variable_sums():
     assert by_form == {t: a for t, a in manual.items() if a}
 
 
+def test_quotient_map_keeps_one_module_per_free_module_and_form():
+    """The first call for (F, alpha) builds F/alpha F and F keeps it: a
+    later call, with alpha as a tuple or a list, returns the same module.
+    Another form, or another free module with the same generators, gives
+    another module, and a bad form is refused on every call."""
+    ring = PolyRing(2)
+    free = FreeModule(ring, (0, 2))
+    q = quotient_map(free, (1, 1))
+    assert quotient_map(free, (1, 1)) is q and quotient_map(free, [1, 1]) is q
+    assert q.projection.source is free and q.projection.target is q
+    other_form = quotient_map(free, (1, -1))
+    other_free = quotient_map(FreeModule(ring, (0, 2)), (1, 1))
+    assert other_form is not q and other_form.alpha == (1, -1)
+    assert other_free is not q and other_free.gens == q.gens
+    for bad in ((0, 0), (1, 1, 0)):
+        for _ in range(2):
+            with pytest.raises(InputError):
+                quotient_map(free, bad)
+
+
 def test_quotient_module_kills_exactly_the_form():
     ring = PolyRing(2)
     # (2, 3) is G2's label and (-2, 3) has a negative pivot: the basis of

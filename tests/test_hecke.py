@@ -35,7 +35,8 @@ def v(exp, coeff=1):
 def T(alg, x, coeff=None):
     """coeff T_x = coeff v^-l(x) Tt_x, the natural basis the definitions
     are stated in."""
-    return alg.Tt(x, (coeff or LaurentPoly.one()).shift(-x.length))
+    coeff = LaurentPoly.one() if coeff is None else coeff
+    return alg.Tt(x, coeff.shift(-x.length))
 
 
 # -- generator relations -------------------------------------------------------
@@ -53,6 +54,17 @@ def test_quadratic_relation_in_the_normalized_basis(a2, a2_alg):
     sq = a2_alg.mult(a2_alg.Tt(s), a2_alg.Tt(s))
     expected = a2_alg.Tt(a2.identity) + a2_alg.Tt(s, v(-1) - v(1))
     assert sq == expected
+
+
+def test_tt_takes_a_zero_or_int_coefficient_as_given(a2, a2_alg):
+    """Only an omitted coefficient defaults to 1: a zero one gives the
+    zero element, and an int is a constant Laurent polynomial."""
+    s = a2.generators[0]
+    zero = a2_alg.Tt(s, LaurentPoly.zero())
+    assert not zero and zero != a2_alg.Tt(s) and not a2_alg.Tt(s, 0)
+    assert a2_alg.Tt(s, 2) == a2_alg.Tt(s).scale(2) == a2_alg.Tt(s, v(0, 2))
+    assert a2_alg.Tt(s, 2).format() == "2*Tt(1)"
+    assert a2_alg.Tt(s).format() == "1*Tt(1)"
 
 
 def test_bar_fixes_the_identity_and_inverts_generators(a2, a2_alg):

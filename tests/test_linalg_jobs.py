@@ -7,10 +7,12 @@ degree by degree by `gradedlin.KernelSweep`.  So no package module but
 `step_columns`, is named nowhere in `src/`: a map's columns are stepped
 inside `ModuleMap.columns` and a span's inside the sweep.
 
-Every edge module is made by `gradedlin.quotient_map` and holds its
-canonical quotient as its `projection`: no package module but
-`gradedlin.py` builds a QuotientModule, and no sheaf stores the upper
-restriction a second time, so `rho_upper` is named nowhere in `src/`.
+Every edge module is made by `gradedlin.quotient_map`, once per free
+module and linear form, and holds its canonical quotient as its
+`projection`: no package module but `gradedlin.py` builds a
+QuotientModule.  A sheaf stores neither the edge module nor the upper
+restriction (`Sheaf.edge_module` reads both from the upper stalk), so
+`rho_upper` is named nowhere in `src/`.
 """
 
 import pathlib

@@ -106,7 +106,7 @@ def compute(name):
         "rho_lower": {
             f"{e.lower}>{e.upper}": _digest(
                 [
-                    _vec(_monomial_coords(bm.edge_mod[e], v, g))
+                    _vec(_monomial_coords(bm.edge_module(e), v, g))
                     for g, v in zip(bm.stalks[e.lower].gens, bm.rho_lower[e].images)
                 ]
             )
