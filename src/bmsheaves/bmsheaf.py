@@ -3,11 +3,12 @@
 A sheaf here assigns a graded free S-module to every vertex (the stalk),
 the quotient B^E = B^upper / alpha B^upper to every edge, and restriction
 maps from both endpoint stalks into B^E.  The edge module is a function
-of the upper stalk and the label, `Sheaf.edge_module`: the one quotient
-that `gradedlin.quotient_map` keeps per stalk and label, shared by every
-edge with both.  The upper restriction is the canonical quotient, which
-the edge module holds as its `projection`, and the lower one is stored
-as rho_lower.
+of the upper stalk's generator degrees and the label,
+`Sheaf.edge_module`: the one quotient that the ring keeps per
+(generator degrees, label) through `gradedlin.quotient_map`, shared by
+every edge of every sheaf on the system with both.  The upper
+restriction is the canonical quotient, which the edge module holds as
+its `projection`, and the lower one is stored as rho_lower.
 Sections over a vertex subset are tuples of stalk elements agreeing in
 B^E along every internal edge: the kernel of the S-linear map rho_lower
 - projection from the stalks there into the edge modules,
@@ -150,6 +151,12 @@ __all__ = [
 DEFAULT_MARGIN = 4
 
 
+def _require_vertex(graph, w):
+    """Refuse (InputError) a w that is not a vertex of the graph."""
+    if w not in graph:
+        raise InputError(f"{w} is not a vertex of the graph")
+
+
 def _default_cap(top, w):
     """2 (l(top) - l(w)) + DEFAULT_MARGIN, the degree cap at a vertex w
     below top when none is given."""
@@ -172,7 +179,8 @@ class Sheaf:
 
     def edge_module(self, e):
         """B^E = F/alpha_E F for F the stalk at the upper end of e, the one
-        module that `quotient_map` keeps for F and the label."""
+        module that the ring keeps for F's generator degrees and the label
+        (`quotient_map`)."""
         return quotient_map(self.stalks[e.upper], e.label.coords)
 
     def clear_caches(self):
@@ -243,8 +251,10 @@ class Sheaf:
         number of dropped columns plus the number of kept free ones (step
         3).  Only the last degree's pivots are held, as rows of the span
         of the kept columns (steps 5 and 6), and no restriction map's
-        column memo is filled.
+        column memo is filled.  A w outside the graph is refused
+        (InputError).
         """
+        _require_vertex(self.graph, w)
         degrees = tuple(degrees)
         dims = self._kernel_dims([w], self.graph.up[w], max(degrees, default=-2))
         return {d: dims.get(d, 0) for d in degrees}
@@ -604,7 +614,8 @@ def translate_out(nbm: BMSheaf, target_graph: MomentGraph) -> Sheaf:
     Stalks are copied coset-wise, so both ends of an edge inside an
     s-orbit hold one stalk, and its canonical quotient by the label is
     the lower restriction too.  Every other edge has the image edge's
-    upper stalk and label, so its module is the image edge's, and it
+    upper stalk and label, so it reads the image edge's module, the
+    ring's one module for those generator degrees and that label, and it
     reuses the image edge's lower restriction.
     """
     qgraph = nbm.graph
@@ -698,7 +709,8 @@ def check_prop_71(bm: BMSheaf, w: Element):
     quotient of its upper stalk by the edge's label (`Sheaf.edge_module`),
     so each restriction from w down an edge of D is the canonical quotient
     F -> F/alpha_E F by construction: the module's `projection`, out of
-    F itself.  Suppose that the labels of all edges at w are pairwise
+    a free module on F's generator degrees, which has F's basis.
+    Suppose that the labels of all edges at w are pairwise
     non-proportional.  Then the labels of D are pairwise coprime primes of
     S and F is free, so the kernel of F -> sum over D of F/alpha_E F is
     P F.  Each upward edge module is free over the domain S/alpha_E, and
@@ -715,7 +727,8 @@ def check_prop_71(bm: BMSheaf, w: Element):
     solved here from the stored maps, independently of the builder's
     tables.  The flabbiness certificate solves the same K_w, by the same
     `Sheaf.costalk_dims` on the same maps, only up to a higher degree,
-    so it does not check this solve.
+    so it does not check this solve.  A w outside the graph is refused
+    (InputError).
 
     >>> from bmsheaves.coxeter import make_system, parse_word
     >>> from bmsheaves.momentgraph import build_graph
@@ -727,13 +740,15 @@ def check_prop_71(bm: BMSheaf, w: Element):
     >>> all(r == reports[0] for r in reports)
     True
     """
-    big_l = bm.top.length
+    _require_vertex(bm.graph, w)
     cap = bm.caps[w]
-    ok2 = _local_kernel_is_shifted_costalk(bm, w) and (
+    # the lemma's hypothesis: the labels at w are pairwise non-proportional
+    labels = [e.label.coords for e in bm.graph.up[w] + bm.graph.down[w]]
+    ok2 = not any(_proportional(a, b) for a, b in combinations(labels, 2)) and (
         rank_from_dims(bm.costalk_dims(w, range(0, cap + 1, 2)), bm.ring.nvars, cap)
         == bm.costalk_ranks[w]
     )
-    reflected = bm.costalk_ranks[w].bar().shift(2 * (big_l - w.length))
+    reflected = bm.costalk_ranks[w].bar().shift(2 * (bm.top.length - w.length))
     ok4 = bm.stalks[w].rank_poly == reflected
     return {"kernel_rank": ok2, "mirror": ok4}
 
@@ -747,14 +762,6 @@ def _proportional(a, b):
     )
 
 
-def _local_kernel_is_shifted_costalk(bm: BMSheaf, w: Element):
-    """The hypothesis of the lemma in `check_prop_71` at w: the labels of
-    the edges at w are pairwise non-proportional."""
-    graph = bm.graph
-    labels = [e.label.coords for e in graph.up[w] + graph.down[w]]
-    return not any(_proportional(a, b) for a, b in combinations(labels, 2))
-
-
 def check_flabby_additive(bm: BMSheaf, w: Element):
     """Degreewise flabbiness and section additivity at w.
 
@@ -766,8 +773,10 @@ def check_flabby_additive(bm: BMSheaf, w: Element):
     sections over {>= w} restrict onto sections over {> w}, and dim
     Gamma({>= w}) = dim Gamma({> w}) + dim costalk(w) with dim Gamma({> w})
     the logged number.  The tables are read on every call; the
-    certificate (`_flabby_certificate`) is built on the first.
+    certificate (`_flabby_certificate`) is built on the first.  A w
+    outside the graph is refused (InputError).
     """
+    _require_vertex(bm.graph, w)
     onto, costalks = _flabby_certificate(bm)
     table = bm.costalk_dim_table[w]
     logged = bm.section_log.get(w, {})

@@ -39,8 +39,9 @@ cover and `minimal_generators` read its spans.  The edge action xi of a
 momentgraph.ZEModule is a ModuleMap, from the module shifted up by 2
 into itself.  A map applies its columns through `combine_columns`.
 `quotient_map` makes every edge module F/alpha F of a free module F,
-once per (F, alpha): F keeps it by alpha, and the module holds the one
-canonical map F -> F/alpha F as its `projection`.
+once per (generator degrees of F, alpha): the ring keeps it by that
+value, and the module holds the one canonical map F -> F/alpha F as its
+`projection`, out of a free module on those degrees that it owns.
 
 The graded-rank bookkeeping follows one convention everywhere: the rank
 of a graded free module is the Laurent polynomial sum of v^(generator
@@ -88,11 +89,12 @@ def hilbert_dim(nvars, d):
 class PolyRing:
     """Monomial bookkeeping for S = Q[x_0..x_{n-1}], deg x_i = 2.
 
-    A ring instance also keeps its monomial lists and the sparse columns
-    of multiplication by each variable on S and on each S/alpha, in plain
-    dicts shared by every module built over it and living as long as it
-    does.  A ring compares by identity: modules meet only over the same
-    instance, `CoxeterSystem.ring` for everything built on a system.
+    A ring instance also keeps its monomial lists, the sparse columns
+    of multiplication by each variable on S and on each S/alpha, and the
+    quotients F/alpha F that `quotient_map` makes, in plain dicts shared
+    by every module built over it and living as long as it does.  A ring
+    compares by identity: modules meet only over the same instance,
+    `CoxeterSystem.ring` for everything built on a system.
     """
 
     def __init__(self, nvars):
@@ -103,6 +105,7 @@ class PolyRing:
         self._qmonos = {}
         self._varcols = {}
         self._stepmemo = {}
+        self._quotients = {}
 
     def monomials(self, d):
         """Exponent tuples of the degree-d piece, lex descending: for two
@@ -270,9 +273,10 @@ class _Module:
 
 
 class _Shifted(_Module):
-    """Shifted copies of S, or of S/alpha, one per generator degree."""
+    """Shifted copies of S (alpha None), or of S/alpha, one per
+    generator degree; only a QuotientModule passes alpha."""
 
-    def __init__(self, ring, gens, alpha):
+    def __init__(self, ring, gens, *, alpha=None):
         self.gens = tuple(int(g) for g in gens)
         if any(g % 2 for g in self.gens):
             raise InputError("generator degrees must be even")
@@ -298,13 +302,7 @@ class _Shifted(_Module):
 
 
 class FreeModule(_Shifted):
-    """Direct sum of S{-d_i}, presented by the generator degree tuple.
-    It keeps each quotient F/alpha F that `quotient_map` makes of it, by
-    alpha."""
-
-    def __init__(self, ring, gens):
-        super().__init__(ring, gens, None)
-        self._quotients = {}
+    """Direct sum of S{-d_i}, presented by the generator degree tuple."""
 
     @property
     def rank_poly(self):
@@ -320,8 +318,9 @@ class QuotientModule(_Shifted):
     The pivot x_p is the first variable with a nonzero coefficient; the
     basis is x^m / |a_p|^|m| over the pivot-free monomials x^m, so every
     column is an integer, and it is x^m itself when |a_p| = 1.
-    `projection` is the canonical map from the free module it is the
-    quotient of, set by `quotient_map` and None on a module built here.
+    `projection` is the canonical map from the free module on the same
+    generator degrees, set by `quotient_map` and None on a module built
+    here.
     """
 
     def __init__(self, ring, gens, alpha):
@@ -330,7 +329,7 @@ class QuotientModule(_Shifted):
             raise InputError("linear form has wrong arity")
         if not any(self.alpha):
             raise InputError("cannot quotient by the zero linear form")
-        super().__init__(ring, gens, self.alpha)
+        super().__init__(ring, gens, alpha=self.alpha)
         self.projection = None
 
 
@@ -402,21 +401,23 @@ class ModuleMap:
 
 
 def quotient_map(module, alpha):
-    """The one F/alpha F of a free module F and a linear form alpha,
-    holding the canonical map F -> F/alpha F as its `projection`: each
-    generator goes to the unit of its block, the block's first position.
-    The map's source is F itself, so it steps its columns over F's own
-    block starts.  The first call for (F, alpha) builds the module, which
-    refuses a bad alpha, and keeps it in a dict on F by alpha; every later
-    call returns that module, so the edges that share an upper stalk and
-    a label share one module and one column memo."""
-    alpha = tuple(alpha)
-    q = module._quotients.get(alpha)
+    """The one F/alpha F of a free module F and a linear form alpha on
+    F's ring, holding the canonical map F -> F/alpha F as its
+    `projection`: each generator goes to the unit of its block, the
+    block's first position.  The module depends only on F's generator
+    degrees and alpha, and the ring keeps it by that value, so every free
+    module on those degrees, and every edge with such an upper stalk and
+    that label, reads one module and one column memo.  The map's source
+    is a free module on F's degrees that the module owns, not F, so a
+    stalk is held by nothing the ring keeps.  A miss builds the module;
+    a bad alpha is refused on every call, and nothing is stored for it."""
+    key = (module.gens, tuple(alpha))
+    q = module.ring._quotients.get(key)
     if q is None:
-        q = QuotientModule(module.ring, module.gens, alpha)
+        q = QuotientModule(module.ring, module.gens, key[1])
         images = [{q.block_starts(g)[i]: 1} for i, g in enumerate(module.gens)]
-        q.projection = ModuleMap(module, q, images)
-        module._quotients[alpha] = q
+        q.projection = ModuleMap(FreeModule(module.ring, module.gens), q, images)
+        module.ring._quotients[key] = q
     return q
 
 

@@ -286,7 +286,8 @@ class ZTuple:
 def z_contains(graph: MomentGraph, z: ZTuple) -> bool:
     """Edge congruences: z_lower = z_upper mod alpha along every edge,
     through the canonical quotient map S -> S/alpha in each degree, the
-    one that `quotient_map` keeps on the stalk per label."""
+    one that the ring keeps per label for the stalk's degrees
+    (`quotient_map`)."""
     for e in graph.edges:
         diff = _add(z[e.lower], _scale(z[e.upper], -1))
         upper = quotient_map(graph.stalk, e.label.coords).projection

@@ -349,8 +349,9 @@ def crit_local(ctx: SuiteContext):
 def structure_sheaf(graph) -> Sheaf:
     """The sheaf with stalk S = graph.stalk everywhere and the quotient map
     S -> S/alpha as both restrictions of each edge, the edge module's
-    `projection`; the edges with one label share one module.  Its
-    sections are Z^Omega, in the basis of `ZTuple` entries."""
+    `projection`; the edges with one label share one module, the ring's
+    S/alpha for that label.  Its sections are Z^Omega, in the basis of
+    `ZTuple` entries."""
     sh = Sheaf(graph)
     for w in graph.vertices:
         sh.stalks[w] = graph.stalk

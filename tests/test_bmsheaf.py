@@ -230,18 +230,25 @@ def _sheaf_of_kind(a2, a3, kind):
 @pytest.mark.parametrize("kind", ["built", "lifted", "structure"])
 def test_every_upper_restriction_is_the_canonical_quotient(a2, a3, kind):
     """Every edge module holds the upper restriction as its `projection`:
-    out of the upper stalk itself, into the module, with each generator
-    going to the unit of its block.  No sheaf stores it a second time, so
-    the canonical quotient holds by construction."""
+    out of a free module on the upper stalk's generator degrees, not the
+    stalk itself, into the module, with each generator going to the unit
+    of its block.  The edges with equal stalk degrees and label read one
+    module, and the lower restriction maps into it.  No sheaf stores the
+    upper restriction a second time, so the canonical quotient holds by
+    construction."""
     sheaf = _sheaf_of_kind(a2, a3, kind)
+    by_value = {}
     for e in sheaf.graph.edges:
         mod = sheaf.edge_module(e)
         upper = sheaf.stalks[e.upper]
         rho = mod.projection
-        assert rho.source is upper and rho.target is mod, e
+        assert by_value.setdefault((upper.gens, e.label.coords), mod) is mod, e
+        assert rho.source.gens == upper.gens and rho.source is not upper, e
+        assert rho.target is mod and sheaf.rho_lower[e].target is mod, e
         assert mod.alpha == e.label.coords and mod.gens == upper.gens, e
         units = [{mod.block_starts(g)[i]: 1} for i, g in enumerate(upper.gens)]
         assert rho.images == units, e
+    assert len(set(map(id, by_value.values()))) == len(by_value)
 
 
 @pytest.mark.parametrize("kind", ["built", "lifted", "structure"])
@@ -851,6 +858,55 @@ def test_flabbiness_checks_hold_little_memory_beyond_the_sheaf(a3):
     assert held - built <= 2**20, (held - built) / 2**20
 
 
+def test_a_dropped_sheaf_is_freed_without_the_cycle_collector(a3):
+    """With the cycle collector off, build A3 121321, certify it at every
+    vertex and drop it: the sheaf and its top stalk are freed at once.
+    The edge modules live on the ring, and none points back to a stalk."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        bm = bm_construct(build_graph(a3, elt(a3, "121321")))
+        assert all(check_flabby_additive(bm, w) for w in bm.graph.vertices)
+        sheaf, stalk = weakref.ref(bm), weakref.ref(bm.stalks[bm.top])
+        del bm
+        assert sheaf() is None and stalk() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_edge_modules_live_on_the_ring_one_per_degrees_and_label(a3):
+    """Build and certify every sheaf of the A3 group on one system: the
+    ring then holds one module per distinct (upper stalk generator
+    degrees, label) of those sheaves, 9 for the 24 sheaves, beside any it
+    held before, and every edge reads the one for its values.  A second
+    pass adds none and keeps the same modules."""
+    ring = a3.ring
+    before = set(ring._quotients)
+    group = element_ball(a3, 6)
+    assert len(group) == 24
+
+    def certify_all():
+        values = {}
+        for x in group:
+            bm = bm_construct(build_graph(a3, x))
+            assert all(check_flabby_additive(bm, w) for w in bm.graph.vertices), x
+            for e in bm.graph.edges:
+                key = (bm.stalks[e.upper].gens, e.label.coords)
+                assert bm.edge_module(e) is ring._quotients[key], (x, e)
+                values[key] = ring._quotients[key]
+        return values
+
+    first = certify_all()
+    assert len(first) == 9
+    assert set(ring._quotients) == before | set(first)
+    kept = dict(ring._quotients)
+    second = certify_all()
+    assert second.keys() == first.keys()
+    assert ring._quotients.keys() == kept.keys()
+    assert all(ring._quotients[k] is q for k, q in kept.items())
+
+
 # Builds the regular and every quotient sheaf of A3 121321 on a system of
 # its own and drops them; run in a fresh interpreter, where no fixture
 # holds the A3 system.  The first round is a warm-up.
@@ -1118,6 +1174,35 @@ def test_pair_module_refuses_a_redundant_generator(a2, a2_w0_sheaf, monkeypatch)
 def test_pair_costalk_requires_a_descent(a2, a2_w0_sheaf):
     with pytest.raises(InputError):
         costalk_interval(a2_w0_sheaf, elt(a2, "12"), 0)
+
+
+@pytest.fixture(scope="module")
+def a2_12_sheaf_and_outsiders(a2, a3):
+    """The A2 12 sheaf, with a longer A2 element and an A3 element, both
+    outside its graph."""
+    bm = bm_construct(build_graph(a2, elt(a2, "12")))
+    return bm, [elt(a2, "121"), elt(a3, "12")]
+
+
+def test_prop_71_refuses_a_vertex_outside_the_graph(a2_12_sheaf_and_outsiders):
+    bm, outsiders = a2_12_sheaf_and_outsiders
+    for w in outsiders:
+        with pytest.raises(InputError, match="not a vertex of the graph"):
+            check_prop_71(bm, w)
+
+
+def test_flabbiness_refuses_a_vertex_outside_the_graph(a2_12_sheaf_and_outsiders):
+    bm, outsiders = a2_12_sheaf_and_outsiders
+    for w in outsiders:
+        with pytest.raises(InputError, match="not a vertex of the graph"):
+            check_flabby_additive(bm, w)
+
+
+def test_costalk_dims_refuses_a_vertex_outside_the_graph(a2_12_sheaf_and_outsiders):
+    bm, outsiders = a2_12_sheaf_and_outsiders
+    for w in outsiders:
+        with pytest.raises(InputError, match="not a vertex of the graph"):
+            bm.costalk_dims(w, (0, 2))
 
 
 @pytest.mark.parametrize("s", [-1, 2])

@@ -302,24 +302,41 @@ def test_multiplication_by_a_linear_form_matches_variable_sums():
     assert by_form == {t: a for t, a in manual.items() if a}
 
 
-def test_quotient_map_keeps_one_module_per_free_module_and_form():
-    """The first call for (F, alpha) builds F/alpha F and F keeps it: a
-    later call, with alpha as a tuple or a list, returns the same module.
-    Another form, or another free module with the same generators, gives
-    another module, and a bad form is refused on every call."""
+def test_quotient_map_keeps_one_module_per_generator_degrees_and_form():
+    """The first call for (generator degrees of F, alpha) builds F/alpha F
+    and the ring keeps it: a later call, with alpha as a tuple or a list,
+    or on another free module with the same degrees, returns the same
+    module.  Another form, other degrees or another ring give another
+    module.  The projection's source is a free module on F's degrees
+    that the module owns, not F.  A bad form is refused on every call and
+    stores nothing."""
     ring = PolyRing(2)
     free = FreeModule(ring, (0, 2))
     q = quotient_map(free, (1, 1))
     assert quotient_map(free, (1, 1)) is q and quotient_map(free, [1, 1]) is q
-    assert q.projection.source is free and q.projection.target is q
+    assert quotient_map(FreeModule(ring, (0, 2)), (1, 1)) is q
+    assert q.projection.source.gens == free.gens and q.projection.target is q
+    assert q.projection.source is not free
     other_form = quotient_map(free, (1, -1))
-    other_free = quotient_map(FreeModule(ring, (0, 2)), (1, 1))
+    other_gens = quotient_map(FreeModule(ring, (2, 0)), (1, 1))
+    other_ring = quotient_map(FreeModule(PolyRing(2), (0, 2)), (1, 1))
     assert other_form is not q and other_form.alpha == (1, -1)
-    assert other_free is not q and other_free.gens == q.gens
+    assert other_gens is not q and other_gens.gens == (2, 0)
+    assert other_ring is not q and other_ring.gens == q.gens
+    kept = dict(ring._quotients)
+    assert len(kept) == 3
     for bad in ((0, 0), (1, 1, 0)):
         for _ in range(2):
             with pytest.raises(InputError):
                 quotient_map(free, bad)
+    assert ring._quotients == kept
+
+
+def test_a_free_module_takes_no_linear_form():
+    """Only a QuotientModule carries a form: FreeModule shares its
+    constructor but takes the generator degrees alone."""
+    with pytest.raises(TypeError):
+        FreeModule(PolyRing(2), (0,), (1, 1))
 
 
 def test_quotient_module_kills_exactly_the_form():
@@ -332,8 +349,10 @@ def test_quotient_module_kills_exactly_the_form():
         q = quotient_map(free, alpha)
         qmap = q.projection
         assert q.gens == free.gens and q.alpha == alpha
-        # the module holds its canonical map, out of F itself
-        assert qmap.source is free and qmap.target is q
+        # the module holds its canonical map, out of a free module on F's
+        # degrees that it owns, which has F's basis
+        assert qmap.source.gens == free.gens and qmap.target is q
+        assert qmap.source is not free
         assert QuotientModule(ring, gens, alpha).projection is None
         assert [q.dim(d) for d in range(0, 8, 2)] == [
             sum(d >= g for g in gens) for d in range(0, 8, 2)
