@@ -742,7 +742,6 @@ def check_prop_71(bm: BMSheaf, w: Element):
     """
     _require_vertex(bm.graph, w)
     cap = bm.caps[w]
-    # the lemma's hypothesis: the labels at w are pairwise non-proportional
     labels = [e.label.coords for e in bm.graph.up[w] + bm.graph.down[w]]
     ok2 = not any(_proportional(a, b) for a, b in combinations(labels, 2)) and (
         rank_from_dims(bm.costalk_dims(w, range(0, cap + 1, 2)), bm.ring.nvars, cap)

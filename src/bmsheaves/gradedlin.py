@@ -273,14 +273,14 @@ class _Module:
 
 
 class _Shifted(_Module):
-    """Shifted copies of S (alpha None), or of S/alpha, one per
-    generator degree; only a QuotientModule passes alpha."""
+    """Shifted copies of S, or of S/alpha when the module set its form
+    `alpha` first (a QuotientModule), one per generator degree."""
 
-    def __init__(self, ring, gens, *, alpha=None):
+    def __init__(self, ring, gens):
         self.gens = tuple(int(g) for g in gens)
         if any(g % 2 for g in self.gens):
             raise InputError("generator degrees must be even")
-        super().__init__(ring, [(alpha, g) for g in self.gens])
+        super().__init__(ring, [(getattr(self, "alpha", None), g) for g in self.gens])
         self._basis = {}
         self._index = {}
 
@@ -329,7 +329,7 @@ class QuotientModule(_Shifted):
             raise InputError("linear form has wrong arity")
         if not any(self.alpha):
             raise InputError("cannot quotient by the zero linear form")
-        super().__init__(ring, gens, alpha=self.alpha)
+        super().__init__(ring, gens)
         self.projection = None
 
 

@@ -334,9 +334,12 @@ def test_quotient_map_keeps_one_module_per_generator_degrees_and_form():
 
 def test_a_free_module_takes_no_linear_form():
     """Only a QuotientModule carries a form: FreeModule shares its
-    constructor but takes the generator degrees alone."""
+    constructor but takes the generator degrees alone, by position or by
+    keyword."""
     with pytest.raises(TypeError):
         FreeModule(PolyRing(2), (0,), (1, 1))
+    with pytest.raises(TypeError):
+        FreeModule(PolyRing(2), (0,), alpha=(1, 1))
 
 
 def test_quotient_module_kills_exactly_the_form():
